@@ -215,7 +215,12 @@ class AlgebraElement:
 
 
 class BalancedAlgebra:
-    """The algebra attached to a triangulation track at fixed root parameters."""
+    """The algebra attached to a triangulation track at fixed root parameters.
+
+    Every product phase comes straight from :func:`traintrack.theta`, one pass
+    over the track's germ pairs; there is no theta cache, so an algebra's
+    memory does not grow with the products it has computed.
+    """
 
     def __init__(self, track: TriangulationTrack, params: AlgebraParams):
         if not isinstance(track, TriangulationTrack):
@@ -223,7 +228,6 @@ class BalancedAlgebra:
         self.track = track
         self.params = params
         self.sigma = sigma_matrix(track.tri)
-        self._theta_cache: dict[tuple, int] = {}
 
     # -- plumbing ---------------------------------------------------------
 
@@ -233,12 +237,7 @@ class BalancedAlgebra:
             raise ValueError("algebra parameter or track mismatch")
 
     def theta(self, a: tuple, b: tuple) -> int:
-        key = (a, b)
-        if key not in self._theta_cache:
-            v = theta(self.track, a, b)
-            self._theta_cache[key] = v
-            self._theta_cache[(b, a)] = -v
-        return self._theta_cache[key]
+        return theta(self.track, a, b)
 
     # -- constructors -------------------------------------------------------
 

@@ -42,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AlgebraElement, BalancedAlgebra, frobenius, phase_eval, solve_chebyshev
-from .lattice import skew_normal_form
+from .lattice import _combine, skew_normal_form
 from .traintrack import TriangulationTrack, puncture_weight, theta, theta_matrix, weight_lattice_basis
 
 
@@ -75,17 +75,10 @@ def symplectic_basis(track: TriangulationTrack) -> SymplecticBasis:
     if list(nf.blocks) != expected:
         raise RepresentationError(f"unexpected block pattern {nf.blocks} for (g, s) = ({g}, {s})")
 
-    def combine(coeffs) -> tuple[int, ...]:
-        out = [0] * track.branch_count
-        for c, vec in zip(coeffs, basis):
-            for i, x in enumerate(vec):
-                out[i] += c * x
-        return tuple(out)
-
     pairs = []
     for i, d in enumerate(nf.blocks):
-        alpha = combine(nf.U[2 * i])
-        beta = combine(nf.U[2 * i + 1])
+        alpha = _combine(nf.U[2 * i], basis)
+        beta = _combine(nf.U[2 * i + 1], basis)
         pairs.append((alpha, beta, d))
     etas = tuple(puncture_weight(track, k) for k in range(s))
     return SymplecticBasis(tuple(pairs), etas)
@@ -115,14 +108,13 @@ class RepresentationSpec:
         for value in (*self.zeta_alphas, *self.zeta_betas, *self.zeta_etas, *self.h):
             if value == 0:
                 raise RepresentationError("zeta and h values must be non-zero")
-        track = self.algebra.track
-        gammas = self.basis.gamma_vectors
-        for i, (a, b, d) in enumerate(self.basis.pairs):
-            if theta(track, a, b) != d or d not in (1, 2):
+        pairing = theta_matrix(self.algebra.track, self.basis.gamma_vectors)
+        for i, (_, _, d) in enumerate(self.basis.pairs):
+            if pairing[i][i + m] != d or d not in (1, 2):
                 raise RepresentationError(f"pair {i} does not pair to its block value")
-        for i in range(len(gammas)):
-            for j in range(i + 1, len(gammas)):
-                v = theta(track, gammas[i], gammas[j])
+        for i, row in enumerate(pairing):
+            for j in range(i + 1, len(row)):
+                v = row[j]
                 expect = self.basis.pairs[i][2] if (j == i + m and i < m) else 0
                 if v != expect:
                     raise RepresentationError(
@@ -264,8 +256,7 @@ class Representation:
             + list(spec.h)  # eta generators act by scalars
         )
         self._solver = _IntSolver(self.gamma_vectors)
-        self._theta = [[theta(self.algebra.track, a, b) for b in self.gamma_vectors]
-                       for a in self.gamma_vectors]
+        self._theta = theta_matrix(self.algebra.track, self.gamma_vectors)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -398,8 +389,7 @@ def verify(rep: Representation, tol: float = 1e-9, seed: int = 0,
     dev = 0.0
     for _ in range(scalar_samples):
         coeffs = [rng.randint(-2, 2) for _ in gammas]
-        w = tuple(sum(c * g[i] for c, g in zip(coeffs, gammas))
-                  for i in range(rep.algebra.track.branch_count))
+        w = _combine(coeffs, gammas)
         mat = np.linalg.matrix_power(rep.monomial_matrix(w), N)
         dev = max(dev, _maxabs(mat - rep.central_character(w) * np.eye(rep.dim, dtype=complex)))
     report.deviations["central_scalar"] = dev
@@ -435,8 +425,7 @@ def frobenius_compat(rep: Representation, tol: float = 1e-9, seed: int = 0,
     gammas = rep.gamma_vectors
     for _ in range(n_random):
         coeffs = [rng.randint(-2, 2) for _ in gammas]
-        w = tuple(sum(c * g[i] for c, g in zip(coeffs, gammas))
-                  for i in range(rep.algebra.track.branch_count))
+        w = _combine(coeffs, gammas)
         lifted = frobenius(iota_algebra.monomial(w), rep.algebra)
         mat = rep.evaluate(lifted)
         dev_char = max(dev_char, _maxabs(mat - rep.central_character(w) * eye))

@@ -27,6 +27,15 @@ pairing of two weight systems is
 where the doubled sum is always even; an odd doubled sum indicates a germ
 bookkeeping bug and raises :class:`IntegralityViolation`.
 
+The pairing is bilinear, so it is one sparse antisymmetric integer matrix
+``T`` over branches: ``theta(a, b) = a^T T b / 2``.  ``TrainTrack.germ_pairs``
+is ``T``: one ``(left branch, right branch)`` entry per same-side germ pair,
+built once with the track, each adding ``+1`` at ``T[right][left]`` and
+``-1`` at ``T[left][right]``.  Over the rows of a basis ``B``,
+``theta_matrix = B T B^T / 2``: the image ``T b`` of each basis vector is
+formed once and dotted with the support of the others.  Arithmetic is exact
+Python integers throughout.
+
 The track of a triangulation
 ----------------------------
 ``from_triangulation`` builds the track carrying the balanced lattice of an
@@ -77,6 +86,7 @@ class TrainTrack:
             for side_a, side_b in switches
         )
         self.dart_slot: dict[Dart, tuple[int, int, int]] = {}
+        pairs: list[tuple[int, int]] = []
         for s, (side_a, side_b) in enumerate(self.switches):
             if not side_a or not side_b:
                 raise TrackError(f"switch {s} has an empty side")
@@ -85,6 +95,11 @@ class TrainTrack:
                     if dart in self.dart_slot:
                         raise TrackError(f"dart {dart} appears twice")
                     self.dart_slot[dart] = (s, side_idx, pos)
+                    # every germ already on this side lies to the left of dart
+                    for left, _ in side[:pos]:
+                        pairs.append((left, dart[0]))
+        # The germ-pair form T (see the module docstring).
+        self.germ_pairs: tuple[tuple[int, int], ...] = tuple(pairs)
         expected = {(b, e) for b in range(branch_count) for e in (0, 1)}
         missing = expected - set(self.dart_slot)
         extra = set(self.dart_slot) - expected
@@ -255,16 +270,10 @@ def puncture_weight(track: TriangulationTrack, puncture: int) -> tuple[int, ...]
 # --- the intersection pairing --------------------------------------------
 
 def theta_doubled(track: TrainTrack, a, b) -> int:
-    """The doubled pairing: sum over same-side pairs (e right of e') of a(e)b(e') - a(e')b(e)."""
+    """The doubled pairing ``a^T T b``: one pass over the track's germ pairs."""
     total = 0
-    for side_a, side_b in track.switches:
-        for side in (side_a, side_b):
-            for i in range(len(side)):
-                bi = side[i][0]
-                for j in range(i + 1, len(side)):
-                    bj = side[j][0]
-                    # side[j] emerges to the right of side[i]
-                    total += a[bj] * b[bi] - a[bi] * b[bj]
+    for left, right in track.germ_pairs:
+        total += a[right] * b[left] - a[left] * b[right]
     return total
 
 
@@ -275,14 +284,32 @@ def theta(track: TrainTrack, a, b) -> int:
     return doubled // 2
 
 
+def _germ_image(track: TrainTrack, b) -> list[int]:
+    """The vector ``T b``, so that ``theta_doubled(a, b) == a . (T b)``."""
+    image = [0] * track.branch_count
+    for left, right in track.germ_pairs:
+        image[right] += b[left]
+        image[left] -= b[right]
+    return image
+
+
 def theta_matrix(track: TrainTrack, basis) -> list[list[int]]:
-    """Antisymmetric matrix of theta over a list of weight systems."""
+    """Antisymmetric matrix of theta over a list of weight systems: ``B T B^T / 2``."""
     m = len(basis)
     out = [[0] * m for _ in range(m)]
-    for i in range(m):
+    images = [_germ_image(track, basis[j]) for j in range(1, m)]
+    for i in range(m - 1):
+        support = [(k, x) for k, x in enumerate(basis[i]) if x]
+        row = out[i]
         for j in range(i + 1, m):
-            v = theta(track, basis[i], basis[j])
-            out[i][j] = v
+            image = images[j - 1]
+            doubled = 0
+            for k, x in support:
+                doubled += x * image[k]
+            if doubled % 2 != 0:
+                raise IntegralityViolation(f"doubled pairing {doubled} is odd")
+            v = doubled // 2
+            row[j] = v
             out[j][i] = -v
     return out
 

@@ -5,6 +5,7 @@ from hypothesis import settings
 
 from trackforms import from_triangulation, standard_triangulation, weight_lattice_basis
 from trackforms.fixtures import circle_track, random_ribbon_track, unorientable_even_track
+from trackforms.lattice import _combine
 
 __all__ = ["GRID", "circle_track", "random_ribbon_track", "random_weight",
            "unorientable_even_track"]
@@ -28,6 +29,6 @@ def grid_bases(grid_tracks):
 
 
 def random_weight(track, basis, rng, span=2):
+    """A random integer combination of ``basis``, a weight system on ``track``."""
     coeffs = [rng.randint(-span, span) for _ in basis]
-    return tuple(sum(c * v[i] for c, v in zip(coeffs, basis))
-                 for i in range(track.branch_count))
+    return _combine(coeffs, basis) if basis else (0,) * track.branch_count

@@ -5,21 +5,31 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trackforms import (
+    IntegralityViolation,
     OddSpikesError,
     ParityViolation,
     TrackError,
     TrainTrack,
     from_switch_sums,
+    from_triangulation,
     puncture_weight,
     region_weight_system,
     regions,
+    standard_triangulation,
     switch_sums,
     theta,
     theta_matrix,
+    weight_lattice_basis,
 )
 from trackforms.traintrack import is_weight_system, sigma_pairing, theta_doubled
 
-from conftest import GRID, circle_track, random_weight, unorientable_even_track
+from conftest import (
+    GRID,
+    circle_track,
+    random_ribbon_track,
+    random_weight,
+    unorientable_even_track,
+)
 
 
 @pytest.mark.parametrize("g,s,switches,branches", [(1, 1, 3, 6), (0, 4, 6, 12)])
@@ -55,6 +65,28 @@ def test_track_validation_errors():
         TrainTrack(2, [([(0, 0)], [(0, 1)])])  # branch 1 unattached
 
 
+# --- the germ-pair form against the germ walk ------------------------------
+
+def reference_theta_doubled(track, a, b):
+    """Slow exact oracle: walk every switch side and pair each germ with those right of it."""
+    total = 0
+    for side_a, side_b in track.switches:
+        for side in (side_a, side_b):
+            for i in range(len(side)):
+                bi = side[i][0]
+                for j in range(i + 1, len(side)):
+                    bj = side[j][0]
+                    # side[j] emerges to the right of side[i]
+                    total += a[bj] * b[bi] - a[bi] * b[bj]
+    return total
+
+
+def reference_theta_matrix(track, basis):
+    doubled = [[reference_theta_doubled(track, a, b) for b in basis] for a in basis]
+    assert all(v % 2 == 0 for row in doubled for v in row)
+    return [[v // 2 for v in row] for row in doubled]
+
+
 def test_theta_alternating(grid_tracks, grid_bases):
     track = grid_tracks[(1, 1)]
     for vec in grid_bases[(1, 1)]:
@@ -81,6 +113,7 @@ def test_doubled_sum_always_even(grid_tracks, grid_bases, gs, rnd):
     a = random_weight(track, basis, rnd)
     b = random_weight(track, basis, rnd)
     assert theta_doubled(track, a, b) % 2 == 0
+    assert theta_doubled(track, a, b) == reference_theta_doubled(track, a, b)
 
 
 @given(gs=st.sampled_from(GRID), rnd=st.randoms(use_true_random=False))
@@ -91,6 +124,58 @@ def test_theta_matches_succession_pairing(grid_tracks, grid_bases, gs, rnd):
     a = random_weight(track, basis, rnd)
     b = random_weight(track, basis, rnd)
     assert theta(track, a, b) == sigma_pairing(track, a, b)
+
+
+@pytest.mark.parametrize("g,s", GRID + [(4, 2)])
+def test_theta_matrix_matches_germ_walk(g, s):
+    track = from_triangulation(standard_triangulation(g, s))
+    basis = weight_lattice_basis(track)
+    assert theta_matrix(track, basis) == reference_theta_matrix(track, basis)
+
+
+def test_theta_matches_germ_walk_on_random_tracks():
+    rng = random.Random(1206)
+    checked = 0
+    while checked < 1000:
+        track = random_ribbon_track(rng)
+        if track is None:
+            continue
+        checked += 1
+        basis = weight_lattice_basis(track)
+        assert theta_matrix(track, basis) == reference_theta_matrix(track, basis)
+        a = random_weight(track, basis, rng)
+        b = random_weight(track, basis, rng)
+        assert 2 * theta(track, a, b) == reference_theta_doubled(track, a, b)
+
+
+def test_germ_pairs_of_hand_built_tracks():
+    assert circle_track().germ_pairs == ()
+    # side_a lists f, e, f left to right; side_b holds e alone
+    assert unorientable_even_track().germ_pairs == ((1, 0), (1, 1), (0, 1))
+
+
+def test_theta_matrix_is_exact_past_64_bits(grid_tracks, grid_bases):
+    track = grid_tracks[(2, 1)]
+    basis = grid_bases[(2, 1)]
+    scale = 2 ** 40
+    scaled = [tuple(scale * x for x in vec) for vec in basis]
+    small = theta_matrix(track, basis)
+    assert any(v for row in small for v in row)
+    assert theta_matrix(track, scaled) == [[scale * scale * v for v in row] for row in small]
+    i, j = next((i, j) for i, row in enumerate(small) for j, v in enumerate(row) if v)
+    assert theta(track, scaled[i], scaled[j]) == 2 ** 80 * small[i][j]
+
+
+def test_odd_doubled_pairing_raises(grid_tracks):
+    track = grid_tracks[(1, 1)]
+    left, right = track.germ_pairs[0]
+    e_left = tuple(int(k == left) for k in range(track.branch_count))
+    e_right = tuple(int(k == right) for k in range(track.branch_count))
+    assert reference_theta_doubled(track, e_left, e_right) in (1, -1)
+    with pytest.raises(IntegralityViolation):
+        theta(track, e_left, e_right)
+    with pytest.raises(IntegralityViolation):
+        theta_matrix(track, [e_left, e_right])
 
 
 def test_theta_kernel_contains_punctures(grid_tracks, grid_bases):
