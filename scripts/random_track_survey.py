@@ -3,19 +3,20 @@
 Draws random connected ribbon tracks (random branch/switch counts, random
 germ placement), runs the census + normal form on each, and tallies how many
 land in each of the three prediction cases and whether any fail.  A failure
-would print the offending track as JSON.
+would print the offending track as JSON and make the script exit 1.
 """
 
 import argparse
 import json
 import random
+import sys
 from collections import Counter
 
 from trackforms import verify_structure
 from trackforms.fixtures import random_ribbon_track
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
@@ -41,7 +42,8 @@ def main() -> None:
     for case, count in sorted(tally.items()):
         print(f"  {case}: {count}")
     print(f"failures: {failures}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,17 +1,20 @@
 """Build one representation and print its verification report.
 
 Example:  python scripts/rep_demo.py --genus 1 --punctures 2 --N 3 --seed 42
+
+Exits 1 unless both the verification and the Frobenius compatibility pass.
 """
 
 import argparse
 import json
+import sys
 
 from trackforms import from_triangulation, standard_triangulation
 from trackforms.algebra import BalancedAlgebra, omega_candidates
 from trackforms.representation import build, frobenius_compat, random_spec, verify
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--genus", "-g", type=int, default=1)
     parser.add_argument("--punctures", "-s", type=int, default=1)
@@ -27,9 +30,12 @@ def main() -> None:
     print(f"surface (g, s) = ({args.genus}, {args.punctures}), N = {args.N}, "
           f"omega = {params.omega:.6f}, epsilon = {params.epsilon:+d}")
     print(f"dimension {rep.dim}")
-    print("verify:", json.dumps(verify(rep, seed=args.seed).to_json_dict(), indent=2))
-    print("frobenius:", json.dumps(frobenius_compat(rep, seed=args.seed).to_json_dict(), indent=2))
+    checks = {"verify": verify(rep, seed=args.seed),
+              "frobenius": frobenius_compat(rep, seed=args.seed)}
+    for name, report in checks.items():
+        print(f"{name}:", json.dumps(report.to_json_dict(), indent=2))
+    return 0 if all(report.passed for report in checks.values()) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -109,6 +109,10 @@ def params_from_omega(N: int, omega: complex, tol: float = 1e-9) -> AlgebraParam
 
 def omega_candidates(N: int, epsilon: int | None = None) -> list[AlgebraParams]:
     """All parameter choices for a given odd N, optionally filtered by epsilon."""
+    if N < 1 or N % 2 == 0:
+        raise ValueError(f"N must be odd and positive, got {N}")
+    if epsilon not in (None, 1, -1):
+        raise ValueError(f"epsilon must be 1 or -1, got {epsilon}")
     out = [AlgebraParams(N, k) for k in range(4 * N) if math.gcd(k, N) == 1]
     if epsilon is not None:
         out = [p for p in out if p.epsilon == epsilon]

@@ -5,13 +5,14 @@ Exit codes: 0 = success / all checks passed, 1 = a mathematical check failed,
 identical inputs are byte-identical; randomized checks take an explicit
 ``--seed`` (default 0) which is recorded in the output.  The tolerance for
 numeric checks is 1e-9, overridable through the ``TRACKFORMS_TOL``
-environment variable.
+environment variable with any positive finite number.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -44,8 +45,8 @@ class RunConfig:
     @classmethod
     def from_args(cls, args) -> "RunConfig":
         tol = float(os.environ.get("TRACKFORMS_TOL", "1e-9"))
-        if tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tolerance must be positive and finite, got {tol}")
         return cls(seed=getattr(args, "seed", 0), tolerance=tol, out=getattr(args, "out", None))
 
 

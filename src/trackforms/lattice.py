@@ -87,6 +87,33 @@ def integer_det(matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _pivot(work, r, c) -> bool:
+    """gcd elimination in column ``c`` among the rows ``r`` onward, in place.
+
+    Repeatedly moves the row with the smallest non-zero entry (ties: lowest
+    index) to position ``r`` and reduces the rows below it by floor quotients
+    until only row ``r`` is non-zero in column ``c``.  The pivot keeps its
+    sign.  Returns whether the column had a non-zero entry.
+    """
+    n = len(work)
+    while True:
+        live = [i for i in range(r, n) if work[i][c] != 0]
+        if not live:
+            return False
+        i_min = min(live, key=lambda i: (abs(work[i][c]), i))
+        work[r], work[i_min] = work[i_min], work[r]
+        p = work[r][c]
+        done = True
+        for i in range(r + 1, n):
+            if work[i][c] != 0:
+                q = work[i][c] // p
+                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
+                if work[i][c] != 0:
+                    done = False
+        if done:
+            return True
+
+
 def hermite_normal_form(rows) -> tuple[tuple[int, ...], ...]:
     """Canonical row-style Hermite normal form, zero rows dropped.
 
@@ -101,34 +128,18 @@ def hermite_normal_form(rows) -> tuple[tuple[int, ...], ...]:
         raise ValueError("ragged rows")
     r = 0
     for c in range(cols):
-        # gcd elimination in column c among rows >= r
-        while True:
-            live = [i for i in range(r, len(work)) if work[i][c] != 0]
-            if not live:
-                break
-            i_min = min(live, key=lambda i: (abs(work[i][c]), i))
-            work[r], work[i_min] = work[i_min], work[r]
-            if work[r][c] < 0:
-                work[r] = [-x for x in work[r]]
-            p = work[r][c]
-            done = True
-            for i in range(r + 1, len(work)):
-                if work[i][c] != 0:
-                    q = work[i][c] // p
-                    work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-                    if work[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < len(work) and work[r][c] != 0:
-            p = work[r][c]
-            for i in range(r):
-                q = work[i][c] // p
-                if q:
-                    work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-            r += 1
-            if r == len(work):
-                break
+        if not _pivot(work, r, c):
+            continue
+        if work[r][c] < 0:
+            work[r] = [-x for x in work[r]]
+        p = work[r][c]
+        for i in range(r):
+            q = work[i][c] // p
+            if q:
+                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
+        r += 1
+        if r == len(work):
+            break
     return tuple(tuple(row) for row in work[:r] if any(row))
 
 
@@ -150,23 +161,7 @@ def integer_kernel_basis(matrix) -> list[list[int]]:
             for j in range(cols)]
     r = 0
     for c in range(rows):
-        while True:
-            live = [i for i in range(r, cols) if work[i][c] != 0]
-            if not live:
-                break
-            i_min = min(live, key=lambda i: (abs(work[i][c]), i))
-            work[r], work[i_min] = work[i_min], work[r]
-            p = work[r][c]
-            done = True
-            for i in range(r + 1, cols):
-                if work[i][c] != 0:
-                    q = work[i][c] // p
-                    work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-                    if work[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < cols and work[r][c] != 0:
+        if _pivot(work, r, c):
             r += 1
     kernel = [row[rows:] for row in work[r:]]
     return [list(row) for row in hermite_normal_form(kernel)]

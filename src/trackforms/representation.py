@@ -16,7 +16,10 @@ one factor per pair, with ``Z_{eta_k}`` acting by ``h_k``.  The dimension is
 ``N^(3g+s-3)`` and the factor relations are ``X_i Y_i = q^(d_i) Y_i X_i``.
 
 Monomial evaluation decomposes a weight system over the basis,
-``w = sum_u m_u gamma_u``, and applies the exact reordering phase
+``w = sum_u m_u gamma_u``.  The coefficients are read off the block form:
+``a_i = theta(w, beta_i) / d_i`` and ``b_i = theta(alpha_i, w) / d_i``, and
+the puncture coefficients are the values of the remainder on the disjoint
+supports of the etas.  It then applies the exact reordering phase
 
     rho(Z_w) = omega^(-2 sum_{u<v} m_u m_v theta(gamma_u, gamma_v))
                prod_u rho(Z_{gamma_u})^(m_u),
@@ -37,13 +40,13 @@ from __future__ import annotations
 import cmath
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .algebra import AlgebraElement, BalancedAlgebra, frobenius, phase_eval, solve_chebyshev
 from .lattice import _combine, skew_normal_form
-from .traintrack import TriangulationTrack, puncture_weight, theta, theta_matrix, weight_lattice_basis
+from .traintrack import TriangulationTrack, is_weight_system, puncture_weight, theta
+from .traintrack import theta_matrix, weight_lattice_basis
 
 
 class RepresentationError(ValueError):
@@ -147,74 +150,6 @@ def _principal_root(z: complex, n: int) -> complex:
     return cmath.exp(cmath.log(z) / n)
 
 
-class _IntSolver:
-    """Exact decomposition of weight systems over a fixed lattice basis."""
-
-    def __init__(self, gammas: list[tuple[int, ...]]):
-        self.gammas = gammas
-        n = len(gammas)
-        cols = len(gammas[0])
-        # Select n independent branch coordinates by fraction-free elimination.
-        mat = [[Fraction(g[c]) for g in gammas] for c in range(cols)]  # cols x n
-        idx: list[int] = []
-        work: list[list[Fraction]] = []
-        for c in range(cols):
-            row = list(mat[c])
-            # reduce against the rows already chosen (kept mutually reduced)
-            for sel in work:
-                lead = self._lead(sel)
-                if row[lead] != 0:
-                    f = row[lead] / sel[lead]
-                    row = [x - f * y for x, y in zip(row, sel)]
-            if any(x != 0 for x in row):
-                work.append(row)
-                idx.append(c)
-            if len(idx) == n:
-                break
-        if len(idx) != n:
-            raise RepresentationError("basis does not have full rank")
-        self.idx = idx
-        square = [[Fraction(gammas[j][c]) for j in range(n)] for c in idx]  # n x n
-        self.inverse = self._invert(square)
-
-    @staticmethod
-    def _lead(row):
-        for i, x in enumerate(row):
-            if x != 0:
-                return i
-        raise ValueError("zero row")
-
-    @staticmethod
-    def _invert(mat):
-        n = len(mat)
-        aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-        for c in range(n):
-            pivot = next(r for r in range(c, n) if aug[r][c] != 0)
-            aug[c], aug[pivot] = aug[pivot], aug[c]
-            p = aug[c][c]
-            aug[c] = [x / p for x in aug[c]]
-            for r in range(n):
-                if r != c and aug[r][c] != 0:
-                    f = aug[r][c]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-        return [row[n:] for row in aug]
-
-    def decompose(self, weights) -> list[int]:
-        rhs = [Fraction(weights[c]) for c in self.idx]
-        coeffs = [sum(self.inverse[r][c] * rhs[c] for c in range(len(rhs)))
-                  for r in range(len(rhs))]
-        out = []
-        for x in coeffs:
-            if x.denominator != 1:
-                raise RepresentationError(f"weight system leaves the lattice: coefficient {x}")
-            out.append(int(x))
-        # exact verification against every branch coordinate
-        for c in range(len(weights)):
-            if sum(m * g[c] for m, g in zip(out, self.gammas)) != weights[c]:
-                raise RepresentationError("decomposition failed to reproduce the weight system")
-        return out
-
-
 class Representation:
     """Matrices realizing the algebra on a tensor product of cyclic factors."""
 
@@ -255,13 +190,33 @@ class Representation:
             + [embed(y, i) for i, y in enumerate(y_factors)]
             + list(spec.h)  # eta generators act by scalars
         )
-        self._solver = _IntSolver(self.gamma_vectors)
         self._theta = theta_matrix(self.algebra.track, self.gamma_vectors)
+        # The etas are 0/1 with disjoint supports: each is read at its first 1.
+        self._eta_index = [eta.index(1) for eta in spec.basis.etas]
 
     # -- evaluation ---------------------------------------------------------
 
     def decompose(self, weights) -> list[int]:
-        return self._solver.decompose(weights)
+        """Coefficients of ``weights`` over the gammas, read off the block form."""
+        track = self.algebra.track
+        w = tuple(weights)
+        if len(w) != track.branch_count or not is_weight_system(track, w):
+            raise RepresentationError("input is not a weight system of the track")
+        pairs = self.spec.basis.pairs
+        pairings = ([(theta(track, w, beta), d) for _, beta, d in pairs]       # d_i a_i
+                    + [(theta(track, alpha, w), d) for alpha, _, d in pairs])  # d_i b_i
+        coeffs = []
+        for x, d in pairings:
+            c, rem = divmod(x, d)
+            if rem:
+                raise RepresentationError(
+                    f"weight system leaves the lattice: pairing {x} is not a multiple of {d}")
+            coeffs.append(c)
+        paired = _combine(coeffs, self.gamma_vectors)  # zip stops after the alphas and betas
+        coeffs += [w[k] - paired[k] for k in self._eta_index]
+        if _combine(coeffs, self.gamma_vectors) != w:
+            raise RepresentationError("decomposition failed to reproduce the weight system")
+        return coeffs
 
     def _pairing_sum(self, coeffs) -> int:
         total = 0

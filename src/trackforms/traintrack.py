@@ -50,6 +50,7 @@ theta agrees with the succession-matrix pairing of switch-sum vectors (see
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .triangulation import IdealTriangulation
@@ -143,10 +144,11 @@ class TrainTrack:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TrainTrack":
+        dart = lambda d: (operator.index(d[0]), operator.index(d[1]))
         try:
-            branches = data["branches"]
+            branches = operator.index(data["branches"])
             switches = [
-                ([(d[0], d[1]) for d in sw["side_a"]], [(d[0], d[1]) for d in sw["side_b"]])
+                ([dart(d) for d in sw["side_a"]], [dart(d) for d in sw["side_b"]])
                 for sw in data["switches"]
             ]
         except (KeyError, TypeError, IndexError) as exc:

@@ -25,6 +25,7 @@ Derived combinatorics used throughout the package:
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 Slot = tuple[int, int]
@@ -48,6 +49,8 @@ class Diagnostics:
     punctures: int | None = None
     edge_count: int | None = None
     corner_cycles: tuple[tuple[Corner, ...], ...] | None = None
+    pairing: dict[Slot, Slot] | None = None
+    edges: list[tuple[Slot, Slot]] | None = None
 
     @property
     def ok(self) -> bool:
@@ -137,6 +140,8 @@ def diagnose(triangle_count: int, gluings) -> Diagnostics:
     diag.punctures = s
     diag.edge_count = n
     diag.corner_cycles = tuple(cycles)
+    diag.pairing = pairing
+    diag.edges = edges
     return diag
 
 
@@ -148,23 +153,12 @@ class IdealTriangulation:
         if not diag.ok:
             raise TriangulationError("; ".join(diag.errors))
         self.triangle_count = triangle_count
-        self.gluing: dict[Slot, Slot] = {}
-        for a, b in _normalize_gluings(gluings):
-            self.gluing[a] = b
-            self.gluing[b] = a
+        self.gluing: dict[Slot, Slot] = diag.pairing
         self.genus = diag.genus
         self.punctures = diag.punctures
         self.corner_cycles = diag.corner_cycles
-        self.edge_of: dict[Slot, int] = {}
-        self.edges: list[tuple[Slot, Slot]] = []
-        for t in range(triangle_count):
-            for k in range(3):
-                slot = (t, k)
-                if slot in self.edge_of:
-                    continue
-                other = self.gluing[slot]
-                self.edge_of[slot] = self.edge_of[other] = len(self.edges)
-                self.edges.append((slot, other))
+        self.edges: list[tuple[Slot, Slot]] = diag.edges
+        self.edge_of: dict[Slot, int] = {slot: e for e, edge in enumerate(self.edges) for slot in edge}
         self.puncture_of_corner: dict[Corner, int] = {}
         for p, cycle in enumerate(self.corner_cycles):
             for corner in cycle:
@@ -198,9 +192,10 @@ class IdealTriangulation:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IdealTriangulation":
+        slot = lambda x: (operator.index(x[0]), operator.index(x[1]))
         try:
-            triangles = data["triangles"]
-            gluings = [((a[0], a[1]), (b[0], b[1])) for a, b in data["gluings"]]
+            triangles = operator.index(data["triangles"])
+            gluings = [(slot(a), slot(b)) for a, b in data["gluings"]]
         except (KeyError, TypeError, IndexError) as exc:
             raise TriangulationError(f"malformed triangulation JSON: {exc}") from exc
         return cls(triangles, gluings)
@@ -217,8 +212,7 @@ def validate(triangulation_or_count, gluings=None) -> Diagnostics:
     """Diagnostics for a triangulation object or for raw (count, gluings) data."""
     if gluings is None:
         tri = triangulation_or_count
-        data = tri.to_json_dict()
-        return diagnose(data["triangles"], [((a[0], a[1]), (b[0], b[1])) for a, b in data["gluings"]])
+        return diagnose(tri.triangle_count, tri.gluing.items())
     return diagnose(triangulation_or_count, gluings)
 
 

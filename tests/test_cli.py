@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from trackforms.cli import main
 
 from conftest import unorientable_even_track
@@ -143,3 +145,26 @@ def test_outputs_are_reproducible(tmp_path, capsys):
                          "--seed", "7", "--out", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("tol,argv,data", [
+    (None, ["rep", "-g", "1", "-s", "1", "--N", "-3"], None),
+    (None, ["rep", "-g", "1", "-s", "1", "--N", "0"], None),
+    ("nan", ["rep", "-g", "1", "-s", "1", "--N", "3"], None),
+    ("inf", ["rep", "-g", "1", "-s", "1", "--N", "3"], None),
+    (None, ["verify-structure"], {"triangles": "2", "gluings": []}),
+    (None, ["verify-structure"], {"branches": 1, "switches": [{"side_a": [["0", 0]],
+                                                              "side_b": [[0, 1]]}]}),
+    (None, ["rep"], {"genus": 1, "punctures": 1, "N": 3, "epsilon": 5}),
+])
+def test_bad_input_exits_two_without_traceback(tmp_path, capsys, monkeypatch, tol, argv, data):
+    if tol is not None:
+        monkeypatch.setenv("TRACKFORMS_TOL", tol)
+    if data is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        argv = argv + ["--input", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -131,6 +132,20 @@ def test_integer_kernel_basis_small():
     # x + y = 0 over the integers
     basis = integer_kernel_basis([[1, 1]])
     assert lattice_equal(basis, [(1, -1)])
+
+
+def test_integer_kernel_basis_is_saturated():
+    # every small integer kernel vector already lies in the lattice of the basis
+    rng = random.Random(2024)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 3), rng.randint(2, 4)
+        m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        basis = integer_kernel_basis(m)
+        for v in basis:
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in m)
+        for v in itertools.product(range(-2, 3), repeat=cols):
+            if all(sum(x * y for x, y in zip(row, v)) == 0 for row in m):
+                assert lattice_equal(basis, basis + [list(v)]), (m, v)
 
 
 def test_integer_det():

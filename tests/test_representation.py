@@ -6,6 +6,7 @@ import pytest
 
 from trackforms import from_triangulation, standard_triangulation
 from trackforms.algebra import BalancedAlgebra, frobenius, omega_candidates
+from trackforms.lattice import _combine
 from trackforms.representation import (
     RepresentationError,
     build,
@@ -41,6 +42,23 @@ def test_symplectic_basis_pairings():
         for j in range(i + 1, len(gammas)):
             expected = basis.pairs[i][2] if (i < m and j == i + m) else 0
             assert theta(track, gammas[i], gammas[j]) == expected
+
+
+@pytest.mark.parametrize("g,s", [(1, 1), (0, 4), (1, 2), (2, 1), (1, 3), (0, 6)])
+def test_decompose_recovers_coefficients(g, s):
+    rep = make_rep(g, s, 1, seed=g + s)  # decompose does not depend on N
+    rng = random.Random(100 * g + s)
+    for _ in range(20):
+        coeffs = [rng.randint(-3, 3) for _ in rep.gamma_vectors]
+        assert rep.decompose(_combine(coeffs, rep.gamma_vectors)) == coeffs
+
+
+def test_decompose_rejects_non_weight_systems():
+    rep = make_rep(1, 1, 3)
+    n = rep.algebra.track.branch_count
+    for bad in ((1,) + (0,) * (n - 1), (0,) * (n + 1)):
+        with pytest.raises(RepresentationError):
+            rep.decompose(bad)
 
 
 @pytest.mark.parametrize("g,s,N,dim", [(1, 1, 3, 3), (0, 4, 5, 5), (1, 2, 3, 9)])
