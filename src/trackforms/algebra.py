@@ -46,7 +46,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .traintrack import TriangulationTrack, require_weight_system, theta
+from .traintrack import TriangulationTrack, from_switch_sums, puncture_weight
+from .traintrack import require_weight_system, theta
 from .triangulation import sigma_matrix
 
 TWO_PI = 2.0 * math.pi
@@ -201,9 +202,6 @@ class AlgebraElement:
         order = self.algebra.params.phase_order
         return AlgebraElement(self.algebra, {w: phase_shift(p, exponent, order) for w, p in self.terms.items()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __repr__(self) -> str:
         return f"AlgebraElement({len(self.terms)} terms, N={self.algebra.params.N})"
 
@@ -231,7 +229,6 @@ class BalancedAlgebra:
             raise TypeError("BalancedAlgebra needs the track of a triangulation")
         self.track = track
         self.params = params
-        self.sigma = sigma_matrix(track.tri)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -257,8 +254,6 @@ class BalancedAlgebra:
         return AlgebraElement(self, {w: phase_term(0, self.params.phase_order)})
 
     def puncture_element(self, k: int) -> AlgebraElement:
-        from .traintrack import puncture_weight
-
         return self.monomial(puncture_weight(self.track, k))
 
     # -- operations ----------------------------------------------------------
@@ -290,20 +285,14 @@ class BalancedAlgebra:
 
     def weyl_exponent(self, sums) -> int:
         """Symmetrizing exponent -sum_{u<v} k_u k_v sigma_uv of a balanced switch-sum vector."""
-        from .traintrack import from_switch_sums
-
         from_switch_sums(self.track, sums)  # raises ParityViolation when unbalanced
+        sigma = sigma_matrix(self.track.tri)
         n = len(sums)
         total = 0
         for u in range(n):
             for v in range(u + 1, n):
-                total -= sums[u] * sums[v] * self.sigma[u][v]
+                total -= sums[u] * sums[v] * sigma[u][v]
         return total % self.params.phase_order
-
-    def monomial_from_sums(self, sums) -> AlgebraElement:
-        from .traintrack import from_switch_sums
-
-        return self.monomial(from_switch_sums(self.track, sums))
 
     def element_from_json_dict(self, data: dict) -> AlgebraElement:
         if data.get("N") != self.params.N or data.get("root_exponent") != self.params.root_exponent:

@@ -3,16 +3,20 @@
 Exit codes: 0 = success / all checks passed, 1 = a mathematical check failed,
 2 = invalid input or usage.  All output is JSON with sorted keys so reruns on
 identical inputs are byte-identical; randomized checks take an explicit
-``--seed`` (default 0) which is recorded in the output.  The tolerance for
-numeric checks is 1e-9, overridable through the ``TRACKFORMS_TOL``
-environment variable with any positive finite number.
+``--seed`` (default 0) which is recorded in the output.  The tolerance on
+the ``verify``/``frobenius`` deviations of ``rep`` is 1e-9, overridable
+through the ``TRACKFORMS_TOL`` environment variable with any positive finite
+number; the spec's ``h^N = zeta(eta)`` check uses a fixed 1e-9.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
+import contextlib
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -65,7 +69,37 @@ def _complex_pair(z: complex) -> list[float]:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        return _object(json.load(fh), f"the JSON in {path}")
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _int(data: dict, key: str, default=None) -> int:
+    value = data[key] if default is None else data.get(key, default)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+
+
+def _complex(value, what: str) -> complex:
+    """A JSON ``[re, im]`` pair of finite numbers as a complex number."""
+    if isinstance(value, list) and len(value) == 2 and all(type(x) in (int, float) for x in value):
+        with contextlib.suppress(OverflowError):
+            z = complex(*value)
+            if cmath.isfinite(z):
+                return z
+    raise ValueError(f"{what} must be a pair [re, im] of finite numbers, got {value!r}")
+
+
+def _complexes(values, what: str) -> list[complex]:
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of [re, im] pairs")
+    return [_complex(v, f"{what}[{i}]") for i, v in enumerate(values)]
 
 
 def cmd_triangulate(args) -> int:
@@ -97,32 +131,29 @@ def cmd_verify_structure(args) -> int:
 def _rep_spec_from_json(data: dict, seed: int):
     if "triangulation" in data:
         raw = data["triangulation"]
-        tri = IdealTriangulation.from_json_dict(raw if isinstance(raw, dict) else _load_json(raw))
+        raw = _load_json(raw) if isinstance(raw, str) else _object(raw, "triangulation")
+        tri = IdealTriangulation.from_json_dict(raw)
     else:
-        tri = standard_triangulation(data["genus"], data["punctures"])
+        tri = standard_triangulation(_int(data, "genus"), _int(data, "punctures"))
     track = from_triangulation(tri)
-    N = data["N"]
+    N = _int(data, "N")
     if "omega" in data:
-        om = data["omega"]
-        params = params_from_omega(N, complex(om[0], om[1]))
+        params = params_from_omega(N, _complex(data["omega"], "omega"))
     else:
-        epsilon = data.get("epsilon")
-        candidates = omega_candidates(N, epsilon)
-        params = candidates[data.get("omega_index", 0) % len(candidates)]
+        candidates = omega_candidates(N, data.get("epsilon"))
+        params = candidates[_int(data, "omega_index", 0) % len(candidates)]
     algebra = BalancedAlgebra(track, params)
     if "zeta" not in data:
         return random_spec(algebra, seed=seed)
-    z = data["zeta"]
-    to_c = lambda pair: complex(pair[0], pair[1])
-    spec = RepresentationSpec(
+    z = _object(data["zeta"], "zeta")
+    return RepresentationSpec(
         algebra=algebra,
         basis=symplectic_basis(track),
-        zeta_alphas=[to_c(v) for v in z["alphas"]],
-        zeta_betas=[to_c(v) for v in z["betas"]],
-        zeta_etas=[to_c(v) for v in z["etas"]],
-        h=[to_c(v) for v in data["h"]],
+        zeta_alphas=_complexes(z["alphas"], "zeta alphas"),
+        zeta_betas=_complexes(z["betas"], "zeta betas"),
+        zeta_etas=_complexes(z["etas"], "zeta etas"),
+        h=_complexes(data["h"], "h"),
     )
-    return spec
 
 
 def cmd_rep(args) -> int:
@@ -130,10 +161,9 @@ def cmd_rep(args) -> int:
     data = _load_json(args.input) if args.input else {
         "genus": args.genus, "punctures": args.punctures, "N": args.N,
     }
-    seed = data.get("seed", config.seed)
+    seed = _int(data, "seed", config.seed)
     spec = _rep_spec_from_json(data, seed)
-    spec.validate()  # h_k^N = zeta(eta_k) and pairing sanity; exit 2 on failure
-    rep = build(spec)
+    rep = build(spec)  # validates the spec: RepresentationError, exit 2
     report = verify(rep, tol=config.tolerance, seed=seed)
     frob = frobenius_compat(rep, tol=config.tolerance, seed=seed)
     payload = {
@@ -205,9 +235,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.command == "verify-structure" and not args.input and args.genus is None:
+    if args.command == "verify-structure" and not args.input and None in (args.genus, args.punctures):
         parser.error("verify-structure needs --input or --genus/--punctures")
-    if args.command == "rep" and not args.input and (args.genus is None or args.N is None):
+    if args.command == "rep" and not args.input and None in (args.genus, args.punctures, args.N):
         parser.error("rep needs --input or --genus/--punctures/--N")
     try:
         return args.func(args)

@@ -173,19 +173,29 @@ def integer_kernel_basis(matrix) -> list[list[int]]:
 class NormalForm:
     """Certificate ``U M U^T = D`` with ``|det U| = 1``.
 
-    ``blocks`` lists the d's of the 2x2 blocks in divisibility order; the
-    trailing ``nullity`` rows and columns of ``D`` vanish.  Rows
-    ``2 * len(blocks)`` onward of ``U`` are a basis of the integer kernel.
+    ``blocks`` lists the d's of the 2x2 blocks in divisibility order; ``D``
+    and ``nullity`` follow from them.  Rows ``2 * len(blocks)`` onward of
+    ``U`` are a basis of the integer kernel.
     """
 
     U: tuple[tuple[int, ...], ...]
-    D: tuple[tuple[int, ...], ...]
     blocks: tuple[int, ...]
-    nullity: int
 
     @property
     def rank(self) -> int:
         return 2 * len(self.blocks)
+
+    @property
+    def nullity(self) -> int:
+        return len(self.U) - self.rank
+
+    @property
+    def D(self) -> tuple[tuple[int, ...], ...]:
+        """The ``(0 d; -d 0)`` blocks down the diagonal, then zero rows and columns."""
+        d = [[0] * len(self.U) for _ in self.U]
+        for k, b in enumerate(self.blocks):
+            d[2 * k][2 * k + 1], d[2 * k + 1][2 * k] = b, -b
+        return tuple(map(tuple, d))
 
     def kernel_rows(self) -> list[tuple[int, ...]]:
         return [self.U[i] for i in range(self.rank, len(self.U))]
@@ -241,6 +251,7 @@ def skew_normal_form(matrix) -> NormalForm:
         for row in m:
             row[i] += q * row[j]
 
+    blocks = []
     t = 0
     while t + 1 < n:
         pivot = None
@@ -289,46 +300,20 @@ def skew_normal_form(matrix) -> NormalForm:
         if fold is not None:
             add_row(t, fold, 1)
             continue
+        blocks.append(p)
         t += 2
-
-    blocks = []
-    k = 0
-    while k + 1 < n and m[k][k + 1] != 0:
-        blocks.append(m[k][k + 1])
-        k += 2
-    nf = NormalForm(
-        U=tuple(tuple(row) for row in u),
-        D=tuple(tuple(row) for row in m),
-        blocks=tuple(blocks),
-        nullity=n - 2 * len(blocks),
-    )
-    return nf
+    return NormalForm(tuple(map(tuple, u)), tuple(blocks))
 
 
 def certify_normal_form(nf: NormalForm, matrix) -> bool:
     """Exact check of U M U^T == D, |det U| == 1, and the divisibility chain."""
     u = [list(r) for r in nf.U]
-    d = mat_mul(mat_mul(u, [list(r) for r in matrix]), transpose(u))
-    if d != [list(r) for r in nf.D]:
+    if mat_mul(mat_mul(u, [list(r) for r in matrix]), transpose(u)) != [list(r) for r in nf.D]:
         return False
     if abs(integer_det(u)) != 1:
         return False
-    for a, b in zip(nf.blocks, nf.blocks[1:]):
-        if a <= 0 or b % a != 0:
-            return False
-    if nf.blocks and nf.blocks[0] <= 0:
-        return False
-    n = len(nf.D)
-    for i in range(n):
-        for j in range(n):
-            expected = 0
-            if i % 2 == 0 and j == i + 1 and i // 2 < len(nf.blocks):
-                expected = nf.blocks[i // 2]
-            elif j % 2 == 0 and i == j + 1 and j // 2 < len(nf.blocks):
-                expected = -nf.blocks[j // 2]
-            if nf.D[i][j] != expected:
-                return False
-    return True
+    return (all(d > 0 for d in nf.blocks)
+            and all(b % a == 0 for a, b in zip(nf.blocks, nf.blocks[1:])))
 
 
 def kernel_basis(matrix) -> list[tuple[int, ...]]:

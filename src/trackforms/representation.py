@@ -48,6 +48,13 @@ from .lattice import _combine, skew_normal_form
 from .traintrack import TriangulationTrack, is_weight_system, puncture_weight, theta
 from .traintrack import theta_matrix, weight_lattice_basis
 
+# The h_k^N = zeta(eta_k) tolerance, the relative singular-value cutoff of the
+# commutant rank, and the random lattice vectors per central/Frobenius check.
+ROOT_TOL = 1e-9
+SV_CUTOFF = 1e-7
+SCALAR_SAMPLES = 5
+FROBENIUS_SAMPLES = 10
+
 
 class RepresentationError(ValueError):
     """Inconsistent representation data (bad pairing, h_k^N != zeta(eta_k), ...)."""
@@ -97,9 +104,9 @@ class RepresentationSpec:
     zeta_betas: list[complex]
     zeta_etas: list[complex]
     h: list[complex]
-    tol: float = 1e-9
 
-    def validate(self) -> None:
+    def validate(self) -> list[list[int]]:
+        """Check the spec; return the theta matrix over ``basis.gamma_vectors``."""
         params = self.algebra.params
         if params.N % 2 == 0:
             raise RepresentationError("N must be odd")
@@ -123,9 +130,10 @@ class RepresentationSpec:
                     raise RepresentationError(
                         f"basis vectors {i}, {j} pair to {v}, expected {expect}")
         for k, (h_k, z) in enumerate(zip(self.h, self.zeta_etas)):
-            if abs(h_k ** params.N - z) > self.tol * max(1.0, abs(z)):
+            if abs(h_k ** params.N - z) > ROOT_TOL * max(1.0, abs(z)):
                 raise RepresentationError(
                     f"h[{k}]^N = {h_k ** params.N} differs from zeta(eta_{k}) = {z}")
+        return pairing
 
     @property
     def dimension(self) -> int:
@@ -154,7 +162,7 @@ class Representation:
     """Matrices realizing the algebra on a tensor product of cyclic factors."""
 
     def __init__(self, spec: RepresentationSpec):
-        spec.validate()
+        self._theta = spec.validate()
         self.spec = spec
         self.algebra = spec.algebra
         params = spec.algebra.params
@@ -190,7 +198,6 @@ class Representation:
             + [embed(y, i) for i, y in enumerate(y_factors)]
             + list(spec.h)  # eta generators act by scalars
         )
-        self._theta = theta_matrix(self.algebra.track, self.gamma_vectors)
         # The etas are 0/1 with disjoint supports: each is read at its first 1.
         self._eta_index = [eta.index(1) for eta in spec.basis.etas]
 
@@ -292,7 +299,7 @@ def _as_matrix(rep: Representation, u: int) -> np.ndarray:
     return gen * np.eye(rep.dim, dtype=complex)
 
 
-def commutant_dimension(rep: Representation, sv_cutoff: float = 1e-7) -> int:
+def commutant_dimension(rep: Representation) -> int:
     """Dimension of {X : [rho(Z_gamma), X] = 0 for all basis generators}."""
     d = rep.dim
     eye = np.eye(d, dtype=complex)
@@ -304,13 +311,12 @@ def commutant_dimension(rep: Representation, sv_cutoff: float = 1e-7) -> int:
         return 1
     system = np.vstack(blocks)
     sv = np.linalg.svd(system, compute_uv=False)
-    cutoff = sv_cutoff * max(1.0, float(sv[0]))
+    cutoff = SV_CUTOFF * max(1.0, float(sv[0]))
     rank = int(np.sum(sv > cutoff))
     return d * d - rank
 
 
-def verify(rep: Representation, tol: float = 1e-9, seed: int = 0,
-           scalar_samples: int = 5) -> CheckReport:
+def verify(rep: Representation, tol: float = 1e-9, seed: int = 0) -> CheckReport:
     """Commutation phases, N-th power scalars, puncture scalars, irreducibility."""
     params = rep.params
     N = params.N
@@ -342,7 +348,7 @@ def verify(rep: Representation, tol: float = 1e-9, seed: int = 0,
 
     rng = random.Random(seed)
     dev = 0.0
-    for _ in range(scalar_samples):
+    for _ in range(SCALAR_SAMPLES):
         coeffs = [rng.randint(-2, 2) for _ in gammas]
         w = _combine(coeffs, gammas)
         mat = np.linalg.matrix_power(rep.monomial_matrix(w), N)
@@ -355,8 +361,7 @@ def verify(rep: Representation, tol: float = 1e-9, seed: int = 0,
     return report
 
 
-def frobenius_compat(rep: Representation, tol: float = 1e-9, seed: int = 0,
-                     n_random: int = 10) -> CheckReport:
+def frobenius_compat(rep: Representation, tol: float = 1e-9, seed: int = 0) -> CheckReport:
     """Lifted commutative elements act by the central character.
 
     Basis monomials must act by their plain zeta value; random lattice
@@ -378,7 +383,7 @@ def frobenius_compat(rep: Representation, tol: float = 1e-9, seed: int = 0,
     dev_char = 0.0
     dev_power = 0.0
     gammas = rep.gamma_vectors
-    for _ in range(n_random):
+    for _ in range(FROBENIUS_SAMPLES):
         coeffs = [rng.randint(-2, 2) for _ in gammas]
         w = _combine(coeffs, gammas)
         lifted = frobenius(iota_algebra.monomial(w), rep.algebra)

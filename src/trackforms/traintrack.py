@@ -53,7 +53,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .triangulation import IdealTriangulation
+from .triangulation import IdealTriangulation, sigma_matrix
 
 Dart = tuple[int, int]
 
@@ -114,21 +114,7 @@ class TrainTrack:
         return len(self.switches)
 
     def is_connected(self) -> bool:
-        if self.switch_count == 0:
-            return False
-        parent = list(range(self.switch_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for b in range(self.branch_count):
-            s1 = self.dart_slot[(b, 0)][0]
-            s2 = self.dart_slot[(b, 1)][0]
-            parent[find(s1)] = find(s2)
-        return len({find(s) for s in range(self.switch_count)}) == 1
+        return _switch_classes(self)[0]
 
     def __repr__(self) -> str:
         return f"TrainTrack(branches={self.branch_count}, switches={self.switch_count})"
@@ -323,8 +309,6 @@ def sigma_pairing(track: TriangulationTrack, a, b) -> int:
     ``1/2 * sum_{u<v} (ka_u kb_v - ka_v kb_u) sigma_{uv}``; agreement with the
     germ-pair formula is what fixes the left-to-right convention.
     """
-    from .triangulation import sigma_matrix
-
     sigma = sigma_matrix(track.tri)
     ka = switch_sums(track, a)
     kb = switch_sums(track, b)
@@ -375,10 +359,6 @@ class TopologyReport:
     n_even: int
     n_odd: int
     orientable: bool
-    region_count: int
-    euler: int
-    switch_count: int
-    branch_count: int
 
 
 def _ccw_cycles(track: TrainTrack):
@@ -408,7 +388,8 @@ def regions(track: TrainTrack) -> tuple[list[Region], TopologyReport]:
     Rejects disconnected tracks.  The genus comes from
     ``chi(U) = switches - branches`` and ``chi = 2 - 2h - region_count``.
     """
-    if not track.is_connected():
+    connected, orientable = _switch_classes(track)
+    if not connected:
         raise TrackError("train track is not connected")
     next_ccw, same_side = _ccw_cycles(track)
 
@@ -443,11 +424,7 @@ def regions(track: TrainTrack) -> tuple[list[Region], TopologyReport]:
         genus=genus2 // 2,
         n_even=sum(1 for r in regs if r.spikes % 2 == 0),
         n_odd=sum(1 for r in regs if r.spikes % 2 == 1),
-        orientable=is_orientable(track),
-        region_count=b,
-        euler=chi,
-        switch_count=track.switch_count,
-        branch_count=track.branch_count,
+        orientable=orientable,
     )
     return regs, report
 
@@ -463,36 +440,44 @@ def _attach_puncture(track: TriangulationTrack, region: Region) -> Region:
 
 
 def is_orientable(track: TrainTrack) -> bool:
-    """Whether the branches admit orientations that cross every switch consistently.
+    """Whether the branches admit orientations that cross every switch consistently."""
+    return _switch_classes(track)[1]
 
-    Parity 2-coloring of switch polarities: a branch with ends on sides
-    (x, y) of switches (s1, s2) forces p(s1) + p(s2) = 1 + [x=b] + [y=b]
-    over GF(2).
+
+def _switch_classes(track: TrainTrack) -> tuple[bool, bool]:
+    """(connected, orientable) from one parity union-find over the branches.
+
+    Orientability is a parity 2-coloring of switch polarities: a branch with
+    ends on sides (x, y) of switches (s1, s2) forces p(s1) + p(s2) = 1 + x + y
+    over GF(2), with side_a = 0 and side_b = 1.  Each switch stores its
+    polarity relative to its parent; union by size keeps the trees shallow.
     """
-    polarity: dict[int, int] = {}
-    for root in range(track.switch_count):
-        if root in polarity:
+    parent = list(range(track.switch_count))
+    parity = [0] * track.switch_count
+    size = [1] * track.switch_count
+
+    def find(s):
+        p = 0
+        while parent[s] != s:
+            p ^= parity[s]
+            s = parent[s]
+        return s, p
+
+    classes, orientable = track.switch_count, True
+    for b in range(track.branch_count):
+        s1, x, _ = track.dart_slot[(b, 0)]
+        s2, y, _ = track.dart_slot[(b, 1)]
+        (r1, p1), (r2, p2) = find(s1), find(s2)
+        need = 1 ^ x ^ y
+        if r1 == r2:
+            orientable = orientable and p1 ^ p2 == need
             continue
-        polarity[root] = 0
-        stack = [root]
-        while stack:
-            s = stack.pop()
-            for b in range(track.branch_count):
-                s1, side1, _ = track.dart_slot[(b, 0)]
-                s2, side2, _ = track.dart_slot[(b, 1)]
-                if s not in (s1, s2):
-                    continue
-                need = 1 ^ side1 ^ side2
-                for here, there in ((s1, s2), (s2, s1)):
-                    if here != s:
-                        continue
-                    want = polarity[s] ^ need
-                    if there not in polarity:
-                        polarity[there] = want
-                        stack.append(there)
-                    elif polarity[there] != want:
-                        return False
-    return True
+        if size[r1] < size[r2]:
+            r1, r2 = r2, r1
+        parent[r2], parity[r2] = r1, p1 ^ p2 ^ need
+        size[r1] += size[r2]
+        classes -= 1
+    return classes == 1, orientable
 
 
 def region_weight_system(track: TrainTrack, region: Region) -> tuple[int, ...]:

@@ -168,10 +168,6 @@ class IdealTriangulation:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def edge_ends(self, puncture: int) -> tuple[Slot, ...]:
-        """Edge-ends crossed in ccw order around a puncture (the exit ray of each corner)."""
-        return tuple((t, k) for (t, k) in self.corner_cycles[puncture])
-
     def __repr__(self) -> str:
         return (f"IdealTriangulation(g={self.genus}, s={self.punctures}, "
                 f"faces={self.triangle_count}, edges={self.edge_count})")

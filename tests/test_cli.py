@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -147,6 +148,17 @@ def test_outputs_are_reproducible(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-structure", "-g", "1"],
+    ["rep", "-g", "1", "--N", "3"],
+])
+def test_missing_surface_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol,argv,data", [
     (None, ["rep", "-g", "1", "-s", "1", "--N", "-3"], None),
     (None, ["rep", "-g", "1", "-s", "1", "--N", "0"], None),
@@ -156,15 +168,45 @@ def test_outputs_are_reproducible(tmp_path, capsys):
     (None, ["verify-structure"], {"branches": 1, "switches": [{"side_a": [["0", 0]],
                                                               "side_b": [[0, 1]]}]}),
     (None, ["rep"], {"genus": 1, "punctures": 1, "N": 3, "epsilon": 5}),
+    (None, ["rep"], {"genus": "1", "punctures": 1, "N": 3}),
+    (None, ["rep"], {"genus": 1, "punctures": 1, "N": "3"}),
+    (None, ["rep"], {"genus": 1, "punctures": 1, "N": 3.0}),
+    (None, ["rep"], {"genus": 1, "punctures": 1, "N": 3, "omega": 5}),
+    (None, ["rep"], {"genus": 1, "punctures": 1, "N": 3, "omega_index": "a"}),
+    (None, ["rep"], {"genus": 1, "punctures": 1, "N": 3, "seed": [1]}),
+    (None, ["rep"], {"genus": 1, "punctures": 1, "N": 3, "zeta": 5}),
+    (None, ["rep"], {"genus": 1, "punctures": 1, "N": 3, "h": [[1, 0]],
+                     "zeta": {"alphas": [[1]], "betas": [[1, 0]], "etas": [[1, 0]]}}),
+    (None, ["rep"], {"genus": 1, "punctures": 1, "N": 3, "h": [[1, 0]],
+                     "zeta": {"alphas": 5, "betas": [[1, 0]], "etas": [[1, 0]]}}),
+    (None, ["rep"], {"genus": 1, "punctures": 1, "N": 3, "h": [[float("inf"), 0]],
+                     "zeta": {"alphas": [[1, 0]], "betas": [[1, 0]], "etas": [[1, 0]]}}),
+    (None, ["rep"], {"genus": 1, "punctures": 1, "N": 3, "h": [[10 ** 400, 0]],
+                     "zeta": {"alphas": [[1, 0]], "betas": [[1, 0]], "etas": [[1, 0]]}}),
+    (None, ["rep"], {"triangulation": 0, "N": 3}),
+    (None, ["rep"], {"triangulation": [], "N": 3}),
+    (None, ["rep"], 5),
+    (None, ["verify-structure"], 5),
 ])
 def test_bad_input_exits_two_without_traceback(tmp_path, capsys, monkeypatch, tol, argv, data):
+    # fd 0 holds a valid triangulation, so that input which is wrongly read
+    # from stdin (an integer path is a file descriptor to open()) succeeds.
+    stdin = tmp_path / "stdin.json"
+    run(capsys, "triangulate", "-g", "1", "-s", "1", "--out", str(stdin))
     if tol is not None:
         monkeypatch.setenv("TRACKFORMS_TOL", tol)
     if data is not None:
         path = tmp_path / "input.json"
         path.write_text(json.dumps(data))
         argv = argv + ["--input", str(path)]
-    code, out, err = run(capsys, *argv)
+    saved = os.dup(0)
+    try:
+        with open(stdin) as fh:
+            os.dup2(fh.fileno(), 0)
+        code, out, err = run(capsys, *argv)
+    finally:
+        os.dup2(saved, 0)
+        os.close(saved)
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert out == ""

@@ -14,6 +14,7 @@ from trackforms import (
     verify_structure,
 )
 from trackforms.lattice import (
+    _combine,
     certify_normal_form,
     hermite_normal_form,
     integer_det,
@@ -188,13 +189,7 @@ def test_kernel_lattice_is_eta_lattice(grid_tracks, grid_bases):
     for gs, track in grid_tracks.items():
         basis = grid_bases[gs]
         nf = skew_normal_form(theta_matrix(track, basis))
-        kernel_branch = []
-        for row in nf.kernel_rows():
-            vec = [0] * track.branch_count
-            for c, bvec in zip(row, basis):
-                for i, x in enumerate(bvec):
-                    vec[i] += c * x
-            kernel_branch.append(tuple(vec))
+        kernel_branch = [_combine(row, basis) for row in nf.kernel_rows()]
         etas = [puncture_weight(track, k) for k in range(track.tri.punctures)]
         assert lattice_equal(kernel_branch, etas)
 
@@ -264,6 +259,37 @@ def test_normal_form_certificate_composition():
     assert mat_mul(mat_mul(u, m), transpose(u)) == [list(r) for r in nf.D]
     assert abs(integer_det(u)) == 1
     assert isinstance(nf, NormalForm)
+
+
+def test_certificate_rejects_a_changed_entry_of_u():
+    rng = random.Random(8)
+    m = random_skew(rng, 5)
+    nf = skew_normal_form(m)
+    assert certify_normal_form(nf, m)
+    for i, j in [(0, 0), (2, 3), (4, 4)]:  # a row of each block and the kernel row
+        u = [list(r) for r in nf.U]
+        u[i][j] += 1
+        assert not certify_normal_form(NormalForm(tuple(map(tuple, u)), nf.blocks), m)
+
+
+I2 = ((1, 0), (0, 1))
+I4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("u,blocks,m,valid", [
+    # U M U^T is the block matrix of (2,), but det U = 2
+    (((2, 0), (0, 1)), (2,), [[0, 1], [-1, 0]], False),
+    # the blocks break divisibility, and the same pair in order is accepted
+    (I4, (2, 1), [[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], False),
+    (I4, (1, 2), [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]], True),
+    # non-positive blocks
+    (I2, (-1,), [[0, -1], [1, 0]], False),
+    (I2, (0,), [[0, 0], [0, 0]], False),
+])
+def test_certificate_checks_unimodularity_and_blocks(u, blocks, m, valid):
+    nf = NormalForm(u, blocks)
+    assert mat_mul(mat_mul([list(r) for r in u], m), transpose(u)) == [list(r) for r in nf.D]
+    assert certify_normal_form(nf, m) is valid
 
 
 def test_normal_form_json_round_trip():

@@ -21,7 +21,13 @@ from trackforms import (
     theta_matrix,
     weight_lattice_basis,
 )
-from trackforms.traintrack import is_weight_system, sigma_pairing, theta_doubled
+from trackforms.traintrack import (
+    _switch_classes,
+    is_orientable,
+    is_weight_system,
+    sigma_pairing,
+    theta_doubled,
+)
 
 from conftest import (
     GRID,
@@ -286,6 +292,98 @@ def test_unorientable_fixture_census():
     assert topo.n_odd == 0
     assert (topo.genus, topo.n_even) == (1, 1)
     assert [r.spikes for r in regs] == [2]
+
+
+# --- the parity union-find against the two separate walks ------------------
+
+def reference_is_connected(track):
+    """Slow oracle: plain union-find over switches, then count the classes."""
+    if track.switch_count == 0:
+        return False
+    parent = list(range(track.switch_count))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for b in range(track.branch_count):
+        s1 = track.dart_slot[(b, 0)][0]
+        s2 = track.dart_slot[(b, 1)][0]
+        parent[find(s1)] = find(s2)
+    return len({find(s) for s in range(track.switch_count)}) == 1
+
+
+def reference_is_orientable(track):
+    """Slow oracle: BFS 2-coloring of switch polarities, rescanning every branch per switch."""
+    polarity = {}
+    for root in range(track.switch_count):
+        if root in polarity:
+            continue
+        polarity[root] = 0
+        stack = [root]
+        while stack:
+            s = stack.pop()
+            for b in range(track.branch_count):
+                s1, side1, _ = track.dart_slot[(b, 0)]
+                s2, side2, _ = track.dart_slot[(b, 1)]
+                if s not in (s1, s2):
+                    continue
+                need = 1 ^ side1 ^ side2
+                for here, there in ((s1, s2), (s2, s1)):
+                    if here != s:
+                        continue
+                    want = polarity[s] ^ need
+                    if there not in polarity:
+                        polarity[there] = want
+                        stack.append(there)
+                    elif polarity[there] != want:
+                        return False
+    return True
+
+
+def disjoint_union(*tracks):
+    switches, offset = [], 0
+    for track in tracks:
+        switches += [([(b + offset, e) for b, e in side_a], [(b + offset, e) for b, e in side_b])
+                     for side_a, side_b in track.switches]
+        offset += track.branch_count
+    return TrainTrack(offset, switches)
+
+
+def assert_census_classes_match(track):
+    expected = (reference_is_connected(track), reference_is_orientable(track))
+    assert _switch_classes(track) == expected
+    assert (track.is_connected(), is_orientable(track)) == expected
+    if expected[0]:
+        assert regions(track)[1].orientable == expected[1]
+
+
+def test_switch_classes_match_walks_on_fixtures_and_grid(grid_tracks):
+    two_circles = disjoint_union(circle_track(), circle_track())
+    mixed = disjoint_union(grid_tracks[(1, 1)], unorientable_even_track())
+    for track in (circle_track(), unorientable_even_track(), two_circles, mixed,
+                  *grid_tracks.values(), from_triangulation(standard_triangulation(16, 4))):
+        assert_census_classes_match(track)
+    assert _switch_classes(two_circles) == (False, True)
+    assert _switch_classes(mixed) == (False, False)
+    assert _switch_classes(TrainTrack(0, [])) == (False, True)
+
+
+def test_switch_classes_match_walks_on_random_tracks():
+    rng = random.Random(4242)
+    seen = {(c, o): 0 for c in (False, True) for o in (False, True)}
+    checked = 0
+    while checked < 5000:
+        track = random_ribbon_track(rng)
+        if track is None:
+            continue
+        checked += 1
+        assert_census_classes_match(track)
+        seen[_switch_classes(track)] += 1
+    # every combination of connected and orientable actually occurred
+    assert all(seen.values()), seen
 
 
 def test_disconnected_rejected():
