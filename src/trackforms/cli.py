@@ -19,7 +19,6 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass
 
 from .algebra import BalancedAlgebra, chebyshev_value, omega_candidates, params_from_omega, solve_chebyshev
 from .lattice import verify_structure
@@ -40,24 +39,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
-    seed: int = 0
-    tolerance: float = 1e-9
-    out: str | None = None
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        tol = float(os.environ.get("TRACKFORMS_TOL", "1e-9"))
-        if not (math.isfinite(tol) and tol > 0):
-            raise ValueError(f"tolerance must be positive and finite, got {tol}")
-        return cls(seed=getattr(args, "seed", 0), tolerance=tol, out=getattr(args, "out", None))
-
-
-def _emit(payload: dict, config: RunConfig) -> None:
+def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if config.out:
-        with open(config.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -103,16 +88,14 @@ def _complexes(values, what: str) -> list[complex]:
 
 
 def cmd_triangulate(args) -> int:
-    config = RunConfig.from_args(args)
     tri = standard_triangulation(args.genus, args.punctures)
     payload = tri.to_json_dict()
     payload.update({"genus": tri.genus, "punctures": tri.punctures, "edges": tri.edge_count})
-    _emit(payload, config)
+    _emit(payload, args.out)
     return EXIT_OK
 
 
 def cmd_verify_structure(args) -> int:
-    config = RunConfig.from_args(args)
     if args.input:
         data = _load_json(args.input)
         if "triangles" in data:
@@ -124,7 +107,7 @@ def cmd_verify_structure(args) -> int:
     else:
         track = from_triangulation(standard_triangulation(args.genus, args.punctures))
     report = verify_structure(track)
-    _emit(report.to_json_dict(), config)
+    _emit(report.to_json_dict(), args.out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -157,32 +140,33 @@ def _rep_spec_from_json(data: dict, seed: int):
 
 
 def cmd_rep(args) -> int:
-    config = RunConfig.from_args(args)
+    tol = float(os.environ.get("TRACKFORMS_TOL", "1e-9"))
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     data = _load_json(args.input) if args.input else {
         "genus": args.genus, "punctures": args.punctures, "N": args.N,
     }
-    seed = _int(data, "seed", config.seed)
+    seed = _int(data, "seed", args.seed)
     spec = _rep_spec_from_json(data, seed)
     rep = build(spec)  # validates the spec: RepresentationError, exit 2
-    report = verify(rep, tol=config.tolerance, seed=seed)
-    frob = frobenius_compat(rep, tol=config.tolerance, seed=seed)
+    report = verify(rep, tol=tol, seed=seed)
+    frob = frobenius_compat(rep, tol=tol, seed=seed)
     payload = {
         "dim": rep.dim,
         "N": rep.params.N,
         "omega": _complex_pair(rep.params.omega),
         "epsilon": rep.params.epsilon,
         "seed": seed,
-        "tolerance": config.tolerance,
+        "tolerance": tol,
         "verify": report.to_json_dict(),
         "frobenius": frob.to_json_dict(),
         "pass": report.passed and frob.passed,
     }
-    _emit(payload, config)
+    _emit(payload, args.out)
     return EXIT_OK if payload["pass"] else EXIT_CHECK_FAILED
 
 
 def cmd_chebyshev(args) -> int:
-    config = RunConfig.from_args(args)
     if args.n < 1:
         raise ValueError("n must be at least 1")
     y = complex(args.y[0], args.y[1] if len(args.y) > 1 else 0.0)
@@ -194,7 +178,7 @@ def cmd_chebyshev(args) -> int:
         "solutions": [_complex_pair(x) for x in solutions],
         "residuals": residuals,
     }
-    _emit(payload, config)
+    _emit(payload, args.out)
     return EXIT_OK
 
 

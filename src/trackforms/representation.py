@@ -38,6 +38,7 @@ isomorphic representation.
 from __future__ import annotations
 
 import cmath
+import os
 import random
 from dataclasses import dataclass, field
 
@@ -49,11 +50,13 @@ from .traintrack import TriangulationTrack, is_weight_system, puncture_weight, t
 from .traintrack import theta_matrix, weight_lattice_basis
 
 # The h_k^N = zeta(eta_k) tolerance, the relative singular-value cutoff of the
-# commutant rank, and the random lattice vectors per central/Frobenius check.
+# commutant rank, the random lattice vectors per central/Frobenius check, and
+# the d x d working matrices that the checks hold next to the generators.
 ROOT_TOL = 1e-9
 SV_CUTOFF = 1e-7
 SCALAR_SAMPLES = 5
 FROBENIUS_SAMPLES = 10
+WORK_MATRICES = 6
 
 
 class RepresentationError(ValueError):
@@ -135,10 +138,6 @@ class RepresentationSpec:
                     f"h[{k}]^N = {h_k ** params.N} differs from zeta(eta_{k}) = {z}")
         return pairing
 
-    @property
-    def dimension(self) -> int:
-        return self.algebra.params.N ** len(self.basis.pairs)
-
 
 def random_spec(algebra: BalancedAlgebra, seed: int = 0) -> RepresentationSpec:
     """Generic unit-modulus zeta values with compatible random puncture scalars."""
@@ -172,9 +171,9 @@ class Representation:
         pairs = spec.basis.pairs
         m = len(pairs)
         self.dim = N ** m
+        _require_memory(N, m)
 
-        x_factors = []
-        y_factors = []
+        self.factors: list[tuple[np.ndarray, np.ndarray]] = []  # (X_i, Y_i)
         for i, (_, _, d) in enumerate(pairs):
             za = _principal_root(spec.zeta_alphas[i], N)
             zb = _principal_root(spec.zeta_betas[i], N)
@@ -182,8 +181,7 @@ class Representation:
             y = np.zeros((N, N), dtype=complex)
             for j in range(N):
                 y[(j + 1) % N, j] = zb
-            x_factors.append(x)
-            y_factors.append(y)
+            self.factors.append((x, y))
 
         def embed(factor: np.ndarray, position: int) -> np.ndarray:
             out = np.eye(1, dtype=complex)
@@ -194,8 +192,8 @@ class Representation:
         self.gamma_vectors = spec.basis.gamma_vectors
         self.zeta_gamma = list(spec.zeta_alphas) + list(spec.zeta_betas) + list(spec.zeta_etas)
         self.gamma_matrices: list[np.ndarray | complex] = (
-            [embed(x, i) for i, x in enumerate(x_factors)]
-            + [embed(y, i) for i, y in enumerate(y_factors)]
+            [embed(x, i) for i, (x, _) in enumerate(self.factors)]
+            + [embed(y, i) for i, (_, y) in enumerate(self.factors)]
             + list(spec.h)  # eta generators act by scalars
         )
         # The etas are 0/1 with disjoint supports: each is read at its first 1.
@@ -270,6 +268,21 @@ def build(spec: RepresentationSpec) -> Representation:
     return Representation(spec)
 
 
+def _require_memory(N: int, m: int) -> None:
+    """Refuse up front a representation whose dense matrices exceed physical memory.
+
+    The estimate is the 2m generators and the working matrices of the checks,
+    all d x d complex, plus one factor's 2N^2 x N^2 commutant system and the
+    copy its SVD makes.
+    """
+    need = 16 * ((2 * m + WORK_MATRICES) * N ** (2 * m) + (4 * N ** 4 if m else 0))
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise RepresentationError(
+            f"dimension {N ** m} needs about {need / 2 ** 30:.1f} GiB of dense matrices, "
+            f"more than the {have / 2 ** 30:.1f} GiB of physical memory")
+
+
 # -- verification -------------------------------------------------------------
 
 @dataclass
@@ -300,20 +313,21 @@ def _as_matrix(rep: Representation, u: int) -> np.ndarray:
 
 
 def commutant_dimension(rep: Representation) -> int:
-    """Dimension of {X : [rho(Z_gamma), X] = 0 for all basis generators}."""
-    d = rep.dim
-    eye = np.eye(d, dtype=complex)
-    blocks = []
-    for u in range(2 * len(rep.spec.basis.pairs)):  # eta generators are scalar
-        g = _as_matrix(rep, u)
-        blocks.append(np.kron(g, eye) - np.kron(eye, g.T))
-    if not blocks:
-        return 1
-    system = np.vstack(blocks)
-    sv = np.linalg.svd(system, compute_uv=False)
-    cutoff = SV_CUTOFF * max(1.0, float(sv[0]))
-    rank = int(np.sum(sv > cutoff))
-    return d * d - rank
+    """Dimension of {X : [rho(Z_gamma), X] = 0 for all basis generators}.
+
+    The image algebra is the tensor product of the factor algebras generated
+    by (X_i, Y_i), and the eta generators are scalars, so the commutant is the
+    tensor product of the factor commutants: the product over the factors of
+    N^2 - rank [X (x) I - I (x) X^T; Y (x) I - I (x) Y^T].
+    """
+    dim = 1
+    for x, y in rep.factors:
+        eye = np.eye(len(x), dtype=complex)
+        system = np.vstack([np.kron(g, eye) - np.kron(eye, g.T) for g in (x, y)])
+        sv = np.linalg.svd(system, compute_uv=False)
+        rank = int(np.sum(sv > SV_CUTOFF * max(1.0, float(sv[0]))))
+        dim *= len(x) ** 2 - rank
+    return dim
 
 
 def verify(rep: Representation, tol: float = 1e-9, seed: int = 0) -> CheckReport:

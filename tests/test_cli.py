@@ -159,6 +159,18 @@ def test_missing_surface_is_a_usage_error(capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["triangulate", "-g", "1", "-s", "1"],
+    ["chebyshev", "--y", "2", "--n", "3"],
+    ["verify-structure", "-g", "1", "-s", "1"],
+])
+def test_tolerance_is_read_only_by_rep(capsys, monkeypatch, argv):
+    monkeypatch.setenv("TRACKFORMS_TOL", "nan")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    json.loads(out)
+
+
 @pytest.mark.parametrize("tol,argv,data", [
     (None, ["rep", "-g", "1", "-s", "1", "--N", "-3"], None),
     (None, ["rep", "-g", "1", "-s", "1", "--N", "0"], None),
@@ -187,6 +199,7 @@ def test_missing_surface_is_a_usage_error(capsys, argv):
     (None, ["rep"], {"triangulation": [], "N": 3}),
     (None, ["rep"], 5),
     (None, ["verify-structure"], 5),
+    (None, ["rep", "-g", "1", "-s", "1", "--N", "100001"], None),
 ])
 def test_bad_input_exits_two_without_traceback(tmp_path, capsys, monkeypatch, tol, argv, data):
     # fd 0 holds a valid triangulation, so that input which is wrongly read

@@ -1,13 +1,16 @@
 import cmath
+import json
 import random
 
 import numpy as np
 import pytest
 
-from trackforms import from_triangulation, standard_triangulation
+from trackforms import from_triangulation, representation, standard_triangulation
 from trackforms.algebra import BalancedAlgebra, frobenius, omega_candidates
+from trackforms.cli import main
 from trackforms.lattice import _combine
 from trackforms.representation import (
+    SV_CUTOFF,
     RepresentationError,
     build,
     commutant_dimension,
@@ -181,18 +184,68 @@ def test_spec_validation_rejects_zero_zeta():
         spec.validate()
 
 
-def test_commutant_grows_for_reducible_data():
-    # dropping a generator from the commutant system must free dimensions
-    rep = make_rep(1, 1, 3, seed=15)
-    full = commutant_dimension(rep)
-    assert full == 1
+def reference_commutant_dimension(rep):
+    """The stacked d^2 x d^2 commutant system over all 2m dense generators."""
     d = rep.dim
     eye = np.eye(d, dtype=complex)
-    g = rep.gamma_matrices[0]
-    system = np.kron(g, eye) - np.kron(eye, g.T)
-    sv = np.linalg.svd(system, compute_uv=False)
-    rank = int(np.sum(sv > 1e-7 * sv[0]))
-    assert d * d - rank > 1
+    blocks = [np.kron(g, eye) - np.kron(eye, g.T)
+              for g in rep.gamma_matrices[:2 * len(rep.factors)]]  # eta generators are scalar
+    if not blocks:
+        return 1
+    sv = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+    rank = int(np.sum(sv > SV_CUTOFF * max(1.0, float(sv[0]))))
+    return d * d - rank
+
+
+@pytest.mark.parametrize("g,s,N", [(1, 1, 3), (1, 1, 5), (0, 4, 5), (1, 2, 3), (0, 5, 3),
+                                   (1, 2, 5), (0, 6, 3), (1, 3, 3)])
+def test_commutant_matches_stacked_reference(g, s, N):
+    rep = make_rep(g, s, N, seed=g + s + N)
+    assert rep.dim <= 27
+    assert commutant_dimension(rep) == reference_commutant_dimension(rep) == 1
+
+
+def test_commutant_grows_for_reducible_data():
+    # a diagonal Y leaves the factor algebra diagonal: its commutant is the N diagonals
+    rep = make_rep(1, 1, 3, seed=15)
+    assert commutant_dimension(rep) == 1
+    x, _ = rep.factors[0]
+    y = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    rep.factors[0] = (x, y)
+    rep.gamma_matrices[1] = y
+    assert commutant_dimension(rep) == reference_commutant_dimension(rep) == 3
+
+
+def test_commutant_multiplies_over_factors():
+    rep = make_rep(1, 2, 3, seed=21)
+    eye = np.eye(3, dtype=complex)
+    for i, embed in enumerate((lambda a: np.kron(a, eye), lambda a: np.kron(eye, a))):
+        x, _ = rep.factors[i]
+        y = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        rep.factors[i] = (x, y)
+        rep.gamma_matrices[2 + i] = embed(y)
+        assert commutant_dimension(rep) == reference_commutant_dimension(rep) == 3 ** (i + 1)
+
+
+def test_memory_guard_estimate(monkeypatch):
+    # on a machine with 8 GiB: (1,1,201) fails on its 2N^2 x N^2 commutant
+    # system, (3,3,3) on its dense generators; nothing is allocated here
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 21}
+    monkeypatch.setattr(representation.os, "sysconf", pages.__getitem__)
+    for N, m in ((201, 1), (3, 9)):
+        with pytest.raises(RepresentationError, match="GiB of physical memory"):
+            representation._require_memory(N, m)
+    for N, m in ((101, 1), (3, 4), (10 ** 9, 0)):
+        representation._require_memory(N, m)
+
+
+def test_rep_genus_two_end_to_end(capsys):
+    code = main(["rep", "-g", "2", "-s", "1", "--N", "3"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["pass"] is True
+    assert report["dim"] == 81
+    assert report["verify"]["commutant_dim"] == 1
 
 
 def test_frobenius_compat_basis_and_random():
