@@ -110,13 +110,48 @@ def params_from_omega(N: int, omega: complex, tol: float = 1e-9) -> AlgebraParam
 
 def omega_candidates(N: int, epsilon: int | None = None) -> list[AlgebraParams]:
     """All parameter choices for a given odd N, optionally filtered by epsilon."""
+    _check_candidate_filter(N, epsilon)
+    out = [AlgebraParams(N, k) for k in range(4 * N) if math.gcd(k, N) == 1]
+    if epsilon is not None:
+        out = [p for p in out if p.epsilon == epsilon]
+    return out
+
+
+def omega_candidate(N: int, epsilon: int | None = None, index: int = 0) -> AlgebraParams:
+    """``omega_candidates(N, epsilon)[index % count]``, without building the list.
+
+    The exponents k < 4N coprime to N number 4 phi(N).  N is odd, so k -> k + N
+    (mod 4N) flips the parity of k, which is the sign epsilon, and keeps
+    gcd(k, N): each epsilon has half of them.  The walk stops at the chosen k.
+    """
+    _check_candidate_filter(N, epsilon)
+    skip = index % ((4 if epsilon is None else 2) * _totient(N))
+    for k in range(4 * N):
+        if math.gcd(k, N) == 1 and (epsilon is None or (-1 if k % 2 else 1) == epsilon):
+            if skip == 0:
+                return AlgebraParams(N, k)
+            skip -= 1
+    raise AssertionError(f"fewer candidates than counted for N = {N}")
+
+
+def _check_candidate_filter(N: int, epsilon) -> None:
     if N < 1 or N % 2 == 0:
         raise ValueError(f"N must be odd and positive, got {N}")
     if epsilon not in (None, 1, -1):
         raise ValueError(f"epsilon must be 1 or -1, got {epsilon}")
-    out = [AlgebraParams(N, k) for k in range(4 * N) if math.gcd(k, N) == 1]
-    if epsilon is not None:
-        out = [p for p in out if p.epsilon == epsilon]
+
+
+def _totient(n: int) -> int:
+    """Euler's phi by trial division."""
+    out, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            out -= out // p
+        p += 1
+    if n > 1:
+        out -= out // n
     return out
 
 

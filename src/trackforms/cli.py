@@ -20,7 +20,7 @@ import operator
 import os
 import sys
 
-from .algebra import BalancedAlgebra, chebyshev_value, omega_candidates, params_from_omega, solve_chebyshev
+from .algebra import BalancedAlgebra, chebyshev_value, omega_candidate, params_from_omega, solve_chebyshev
 from .lattice import verify_structure
 from .representation import (
     RepresentationError,
@@ -123,8 +123,7 @@ def _rep_spec_from_json(data: dict, seed: int):
     if "omega" in data:
         params = params_from_omega(N, _complex(data["omega"], "omega"))
     else:
-        candidates = omega_candidates(N, data.get("epsilon"))
-        params = candidates[_int(data, "omega_index", 0) % len(candidates)]
+        params = omega_candidate(N, data.get("epsilon"), _int(data, "omega_index", 0))
     algebra = BalancedAlgebra(track, params)
     if "zeta" not in data:
         return random_spec(algebra, seed=seed)

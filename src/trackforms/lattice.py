@@ -1,10 +1,13 @@
 """Exact integer linear algebra: Hermite forms, kernels, and the skew normal form.
 
-Everything here works over arbitrary-precision Python integers; nothing is
-ever rounded.  The central routine, :func:`skew_normal_form`, reduces an
-antisymmetric integer matrix ``M`` by a unimodular congruence ``U M U^T`` to
-a block diagonal matrix with 2x2 blocks ``(0 d; -d 0)``, ``d_1 | d_2 | ...``,
-followed by a zero block, and returns the certificate ``U``.
+Everything here is exact; nothing is ever rounded.  Matrices below
+``traintrack.INT64_MIN_ROWS`` rows run on Python-int lists, larger ones on
+the overflow-guarded int64 arrays of ``intcore``, which take the same steps
+and give the same results.  The central routine, :func:`skew_normal_form`,
+reduces an antisymmetric integer matrix ``M`` by a unimodular congruence
+``U M U^T`` to a block diagonal matrix with 2x2 blocks ``(0 d; -d 0)``,
+``d_1 | d_2 | ...``, followed by a zero block, and returns the certificate
+``U`` with its inverse ``V``.
 
 ``verify_structure`` combines the normal form with the region census of a
 connected train track and checks the predicted block multiset:
@@ -25,10 +28,12 @@ blocks next to the ``n_even`` zero rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .traintrack import (
     TrainTrack,
     TriangulationTrack,
+    _int64,
     puncture_weight,
     regions,
     theta_matrix,
@@ -40,51 +45,6 @@ from .traintrack import (
 
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b) -> list[list[int]]:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            f = ai[k]
-            if f == 0:
-                continue
-            bk = b[k]
-            oi = out[i]
-            for j in range(cols):
-                oi[j] += f * bk[j]
-    return out
-
-
-def transpose(a) -> list[list[int]]:
-    return [list(col) for col in zip(*a)]
-
-
-def integer_det(matrix) -> int:
-    """Determinant by fraction-free Bareiss elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def _pivot(work, r, c) -> bool:
@@ -126,6 +86,9 @@ def hermite_normal_form(rows) -> tuple[tuple[int, ...], ...]:
     cols = len(work[0])
     if any(len(r) != cols for r in work):
         raise ValueError("ragged rows")
+    if _int64(len(work)):
+        from . import intcore
+        return intcore.hermite_normal_form(work)
     r = 0
     for c in range(cols):
         if not _pivot(work, r, c):
@@ -156,6 +119,9 @@ def integer_kernel_basis(matrix) -> list[list[int]]:
     """Basis of the integer kernel {v : matrix @ v = 0}, canonicalized by HNF."""
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
+    if _int64(rows):
+        from . import intcore
+        return intcore.integer_kernel_basis(matrix)
     # Row-reduce [matrix^T | I]; rows whose left part dies give the kernel.
     work = [[matrix[i][j] for i in range(rows)] + [1 if k == j else 0 for k in range(cols)]
             for j in range(cols)]
@@ -171,15 +137,17 @@ def integer_kernel_basis(matrix) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class NormalForm:
-    """Certificate ``U M U^T = D`` with ``|det U| = 1``.
+    """Certificate ``U M U^T = D`` with ``U V = I``, so ``|det U| = 1``.
 
     ``blocks`` lists the d's of the 2x2 blocks in divisibility order; ``D``
     and ``nullity`` follow from them.  Rows ``2 * len(blocks)`` onward of
-    ``U`` are a basis of the integer kernel.
+    ``U`` are a basis of the integer kernel.  ``V`` is the inverse of ``U``,
+    kept so that unimodularity is checked by one product.
     """
 
     U: tuple[tuple[int, ...], ...]
     blocks: tuple[int, ...]
+    V: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
@@ -228,17 +196,23 @@ def skew_normal_form(matrix) -> NormalForm:
 
     Deterministic: pivots are chosen with minimal absolute value, ties broken
     lexicographically by (row, column).  Division remainders and divisibility
-    folds strictly shrink the pivot, so the loop terminates.
+    folds strictly shrink the pivot, so the loop terminates.  Matrices from
+    ``INT64_MIN_ROWS`` rows on take the same steps on arrays.
     """
+    if _int64(len(matrix)):
+        from . import intcore
+        return NormalForm(*intcore.skew_normal_form(matrix))
     m = _check_antisymmetric(matrix)
     n = len(m)
     u = identity_matrix(n)
+    vt = identity_matrix(n)  # V^T: a row operation on U is a column operation on V
 
     def swap(i, j):
         if i == j:
             return
         m[i], m[j] = m[j], m[i]
         u[i], u[j] = u[j], u[i]
+        vt[i], vt[j] = vt[j], vt[i]
         for row in m:
             row[i], row[j] = row[j], row[i]
 
@@ -248,6 +222,7 @@ def skew_normal_form(matrix) -> NormalForm:
             return
         m[i] = [x + q * y for x, y in zip(m[i], m[j])]
         u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        vt[j] = [x - q * y for x, y in zip(vt[j], vt[i])]
         for row in m:
             row[i] += q * row[j]
 
@@ -302,18 +277,38 @@ def skew_normal_form(matrix) -> NormalForm:
             continue
         blocks.append(p)
         t += 2
-    return NormalForm(tuple(map(tuple, u)), tuple(blocks))
+    return NormalForm(tuple(map(tuple, u)), tuple(blocks), tuple(zip(*vt)))
 
 
 def certify_normal_form(nf: NormalForm, matrix) -> bool:
-    """Exact check of U M U^T == D, |det U| == 1, and the divisibility chain."""
-    u = [list(r) for r in nf.U]
-    if mat_mul(mat_mul(u, [list(r) for r in matrix]), transpose(u)) != [list(r) for r in nf.D]:
+    """Exact check of U M U^T == D, U V == I, and the divisibility chain.
+
+    ``U V = I`` with integer ``V`` makes ``det U`` a unit, so ``|det U| = 1``.
+    Below ``INT64_MIN_ROWS`` rows the products are Python-int row dot
+    products; from there on they are checked modulo word-size primes.
+    """
+    n = len(nf.U)
+    if not len(nf.V) == len(matrix) == n or any(
+            len(r) != n for rows in (nf.U, nf.V, matrix) for r in rows):
         return False
-    if abs(integer_det(u)) != 1:
-        return False
+    if _int64(n):
+        from . import intcore
+        if not intcore.certifies(nf.U, nf.V, matrix, nf.D):
+            return False
+    else:
+        # U M U^T = (U M) U^T, and the rows of M^T and V^T are zip(*M), zip(*V)
+        if _row_dots(_row_dots(nf.U, zip(*matrix)), nf.U) != list(nf.D):
+            return False
+        if _row_dots(nf.U, zip(*nf.V)) != [tuple(r) for r in identity_matrix(n)]:
+            return False
     return (all(d > 0 for d in nf.blocks)
             and all(b % a == 0 for a, b in zip(nf.blocks, nf.blocks[1:])))
+
+
+def _row_dots(a, b) -> list[tuple[int, ...]]:
+    """``a @ b^T`` over Python ints: every row of ``a`` dotted with every row of ``b``."""
+    b = list(b)
+    return [tuple([sum(map(mul, r, s)) for s in b]) for r in a]
 
 
 def kernel_basis(matrix) -> list[tuple[int, ...]]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import operator
+import random
 from dataclasses import dataclass, field
 
 Slot = tuple[int, int]
@@ -284,6 +285,69 @@ def standard_triangulation(g: int, s: int) -> IdealTriangulation:
         raise AssertionError(f"construction bug: requested ({g}, {s}), built "
                              f"({tri.genus}, {tri.punctures})")
     return tri
+
+
+def _flip_slots(gluing: dict[Slot, Slot], slot: Slot) -> None:
+    """Diagonal exchange, in place, of the edge with side ``slot`` in ``gluing``.
+
+    The triangles t1 (side k1 on the edge) and t2 (side k2) form a
+    quadrilateral a0 -> d -> a1 -> c counterclockwise, where a0 -> a1 is the
+    edge seen from t1, c is the far vertex of t1 and d that of t2.  They
+    become (c, a0, d) and (d, a1, c), with sides 0, 1, 2 counterclockwise,
+    glued along the new diagonal d - c at side 2 of each.
+    """
+    (t1, k1), (t2, k2) = slot, gluing[slot]
+    if t1 == t2:
+        raise TriangulationError(f"edge at slot {slot} has both sides on triangle {t1}")
+    # old outer sides of the quadrilateral -> their slots in the new triangles
+    remap = {
+        (t1, (k1 + 2) % 3): (t1, 0),   # c -> a0
+        (t2, (k2 + 1) % 3): (t1, 1),   # a0 -> d
+        (t2, (k2 + 2) % 3): (t2, 0),   # d -> a1
+        (t1, (k1 + 1) % 3): (t2, 1),   # a1 -> c
+    }
+    outer = {side: gluing[side] for side in remap}
+    for side, other in outer.items():
+        a, b = remap[side], remap.get(other, other)
+        gluing[a], gluing[b] = b, a
+    gluing[(t1, 2)], gluing[(t2, 2)] = (t2, 2), (t1, 2)
+
+
+def _same_surface(tri: IdealTriangulation, gluing: dict[Slot, Slot]) -> IdealTriangulation:
+    out = IdealTriangulation(tri.triangle_count, gluing.items())
+    if (out.genus, out.punctures) != (tri.genus, tri.punctures):
+        raise AssertionError(f"flip bug: ({tri.genus}, {tri.punctures}) became "
+                             f"({out.genus}, {out.punctures})")
+    return out
+
+
+def flip(tri: IdealTriangulation, edge: int) -> IdealTriangulation:
+    """The triangulation with edge ``edge`` (an index into ``tri.edges``) flipped.
+
+    An edge with both sides on one triangle (inside a self-folded triangle)
+    bounds no quadrilateral and is rejected with ``TriangulationError``.
+    """
+    gluing = dict(tri.gluing)
+    _flip_slots(gluing, tri.edges[edge][0])
+    return _same_surface(tri, gluing)
+
+
+def random_triangulation(g: int, s: int, flips: int, seed) -> IdealTriangulation:
+    """``standard_triangulation(g, s)`` after ``flips`` flips at seeded random edges.
+
+    Each flip draws a side slot uniformly; a self-folded edge is drawn again.
+    Flips reach the coefficient growth that the fan triangulations hide.
+    """
+    tri = standard_triangulation(g, s)
+    gluing = dict(tri.gluing)
+    rng = random.Random(seed)
+    done = 0
+    while done < flips:
+        slot = (rng.randrange(tri.triangle_count), rng.randrange(3))
+        if slot[0] != gluing[slot][0]:
+            _flip_slots(gluing, slot)
+            done += 1
+    return _same_surface(tri, gluing)
 
 
 def succession_counts(tri: IdealTriangulation) -> list[list[int]]:

@@ -12,6 +12,7 @@ from trackforms.algebra import (
     chebyshev_coefficients,
     chebyshev_value,
     frobenius,
+    omega_candidate,
     omega_candidates,
     ordered_product_normal_form,
     params_from_omega,
@@ -63,6 +64,25 @@ def test_epsilon_partition():
         assert abs(p.omega ** (-2 * 5) - 1) < 1e-12
     for p in minus:
         assert abs(p.omega ** (-2 * 5) + 1) < 1e-12
+
+
+def test_omega_candidate_indexes_the_candidate_list():
+    for N in range(1, 52, 2):
+        for epsilon in (None, 1, -1):
+            candidates = omega_candidates(N, epsilon)
+            for i in range(3 * len(candidates)):
+                assert omega_candidate(N, epsilon, i) == candidates[i % len(candidates)]
+
+
+def test_omega_candidate_builds_no_list():
+    # 4 phi(N) = 4 * 10**8 candidates would not fit; the first ones are found at once
+    N = 100000001
+    assert omega_candidate(N) == AlgebraParams(N, 1)
+    assert omega_candidate(N, 1, 1) == AlgebraParams(N, 4)
+    with pytest.raises(ValueError):
+        omega_candidate(4)
+    with pytest.raises(ValueError):
+        omega_candidate(5, 0)
 
 
 def test_params_from_omega_round_trip():

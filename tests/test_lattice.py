@@ -13,18 +13,59 @@ from trackforms import (
     theta_matrix,
     verify_structure,
 )
+from trackforms import traintrack
 from trackforms.lattice import (
     _combine,
     certify_normal_form,
     hermite_normal_form,
-    integer_det,
     integer_kernel_basis,
-    mat_mul,
     predicted_blocks,
-    transpose,
 )
 
 from conftest import GRID, circle_track, random_ribbon_track, unorientable_even_track
+
+
+# --- reference oracles: plain definitions the certificate no longer uses ----
+
+def mat_mul(a, b) -> list[list[int]]:
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        for k in range(inner):
+            f = a[i][k]
+            if f:
+                for j in range(cols):
+                    out[i][j] += f * b[k][j]
+    return out
+
+
+def transpose(a) -> list[list[int]]:
+    return [list(col) for col in zip(*a)]
+
+
+def integer_det(matrix) -> int:
+    """Determinant by fraction-free Bareiss elimination."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    m = [list(row) for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def random_skew(rng, n, bound=9):
@@ -258,6 +299,7 @@ def test_normal_form_certificate_composition():
     u = [list(r) for r in nf.U]
     assert mat_mul(mat_mul(u, m), transpose(u)) == [list(r) for r in nf.D]
     assert abs(integer_det(u)) == 1
+    assert mat_mul(u, [list(r) for r in nf.V]) == [[int(i == j) for j in range(5)] for i in range(5)]
     assert isinstance(nf, NormalForm)
 
 
@@ -269,14 +311,14 @@ def test_certificate_rejects_a_changed_entry_of_u():
     for i, j in [(0, 0), (2, 3), (4, 4)]:  # a row of each block and the kernel row
         u = [list(r) for r in nf.U]
         u[i][j] += 1
-        assert not certify_normal_form(NormalForm(tuple(map(tuple, u)), nf.blocks), m)
+        assert not certify_normal_form(NormalForm(tuple(map(tuple, u)), nf.blocks, nf.V), m)
 
 
 I2 = ((1, 0), (0, 1))
 I4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
-@pytest.mark.parametrize("u,blocks,m,valid", [
+CERTIFICATE_CASES = [
     # U M U^T is the block matrix of (2,), but det U = 2
     (((2, 0), (0, 1)), (2,), [[0, 1], [-1, 0]], False),
     # the blocks break divisibility, and the same pair in order is accepted
@@ -285,11 +327,45 @@ I4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     # non-positive blocks
     (I2, (-1,), [[0, -1], [1, 0]], False),
     (I2, (0,), [[0, 0], [0, 0]], False),
-])
+]
+
+
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize("u,blocks,m,valid", CERTIFICATE_CASES)
 def test_certificate_checks_unimodularity_and_blocks(u, blocks, m, valid):
-    nf = NormalForm(u, blocks)
+    # V = I inverts the identity U's; the det-2 U has no integer inverse at all
+    nf = NormalForm(u, blocks, identity(len(u)))
     assert mat_mul(mat_mul([list(r) for r in u], m), transpose(u)) == [list(r) for r in nf.D]
     assert certify_normal_form(nf, m) is valid
+
+
+@pytest.mark.parametrize("cutoff", [traintrack.INT64_MIN_ROWS, 0], ids=["lists", "int64"])
+def test_certificate_verdicts_agree_on_both_paths(cutoff, monkeypatch):
+    monkeypatch.setattr(traintrack, "INT64_MIN_ROWS", cutoff)
+    for u, blocks, m, valid in CERTIFICATE_CASES:
+        assert certify_normal_form(NormalForm(u, blocks, identity(len(u))), m) is valid
+    # the det-2 U against other integer V's: U V = I has no integer solution
+    u, blocks, m, _ = CERTIFICATE_CASES[0]
+    for v in (((0, 0), (0, 1)), ((1, 1), (-1, 1)), ((1, 0), (0, 1)), ((0, 1), (1, 0))):
+        assert not certify_normal_form(NormalForm(u, blocks, v), m)
+
+
+@pytest.mark.parametrize("cutoff", [traintrack.INT64_MIN_ROWS, 0], ids=["lists", "int64"])
+def test_certificate_rejects_a_wrong_inverse(cutoff, monkeypatch):
+    monkeypatch.setattr(traintrack, "INT64_MIN_ROWS", cutoff)
+    rng = random.Random(8)
+    m = random_skew(rng, 5)
+    nf = skew_normal_form(m)
+    assert nf.U != identity(5)
+    assert certify_normal_form(nf, m)
+    wrong = [list(r) for r in nf.V]
+    wrong[3][1] += 1
+    for v in (wrong, identity(5), nf.V[:4]):
+        bad = NormalForm(nf.U, nf.blocks, tuple(map(tuple, v)))
+        assert not certify_normal_form(bad, m)
 
 
 def test_normal_form_json_round_trip():
