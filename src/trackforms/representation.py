@@ -9,11 +9,13 @@ puncture weight systems, which span the kernel.  Given a value of ``zeta`` on
 every basis vector and scalars ``h_k`` with ``h_k^N = zeta(eta_k)``, the
 representation is a tensor product of N-dimensional factors
 
-    X_i v_j = zeta(alpha_i)^(1/N) q^(d_i j) v_j,
+    X_i v_j = zeta(alpha_i)^(1/N) q^(d_i (j+1)) v_j,
     Y_i v_j = zeta(beta_i)^(1/N) v_{j+1}      (indices mod N),
 
 one factor per pair, with ``Z_{eta_k}`` acting by ``h_k``.  The dimension is
 ``N^(3g+s-3)`` and the factor relations are ``X_i Y_i = q^(d_i) Y_i X_i``.
+Every generator, and so every ``rho(Z_w)``, has one non-zero entry per
+column: it is stored as a length-d ``Monomial``, not as a dense matrix.
 
 Monomial evaluation decomposes a weight system over the basis,
 ``w = sum_u m_u gamma_u``.  The coefficients are read off the block form:
@@ -51,12 +53,12 @@ from .traintrack import theta_matrix, weight_lattice_basis
 
 # The h_k^N = zeta(eta_k) tolerance, the relative singular-value cutoff of the
 # commutant rank, the random lattice vectors per central/Frobenius check, and
-# the d x d working matrices that the checks hold next to the generators.
+# the length-d working operators that the checks hold next to the generators.
 ROOT_TOL = 1e-9
 SV_CUTOFF = 1e-7
 SCALAR_SAMPLES = 5
 FROBENIUS_SAMPLES = 10
-WORK_MATRICES = 6
+WORK_OPERATORS = 6
 
 
 class RepresentationError(ValueError):
@@ -157,45 +159,75 @@ def _principal_root(z: complex, n: int) -> complex:
     return cmath.exp(cmath.log(z) / n)
 
 
+@dataclass(eq=False)
+class Monomial:
+    """The operator ``e_j -> values[j] e_perm[j]``: one non-zero entry per column."""
+
+    perm: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def scalar(cls, d: int, c: complex) -> Monomial:
+        return cls(np.arange(d), np.full(d, c, dtype=complex))
+
+    def __matmul__(self, other: Monomial) -> Monomial:
+        return Monomial(self.perm[other.perm], other.values * self.values[other.perm])
+
+    def __rmul__(self, c: complex) -> Monomial:
+        return Monomial(self.perm, c * self.values)
+
+    def __pow__(self, k: int) -> Monomial:
+        if k < 0:
+            inverse = np.empty_like(self.perm)
+            inverse[self.perm] = np.arange(len(inverse))
+            return Monomial(inverse, 1 / self.values[inverse]) ** -k
+        if k <= 1:
+            return self if k else Monomial.scalar(len(self.perm), 1)
+        half = self ** (k // 2)  # repeated squaring
+        return half @ half @ self if k % 2 else half @ half
+
+    def deviation(self, other: Monomial) -> float:
+        """The exact max |A - B| over the entries of the two dense matrices."""
+        apart = np.maximum(np.abs(self.values), np.abs(other.values))
+        same = self.perm == other.perm
+        return float(np.where(same, np.abs(self.values - other.values), apart).max())
+
+    def dense(self) -> np.ndarray:
+        return np.eye(len(self.perm), dtype=complex)[:, self.perm] * self.values
+
+
 class Representation:
-    """Matrices realizing the algebra on a tensor product of cyclic factors."""
+    """Monomial operators realizing the algebra on a tensor product of cyclic factors."""
 
     def __init__(self, spec: RepresentationSpec):
+        params = spec.algebra.params
+        N = params.N
+        m = len(spec.basis.pairs)
+        _require_memory(N, m, len(spec.basis.etas))
         self._theta = spec.validate()
         self.spec = spec
         self.algebra = spec.algebra
-        params = spec.algebra.params
         self.params = params
-        N = params.N
-        q = params.q
-        pairs = spec.basis.pairs
-        m = len(pairs)
-        self.dim = N ** m
-        _require_memory(N, m)
+        self.dim = d = N ** m
 
+        # Index j of the tensor product has digit (j // N^(m-1-i)) % N in factor i.
+        # The X generators share ``index`` as their permutation.
+        index = np.arange(d)
         self.factors: list[tuple[np.ndarray, np.ndarray]] = []  # (X_i, Y_i)
-        for i, (_, _, d) in enumerate(pairs):
+        xs, ys = [], []
+        for i, (_, _, d_i) in enumerate(spec.basis.pairs):
             za = _principal_root(spec.zeta_alphas[i], N)
             zb = _principal_root(spec.zeta_betas[i], N)
-            x = np.diag([za * q ** (d * (j + 1)) for j in range(N)]).astype(complex)
-            y = np.zeros((N, N), dtype=complex)
-            for j in range(N):
-                y[(j + 1) % N, j] = zb
-            self.factors.append((x, y))
-
-        def embed(factor: np.ndarray, position: int) -> np.ndarray:
-            out = np.eye(1, dtype=complex)
-            for slot in range(m):
-                out = np.kron(out, factor if slot == position else np.eye(N, dtype=complex))
-            return out
+            diag = np.array([za * params.q ** (d_i * (j + 1)) for j in range(N)], dtype=complex)
+            self.factors.append((np.diag(diag), zb * np.roll(np.eye(N, dtype=complex), 1, axis=0)))
+            stride = N ** (m - 1 - i)
+            digit = index // stride % N
+            xs.append(Monomial(index, diag[digit]))
+            ys.append(Monomial(index + stride * ((digit + 1) % N - digit), np.full(d, zb)))
 
         self.gamma_vectors = spec.basis.gamma_vectors
         self.zeta_gamma = list(spec.zeta_alphas) + list(spec.zeta_betas) + list(spec.zeta_etas)
-        self.gamma_matrices: list[np.ndarray | complex] = (
-            [embed(x, i) for i, (x, _) in enumerate(self.factors)]
-            + [embed(y, i) for i, (_, y) in enumerate(self.factors)]
-            + list(spec.h)  # eta generators act by scalars
-        )
+        self.generators = xs + ys + [Monomial.scalar(d, h) for h in spec.h]  # etas act by scalars
         # The etas are 0/1 with disjoint supports: each is read at its first 1.
         self._eta_index = [eta.index(1) for eta in spec.basis.etas]
 
@@ -233,25 +265,21 @@ class Representation:
                 total += cu * cv * self._theta[u][v]
         return total
 
-    def monomial_matrix(self, weights) -> np.ndarray:
+    def operator(self, weights) -> Monomial:
+        """rho(Z_w) as a monomial operator."""
         coeffs = self.decompose(weights)
-        phase = self.params.root_value(-2 * self._pairing_sum(coeffs))
-        mat = np.eye(self.dim, dtype=complex) * phase
-        for u, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            gen = self.gamma_matrices[u]
-            if isinstance(gen, np.ndarray):
-                mat = mat @ np.linalg.matrix_power(gen, c)
-            else:
-                mat = mat * gen ** c
-        return mat
+        out = Monomial.scalar(self.dim, self.params.root_value(-2 * self._pairing_sum(coeffs)))
+        for gen, c in zip(self.generators, coeffs):
+            if c:
+                out = out @ gen ** c
+        return out
 
     def evaluate(self, x: AlgebraElement) -> np.ndarray:
+        """The dense matrix of a general element."""
         self.algebra.require_same(x)
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for w, coeff in x.terms.items():
-            out += phase_eval(coeff, self.params) * self.monomial_matrix(w)
+            out += phase_eval(coeff, self.params) * self.operator(w).dense()
         return out
 
     def central_character(self, weights) -> complex:
@@ -268,18 +296,18 @@ def build(spec: RepresentationSpec) -> Representation:
     return Representation(spec)
 
 
-def _require_memory(N: int, m: int) -> None:
-    """Refuse up front a representation whose dense matrices exceed physical memory.
+def _require_memory(N: int, m: int, s: int) -> None:
+    """Refuse up front a representation that would exceed physical memory.
 
-    The estimate is the 2m generators and the working matrices of the checks,
-    all d x d complex, plus one factor's 2N^2 x N^2 commutant system and the
-    copy its SVD makes.
+    The estimate is the 2m + s generators and the working operators of the
+    checks, each a length-d permutation and complex value vector, plus one
+    factor's 2N^2 x N^2 commutant system and the copy its SVD makes.
     """
-    need = 16 * ((2 * m + WORK_MATRICES) * N ** (2 * m) + (4 * N ** 4 if m else 0))
+    need = 24 * (2 * m + s + WORK_OPERATORS) * N ** m + (64 * N ** 4 if m else 0)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise RepresentationError(
-            f"dimension {N ** m} needs about {need / 2 ** 30:.1f} GiB of dense matrices, "
+            f"dimension {N ** m} needs about {need / 2 ** 30:.1f} GiB, "
             f"more than the {have / 2 ** 30:.1f} GiB of physical memory")
 
 
@@ -301,17 +329,6 @@ class CheckReport:
         }
 
 
-def _maxabs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-def _as_matrix(rep: Representation, u: int) -> np.ndarray:
-    gen = rep.gamma_matrices[u]
-    if isinstance(gen, np.ndarray):
-        return gen
-    return gen * np.eye(rep.dim, dtype=complex)
-
-
 def commutant_dimension(rep: Representation) -> int:
     """Dimension of {X : [rho(Z_gamma), X] = 0 for all basis generators}.
 
@@ -330,45 +347,34 @@ def commutant_dimension(rep: Representation) -> int:
     return dim
 
 
+def _max_deviation(pairs) -> float:
+    """The largest entry of |A - B| over the (A, B) operator pairs."""
+    return max((a.deviation(b) for a, b in pairs), default=0.0)
+
+
+def _random_vectors(rep: Representation, seed: int, count: int) -> list[tuple[int, ...]]:
+    """Seeded lattice vectors with coefficients in [-2, 2] over the gammas."""
+    rng = random.Random(seed)
+    gammas = rep.gamma_vectors
+    return [_combine([rng.randint(-2, 2) for _ in gammas], gammas) for _ in range(count)]
+
+
 def verify(rep: Representation, tol: float = 1e-9, seed: int = 0) -> CheckReport:
     """Commutation phases, N-th power scalars, puncture scalars, irreducibility."""
-    params = rep.params
+    params, d, gens = rep.params, rep.dim, rep.generators
     N = params.N
-    report = CheckReport(dim=rep.dim)
-    gammas = rep.gamma_vectors
-    n = len(gammas)
-
-    dev = 0.0
-    for u in range(n):
-        gu = _as_matrix(rep, u)
-        for v in range(u + 1, n):
-            gv = _as_matrix(rep, v)
-            phase = params.root_value(4 * rep._theta[u][v])
-            dev = max(dev, _maxabs(gu @ gv - phase * (gv @ gu)))
-    report.deviations["commutation"] = dev
-
-    dev = 0.0
-    for u in range(n):
-        gu = _as_matrix(rep, u)
-        target = rep.zeta_gamma[u] * np.eye(rep.dim, dtype=complex)
-        dev = max(dev, _maxabs(np.linalg.matrix_power(gu, N) - target))
-    report.deviations["power_scalar"] = dev
-
-    dev = 0.0
-    for k, eta in enumerate(rep.spec.basis.etas):
-        mat = rep.evaluate(rep.algebra.monomial(eta))
-        dev = max(dev, _maxabs(mat - rep.spec.h[k] * np.eye(rep.dim, dtype=complex)))
-    report.deviations["puncture_scalar"] = dev
-
-    rng = random.Random(seed)
-    dev = 0.0
-    for _ in range(SCALAR_SAMPLES):
-        coeffs = [rng.randint(-2, 2) for _ in gammas]
-        w = _combine(coeffs, gammas)
-        mat = np.linalg.matrix_power(rep.monomial_matrix(w), N)
-        dev = max(dev, _maxabs(mat - rep.central_character(w) * np.eye(rep.dim, dtype=complex)))
-    report.deviations["central_scalar"] = dev
-
+    report = CheckReport(dim=d)
+    report.deviations["commutation"] = _max_deviation(
+        (gu @ gens[v], params.root_value(4 * rep._theta[u][v]) * (gens[v] @ gu))
+        for u, gu in enumerate(gens) for v in range(u + 1, len(gens)))
+    report.deviations["power_scalar"] = _max_deviation(
+        (gu ** N, Monomial.scalar(d, z)) for gu, z in zip(gens, rep.zeta_gamma))
+    report.deviations["puncture_scalar"] = _max_deviation(
+        (rep.operator(eta), Monomial.scalar(d, h))
+        for eta, h in zip(rep.spec.basis.etas, rep.spec.h))
+    report.deviations["central_scalar"] = _max_deviation(
+        (rep.operator(w) ** N, Monomial.scalar(d, rep.central_character(w)))
+        for w in _random_vectors(rep, seed, SCALAR_SAMPLES))
     report.commutant_dim = commutant_dimension(rep)
     report.passed = (all(v <= tol for v in report.deviations.values())
                      and report.commutant_dim == 1)
@@ -380,31 +386,24 @@ def frobenius_compat(rep: Representation, tol: float = 1e-9, seed: int = 0) -> C
 
     Basis monomials must act by their plain zeta value; random lattice
     vectors are compared both against the epsilon-twisted character and
-    against the direct N-th matrix power of the monomial.
+    against the direct N-th power of the monomial.
     """
-    report = CheckReport(dim=rep.dim)
+    d = rep.dim
+    report = CheckReport(dim=d)
     iota_algebra = BalancedAlgebra(rep.algebra.track, rep.params.iota_params())
-    eye = np.eye(rep.dim, dtype=complex)
-    N = rep.params.N
 
-    dev = 0.0
-    for u, gamma in enumerate(rep.gamma_vectors):
-        lifted = frobenius(iota_algebra.monomial(gamma), rep.algebra)
-        dev = max(dev, _maxabs(rep.evaluate(lifted) - rep.zeta_gamma[u] * eye))
-    report.deviations["basis_character"] = dev
+    def lifted(w) -> Monomial:
+        # the Frobenius image of a monomial is one monomial
+        (nw, coeff), = frobenius(iota_algebra.monomial(w), rep.algebra).terms.items()
+        return phase_eval(coeff, rep.params) * rep.operator(nw)
 
-    rng = random.Random(seed)
-    dev_char = 0.0
-    dev_power = 0.0
-    gammas = rep.gamma_vectors
-    for _ in range(FROBENIUS_SAMPLES):
-        coeffs = [rng.randint(-2, 2) for _ in gammas]
-        w = _combine(coeffs, gammas)
-        lifted = frobenius(iota_algebra.monomial(w), rep.algebra)
-        mat = rep.evaluate(lifted)
-        dev_char = max(dev_char, _maxabs(mat - rep.central_character(w) * eye))
-        oracle = np.linalg.matrix_power(rep.monomial_matrix(w), N)
-        dev_power = max(dev_power, _maxabs(mat - oracle))
+    report.deviations["basis_character"] = _max_deviation(
+        (lifted(gamma), Monomial.scalar(d, z)) for gamma, z in zip(rep.gamma_vectors, rep.zeta_gamma))
+    dev_char = dev_power = 0.0
+    for w in _random_vectors(rep, seed, FROBENIUS_SAMPLES):
+        op = lifted(w)
+        dev_char = max(dev_char, op.deviation(Monomial.scalar(d, rep.central_character(w))))
+        dev_power = max(dev_power, op.deviation(rep.operator(w) ** rep.params.N))
     report.deviations["random_character"] = dev_char
     report.deviations["matrix_power_oracle"] = dev_power
     report.passed = all(v <= tol for v in report.deviations.values())

@@ -223,3 +223,11 @@ def test_bad_input_exits_two_without_traceback(tmp_path, capsys, monkeypatch, to
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert out == ""
+
+
+def test_memory_guard_runs_before_spec_validation(capsys):
+    # at this N the floating-point h^N of the random spec drifts past the
+    # h^N = zeta(eta) tolerance; the size is refused before that is checked
+    code, out, err = run(capsys, "rep", "-g", "1", "-s", "1", "--N", "10000001")
+    assert code == 2 and out == ""
+    assert "GiB of physical memory" in err

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from trackforms import from_triangulation, representation, standard_triangulation
-from trackforms.algebra import BalancedAlgebra, frobenius, omega_candidates
+from trackforms.algebra import BalancedAlgebra, frobenius, omega_candidates, phase_eval
 from trackforms.cli import main
 from trackforms.lattice import _combine
 from trackforms.representation import (
+    FROBENIUS_SAMPLES,
+    SCALAR_SAMPLES,
     SV_CUTOFF,
+    Monomial,
     RepresentationError,
     build,
     commutant_dimension,
@@ -30,6 +33,71 @@ def make_rep(g, s, N, epsilon=1, seed=0, omega_index=0):
     params = omega_candidates(N, epsilon=epsilon)[omega_index]
     algebra = BalancedAlgebra(track, params)
     return build(random_spec(algebra, seed=seed))
+
+
+def reference_generators(rep):
+    """The dense generators: Kronecker products of the factors, the etas times I."""
+    N, m = rep.params.N, len(rep.factors)
+
+    def embed(factor, position):
+        out = np.eye(1, dtype=complex)
+        for slot in range(m):
+            out = np.kron(out, factor if slot == position else np.eye(N, dtype=complex))
+        return out
+
+    return ([embed(x, i) for i, (x, _) in enumerate(rep.factors)]
+            + [embed(y, i) for i, (_, y) in enumerate(rep.factors)]
+            + [h * np.eye(rep.dim, dtype=complex) for h in rep.spec.h])
+
+
+def reference_operator(rep, gens, w):
+    """Dense rho(Z_w): the reordering phase times the product of generator powers."""
+    coeffs = rep.decompose(w)
+    mat = rep.params.root_value(-2 * rep._pairing_sum(coeffs)) * np.eye(rep.dim, dtype=complex)
+    for gen, c in zip(gens, coeffs):
+        if c:
+            mat = mat @ np.linalg.matrix_power(gen, c)
+    return mat
+
+
+def reference_deviations(rep, seed):
+    """The seven deviations of verify and frobenius_compat, on dense matrices."""
+    gens = reference_generators(rep)
+    params, N, n = rep.params, rep.params.N, len(gens)
+    eye = np.eye(rep.dim, dtype=complex)
+    gammas = rep.gamma_vectors
+    iota = BalancedAlgebra(rep.algebra.track, params.iota_params())
+
+    def maxabs(a):
+        return float(np.max(np.abs(a)))
+
+    def samples(count):
+        rng = random.Random(seed)
+        return [_combine([rng.randint(-2, 2) for _ in gammas], gammas) for _ in range(count)]
+
+    def lifted(w):
+        x = frobenius(iota.monomial(w), rep.algebra)
+        return sum(phase_eval(c, params) * reference_operator(rep, gens, nw)
+                   for nw, c in x.terms.items())
+
+    def power(w):
+        return np.linalg.matrix_power(reference_operator(rep, gens, w), N)
+
+    randoms = [(w, lifted(w)) for w in samples(FROBENIUS_SAMPLES)]
+    return {
+        "commutation": max(
+            maxabs(gens[u] @ gens[v] - params.root_value(4 * rep._theta[u][v]) * (gens[v] @ gens[u]))
+            for u in range(n) for v in range(u + 1, n)),
+        "power_scalar": max(maxabs(np.linalg.matrix_power(g, N) - z * eye)
+                            for g, z in zip(gens, rep.zeta_gamma)),
+        "puncture_scalar": max(maxabs(reference_operator(rep, gens, eta) - h * eye)
+                               for eta, h in zip(rep.spec.basis.etas, rep.spec.h)),
+        "central_scalar": max(maxabs(power(w) - rep.central_character(w) * eye)
+                              for w in samples(SCALAR_SAMPLES)),
+        "basis_character": max(maxabs(lifted(g) - z * eye) for g, z in zip(gammas, rep.zeta_gamma)),
+        "random_character": max(maxabs(mat - rep.central_character(w) * eye) for w, mat in randoms),
+        "matrix_power_oracle": max(maxabs(mat - power(w)) for w, mat in randoms),
+    }
 
 
 def test_symplectic_basis_pairings():
@@ -74,9 +142,10 @@ def test_factor_weyl_relations():
     rep = make_rep(1, 2, 3, seed=11)
     q = rep.params.q
     m = len(rep.spec.basis.pairs)
+    gens = reference_generators(rep)
     for i, (_, _, d) in enumerate(rep.spec.basis.pairs):
-        x = rep.gamma_matrices[i]
-        y = rep.gamma_matrices[m + i]
+        x = gens[i]
+        y = gens[m + i]
         assert np.max(np.abs(x @ y - q ** d * (y @ x))) < 1e-12
 
 
@@ -133,7 +202,7 @@ def test_central_powers_are_scalar():
     N = rep.params.N
     for _ in range(10):
         w = random_weight(rep.algebra.track, rep.gamma_vectors, rng, span=2)
-        mat = np.linalg.matrix_power(rep.monomial_matrix(w), N)
+        mat = np.linalg.matrix_power(rep.operator(w).dense(), N)
         scalar = rep.central_character(w)
         assert np.max(np.abs(mat - scalar * np.eye(rep.dim))) < 1e-9
 
@@ -148,14 +217,22 @@ def test_epsilon_minus_one_twists_the_character():
     realized = rep.central_character(w)
     plain = rep.zeta_gamma[0] * rep.zeta_gamma[1]
     assert abs(realized + plain) < 1e-12
-    mat = np.linalg.matrix_power(rep.monomial_matrix(w), rep.params.N)
+    mat = np.linalg.matrix_power(rep.operator(w).dense(), rep.params.N)
     assert np.max(np.abs(mat - realized * np.eye(rep.dim))) < 1e-9
 
 
 def test_tampered_representation_fails():
     rep = make_rep(1, 1, 3, seed=12)
-    rep.gamma_matrices[0] = rep.gamma_matrices[0].copy()
-    rep.gamma_matrices[0][0, 0] += 0.5
+    rep.generators[0].values[0] += 0.5  # X_0
+    report = verify(rep, tol=1e-9)
+    assert not report.passed
+    assert report.deviations["commutation"] > 1e-9
+
+
+def test_tampered_permutation_fails():
+    rep = make_rep(1, 1, 3, seed=12)
+    y = rep.generators[len(rep.factors)]  # Y_0
+    y.perm[[0, 1]] = y.perm[[1, 0]]
     report = verify(rep, tol=1e-9)
     assert not report.passed
     assert report.deviations["commutation"] > 1e-9
@@ -189,7 +266,7 @@ def reference_commutant_dimension(rep):
     d = rep.dim
     eye = np.eye(d, dtype=complex)
     blocks = [np.kron(g, eye) - np.kron(eye, g.T)
-              for g in rep.gamma_matrices[:2 * len(rep.factors)]]  # eta generators are scalar
+              for g in reference_generators(rep)[:2 * len(rep.factors)]]  # etas are scalar
     if not blocks:
         return 1
     sv = np.linalg.svd(np.vstack(blocks), compute_uv=False)
@@ -212,31 +289,60 @@ def test_commutant_grows_for_reducible_data():
     x, _ = rep.factors[0]
     y = np.diag([1.0, 2.0, 3.0]).astype(complex)
     rep.factors[0] = (x, y)
-    rep.gamma_matrices[1] = y
     assert commutant_dimension(rep) == reference_commutant_dimension(rep) == 3
 
 
 def test_commutant_multiplies_over_factors():
     rep = make_rep(1, 2, 3, seed=21)
-    eye = np.eye(3, dtype=complex)
-    for i, embed in enumerate((lambda a: np.kron(a, eye), lambda a: np.kron(eye, a))):
+    for i in range(2):
         x, _ = rep.factors[i]
-        y = np.diag([1.0, 2.0, 3.0]).astype(complex)
-        rep.factors[i] = (x, y)
-        rep.gamma_matrices[2 + i] = embed(y)
+        rep.factors[i] = (x, np.diag([1.0, 2.0, 3.0]).astype(complex))
         assert commutant_dimension(rep) == reference_commutant_dimension(rep) == 3 ** (i + 1)
 
 
 def test_memory_guard_estimate(monkeypatch):
     # on a machine with 8 GiB: (1,1,201) fails on its 2N^2 x N^2 commutant
-    # system, (3,3,3) on its dense generators; nothing is allocated here
+    # system, (N, m) = (3, 25) on its length-3^25 generators, while (3,2,5),
+    # dimension 5^8, fits; nothing is allocated here
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 21}
     monkeypatch.setattr(representation.os, "sysconf", pages.__getitem__)
-    for N, m in ((201, 1), (3, 9)):
+    for N, m, s in ((201, 1, 1), (3, 25, 2)):
         with pytest.raises(RepresentationError, match="GiB of physical memory"):
-            representation._require_memory(N, m)
-    for N, m in ((101, 1), (3, 4), (10 ** 9, 0)):
-        representation._require_memory(N, m)
+            representation._require_memory(N, m, s)
+    for N, m, s in ((5, 8, 2), (3, 9, 3), (101, 1, 1), (3, 4, 1), (10 ** 9, 0, 3)):
+        representation._require_memory(N, m, s)
+
+
+@pytest.mark.parametrize("g,s,N", [(1, 1, 3), (1, 2, 5), (0, 6, 3), (1, 3, 3), (2, 1, 3),
+                                   (2, 2, 3)])
+def test_monomial_operators_match_dense_reference(g, s, N):
+    rep = make_rep(g, s, N, seed=g + s + N)
+    gens = reference_generators(rep)
+    for gen, ref in zip(rep.generators, gens, strict=True):
+        assert np.array_equal(gen.dense(), ref)
+    rng = random.Random(N)
+    for _ in range(3):
+        w = random_weight(rep.algebra.track, rep.gamma_vectors, rng, span=2)
+        assert np.max(np.abs(rep.operator(w).dense() - reference_operator(rep, gens, w))) < 1e-12
+    deviations = {**verify(rep, seed=N).deviations, **frobenius_compat(rep, seed=N).deviations}
+    reference = reference_deviations(rep, seed=N)
+    assert deviations.keys() == reference.keys()
+    for name, value in reference.items():
+        assert abs(deviations[name] - value) < 1e-12, name
+
+
+def test_monomial_deviation_matches_dense():
+    rng = np.random.default_rng(22)
+    for d in (1, 2, 5, 16):
+        for _ in range(10):
+            perm = rng.permutation(d)
+            a = Monomial(perm, rng.normal(size=d) + 1j * rng.normal(size=d))
+            for b_perm in (perm.copy(), rng.permutation(d)):
+                b = Monomial(b_perm, rng.normal(size=d) + 1j * rng.normal(size=d))
+                assert a.deviation(b) == np.max(np.abs(a.dense() - b.dense()))
+            assert np.allclose((a @ b).dense(), a.dense() @ b.dense())
+            for k in (-3, -1, 0, 1, 2, 5):
+                assert np.allclose((a ** k).dense(), np.linalg.matrix_power(a.dense(), k))
 
 
 def test_rep_genus_two_end_to_end(capsys):
