@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 from .traintrack import TriangulationTrack, from_switch_sums, puncture_weight
@@ -63,8 +64,7 @@ class AlgebraParams:
     root_exponent: int
 
     def __post_init__(self):
-        if self.N < 1 or self.N % 2 == 0:
-            raise ValueError(f"N must be odd and positive, got {self.N}")
+        _check_candidate_filter(self.N, None)
         k = self.root_exponent % (4 * self.N)
         object.__setattr__(self, "root_exponent", k)
         if math.gcd(k, self.N) != 1:
@@ -100,9 +100,7 @@ def params_from_omega(N: int, omega: complex, tol: float = 1e-9) -> AlgebraParam
     """Recover exact (N, k) parameters from a concrete unit-modulus w."""
     if abs(abs(omega) - 1.0) > tol:
         raise ValueError(f"w must have modulus 1, got |w| = {abs(omega)}")
-    order = 4 * N
-    k = round(cmath.phase(omega) / TWO_PI * order) % order
-    candidate = AlgebraParams(N, k)
+    candidate = AlgebraParams(N, round(cmath.phase(omega) / TWO_PI * 4 * N))  # validates N
     if abs(candidate.omega - omega) > tol:
         raise ValueError(f"w is not a 4N-th root of unity for N = {N}")
     return candidate
@@ -332,14 +330,14 @@ class BalancedAlgebra:
     def element_from_json_dict(self, data: dict) -> AlgebraElement:
         if data.get("N") != self.params.N or data.get("root_exponent") != self.params.root_exponent:
             raise ValueError("element JSON carries different parameters")
-        terms = {}
-        for item in data["terms"]:
-            w = require_weight_system(self.track, item["weights"])
-            phase = {}
-            for e, c in item["coeff"]:
-                phase[e % self.params.phase_order] = c
-            terms[w] = phase
-        return AlgebraElement(self, terms)
+        order = self.params.phase_order
+        try:
+            return AlgebraElement(self, {
+                require_weight_system(self.track, item["weights"]):
+                    {operator.index(e) % order: operator.index(c) for e, c in item["coeff"]}
+                for item in data["terms"]})
+        except TypeError as exc:
+            raise ValueError(f"malformed element JSON: {exc}") from exc
 
 
 def ordered_product_normal_form(sigma, factors, order: int) -> tuple[tuple[int, ...], int]:
@@ -354,7 +352,10 @@ def ordered_product_normal_form(sigma, factors, order: int) -> tuple[tuple[int, 
     n = len(sigma)
     # bracket phase of the string as written
     phase = 0
-    fs = [(int(i), int(m)) for i, m in factors]
+    try:
+        fs = [(operator.index(i), operator.index(m)) for i, m in factors]
+    except TypeError as exc:
+        raise ValueError(f"factors must be integer pairs: {exc}") from exc
     for u in range(len(fs)):
         for v in range(u + 1, len(fs)):
             iu, mu = fs[u]

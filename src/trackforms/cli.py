@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success / all checks passed, 1 = a mathematical check failed,
 2 = invalid input or usage.  All output is JSON with sorted keys so reruns on
-identical inputs are byte-identical; randomized checks take an explicit
+identical inputs are byte-identical; a result holding a NaN or an infinity
+is not valid JSON and exits 2.  Randomized checks take an explicit
 ``--seed`` (default 0) which is recorded in the output.  The tolerance on
 the ``verify``/``frobenius`` deviations of ``rep`` is 1e-9, overridable
 through the ``TRACKFORMS_TOL`` environment variable with any positive finite
@@ -23,7 +24,6 @@ import sys
 from .algebra import BalancedAlgebra, chebyshev_value, omega_candidate, params_from_omega, solve_chebyshev
 from .lattice import verify_structure
 from .representation import (
-    RepresentationError,
     RepresentationSpec,
     build,
     frobenius_compat,
@@ -31,7 +31,7 @@ from .representation import (
     symplectic_basis,
     verify,
 )
-from .traintrack import TrackError, TrainTrack, from_triangulation
+from .traintrack import TrainTrack, from_triangulation
 from .triangulation import IdealTriangulation, TriangulationError, standard_triangulation
 
 EXIT_OK = 0
@@ -40,7 +40,7 @@ EXIT_USAGE = 2
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -168,6 +168,8 @@ def cmd_rep(args) -> int:
 def cmd_chebyshev(args) -> int:
     if args.n < 1:
         raise ValueError("n must be at least 1")
+    if len(args.y) > 2 or not all(map(math.isfinite, args.y)):
+        raise ValueError(f"--y takes one or two finite numbers, got {args.y}")
     y = complex(args.y[0], args.y[1] if len(args.y) > 1 else 0.0)
     solutions = solve_chebyshev(y, args.n)
     residuals = [abs(chebyshev_value(args.n, x) - y) for x in solutions]
@@ -224,8 +226,7 @@ def main(argv=None) -> int:
         parser.error("rep needs --input or --genus/--punctures/--N")
     try:
         return args.func(args)
-    except (TriangulationError, TrackError, RepresentationError, ValueError,
-            KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # every module's error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

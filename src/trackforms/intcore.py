@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -33,16 +34,19 @@ WORD_BITS = 62
 # --- arrays and bit bounds -------------------------------------------------
 
 def as_array(rows) -> np.ndarray:
-    """A 2-D int64 array of the rectangular ``rows``; object if an entry needs 62 bits."""
+    """A 2-D int64 array of the rectangular ``rows``; object if an entry needs 62 bits.
+
+    Entries must pass ``operator.index`` (else ``ValueError``).  They are read one
+    by one only when numpy infers no integer dtype, as for a float or a huge entry.
+    """
+    a = np.array(rows)
+    if a.size and a.ndim == 2 and a.dtype.kind in "biu":
+        if -(1 << WORD_BITS) < a.min() and a.max() < 1 << WORD_BITS:
+            return a.astype(np.int64, copy=False)
     try:
-        a = np.array(rows, dtype=np.int64)
-        if a.ndim != 2:  # no rows at all
-            a = a.reshape(len(rows), 0)
-        if a.size == 0 or -(1 << WORD_BITS) < a.min() and a.max() < 1 << WORD_BITS:
-            return a
-    except OverflowError:
-        pass
-    return np.array([[int(x) for x in row] for row in rows], dtype=object)
+        return np.array([[operator.index(x) for x in row] for row in rows], dtype=object)
+    except TypeError as exc:
+        raise ValueError(f"entries must be exact integers: {exc}") from exc
 
 
 def bit_lengths(a: np.ndarray) -> np.ndarray:

@@ -27,8 +27,8 @@ blocks next to the ``n_even`` zero rows.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from operator import mul
 
 from .traintrack import (
     TrainTrack,
@@ -82,13 +82,16 @@ def hermite_normal_form(rows) -> tuple[tuple[int, ...], ...]:
     """
     if not rows:
         return ()
-    work = [list(map(int, r)) for r in rows]
-    cols = len(work[0])
-    if any(len(r) != cols for r in work):
+    cols = len(rows[0])
+    if any(len(r) != cols for r in rows):
         raise ValueError("ragged rows")
-    if _int64(len(work)):
+    if _int64(len(rows)):
         from . import intcore
-        return intcore.hermite_normal_form(work)
+        return intcore.hermite_normal_form(rows)
+    try:
+        work = [list(map(operator.index, r)) for r in rows]
+    except TypeError as exc:
+        raise ValueError(f"entries must be exact integers: {exc}") from exc
     r = 0
     for c in range(cols):
         if not _pivot(work, r, c):
@@ -180,10 +183,12 @@ class NormalForm:
 
 def _check_antisymmetric(m) -> list[list[int]]:
     n = len(m)
-    out = [list(map(int, row)) for row in m]
-    for row in out:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
+    try:
+        out = [list(map(operator.index, row)) for row in m]
+    except TypeError as exc:
+        raise ValueError(f"entries must be exact integers: {exc}") from exc
+    if any(len(row) != n for row in out):
+        raise ValueError("matrix is not square")
     for i in range(n):
         for j in range(n):
             if out[i][j] != -out[j][i]:
@@ -308,7 +313,7 @@ def certify_normal_form(nf: NormalForm, matrix) -> bool:
 def _row_dots(a, b) -> list[tuple[int, ...]]:
     """``a @ b^T`` over Python ints: every row of ``a`` dotted with every row of ``b``."""
     b = list(b)
-    return [tuple([sum(map(mul, r, s)) for s in b]) for r in a]
+    return [tuple([sum(map(operator.mul, r, s)) for s in b]) for r in a]
 
 
 def kernel_basis(matrix) -> list[tuple[int, ...]]:

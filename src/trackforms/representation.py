@@ -113,8 +113,6 @@ class RepresentationSpec:
     def validate(self) -> list[list[int]]:
         """Check the spec; return the theta matrix over ``basis.gamma_vectors``."""
         params = self.algebra.params
-        if params.N % 2 == 0:
-            raise RepresentationError("N must be odd")
         m = len(self.basis.pairs)
         s = len(self.basis.etas)
         if not (len(self.zeta_alphas) == len(self.zeta_betas) == m and

@@ -94,12 +94,16 @@ class OddSpikesError(ValueError):
 
 class TrainTrack:
     def __init__(self, branch_count: int, switches):
-        self.branch_count = branch_count
-        self.switches: tuple[tuple[tuple[Dart, ...], tuple[Dart, ...]], ...] = tuple(
-            (tuple((int(b), int(e)) for b, e in side_a),
-             tuple((int(b), int(e)) for b, e in side_b))
-            for side_a, side_b in switches
-        )
+        try:
+            self.branch_count = n = operator.index(branch_count)
+            self.switches: tuple[tuple[tuple[Dart, ...], tuple[Dart, ...]], ...] = tuple(
+                (tuple((operator.index(b), operator.index(e)) for b, e in side_a),
+                 tuple((operator.index(b), operator.index(e)) for b, e in side_b))
+                for side_a, side_b in switches)
+        except (TypeError, ValueError) as exc:
+            raise TrackError(f"malformed train track: {exc}") from exc
+        if n < 0:
+            raise TrackError(f"negative branch count {n}")
         self.dart_slot: dict[Dart, tuple[int, int, int]] = {}
         pairs: list[tuple[int, int]] = []
         for s, (side_a, side_b) in enumerate(self.switches):
@@ -109,19 +113,17 @@ class TrainTrack:
                 for pos, dart in enumerate(side):
                     if dart in self.dart_slot:
                         raise TrackError(f"dart {dart} appears twice")
+                    if not 0 <= dart[0] < n or dart[1] not in (0, 1):
+                        raise TrackError(f"unknown dart {dart}")
                     self.dart_slot[dart] = (s, side_idx, pos)
                     # every germ already on this side lies to the left of dart
                     for left, _ in side[:pos]:
                         pairs.append((left, dart[0]))
         # The germ-pair form T (see the module docstring).
         self.germ_pairs: tuple[tuple[int, int], ...] = tuple(pairs)
-        expected = {(b, e) for b in range(branch_count) for e in (0, 1)}
-        missing = expected - set(self.dart_slot)
-        extra = set(self.dart_slot) - expected
-        if missing:
-            raise TrackError(f"unattached branch ends: {sorted(missing)}")
-        if extra:
-            raise TrackError(f"unknown darts: {sorted(extra)}")
+        if len(self.dart_slot) != 2 * n:  # every dart in it is known
+            first = next((b, e) for b in range(n) for e in (0, 1) if (b, e) not in self.dart_slot)
+            raise TrackError(f"{2 * n - len(self.dart_slot)} unattached branch ends, the first {first}")
 
     @property
     def switch_count(self) -> int:
@@ -144,14 +146,10 @@ class TrainTrack:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TrainTrack":
-        dart = lambda d: (operator.index(d[0]), operator.index(d[1]))
         try:
-            branches = operator.index(data["branches"])
-            switches = [
-                ([dart(d) for d in sw["side_a"]], [dart(d) for d in sw["side_b"]])
-                for sw in data["switches"]
-            ]
-        except (KeyError, TypeError, IndexError) as exc:
+            branches = data["branches"]
+            switches = [(sw["side_a"], sw["side_b"]) for sw in data["switches"]]
+        except (KeyError, TypeError) as exc:
             raise TrackError(f"malformed train-track JSON: {exc}") from exc
         return cls(branches, switches)
 
@@ -185,10 +183,8 @@ def switch_defects(track: TrainTrack, weights) -> list[int]:
     """Per-switch difference of the two side sums (all zero for a weight system)."""
     if len(weights) != track.branch_count:
         raise TrackError(f"expected {track.branch_count} weights, got {len(weights)}")
-    out = []
-    for side_a, side_b in track.switches:
-        out.append(sum(weights[b] for b, _ in side_a) - sum(weights[b] for b, _ in side_b))
-    return out
+    return [sum(weights[b] for b, _ in side_a) - sum(weights[b] for b, _ in side_b)
+            for side_a, side_b in track.switches]
 
 
 def is_weight_system(track: TrainTrack, weights) -> bool:
@@ -196,11 +192,14 @@ def is_weight_system(track: TrainTrack, weights) -> bool:
 
 
 def require_weight_system(track: TrainTrack, weights) -> tuple[int, ...]:
-    defects = switch_defects(track, weights)
-    bad = [s for s, d in enumerate(defects) if d != 0]
+    try:
+        w = tuple(map(operator.index, weights))
+    except TypeError as exc:
+        raise TrackError(f"weights must be exact integers: {exc}") from exc
+    bad = [s for s, d in enumerate(switch_defects(track, w)) if d != 0]
     if bad:
         raise TrackError(f"switch conditions violated at switches {bad}")
-    return tuple(int(w) for w in weights)
+    return w
 
 
 def switch_matrix(track: TrainTrack) -> list[list[int]]:

@@ -48,7 +48,6 @@ class Diagnostics:
     errors: list[str] = field(default_factory=list)
     genus: int | None = None
     punctures: int | None = None
-    edge_count: int | None = None
     corner_cycles: tuple[tuple[Corner, ...], ...] | None = None
     pairing: dict[Slot, Slot] | None = None
     edges: list[tuple[Slot, Slot]] | None = None
@@ -58,28 +57,26 @@ class Diagnostics:
         return not self.errors
 
 
-def _normalize_gluings(gluings) -> list[tuple[Slot, Slot]]:
-    out = []
-    for pair in gluings:
-        (t1, k1), (t2, k2) = pair
-        out.append(((int(t1), int(k1)), (int(t2), int(k2))))
-    return out
-
-
 def diagnose(triangle_count: int, gluings) -> Diagnostics:
     """Check gluing data and recover (genus, punctures, edges, corner cycles)."""
     diag = Diagnostics()
+    try:
+        triangle_count = operator.index(triangle_count)
+        pairs = [((operator.index(t1), operator.index(k1)), (operator.index(t2), operator.index(k2)))
+                 for (t1, k1), (t2, k2) in gluings]
+    except (TypeError, ValueError) as exc:
+        diag.errors.append(f"malformed gluing data: {exc}")
+        return diag
     if triangle_count <= 0:
         diag.errors.append("triangle count must be positive")
         return diag
 
-    pairs = _normalize_gluings(gluings)
-    slots = {(t, k) for t in range(triangle_count) for k in range(3)}
     pairing: dict[Slot, Slot] = {}
     for a, b in pairs:
-        for slot in (a, b):
-            if slot not in slots:
-                diag.errors.append(f"slot {slot} out of range")
+        if not (0 <= a[0] < triangle_count and 0 <= b[0] < triangle_count
+                and 0 <= a[1] < 3 and 0 <= b[1] < 3):
+            diag.errors.append(f"gluing of {a} and {b} leaves the slot range")
+            continue
         if a == b:
             diag.errors.append(f"slot {a} glued to itself")
             continue
@@ -87,16 +84,17 @@ def diagnose(triangle_count: int, gluings) -> Diagnostics:
             if x in pairing and pairing[x] != y:
                 diag.errors.append(f"slot {x} glued twice")
             pairing[x] = y
-    for slot in sorted(slots):
-        if slot not in pairing:
-            diag.errors.append(f"slot {slot} unglued")
+    if len(pairing) != 3 * triangle_count:  # every slot in it is in range
+        first = next((t, k) for t in range(triangle_count) for k in range(3) if (t, k) not in pairing)
+        diag.errors.append(f"{3 * triangle_count - len(pairing)} slots unglued, the first {first}")
     if diag.errors:
         return diag
+    slots = [(t, k) for t in range(triangle_count) for k in range(3)]
 
     # Edge orbits, indexed by first appearance.
     edge_of: dict[Slot, int] = {}
     edges: list[tuple[Slot, Slot]] = []
-    for slot in sorted(slots):
+    for slot in slots:
         if slot in edge_of:
             continue
         other = pairing[slot]
@@ -104,23 +102,18 @@ def diagnose(triangle_count: int, gluings) -> Diagnostics:
         edges.append((slot, other))
 
     # Counterclockwise corner walk around each puncture.
-    def next_corner(c: Corner) -> Corner:
-        t2, k2 = pairing[c]
-        return (t2, (k2 - 1) % 3)
-
     seen: set[Corner] = set()
     cycles: list[tuple[Corner, ...]] = []
-    for t in range(triangle_count):
-        for k in range(3):
-            if (t, k) in seen:
-                continue
-            cycle = []
-            c = (t, k)
-            while c not in seen:
-                seen.add(c)
-                cycle.append(c)
-                c = next_corner(c)
-            cycles.append(tuple(cycle))
+    for c in slots:
+        if c in seen:
+            continue
+        cycle = []
+        while c not in seen:
+            seen.add(c)
+            cycle.append(c)
+            t2, k2 = pairing[c]
+            c = (t2, (k2 - 1) % 3)
+        cycles.append(tuple(cycle))
 
     s = len(cycles)
     n = len(edges)
@@ -139,7 +132,6 @@ def diagnose(triangle_count: int, gluings) -> Diagnostics:
 
     diag.genus = g
     diag.punctures = s
-    diag.edge_count = n
     diag.corner_cycles = tuple(cycles)
     diag.pairing = pairing
     diag.edges = edges
@@ -152,8 +144,9 @@ class IdealTriangulation:
     def __init__(self, triangle_count: int, gluings):
         diag = diagnose(triangle_count, gluings)
         if not diag.ok:
-            raise TriangulationError("; ".join(diag.errors))
-        self.triangle_count = triangle_count
+            more = len(diag.errors) - 3
+            raise TriangulationError("; ".join(diag.errors[:3]) + (f"; {more} more" if more > 0 else ""))
+        self.triangle_count = len(diag.pairing) // 3
         self.gluing: dict[Slot, Slot] = diag.pairing
         self.genus = diag.genus
         self.punctures = diag.punctures
@@ -189,11 +182,9 @@ class IdealTriangulation:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IdealTriangulation":
-        slot = lambda x: (operator.index(x[0]), operator.index(x[1]))
         try:
-            triangles = operator.index(data["triangles"])
-            gluings = [(slot(a), slot(b)) for a, b in data["gluings"]]
-        except (KeyError, TypeError, IndexError) as exc:
+            triangles, gluings = data["triangles"], data["gluings"]
+        except (KeyError, TypeError) as exc:
             raise TriangulationError(f"malformed triangulation JSON: {exc}") from exc
         return cls(triangles, gluings)
 

@@ -200,6 +200,10 @@ def test_tolerance_is_read_only_by_rep(capsys, monkeypatch, argv):
     (None, ["rep"], 5),
     (None, ["verify-structure"], 5),
     (None, ["rep", "-g", "1", "-s", "1", "--N", "100001"], None),
+    (None, ["rep"], {"genus": 1, "punctures": 1, "N": 0, "omega": [1, 0]}),
+    (None, ["chebyshev", "--y", "nan", "--n", "3"], None),
+    (None, ["chebyshev", "--y", "1e308", "--n", "3"], None),
+    (None, ["chebyshev", "--y", "1", "2", "3", "--n", "3"], None),
 ])
 def test_bad_input_exits_two_without_traceback(tmp_path, capsys, monkeypatch, tol, argv, data):
     # fd 0 holds a valid triangulation, so that input which is wrongly read
