@@ -20,9 +20,10 @@ triangulation track, with product
 
 An element is a finite map  weight system -> phase polynomial,  where a phase
 polynomial is a dict {exponent mod 4N: integer coefficient}: an integer
-combination of powers of ``w``, reduced only by ``w^(4N) = 1``.  Equality is
-equality of reduced representatives.  ``evaluate`` sends a phase polynomial
-to a complex number for a concrete ``w``.
+combination of powers of ``w``, reduced only by ``w^(4N) = 1``.  Elements are
+kept reduced (every exponent in ``[0, 4N)``, no zero coefficient, no empty
+polynomial), so equality is equality of the dicts.  ``phase_eval`` sends a
+phase polynomial to a complex number for a concrete ``w``.
 
 Monomials correspond to symmetrized ordered products of the edge generators:
 ``weyl_exponent`` computes the symmetrizing phase ``-sum_{u<v} k_u k_v
@@ -30,6 +31,18 @@ sigma_uv`` from the switch-sum vector, and ``ordered_product_normal_form``
 reduces an arbitrary ordered generator string to (sorted exponent vector,
 total phase), which is how permutation invariance of the symmetrized product
 is tested.
+
+Products
+--------
+``theta(a, b) = a^T T b / 2`` for the track's germ-pair form ``T``.  A
+product of a p-term element by a q-term element forms the germ images
+``T b`` of the q right-hand weight systems once, as one scatter over the
+germ pairs, and then all p*q doubled phases ``a . T b`` as one product
+(``intcore.doubled_pairings``).  The product goes through
+``intcore.matmul``, on int64 while a bit bound allows and on Python ints
+otherwise, so no phase ever wraps.  The keys ``a + b`` are one broadcast
+sum, and one loop over the term pairs adds the coefficient products into
+polynomials that the element constructor reduces.
 
 Chebyshev utilities
 -------------------
@@ -159,8 +172,6 @@ Phase = dict
 
 
 def phase_term(exponent: int, order: int, coeff: int = 1) -> Phase:
-    if coeff == 0:
-        return {}
     return {exponent % order: coeff}
 
 
@@ -168,23 +179,10 @@ def phase_add(p: Phase, q: Phase) -> Phase:
     out = dict(p)
     for e, c in q.items():
         out[e] = out.get(e, 0) + c
-        if out[e] == 0:
-            del out[e]
     return out
 
 
-def phase_mul(p: Phase, q: Phase, order: int) -> Phase:
-    out: Phase = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = (e1 + e2) % order
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c != 0}
-
-
 def phase_scale(p: Phase, factor: int) -> Phase:
-    if factor == 0:
-        return {}
     return {e: c * factor for e, c in p.items()}
 
 
@@ -196,6 +194,22 @@ def phase_eval(p: Phase, params: AlgebraParams) -> complex:
     return sum((c * params.root_value(e) for e, c in p.items()), 0j)
 
 
+def _reduced_phase(items, order: int) -> Phase:
+    """The polynomial sum of ``c w^e`` over the ``(e, c)`` items, reduced.
+
+    Exponents are taken modulo ``order``, repeated ones add, and zero
+    coefficients are dropped.  ``items`` is sized and iterated at most twice.
+    """
+    out = {e % order: c for e, c in items if c}
+    if len(out) == len(items):  # nothing dropped and no two exponents met
+        return out
+    out = {}
+    for e, c in items:
+        e %= order
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
 # --- elements ---------------------------------------------------------------
 
 class AlgebraElement:
@@ -205,7 +219,8 @@ class AlgebraElement:
 
     def __init__(self, algebra: "BalancedAlgebra", terms: dict):
         self.algebra = algebra
-        self.terms = {w: dict(p) for w, p in terms.items() if p}
+        order = algebra.params.phase_order
+        self.terms = {w: q for w, p in terms.items() if (q := _reduced_phase(p.items(), order))}
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, AlgebraElement)
@@ -217,7 +232,7 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self.algebra.require_same(other)
-        out = {w: dict(p) for w, p in self.terms.items()}
+        out = dict(self.terms)
         for w, p in other.terms.items():
             out[w] = phase_add(out.get(w, {}), p)
         return AlgebraElement(self.algebra, out)
@@ -252,9 +267,10 @@ class AlgebraElement:
 class BalancedAlgebra:
     """The algebra attached to a triangulation track at fixed root parameters.
 
-    Every product phase comes straight from :func:`traintrack.theta`, one pass
-    over the track's germ pairs; there is no theta cache, so an algebra's
-    memory does not grow with the products it has computed.
+    ``mul`` pairs every term of the left factor with the germ images of the
+    right factor's weight systems in one exact product (see the module
+    docstring).  There is no phase cache, so an algebra's memory does not grow
+    with the products it has computed.
     """
 
     def __init__(self, track: TriangulationTrack, params: AlgebraParams):
@@ -292,20 +308,34 @@ class BalancedAlgebra:
     # -- operations ----------------------------------------------------------
 
     def mul(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+        """The product ``x y``: one exact pairing of all term pairs, then one merge.
+
+        The doubled phases ``2 theta(a, b) = a . (T b)`` of every term pair
+        are one product of ``x``'s weight rows with the germ images of
+        ``y``'s, and the keys ``a + b`` one broadcast sum.  The merge adds
+        each coefficient product at its exponent, and the constructor drops
+        what cancels.
+        """
         self.require_same(x)
         self.require_same(y)
+        if not x.terms or not y.terms:
+            return self.zero()
+        from . import intcore
+        a, b = intcore.as_array(list(x.terms)), intcore.as_array(list(y.terms))
+        doubled = intcore.doubled_pairings(self.track.germ_pairs, a, b).tolist()
+        keys = (a[:, None, :] + b[None, :, :]).tolist()
         order = self.params.phase_order
         out: dict = {}
-        for wa, pa in x.terms.items():
-            for wb, pb in y.terms.items():
-                phase = (2 * self.theta(wa, wb)) % order
-                coeff = phase_shift(phase_mul(pa, pb, order), phase, order)
-                key = tuple(a + b for a, b in zip(wa, wb))
-                merged = phase_add(out.get(key, {}), coeff)
-                if merged:
-                    out[key] = merged
-                else:
-                    out.pop(key, None)
+        y_items = [list(pb.items()) for pb in y.terms.values()]
+        for pa, keys_a, doubled_a in zip(x.terms.values(), keys, doubled):
+            pa = list(pa.items())
+            for pb, key, d in zip(y_items, keys_a, doubled_a):
+                poly = out.setdefault(tuple(key), {})
+                for e1, c1 in pa:
+                    e1 += d
+                    for e2, c2 in pb:
+                        e = (e1 + e2) % order
+                        poly[e] = poly.get(e, 0) + c1 * c2
         return AlgebraElement(self, out)
 
     def power(self, x: AlgebraElement, m: int) -> AlgebraElement:
@@ -330,14 +360,15 @@ class BalancedAlgebra:
     def element_from_json_dict(self, data: dict) -> AlgebraElement:
         if data.get("N") != self.params.N or data.get("root_exponent") != self.params.root_exponent:
             raise ValueError("element JSON carries different parameters")
-        order = self.params.phase_order
+        items: dict = {}  # repeated weights and exponents add up
         try:
-            return AlgebraElement(self, {
-                require_weight_system(self.track, item["weights"]):
-                    {operator.index(e) % order: operator.index(c) for e, c in item["coeff"]}
-                for item in data["terms"]})
+            for item in data["terms"]:
+                items.setdefault(require_weight_system(self.track, item["weights"]), []).extend(
+                    (operator.index(e), operator.index(c)) for e, c in item["coeff"])
         except TypeError as exc:
             raise ValueError(f"malformed element JSON: {exc}") from exc
+        order = self.params.phase_order
+        return AlgebraElement(self, {w: _reduced_phase(pairs, order) for w, pairs in items.items()})
 
 
 def ordered_product_normal_form(sigma, factors, order: int) -> tuple[tuple[int, ...], int]:

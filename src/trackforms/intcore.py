@@ -14,7 +14,8 @@ large, the arrays widen to dtype ``object`` (Python ints) and the same numpy
 code carries on exactly.
 
 This module imports numpy, so ``lattice`` and ``traintrack`` import it only
-when a matrix is large enough to need it.
+when a matrix is large enough to need it, and ``algebra`` at its first
+product (``doubled_pairings``).
 """
 
 from __future__ import annotations
@@ -319,9 +320,12 @@ def certifies(u, v, m, d) -> bool:
 
 # --- the intersection form -------------------------------------------------
 
-def theta_matrix(germ_pairs, basis) -> list[list[int]]:
-    """``traintrack.theta_matrix`` as one exact array product ``B (T B^T) / 2``."""
-    b = as_array(basis)
+def doubled_pairings(germ_pairs, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The exact matrix of doubled pairings ``a_i^T T b_j = 2 theta(a_i, b_j)``.
+
+    The germ images ``T b_j`` are one ``np.add.at`` scatter, and all the
+    pairings one guarded product.  Raises ``IntegralityViolation`` if one is odd.
+    """
     pairs = np.array(germ_pairs, dtype=np.int64).reshape(-1, 2)
     if max_bits(b) + len(pairs).bit_length() + 1 > WORD_BITS:
         b = b.astype(object)
@@ -329,8 +333,14 @@ def theta_matrix(germ_pairs, basis) -> list[list[int]]:
     images = np.zeros_like(b)  # row j is T b_j
     np.add.at(images, (slice(None), right), b[:, left])
     np.subtract.at(images, (slice(None), left), b[:, right])
-    doubled = matmul(b, images.T)
-    odd = np.argwhere(np.triu(doubled % 2 != 0, 1))
+    doubled = matmul(a, images.T)
+    odd = np.argwhere(doubled % 2 != 0)
     if odd.size:
         raise IntegralityViolation(f"doubled pairing {doubled[tuple(odd[0])]} is odd")
-    return (doubled // 2).tolist()
+    return doubled
+
+
+def theta_matrix(germ_pairs, basis) -> list[list[int]]:
+    """``traintrack.theta_matrix`` as one exact array product ``B (T B^T) / 2``."""
+    b = as_array(basis)
+    return (doubled_pairings(germ_pairs, b, b) // 2).tolist()

@@ -388,9 +388,7 @@ def verify_structure(track: TrainTrack) -> StructureReport:
 
     eta_match = None
     if isinstance(track, TriangulationTrack):
-        kernel_branch = [
-            _combine(row, basis) for row in nf.kernel_rows()
-        ]
+        kernel_branch = _combine(nf.kernel_rows(), basis)
         etas = [puncture_weight(track, k) for k in range(track.tri.punctures)]
         eta_match = lattice_equal(kernel_branch, etas)
         passed = passed and eta_match
@@ -410,10 +408,25 @@ def verify_structure(track: TrainTrack) -> StructureReport:
     )
 
 
-def _combine(coeffs, basis) -> tuple[int, ...]:
-    out = [0] * len(basis[0])
-    for c, vec in zip(coeffs, basis):
-        if c:
-            for i, x in enumerate(vec):
-                out[i] += c * x
-    return tuple(out)
+def _combine(rows, basis) -> list[tuple[int, ...]]:
+    """The combinations ``rows @ basis``: one vector per row of coefficients.
+
+    From ``INT64_MIN_ROWS`` basis vectors on this is one guarded ``intcore``
+    product.  Below it each row adds up its basis vectors with non-zero
+    coefficients, which skips the zeros of the sparse rows of ``U``.
+    """
+    if not rows:
+        return []
+    if _int64(len(basis)):
+        from . import intcore
+        product = intcore.matmul(intcore.as_array(rows), intcore.as_array(basis))
+        return [tuple(v) for v in product.tolist()]
+    out = []
+    for row in rows:
+        vector = [0] * len(basis[0])
+        for c, vec in zip(row, basis):
+            if c:
+                for i, x in enumerate(vec):
+                    vector[i] += c * x
+        out.append(tuple(vector))
+    return out

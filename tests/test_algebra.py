@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from trackforms import from_triangulation, sigma_matrix, standard_triangulation, weight_lattice_basis
 from trackforms.algebra import (
+    AlgebraElement,
     AlgebraParams,
     BalancedAlgebra,
     chebyshev_coefficients,
@@ -19,7 +20,7 @@ from trackforms.algebra import (
     phase_eval,
     solve_chebyshev,
 )
-from trackforms.traintrack import ParityViolation, switch_sums
+from trackforms.traintrack import IntegralityViolation, ParityViolation, switch_sums, theta
 
 from conftest import random_weight
 
@@ -196,6 +197,104 @@ def test_exact_matches_numeric(torus_setup):
         assert abs(phase_eval(phase, algebra.params) - numeric) < 1e-12
 
 
+# --- the product against its per-pair oracle -----------------------------------
+
+def reference_mul(algebra, x, y):
+    """The product one term pair at a time, each phase from a germ-pair walk."""
+    order = algebra.params.phase_order
+    out = {}
+    for wa, pa in x.terms.items():
+        for wb, pb in y.terms.items():
+            shift = 2 * theta(algebra.track, wa, wb)
+            poly = out.setdefault(tuple(a + b for a, b in zip(wa, wb)), {})
+            for e1, c1 in pa.items():
+                for e2, c2 in pb.items():
+                    e = (e1 + e2 + shift) % order
+                    poly[e] = poly.get(e, 0) + c1 * c2
+    return AlgebraElement(algebra, out)
+
+
+def oracle_algebras():
+    """The (1,1), (2,2) and (0,4) algebras at N = 3, 5 and their iota parameters."""
+    for gs in [(1, 1), (2, 2), (0, 4)]:
+        track = from_triangulation(standard_triangulation(*gs))
+        basis = weight_lattice_basis(track)
+        for N in (3, 5):
+            params = omega_candidates(N)[N % 4]
+            for p in (params, params.iota_params()):
+                yield BalancedAlgebra(track, p), basis
+
+
+def wide_element(algebra, basis, rng, n_terms, span, coeff_bits):
+    """Terms with weights up to about ``span`` times the basis and wide coefficients."""
+    order = algebra.params.phase_order
+    terms = {}
+    for _ in range(n_terms):
+        k = rng.randint(1, span)
+        w = tuple(k * u + v for u, v in zip(*(random_weight(algebra.track, basis, rng, span=1)
+                                              for _ in range(2))))
+        terms[w] = {rng.randrange(order): rng.choice([-1, 1]) * rng.getrandbits(coeff_bits) + 1
+                    for _ in range(rng.randint(1, 3))}
+    return AlgebraElement(algebra, terms)
+
+
+@pytest.mark.parametrize("span, coeff_bits", [(1, 2), (2 ** 40, 8), (2 ** 70, 80)])
+def test_mul_matches_reference(span, coeff_bits):
+    # span 2**40 widens the pairing product to Python ints; 2**70 the weights themselves
+    rng = random.Random(span)
+    for algebra, basis in oracle_algebras():
+        zero = algebra.zero()
+        for _ in range(4):
+            x = wide_element(algebra, basis, rng, rng.randint(1, 6), span, coeff_bits)
+            y = wide_element(algebra, basis, rng, rng.randint(1, 6), span, coeff_bits)
+            assert algebra.mul(x, y) == reference_mul(algebra, x, y)
+            assert algebra.mul(x, zero) == algebra.mul(zero, x) == zero
+        xy = algebra.mul(x, y)
+        assert algebra.mul(xy, x) == reference_mul(algebra, xy, x)
+
+
+def test_mul_cancels_to_zero():
+    # (1 + w^(2N)) (1 - w^(2N)) = 1 - w^(4N) = 0 in the phase polynomials
+    rng = random.Random(41)
+    for algebra, basis in oracle_algebras():
+        half = algebra.params.phase_order // 2
+        plus = {random_weight(algebra.track, basis, rng): {0: 1, half: 1} for _ in range(3)}
+        minus = {random_weight(algebra.track, basis, rng): {0: 1, half: -1} for _ in range(3)}
+        x, y = AlgebraElement(algebra, plus), AlgebraElement(algebra, minus)
+        assert reference_mul(algebra, x, y) == algebra.zero()
+        assert algebra.mul(x, y) == algebra.zero()
+        assert algebra.mul(x, y).terms == {}
+
+
+def test_mul_cancels_one_key(torus_setup):
+    # the pairs (a, c) and (a + t, c - t) land on one key with opposite coefficients
+    track, algebra, basis = torus_setup
+    order = algebra.params.phase_order
+    a, c, t = basis[0], basis[1], basis[2]
+    a2 = tuple(u + v for u, v in zip(a, t))
+    c2 = tuple(u - v for u, v in zip(c, t))
+    shift = (2 * theta(track, a, c) - 2 * theta(track, a2, c2)) % order
+    x = AlgebraElement(algebra, {a: {0: 1}, a2: {0: 1}})
+    y = AlgebraElement(algebra, {c: {0: 1}, c2: {shift: -1}})
+    product = algebra.mul(x, y)
+    assert product == reference_mul(algebra, x, y)
+    assert tuple(u + v for u, v in zip(a, c)) not in product.terms
+    assert len(product.terms) == 2
+
+
+def test_mul_odd_pairing_raises(grid_tracks):
+    # unit vectors on the two branches of a germ pair have an odd doubled pairing
+    track = grid_tracks[(1, 1)]
+    algebra = BalancedAlgebra(track, AlgebraParams(3, 1))
+    left, right = track.germ_pairs[0]
+    e_left = tuple(int(k == left) for k in range(track.branch_count))
+    e_right = tuple(int(k == right) for k in range(track.branch_count))
+    x = AlgebraElement(algebra, {e_left: {0: 1}})
+    y = AlgebraElement(algebra, {e_right: {0: 1}})
+    with pytest.raises(IntegralityViolation):
+        algebra.mul(x, y)
+
+
 # --- symmetrized ordered products ---------------------------------------------
 
 def test_weyl_exponent_single_generator(torus_setup):
@@ -273,6 +372,43 @@ def test_element_json_round_trip(torus_setup):
     x = random_element(algebra, basis, rng)
     again = algebra.element_from_json_dict(x.to_json_dict())
     assert again == x
+
+
+def test_element_json_reduces_coefficients(torus_setup):
+    track, algebra, basis = torus_setup
+    order = algebra.params.phase_order
+
+    def read(*terms):
+        return algebra.element_from_json_dict(
+            {"N": algebra.params.N, "root_exponent": algebra.params.root_exponent,
+             "terms": [{"weights": list(w), "coeff": c} for w, c in terms]})
+
+    one = [0] * track.branch_count
+    assert read((one, [[0, 0]])) == algebra.zero()
+    assert read((one, [[0, 0]])).terms == {}
+    assert read((one, [[0, 1], [order, 1]])) == algebra.one().scaled(2)
+    assert read((one, [[1, 1], [1 - order, -1]])) == algebra.zero()
+    assert read((one, [[0, 1]]), (one, [[order, 2]])) == algebra.one().scaled(3)
+
+
+def test_elements_hold_no_zero_coefficient(torus_setup):
+    track, algebra, basis = torus_setup
+    w = basis[0]
+    assert AlgebraElement(algebra, {w: {0: 0}}) == algebra.zero()
+    assert AlgebraElement(algebra, {w: {0: 0, 1: 2}}).terms == {w: {1: 2}}
+    x = algebra.monomial(w)
+    assert (x - x).terms == {}
+    assert x.scaled(0).terms == {}
+
+
+def test_elements_reduce_exponents(torus_setup):
+    track, algebra, basis = torus_setup
+    order = algebra.params.phase_order
+    w = basis[0]
+    assert AlgebraElement(algebra, {w: {-1: 4}}).terms == {w: {order - 1: 4}}
+    assert AlgebraElement(algebra, {w: {1: 3, order + 1: 2}}).terms == {w: {1: 5}}
+    assert AlgebraElement(algebra, {w: {1: 3, 1 - order: -3}}) == algebra.zero()
+    assert AlgebraElement(algebra, {w: {}, basis[1]: {2: 1}}).terms == {basis[1]: {2: 1}}
 
 
 # --- chebyshev ------------------------------------------------------------------

@@ -19,7 +19,8 @@ from trackforms import (
     verify_structure,
     weight_lattice_basis,
 )
-from trackforms.lattice import certify_normal_form, hermite_normal_form, integer_kernel_basis
+from trackforms.lattice import _combine, certify_normal_form, hermite_normal_form
+from trackforms.lattice import integer_kernel_basis
 from trackforms.triangulation import TriangulationError, flip, random_triangulation
 
 from conftest import GRID
@@ -130,6 +131,31 @@ def test_hermite_forms_agree(monkeypatch):
             monkeypatch.setattr(traintrack, "INT64_MIN_ROWS", cutoff)
             forms.append(hermite_normal_form(rows))
         assert forms[0] == forms[1]
+
+
+def reference_combine(coeffs, basis):
+    """One combination at a time, one multiply-add per coefficient and entry."""
+    out = [0] * len(basis[0])
+    for c, vec in zip(coeffs, basis):
+        for i, x in enumerate(vec):
+            out[i] += c * x
+    return tuple(out)
+
+
+@pytest.mark.parametrize("bits", [3, 40, 70])
+def test_combine_agrees_with_reference(bits, monkeypatch):
+    # 40-bit entries overflow the int64 product bound, 70-bit ones int64 itself
+    rng = random.Random(bits)
+    for size in (1, 5, 25):
+        basis = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(7)] for _ in range(size)]
+        rows = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(size)] for _ in range(3)]
+        expected = [reference_combine(row, basis) for row in rows]
+        for cutoff in (INT64, LISTS):
+            monkeypatch.setattr(traintrack, "INT64_MIN_ROWS", cutoff)
+            combined = _combine(rows, basis)
+            assert combined == expected
+            assert all(type(x) is int for v in combined for x in v)
+    assert _combine([], basis) == []
 
 
 # --- flips ------------------------------------------------------------------

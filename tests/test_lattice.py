@@ -230,7 +230,7 @@ def test_kernel_lattice_is_eta_lattice(grid_tracks, grid_bases):
     for gs, track in grid_tracks.items():
         basis = grid_bases[gs]
         nf = skew_normal_form(theta_matrix(track, basis))
-        kernel_branch = [_combine(row, basis) for row in nf.kernel_rows()]
+        kernel_branch = _combine(nf.kernel_rows(), basis)
         etas = [puncture_weight(track, k) for k in range(track.tri.punctures)]
         assert lattice_equal(kernel_branch, etas)
 

@@ -73,7 +73,7 @@ def reference_deviations(rep, seed):
 
     def samples(count):
         rng = random.Random(seed)
-        return [_combine([rng.randint(-2, 2) for _ in gammas], gammas) for _ in range(count)]
+        return _combine([[rng.randint(-2, 2) for _ in gammas] for _ in range(count)], gammas)
 
     def lifted(w):
         x = frobenius(iota.monomial(w), rep.algebra)
@@ -121,7 +121,7 @@ def test_decompose_recovers_coefficients(g, s):
     rng = random.Random(100 * g + s)
     for _ in range(20):
         coeffs = [rng.randint(-3, 3) for _ in rep.gamma_vectors]
-        assert rep.decompose(_combine(coeffs, rep.gamma_vectors)) == coeffs
+        assert rep.decompose(_combine([coeffs], rep.gamma_vectors)[0]) == coeffs
 
 
 def test_decompose_rejects_non_weight_systems():
