@@ -56,6 +56,7 @@ determinant 2x2 matrices.  ``solve_chebyshev`` returns all n solutions of
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -121,11 +122,7 @@ def params_from_omega(N: int, omega: complex, tol: float = 1e-9) -> AlgebraParam
 
 def omega_candidates(N: int, epsilon: int | None = None) -> list[AlgebraParams]:
     """All parameter choices for a given odd N, optionally filtered by epsilon."""
-    _check_candidate_filter(N, epsilon)
-    out = [AlgebraParams(N, k) for k in range(4 * N) if math.gcd(k, N) == 1]
-    if epsilon is not None:
-        out = [p for p in out if p.epsilon == epsilon]
-    return out
+    return [AlgebraParams(N, k) for k in _root_exponents(N, epsilon)]
 
 
 def omega_candidate(N: int, epsilon: int | None = None, index: int = 0) -> AlgebraParams:
@@ -135,14 +132,16 @@ def omega_candidate(N: int, epsilon: int | None = None, index: int = 0) -> Algeb
     (mod 4N) flips the parity of k, which is the sign epsilon, and keeps
     gcd(k, N): each epsilon has half of them.  The walk stops at the chosen k.
     """
-    _check_candidate_filter(N, epsilon)
+    exponents = _root_exponents(N, epsilon)  # rejects N < 1 before phi(N)
     skip = index % ((4 if epsilon is None else 2) * _totient(N))
-    for k in range(4 * N):
-        if math.gcd(k, N) == 1 and (epsilon is None or (-1 if k % 2 else 1) == epsilon):
-            if skip == 0:
-                return AlgebraParams(N, k)
-            skip -= 1
-    raise AssertionError(f"fewer candidates than counted for N = {N}")
+    return AlgebraParams(N, next(itertools.islice(exponents, skip, None)))
+
+
+def _root_exponents(N: int, epsilon):
+    """The exponents k < 4N coprime to N in increasing order; with epsilon, those of that sign."""
+    _check_candidate_filter(N, epsilon)
+    return (k for k in range(4 * N)
+            if math.gcd(k, N) == 1 and (epsilon is None or (-1 if k % 2 else 1) == epsilon))
 
 
 def _check_candidate_filter(N: int, epsilon) -> None:

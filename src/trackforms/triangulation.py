@@ -204,34 +204,27 @@ def validate(triangulation_or_count, gluings=None) -> Diagnostics:
     return diagnose(triangulation_or_count, gluings)
 
 
+def _fan(polygon: int, first: int, mirrored: bool) -> tuple[list[tuple[Slot, Slot]], list[Slot]]:
+    """A fan-triangulated polygon on triangles ``first, first + 1, ...``.
+
+    Triangle ``first + j`` is (0, j+1, j+2), with side 1 on the polygon edge
+    (j+1, j+2); its side 2 is glued to side 0 of the next triangle.  The
+    mirror image swaps sides 0 and 2.  Returns the diagonal gluings and the
+    slots of the polygon edges (0, 1), (1, 2), ..., (polygon - 1, 0).
+    """
+    a, c = (2, 0) if mirrored else (0, 2)
+    diagonals = [((first + j, c), (first + j + 1, a)) for j in range(polygon - 3)]
+    boundary = [(first, a)] + [(first + k, 1) for k in range(polygon - 2)] + [(first + polygon - 3, c)]
+    return diagonals, boundary
+
+
 def _doubled_polygon(s: int) -> IdealTriangulation:
     # Double of a fan-triangulated s-gon: genus 0, punctures at the s polygon
-    # vertices.  Top triangles 0..s-3 are (0, j+1, j+2), bottom triangles are
-    # the mirror images, glued along the polygon boundary.
-    top = lambda j: j
-    bot = lambda j: (s - 2) + j
-    gluings: list[tuple[Slot, Slot]] = []
-    for j in range(s - 3):
-        gluings.append(((top(j), 2), (top(j + 1), 0)))
-        gluings.append(((bot(j), 0), (bot(j + 1), 2)))
-
-    def top_boundary(k: int) -> Slot:
-        if k == 0:
-            return (top(0), 0)
-        if k <= s - 2:
-            return (top(k - 1), 1)
-        return (top(s - 3), 2)
-
-    def bottom_boundary(k: int) -> Slot:
-        if k == 0:
-            return (bot(0), 2)
-        if k <= s - 2:
-            return (bot(k - 1), 1)
-        return (bot(s - 3), 0)
-
-    for k in range(s):
-        gluings.append((top_boundary(k), bottom_boundary(k)))
-    return IdealTriangulation(2 * (s - 2), gluings)
+    # vertices.  The bottom fan is the mirror image of the top one, glued to
+    # it along the polygon boundary.
+    top, top_boundary = _fan(s, 0, False)
+    bottom, bottom_boundary = _fan(s, s - 2, True)
+    return IdealTriangulation(2 * (s - 2), top + bottom + list(zip(top_boundary, bottom_boundary)))
 
 
 def _fan_word_polygon(g: int, s: int) -> IdealTriangulation:
@@ -240,24 +233,14 @@ def _fan_word_polygon(g: int, s: int) -> IdealTriangulation:
     # The commutator part contributes the genus; each folded pair c_j c_j'
     # pins one extra puncture at the polygon vertex between the two sides.
     P = 4 * g + 2 * s - 2
-    gluings: list[tuple[Slot, Slot]] = []
-    for j in range(P - 3):
-        gluings.append(((j, 2), (j + 1, 0)))
-
-    def boundary(k: int) -> Slot:
-        if k == 0:
-            return (0, 0)
-        if k <= P - 2:
-            return (k - 1, 1)
-        return (P - 3, 2)
-
+    gluings, boundary = _fan(P, 0, False)
     for i in range(g):
         base = 4 * i
-        gluings.append((boundary(base), boundary(base + 2)))
-        gluings.append((boundary(base + 1), boundary(base + 3)))
+        gluings.append((boundary[base], boundary[base + 2]))
+        gluings.append((boundary[base + 1], boundary[base + 3]))
     for j in range(s - 1):
         base = 4 * g + 2 * j
-        gluings.append((boundary(base), boundary(base + 1)))
+        gluings.append((boundary[base], boundary[base + 1]))
     return IdealTriangulation(P - 2, gluings)
 
 

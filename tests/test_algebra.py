@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import math
 import random
 
 import pytest
@@ -67,10 +68,17 @@ def test_epsilon_partition():
         assert abs(p.omega ** (-2 * 5) + 1) < 1e-12
 
 
+def reference_omega_candidates(N, epsilon):
+    """The candidate list built directly: every k < 4N coprime to N, then the sign filter."""
+    out = [AlgebraParams(N, k) for k in range(4 * N) if math.gcd(k, N) == 1]
+    return [p for p in out if epsilon is None or p.epsilon == epsilon]
+
+
 def test_omega_candidate_indexes_the_candidate_list():
-    for N in range(1, 52, 2):
+    for N in [*range(1, 52, 2), 105]:
         for epsilon in (None, 1, -1):
             candidates = omega_candidates(N, epsilon)
+            assert candidates == reference_omega_candidates(N, epsilon)
             for i in range(3 * len(candidates)):
                 assert omega_candidate(N, epsilon, i) == candidates[i % len(candidates)]
 

@@ -204,6 +204,7 @@ def test_tolerance_is_read_only_by_rep(capsys, monkeypatch, argv):
     (None, ["chebyshev", "--y", "nan", "--n", "3"], None),
     (None, ["chebyshev", "--y", "1e308", "--n", "3"], None),
     (None, ["chebyshev", "--y", "1", "2", "3", "--n", "3"], None),
+    (None, ["chebyshev", "--y", "1", "--n", "4097"], None),
 ])
 def test_bad_input_exits_two_without_traceback(tmp_path, capsys, monkeypatch, tol, argv, data):
     # fd 0 holds a valid triangulation, so that input which is wrongly read

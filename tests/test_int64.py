@@ -122,15 +122,13 @@ def test_kernel_crosses_62_bits_mid_elimination(monkeypatch):
     assert results[0] == results[1] == [[2 ** (n - 1 - i) for i in range(n)]]
 
 
-def test_hermite_forms_agree(monkeypatch):
+def test_hermite_forms_agree():
+    # the array Hermite loop of the int64 kernel against the list Hermite form
     rng = random.Random(17)
     for _ in range(20):
-        rows = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(rng.randint(1, 9))]
-        forms = []
-        for cutoff in (INT64, LISTS):
-            monkeypatch.setattr(traintrack, "INT64_MIN_ROWS", cutoff)
-            forms.append(hermite_normal_form(rows))
-        assert forms[0] == forms[1]
+        rows = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(rng.randint(1, 30))]
+        array_form = intcore._hermite_rows(intcore.Rows(intcore.as_array(rows)))
+        assert tuple(map(tuple, array_form)) == hermite_normal_form(rows)
 
 
 def reference_combine(coeffs, basis):
@@ -143,18 +141,13 @@ def reference_combine(coeffs, basis):
 
 
 @pytest.mark.parametrize("bits", [3, 40, 70])
-def test_combine_agrees_with_reference(bits, monkeypatch):
-    # 40-bit entries overflow the int64 product bound, 70-bit ones int64 itself
+def test_combine_agrees_with_reference(bits):
+    # products of 40-bit entries pass 64 bits, and 70-bit entries do alone
     rng = random.Random(bits)
     for size in (1, 5, 25):
         basis = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(7)] for _ in range(size)]
         rows = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(size)] for _ in range(3)]
-        expected = [reference_combine(row, basis) for row in rows]
-        for cutoff in (INT64, LISTS):
-            monkeypatch.setattr(traintrack, "INT64_MIN_ROWS", cutoff)
-            combined = _combine(rows, basis)
-            assert combined == expected
-            assert all(type(x) is int for v in combined for x in v)
+        assert _combine(rows, basis) == [reference_combine(row, basis) for row in rows]
     assert _combine([], basis) == []
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -123,6 +124,28 @@ def test_json_round_trip():
     again = IdealTriangulation.from_json(tri.to_json())
     assert again.to_json_dict() == tri.to_json_dict()
     assert (again.genus, again.punctures) == (1, 2)
+
+
+# sha256 of standard_triangulation(g, s).to_json(): a rewrite of the fan
+# constructions must build the same triangulations, edge for edge.
+STANDARD_JSON_SHA256 = {
+    (0, 3): "1ca614f88ef853e41a94fcf85758e1657b85dff023c1a75e7f4f04d947254888",
+    (0, 4): "73c19ab53625a6d45bbc7110580a9e0f56ec83625d92bda9503abae63acc0e43",
+    (0, 5): "f20e54ece6821d52afd6d885de7df9206f625fbc48f03b6b5a1c3e4966755458",
+    (1, 1): "e98054c130a00b40d09230fcdd5a24a54ea47cdf405c7fbc70d38883014e849b",
+    (1, 2): "06698eecaedab4df66fd4b484f59c5549155ae1bdd3a46c415e7d43e6b4dc5a4",
+    (2, 1): "4500f98a1e64aa3c630f2eba01113df9170b47550bb8b8641a3018567675fcc4",
+    (3, 3): "5314867c2f78aa8b33b1ce1f6f84c2b38b90682463a7d4026f9bdd5910dc7013",
+    (0, 12): "f22d1faa0c241f03f90314d3ef275ca81d1f75d2b0cbcec15f22f220979dc478",
+    (16, 4): "52a713a0d7804cf17d065d1dfb0443267b0b55a6b27f9f62fb20faff29f02f83",
+    (0, 30): "628cd55759ec9f0d2ab8c3e5b36c15a3f5f235782784dd0408fba5206363ed2f",
+}
+
+
+@pytest.mark.parametrize("g,s", list(STANDARD_JSON_SHA256))
+def test_standard_triangulation_json_is_pinned(g, s):
+    text = standard_triangulation(g, s).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == STANDARD_JSON_SHA256[(g, s)]
 
 
 def test_from_json_rejects_garbage():
