@@ -19,6 +19,7 @@ from .traintrack import (
     from_switch_sums,
     from_triangulation,
     puncture_weight,
+    puncture_weights,
     region_weight_system,
     regions,
     switch_sums,
@@ -53,6 +54,7 @@ __all__ = [
     "kernel_basis",
     "lattice_equal",
     "puncture_weight",
+    "puncture_weights",
     "region_weight_system",
     "regions",
     "sigma_matrix",

@@ -1,7 +1,8 @@
 """The exact integer stages on machine words: numpy int64 arrays, never wrapping.
 
 Four stages send matrices of ``traintrack.INT64_MIN_ROWS`` rows or more
-here: the integer kernel, the skew normal form and its certificate (from
+here: the integer kernel (the elimination basis, and for the weight-lattice
+basis its Hermite form), the skew normal form and its certificate (from
 ``lattice``) and theta (from ``traintrack``).  Smaller ones stay on their
 Python-int lists, where numpy's per-call dispatch would cost more than it
 saves.  Every routine takes the same steps as its list counterpart (same
@@ -163,8 +164,8 @@ def _hermite_rows(work: Rows) -> list[list[int]]:
     return work.a[:r].tolist()
 
 
-def integer_kernel_basis(matrix) -> list[list[int]]:
-    """``lattice.integer_kernel_basis``: row-reduce ``[matrix^T | I]``, then HNF."""
+def _kernel_array(matrix) -> np.ndarray:
+    """The rows of ``lattice.integer_kernel``: row-reduce ``[matrix^T | I]``."""
     a = as_array(matrix)
     rows, cols = a.shape
     work = np.zeros((cols, rows + cols), dtype=a.dtype)
@@ -175,7 +176,17 @@ def integer_kernel_basis(matrix) -> list[list[int]]:
     for c in range(rows):
         if _pivot(work, r, c):
             r += 1
-    return _hermite_rows(Rows(work.a[r:, rows:]))
+    return work.a[r:, rows:]
+
+
+def integer_kernel(matrix) -> list[list[int]]:
+    """``lattice.integer_kernel``: the elimination basis, not canonicalized."""
+    return _kernel_array(matrix).tolist()
+
+
+def integer_kernel_basis(matrix) -> list[list[int]]:
+    """``lattice.integer_kernel_basis``: the elimination basis, then HNF."""
+    return _hermite_rows(Rows(_kernel_array(matrix)))
 
 
 # --- skew normal form ------------------------------------------------------

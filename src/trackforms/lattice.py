@@ -1,15 +1,16 @@
 """Exact integer linear algebra: Hermite forms, kernels, and the skew normal form.
 
-Everything here is exact; nothing is ever rounded.  Three routines here
-fork at ``traintrack.INT64_MIN_ROWS`` rows: the integer kernel, the skew
-normal form and its certificate run on Python-int lists below it and on the
-overflow-guarded int64 arrays of ``intcore`` from there on, with the same
-results.  The Hermite form and ``_combine``
-stay on lists at every size.  The central routine, :func:`skew_normal_form`,
-reduces an antisymmetric integer matrix ``M`` by a unimodular congruence
-``U M U^T`` to a block diagonal matrix with 2x2 blocks ``(0 d; -d 0)``,
-``d_1 | d_2 | ...``, followed by a zero block, and returns the certificate
-``U`` with its inverse ``V``.
+Everything here is exact; nothing is ever rounded.  Four routines here
+fork at ``traintrack.INT64_MIN_ROWS`` rows: the integer kernel (the
+elimination basis), its Hermite form in ``integer_kernel_basis`` (the
+weight-lattice basis), the skew normal form and its certificate run on
+Python-int lists below it and on the overflow-guarded int64 arrays of
+``intcore`` from there on, with the same results.  The standalone
+``hermite_normal_form`` and ``_combine`` stay on lists at every size.  The
+central routine, :func:`skew_normal_form`, reduces an antisymmetric integer
+matrix ``M`` by a unimodular congruence ``U M U^T`` to a block diagonal
+matrix with 2x2 blocks ``(0 d; -d 0)``, ``d_1 | d_2 | ...``, followed by a
+zero block, and returns the certificate ``U`` with its inverse ``V``.
 
 ``verify_structure`` combines the normal form with the region census of a
 connected train track and checks the predicted block multiset:
@@ -36,11 +37,14 @@ from .traintrack import (
     TrainTrack,
     TriangulationTrack,
     _int64,
-    puncture_weight,
+    puncture_weights,
     regions,
+    switch_matrix,
     theta_matrix,
-    weight_lattice_basis,
 )
+# Not called here since verify_structure reduces on the elimination basis and
+# builds the etas at once, but perfbench's tracer wraps them at this module.
+from .traintrack import puncture_weight, weight_lattice_basis  # noqa: F401
 
 
 # --- generic helpers -------------------------------------------------------
@@ -117,22 +121,33 @@ def lattice_equal(a_rows, b_rows) -> bool:
     return hermite_normal_form(a_rows) == hermite_normal_form(b_rows)
 
 
-def integer_kernel_basis(matrix) -> list[list[int]]:
-    """Basis of the integer kernel {v : matrix @ v = 0}, canonicalized by HNF."""
+def integer_kernel(matrix) -> list[list[int]]:
+    """A basis of the integer kernel {v : matrix @ v = 0}, by unimodular elimination.
+
+    Row-reduces ``[matrix^T | I]``; the right parts of the rows whose left
+    part dies are the basis.  It spans the kernel lattice but is not
+    canonical: :func:`integer_kernel_basis` puts it into Hermite form.
+    """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     if _int64(rows):
         from . import intcore
-        return intcore.integer_kernel_basis(matrix)
-    # Row-reduce [matrix^T | I]; rows whose left part dies give the kernel.
+        return intcore.integer_kernel(matrix)
     work = [[matrix[i][j] for i in range(rows)] + [1 if k == j else 0 for k in range(cols)]
             for j in range(cols)]
     r = 0
     for c in range(rows):
         if _pivot(work, r, c):
             r += 1
-    kernel = [row[rows:] for row in work[r:]]
-    return [list(row) for row in hermite_normal_form(kernel)]
+    return [row[rows:] for row in work[r:]]
+
+
+def integer_kernel_basis(matrix) -> list[list[int]]:
+    """Basis of the integer kernel {v : matrix @ v = 0}, canonicalized by HNF."""
+    if _int64(len(matrix)):
+        from . import intcore
+        return intcore.integer_kernel_basis(matrix)
+    return [list(row) for row in hermite_normal_form(integer_kernel(matrix))]
 
 
 # --- skew normal form ------------------------------------------------------
@@ -367,9 +382,15 @@ def predicted_blocks(genus: int, n_even: int, n_odd: int, orientable: bool) -> t
 
 
 def verify_structure(track: TrainTrack) -> StructureReport:
-    """Run census + normal form on a connected track and compare block predictions."""
+    """Run census + normal form on a connected track and compare block predictions.
+
+    The form is reduced on the elimination basis of the weight lattice, not
+    on its Hermite form: every reported figure (blocks, nullity, rank, the
+    eta match) is an invariant of the form on the lattice, and the Hermite
+    form only made ``U`` grow on flipped triangulations.
+    """
     regs, topo = regions(track)
-    basis = weight_lattice_basis(track)
+    basis = integer_kernel(switch_matrix(track))
     m = theta_matrix(track, basis)
     nf = skew_normal_form(m)
     if not certify_normal_form(nf, m):
@@ -388,8 +409,7 @@ def verify_structure(track: TrainTrack) -> StructureReport:
     eta_match = None
     if isinstance(track, TriangulationTrack):
         kernel_branch = _combine(nf.kernel_rows(), basis)
-        etas = [puncture_weight(track, k) for k in range(track.tri.punctures)]
-        eta_match = lattice_equal(kernel_branch, etas)
+        eta_match = lattice_equal(kernel_branch, puncture_weights(track))
         passed = passed and eta_match
     return StructureReport(
         case=case,

@@ -51,7 +51,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, BalancedAlgebra, frobenius, phase_eval, solve_chebyshev
 from .lattice import _combine, skew_normal_form
-from .traintrack import TriangulationTrack, germ_image, halved, is_weight_system, puncture_weight
+from .traintrack import TriangulationTrack, germ_image, halved, is_weight_system, puncture_weights
 from .traintrack import theta_matrix, weight_lattice_basis
 from .traintrack import theta  # not called here; perfbench's tracer counts theta calls at this name
 
@@ -96,7 +96,7 @@ def symplectic_basis(track: TriangulationTrack) -> SymplecticBasis:
 
     vectors = _combine(nf.U[:2 * len(nf.blocks)], basis)
     pairs = list(zip(vectors[0::2], vectors[1::2], nf.blocks))
-    etas = tuple(puncture_weight(track, k) for k in range(s))
+    etas = tuple(puncture_weights(track))
     return SymplecticBasis(tuple(pairs), etas)
 
 

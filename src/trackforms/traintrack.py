@@ -58,16 +58,17 @@ from .triangulation import IdealTriangulation, sigma_matrix
 
 Dart = tuple[int, int]
 
-# Four stages fork here: the integer kernel (the weight lattice basis),
-# theta, the skew normal form and its certificate.  Matrices with fewer rows
+# Four stages fork here: the integer kernel (its elimination basis, and the
+# Hermite form of that basis for ``weight_lattice_basis``), theta, the skew
+# normal form and its certificate.  Matrices with fewer rows
 # stay on Python-int lists, where numpy's per-call dispatch costs more than
 # it saves; from here on they run on int64 arrays (``intcore``), which give
 # the same results.  Measured crossovers on standard triangulations: the
 # kernel at 21 switch rows (42 branches), the normal form at 18 to 21 rows,
 # theta at 15 basis vectors, but the certificate already at 6 to 9 rows (at n = 9,
 # lists 170-180 us against int64 75-90 us), so it would gain from a cutoff
-# of its own.  The Hermite form and ``lattice._combine`` run on lists at
-# every size.
+# of its own.  The standalone ``lattice.hermite_normal_form`` and
+# ``lattice._combine`` run on lists at every size.
 INT64_MIN_ROWS = 20
 
 
@@ -262,14 +263,27 @@ def puncture_weight(track: TriangulationTrack, puncture: int) -> tuple[int, ...]
     and one on a triangle region, so the values land in {0, 1} (inside the
     a-priori range {0, 1, 2}).
     """
-    tri = track.tri
-    if not 0 <= puncture < tri.punctures:
+    if not 0 <= puncture < track.tri.punctures:
         raise IndexError(f"puncture index {puncture} out of range")
-    weights = [0] * track.branch_count
-    for b, corner in enumerate(track.branch_corner):
-        if tri.puncture_of_corner[corner] == puncture:
-            weights[b] = 1
-    return require_weight_system(track, weights)
+    return puncture_weights(track)[puncture]
+
+
+def puncture_weights(track: TriangulationTrack) -> list[tuple[int, ...]]:
+    """Every ``puncture_weight``, from one walk over the corners and one switch sweep.
+
+    Each branch faces exactly one puncture, so eta_k satisfies a switch
+    condition exactly when both sides hold as many darts facing puncture k:
+    one comparison of the two sides' puncture multisets checks every eta.
+    """
+    tri = track.tri
+    owner = [tri.puncture_of_corner[corner] for corner in track.branch_corner]
+    etas = [[0] * track.branch_count for _ in range(tri.punctures)]
+    for b, k in enumerate(owner):
+        etas[k][b] = 1
+    for s, (side_a, side_b) in enumerate(track.switches):
+        if sorted(owner[b] for b, _ in side_a) != sorted(owner[b] for b, _ in side_b):
+            raise TrackError(f"a puncture weight violates the switch condition at switch {s}")
+    return [tuple(eta) for eta in etas]
 
 
 # --- the intersection pairing --------------------------------------------

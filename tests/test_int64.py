@@ -20,7 +20,8 @@ from trackforms import (
     weight_lattice_basis,
 )
 from trackforms.lattice import _combine, certify_normal_form, hermite_normal_form
-from trackforms.lattice import integer_kernel_basis
+from trackforms.lattice import integer_kernel, integer_kernel_basis
+from trackforms.traintrack import switch_matrix
 from trackforms.triangulation import TriangulationError, flip, random_triangulation
 
 from conftest import GRID
@@ -118,8 +119,26 @@ def test_kernel_crosses_62_bits_mid_elimination(monkeypatch):
     results = []
     for cutoff in (INT64, LISTS):
         monkeypatch.setattr(traintrack, "INT64_MIN_ROWS", cutoff)
-        results.append(integer_kernel_basis(matrix))
-    assert results[0] == results[1] == [[2 ** (n - 1 - i) for i in range(n)]]
+        results.append((integer_kernel(matrix), integer_kernel_basis(matrix)))
+    assert results[0] == results[1]
+    assert results[0][1] == [[2 ** (n - 1 - i) for i in range(n)]]
+
+
+def test_elimination_kernels_agree(grid_tracks, monkeypatch):
+    # the rows verify_structure reduces on, before any Hermite step
+    tracks = list(grid_tracks.values()) + [
+        from_triangulation(standard_triangulation(16, 4)),
+        from_triangulation(standard_triangulation(0, 30)),
+        from_triangulation(random_triangulation(16, 4, 1000, seed="int64/16/4")),
+    ]
+    for track in tracks:
+        a = switch_matrix(track)
+        results = []
+        for cutoff in (INT64, LISTS):
+            monkeypatch.setattr(traintrack, "INT64_MIN_ROWS", cutoff)
+            results.append(integer_kernel(a))
+        assert results[0] == results[1]
+        assert all(type(x) is int for row in results[0] for x in row)
 
 
 def test_hermite_forms_agree():
