@@ -1,12 +1,12 @@
 """The exact integer stages on machine words: numpy int64 arrays, never wrapping.
 
 Four stages send matrices of ``traintrack.INT64_MIN_ROWS`` rows or more
-here: the integer kernel (the elimination basis, and for the weight-lattice
-basis its Hermite form), the skew normal form and its certificate (from
-``lattice``) and theta (from ``traintrack``).  Smaller ones stay on their
-Python-int lists, where numpy's per-call dispatch would cost more than it
-saves.  Every routine takes the same steps as its list counterpart (same
-pivots, quotients and swaps), so the results are identical.
+here: the integer kernel (the elimination basis), the skew normal form and
+its certificate (from ``lattice``) and theta (from ``traintrack``).  Smaller
+ones stay on their Python-int lists, where numpy's per-call dispatch would
+cost more than it saves.  The kernel and the normal form take the same steps
+as their list counterparts (same pivots, quotients and swaps), so the
+results are identical; the certificate and theta are exact products.
 
 numpy's int64 arithmetic wraps silently on overflow.  Each routine keeps an
 upper bound on the bit length of what an update can produce, and no int64
@@ -22,8 +22,6 @@ product (``doubled_pairings``).
 
 from __future__ import annotations
 
-import functools
-import math
 import operator
 
 import numpy as np
@@ -124,13 +122,13 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.astype(object) @ b.astype(object)
 
 
-# --- Hermite normal form and integer kernel --------------------------------
+# --- integer kernel ----------------------------------------------------------
 
 def _pivot(work: Rows, r: int, c: int) -> bool:
     """``lattice._pivot`` on an array: the same pivots, quotients and result.
 
-    Both eliminations call it column by column, so rows ``r`` onward are
-    already zero before column ``c``.
+    The kernel calls it column by column, so rows ``r`` onward are already
+    zero before column ``c``.
     """
     while True:
         col = work.a[r:, c]
@@ -146,26 +144,8 @@ def _pivot(work: Rows, r: int, c: int) -> bool:
             return True
 
 
-def _hermite_rows(work: Rows) -> list[list[int]]:
-    """The loop of ``lattice.hermite_normal_form`` on an array; its pivot rows."""
-    r = 0
-    for c in range(work.a.shape[1]):
-        if r == work.a.shape[0]:
-            break
-        if not _pivot(work, r, c):
-            continue
-        if work.a[r, c] < 0:
-            work.a[r] = -work.a[r]
-        q = work.a[:r, c] // work.a[r, c]
-        above = np.flatnonzero(q)
-        if above.size:
-            work.subtract(above, q[above], r, c)
-        r += 1
-    return work.a[:r].tolist()
-
-
-def _kernel_array(matrix) -> np.ndarray:
-    """The rows of ``lattice.integer_kernel``: row-reduce ``[matrix^T | I]``."""
+def integer_kernel(matrix) -> list[list[int]]:
+    """``lattice.integer_kernel``: row-reduce ``[matrix^T | I]``, not canonicalized."""
     a = as_array(matrix)
     rows, cols = a.shape
     work = np.zeros((cols, rows + cols), dtype=a.dtype)
@@ -176,17 +156,7 @@ def _kernel_array(matrix) -> np.ndarray:
     for c in range(rows):
         if _pivot(work, r, c):
             r += 1
-    return work.a[r:, rows:]
-
-
-def integer_kernel(matrix) -> list[list[int]]:
-    """``lattice.integer_kernel``: the elimination basis, not canonicalized."""
-    return _kernel_array(matrix).tolist()
-
-
-def integer_kernel_basis(matrix) -> list[list[int]]:
-    """``lattice.integer_kernel_basis``: the elimination basis, then HNF."""
-    return _hermite_rows(Rows(_kernel_array(matrix)))
+    return work.a[r:, rows:].tolist()
 
 
 # --- skew normal form ------------------------------------------------------
@@ -287,43 +257,15 @@ def skew_normal_form(matrix):
     return _tuples(u), tuple(blocks), _tuples(v)
 
 
-@functools.lru_cache(maxsize=None)
-def _primes_below(bits: int, count: int) -> tuple[int, ...]:
-    """The ``count`` largest primes below ``2**bits``, in decreasing order."""
-    out: list[int] = []
-    p = (1 << bits) - 1
-    while len(out) < count:
-        if all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
-            out.append(p)
-        p -= 2
-    return tuple(out)
-
-
 def certifies(u, v, m, d) -> bool:
     """Whether ``U M U^T == D`` and ``U V == I`` hold exactly (square, same size).
 
-    Both are checked modulo primes ``p`` with ``n * p**2 < 2**63``, so every
-    residue product stays in int64.  Once the primes multiply past
-    ``2**bound``, where ``bound`` covers both sides of both identities,
-    agreement modulo each prime is agreement over the integers (Chinese
-    remaindering), for entries of any size.
+    Both sides are exact guarded products (``matmul``): int64 while the bit
+    bound allows, Python ints past it, so entries of any size are checked.
     """
     u, v, m, d = (as_array(x) for x in (u, v, m, d))
-    n = len(u)
-    n_bits = n.bit_length()
-    ub = max_bits(u)
-    bound = 1 + max(2 * ub + max_bits(m) + 2 * n_bits, ub + max_bits(v) + n_bits, max_bits(d))
-    prime_bits = (63 - n_bits) // 2
-    count = -(-bound // (prime_bits - 1))  # each prime exceeds 2**(prime_bits - 1)
-    eye = np.eye(n, dtype=np.int64)
-    for p in _primes_below(prime_bits, 1 << (count - 1).bit_length())[:count]:
-        ur = (u % p).astype(np.int64)
-        umu = (ur @ (m % p).astype(np.int64) % p) @ ur.T % p
-        if not np.array_equal(umu, (d % p).astype(np.int64)):
-            return False
-        if not np.array_equal(ur @ (v % p).astype(np.int64) % p, eye):
-            return False
-    return True
+    return (np.array_equal(matmul(matmul(u, m), u.T), d)
+            and np.array_equal(matmul(u, v), np.eye(len(u), dtype=np.int64)))
 
 
 # --- the intersection form -------------------------------------------------

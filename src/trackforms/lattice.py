@@ -1,13 +1,14 @@
 """Exact integer linear algebra: Hermite forms, kernels, and the skew normal form.
 
-Everything here is exact; nothing is ever rounded.  Four routines here
+Everything here is exact; nothing is ever rounded.  Three routines here
 fork at ``traintrack.INT64_MIN_ROWS`` rows: the integer kernel (the
-elimination basis), its Hermite form in ``integer_kernel_basis`` (the
-weight-lattice basis), the skew normal form and its certificate run on
+elimination basis), the skew normal form and its certificate run on
 Python-int lists below it and on the overflow-guarded int64 arrays of
-``intcore`` from there on, with the same results.  The standalone
-``hermite_normal_form`` and ``_combine`` stay on lists at every size.  The
-central routine, :func:`skew_normal_form`, reduces an antisymmetric integer
+``intcore`` from there on, with the same results.  ``hermite_normal_form``
+(so the weight-lattice basis ``integer_kernel_basis``) and ``_combine`` stay
+on lists at every size.  Every routine that takes caller matrices reads its
+entries with ``operator.index`` and refuses anything else.  The central
+routine, :func:`skew_normal_form`, reduces an antisymmetric integer
 matrix ``M`` by a unimodular congruence ``U M U^T`` to a block diagonal
 matrix with 2x2 blocks ``(0 d; -d 0)``, ``d_1 | d_2 | ...``, followed by a
 zero block, and returns the certificate ``U`` with its inverse ``V``.
@@ -53,6 +54,14 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _exact(rows) -> list[list[int]]:
+    """``rows`` as lists of Python ints by ``operator.index``; ``ValueError`` otherwise."""
+    try:
+        return [list(map(operator.index, r)) for r in rows]
+    except TypeError as exc:
+        raise ValueError(f"entries must be exact integers: {exc}") from exc
+
+
 def _pivot(work, r, c) -> bool:
     """gcd elimination in column ``c`` among the rows ``r`` onward, in place.
 
@@ -91,10 +100,7 @@ def hermite_normal_form(rows) -> tuple[tuple[int, ...], ...]:
     cols = len(rows[0])
     if any(len(r) != cols for r in rows):
         raise ValueError("ragged rows")
-    try:
-        work = [list(map(operator.index, r)) for r in rows]
-    except TypeError as exc:
-        raise ValueError(f"entries must be exact integers: {exc}") from exc
+    work = _exact(rows)
     r = 0
     for c in range(cols):
         if not _pivot(work, r, c):
@@ -133,6 +139,7 @@ def integer_kernel(matrix) -> list[list[int]]:
     if _int64(rows):
         from . import intcore
         return intcore.integer_kernel(matrix)
+    matrix = _exact(matrix)
     work = [[matrix[i][j] for i in range(rows)] + [1 if k == j else 0 for k in range(cols)]
             for j in range(cols)]
     r = 0
@@ -144,9 +151,6 @@ def integer_kernel(matrix) -> list[list[int]]:
 
 def integer_kernel_basis(matrix) -> list[list[int]]:
     """Basis of the integer kernel {v : matrix @ v = 0}, canonicalized by HNF."""
-    if _int64(len(matrix)):
-        from . import intcore
-        return intcore.integer_kernel_basis(matrix)
     return [list(row) for row in hermite_normal_form(integer_kernel(matrix))]
 
 
@@ -197,10 +201,7 @@ class NormalForm:
 
 def _check_antisymmetric(m) -> list[list[int]]:
     n = len(m)
-    try:
-        out = [list(map(operator.index, row)) for row in m]
-    except TypeError as exc:
-        raise ValueError(f"entries must be exact integers: {exc}") from exc
+    out = _exact(m)
     if any(len(row) != n for row in out):
         raise ValueError("matrix is not square")
     for i in range(n):
@@ -304,7 +305,8 @@ def certify_normal_form(nf: NormalForm, matrix) -> bool:
 
     ``U V = I`` with integer ``V`` makes ``det U`` a unit, so ``|det U| = 1``.
     Below ``INT64_MIN_ROWS`` rows the products are Python-int row dot
-    products; from there on they are checked modulo word-size primes.
+    products; from there on they are guarded int64 products, on Python ints
+    past 62 bits.  Entries that are not exact integers raise ``ValueError``.
     """
     n = len(nf.U)
     if not len(nf.V) == len(matrix) == n or any(
@@ -316,9 +318,10 @@ def certify_normal_form(nf: NormalForm, matrix) -> bool:
             return False
     else:
         # U M U^T = (U M) U^T, and the rows of M^T and V^T are zip(*M), zip(*V)
-        if _row_dots(_row_dots(nf.U, zip(*matrix)), nf.U) != list(nf.D):
+        u, v, m = _exact(nf.U), _exact(nf.V), _exact(matrix)
+        if _row_dots(_row_dots(u, zip(*m)), u) != list(nf.D):
             return False
-        if _row_dots(nf.U, zip(*nf.V)) != [tuple(r) for r in identity_matrix(n)]:
+        if _row_dots(u, zip(*v)) != [tuple(r) for r in identity_matrix(n)]:
             return False
     return (all(d > 0 for d in nf.blocks)
             and all(b % a == 0 for a, b in zip(nf.blocks, nf.blocks[1:])))

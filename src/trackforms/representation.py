@@ -3,9 +3,9 @@
 Construction
 ------------
 ``symplectic_basis`` block-diagonalizes the intersection form over the weight
-lattice and returns basis pairs ``(alpha_i, beta_i)`` with
-``theta(alpha_i, beta_i) = d_i`` in {1, 2} (d = 1 pairs first) plus the
-puncture weight systems, which span the kernel.  Given a value of ``zeta`` on
+lattice, certifies that normal form, and returns basis pairs
+``(alpha_i, beta_i)`` with ``theta(alpha_i, beta_i) = d_i`` in {1, 2} (d = 1
+pairs first) plus the puncture weight systems, which span the kernel.  Given a value of ``zeta`` on
 every basis vector and scalars ``h_k`` with ``h_k^N = zeta(eta_k)``, the
 representation is a tensor product of N-dimensional factors
 
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraElement, BalancedAlgebra, frobenius, phase_eval, solve_chebyshev
-from .lattice import _combine, skew_normal_form
+from .lattice import _combine, certify_normal_form, skew_normal_form
 from .traintrack import TriangulationTrack, germ_image, halved, is_weight_system, puncture_weights
 from .traintrack import theta_matrix, weight_lattice_basis
 from .traintrack import theta  # not called here; perfbench's tracer counts theta calls at this name
@@ -88,6 +88,8 @@ def symplectic_basis(track: TriangulationTrack) -> SymplecticBasis:
     basis = weight_lattice_basis(track)
     m = theta_matrix(track, basis)
     nf = skew_normal_form(m)
+    if not certify_normal_form(nf, m):
+        raise RepresentationError("normal form certificate failed")
     tri = track.tri
     g, s = tri.genus, tri.punctures
     expected = [1] * g + [2] * (2 * g + s - 3)

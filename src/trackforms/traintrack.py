@@ -58,17 +58,16 @@ from .triangulation import IdealTriangulation, sigma_matrix
 
 Dart = tuple[int, int]
 
-# Four stages fork here: the integer kernel (its elimination basis, and the
-# Hermite form of that basis for ``weight_lattice_basis``), theta, the skew
-# normal form and its certificate.  Matrices with fewer rows
+# Four stages fork here: the integer kernel (its elimination basis), theta,
+# the skew normal form and its certificate.  Matrices with fewer rows
 # stay on Python-int lists, where numpy's per-call dispatch costs more than
 # it saves; from here on they run on int64 arrays (``intcore``), which give
 # the same results.  Measured crossovers on standard triangulations: the
 # kernel at 21 switch rows (42 branches), the normal form at 18 to 21 rows,
 # theta at 15 basis vectors, but the certificate already at 6 to 9 rows (at n = 9,
 # lists 170-180 us against int64 75-90 us), so it would gain from a cutoff
-# of its own.  The standalone ``lattice.hermite_normal_form`` and
-# ``lattice._combine`` run on lists at every size.
+# of its own.  ``lattice.hermite_normal_form`` (so the Hermite form of the
+# weight-lattice basis) and ``lattice._combine`` run on lists at every size.
 INT64_MIN_ROWS = 20
 
 

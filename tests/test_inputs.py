@@ -22,6 +22,7 @@ from trackforms import (
 )
 from trackforms.algebra import BalancedAlgebra, omega_candidate, ordered_product_normal_form
 from trackforms.cli import main
+from trackforms.lattice import certify_normal_form, integer_kernel
 from trackforms.traintrack import require_weight_system
 
 from conftest import unorientable_even_track
@@ -33,11 +34,16 @@ ALGEBRA = BalancedAlgebra(TRACK, omega_candidate(3))
 HALVES = [0.5] * TRACK.branch_count
 
 
-def _skew_with_half(n):
-    """The ``n x n`` antisymmetric matrix whose one non-zero pair is 0.5, -0.5."""
+def _skew_with(n, x):
+    """The ``n x n`` antisymmetric matrix whose one non-zero pair is ``x, -x``."""
     m = [[0] * n for _ in range(n)]
-    m[0][1], m[1][0] = 0.5, -0.5
+    m[0][1], m[1][0] = x, -x
     return m
+
+
+def _certify_floats(n):
+    """A valid normal form of ``_skew_with(n, 1)``, with the matrix given as floats."""
+    return skew_normal_form(_skew_with(n, 1)), _skew_with(n, 1.0)
 
 
 def _element(coeff):
@@ -54,10 +60,14 @@ def _torus_json_with(first_slot):
 
 
 @pytest.mark.parametrize("call,args,error", [
-    pytest.param(skew_normal_form, (_skew_with_half(2),), ValueError, id="skew-lists"),
-    pytest.param(skew_normal_form, (_skew_with_half(20),), ValueError, id="skew-int64"),
+    pytest.param(skew_normal_form, (_skew_with(2, 0.5),), ValueError, id="skew-lists"),
+    pytest.param(skew_normal_form, (_skew_with(20, 0.5),), ValueError, id="skew-int64"),
     pytest.param(hermite_normal_form, ([[1.7, 2.2]],), ValueError, id="hermite-lists"),
-    pytest.param(hermite_normal_form, ([[1.7, 2.2]] * 20,), ValueError, id="hermite-int64"),
+    pytest.param(hermite_normal_form, ([[1.7, 2.2]] * 20,), ValueError, id="hermite-20-rows"),
+    pytest.param(integer_kernel, ([[1.5, 3.0]] * 2,), ValueError, id="kernel-lists"),
+    pytest.param(integer_kernel, ([[1.5, 3.0]] * 20,), ValueError, id="kernel-int64"),
+    pytest.param(certify_normal_form, _certify_floats(2), ValueError, id="certify-lists"),
+    pytest.param(certify_normal_form, _certify_floats(20), ValueError, id="certify-int64"),
     pytest.param(require_weight_system, (TRACK, HALVES), TrackError, id="weight-system"),
     pytest.param(ALGEBRA.monomial, (HALVES,), TrackError, id="monomial"),
     pytest.param(ALGEBRA.element_from_json_dict, (_element([[1.5, 1]]),), ValueError,

@@ -19,7 +19,7 @@ from trackforms import (
     verify_structure,
     weight_lattice_basis,
 )
-from trackforms.lattice import _combine, certify_normal_form, hermite_normal_form
+from trackforms.lattice import NormalForm, _combine, certify_normal_form
 from trackforms.lattice import integer_kernel, integer_kernel_basis
 from trackforms.traintrack import switch_matrix
 from trackforms.triangulation import TriangulationError, flip, random_triangulation
@@ -141,13 +141,43 @@ def test_elimination_kernels_agree(grid_tracks, monkeypatch):
         assert all(type(x) is int for row in results[0] for x in row)
 
 
-def test_hermite_forms_agree():
-    # the array Hermite loop of the int64 kernel against the list Hermite form
-    rng = random.Random(17)
-    for _ in range(20):
-        rows = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(rng.randint(1, 30))]
-        array_form = intcore._hermite_rows(intcore.Rows(intcore.as_array(rows)))
-        assert tuple(map(tuple, array_form)) == hermite_normal_form(rows)
+def certificate_past_62_bits():
+    """``U = I + 2**70 E_02``, its inverse ``V`` and ``M = V D V^T`` at n = 20.
+
+    ``U M U^T = D`` with ``U V = I``, and ``U``, ``V`` and ``M`` hold entries
+    past 62 bits, so every product of the certificate runs on Python ints.
+    (``E_01`` would keep ``M = D``: it is a transvection of the first block.)
+    """
+    n, big = 20, 2 ** 70
+    u = [[int(i == j) + big * ((i, j) == (0, 2)) for j in range(n)] for i in range(n)]
+    v = [[int(i == j) - big * ((i, j) == (0, 2)) for j in range(n)] for i in range(n)]
+    blocks = (1, 1, 2, 2, 6)
+    d = [list(r) for r in NormalForm(u, blocks, v).D]
+    vd = [[sum(v[i][k] * d[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    m = [[sum(vd[i][k] * v[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+    return u, v, m, blocks
+
+
+def _bumped(rows, i, j, pair=False):
+    """A copy of ``rows`` with entry ``(i, j)`` raised by 1, and ``(j, i)`` lowered if ``pair``."""
+    out = [list(r) for r in rows]
+    out[i][j] += 1
+    if pair:
+        out[j][i] -= 1
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [INT64, LISTS], ids=["int64", "lists"])
+def test_certificate_is_exact_past_62_bits(cutoff, monkeypatch):
+    monkeypatch.setattr(traintrack, "INT64_MIN_ROWS", cutoff)
+    u, v, m, blocks = certificate_past_62_bits()
+    assert intcore.as_array(u).dtype == object and intcore.as_array(m).dtype == object
+    assert certify_normal_form(NormalForm(u, blocks, v), m)
+    for i, j in [(0, 2), (2, 0), (0, 5), (7, 3), (19, 19)]:
+        assert not certify_normal_form(NormalForm(_bumped(u, i, j), blocks, v), m)
+        assert not certify_normal_form(NormalForm(u, blocks, _bumped(v, i, j)), m)
+    for i, j in [(0, 1), (0, 3), (2, 5), (10, 11), (18, 19)]:
+        assert not certify_normal_form(NormalForm(u, blocks, v), _bumped(m, i, j, pair=True))
 
 
 def reference_combine(coeffs, basis):

@@ -8,7 +8,7 @@ import pytest
 from trackforms import from_triangulation, representation, standard_triangulation
 from trackforms.algebra import BalancedAlgebra, frobenius, omega_candidates, phase_eval
 from trackforms.cli import main
-from trackforms.lattice import _combine
+from trackforms.lattice import NormalForm, _combine, skew_normal_form
 from trackforms.representation import (
     FROBENIUS_SAMPLES,
     SCALAR_SAMPLES,
@@ -245,6 +245,20 @@ def test_spec_validation_rejects_bad_h():
     spec.h[0] *= cmath.exp(0.3j)
     with pytest.raises(RepresentationError):
         spec.validate()
+
+
+def test_symplectic_basis_refuses_an_uncertified_normal_form(monkeypatch):
+    # Doubling a kernel row keeps U M U^T = D and the blocks, but det U = 2:
+    # the gammas would span a sublattice, which no later check would notice.
+    def doubled_last_row(m):
+        nf = skew_normal_form(m)
+        return NormalForm(nf.U[:-1] + (tuple(2 * x for x in nf.U[-1]),), nf.blocks, nf.V)
+
+    track = from_triangulation(standard_triangulation(1, 2))
+    representation.symplectic_basis(track)
+    monkeypatch.setattr(representation, "skew_normal_form", doubled_last_row)
+    with pytest.raises(RepresentationError, match="certificate"):
+        representation.symplectic_basis(track)
 
 
 def test_spec_validation_rejects_even_n():
