@@ -39,10 +39,10 @@ product of a p-term element by a q-term element forms the germ images
 ``T b`` of the q right-hand weight systems once, as one scatter over the
 germ pairs, and then all p*q doubled phases ``a . T b`` as one product
 (``intcore.doubled_pairings``).  The product goes through
-``intcore.matmul``, on int64 while a bit bound allows and on Python ints
-otherwise, so no phase ever wraps.  The keys ``a + b`` are one broadcast
-sum, and one loop over the term pairs adds the coefficient products into
-polynomials that the element constructor reduces.
+``intcore.matmul``, on float64 BLAS while a bit bound keeps it exact and on
+Python ints otherwise, so no phase ever wraps or rounds.  The keys ``a + b``
+are one broadcast sum, and one loop over the term pairs adds the coefficient
+products into polynomials that the element constructor reduces.
 
 Chebyshev utilities
 -------------------

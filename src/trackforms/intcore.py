@@ -1,4 +1,4 @@
-"""The exact integer stages on machine words: numpy int64 arrays, never wrapping.
+"""The exact integer stages on machine words: numpy arrays, never wrapping.
 
 Four stages send matrices of ``traintrack.INT64_MIN_ROWS`` rows or more
 here: the integer kernel (the elimination basis), the skew normal form and
@@ -8,12 +8,20 @@ cost more than it saves.  The kernel and the normal form take the same steps
 as their list counterparts (same pivots, quotients and swaps), so the
 results are identical; the certificate and theta are exact products.
 
-numpy's int64 arithmetic wraps silently on overflow.  Each routine keeps an
-upper bound on the bit length of what an update can produce, and no int64
-value it computes, intermediates included, reaches ``2**WORD_BITS``.  When a
-bound would fail, the entries are measured again; if they really are that
-large, the arrays widen to dtype ``object`` (Python ints) and the same numpy
-code carries on exactly.
+The kernel and the normal form run on int64 arrays.  numpy's int64
+arithmetic wraps silently on overflow, so each routine keeps an upper bound
+on the bit length of what an update can produce, and no int64 value it
+computes, intermediates included, reaches ``2**WORD_BITS``.  When a bound
+would fail, the entries are measured again; if they really are that large,
+the arrays widen to dtype ``object`` (Python ints) and the same numpy code
+carries on exactly.  A normal-form step permutes ``M``, ``U`` and ``V`` once
+(the list code's up to three swaps) and clears its pair of rows and columns
+by rank-2 products.
+
+Products (``matmul``) have two tiers.  While the bit bound of a product
+stays within ``FLOAT_BITS = 53`` it runs on float64 BLAS, where every
+partial sum is an integer the significand holds exactly, and comes back as
+int64; past it, it runs on Python-int ``object`` arrays.
 
 This module imports numpy, so ``lattice`` and ``traintrack`` import it only
 when a matrix is large enough to need it, and ``algebra`` at its first
@@ -30,6 +38,8 @@ from .traintrack import IntegralityViolation
 
 # Every int64 value computed here, intermediates included, is below 2**WORD_BITS.
 WORD_BITS = 62
+# A float64 significand holds every integer below 2**FLOAT_BITS exactly.
+FLOAT_BITS = 53
 
 
 # --- arrays and bit bounds -------------------------------------------------
@@ -116,9 +126,15 @@ class Rows:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact ``a @ b``: int64 when the bound allows, Python ints otherwise."""
-    if max_bits(a) + max_bits(b) + a.shape[1].bit_length() <= WORD_BITS:
-        return a.astype(np.int64) @ b.astype(np.int64)
+    """Exact ``a @ b``: float64 BLAS when the bound allows, Python ints otherwise.
+
+    Every product of entries is below ``2**(max_bits(a) + max_bits(b))`` and
+    there are ``k`` of them per entry, so within ``FLOAT_BITS`` every partial
+    sum is an integer that float64 holds exactly, whatever order BLAS adds in.
+    The result comes back as int64.
+    """
+    if max_bits(a) + max_bits(b) + a.shape[1].bit_length() <= FLOAT_BITS:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     return a.astype(object) @ b.astype(object)
 
 
@@ -164,12 +180,14 @@ def integer_kernel(matrix) -> list[list[int]]:
 def skew_normal_form(matrix):
     """``lattice.skew_normal_form`` on arrays: the same pivots, ``U``, ``V`` and blocks.
 
-    Returns ``(U, blocks, V)`` as tuples of Python ints.  The clearing sweep
-    of pair ``(t, t+1)`` is one congruence by ``I + Q``, where ``Q`` is zero
-    outside columns ``t, t+1`` of rows ``t+2`` onward and holds the quotients
-    of rows ``t, t+1``.  Its elementary factors commute (``Q @ Q = 0``), so
-    one rank-2 row update and one rank-2 column update of ``M`` give what the
-    list code gets one entry at a time, and ``V`` takes ``V (I - Q)``.
+    Returns ``(U, blocks, V)`` as tuples of Python ints.  The swaps that
+    bring a step's pivot to ``(t, t+1)`` are one permutation of ``M``, ``U``
+    and ``V``.  The clearing sweep of pair ``(t, t+1)`` is one congruence by
+    ``I + Q``, where ``Q`` is zero outside columns ``t, t+1`` of rows ``t+2``
+    onward and holds the quotients of rows ``t, t+1``.  Its elementary
+    factors commute (``Q @ Q = 0``), so the rank-2 products
+    ``Q M[t:t+2]`` and ``M[:, t:t+2] Q^T`` give what the list code gets one
+    entry at a time, ``U`` takes ``Q U[t:t+2]`` and ``V`` takes ``V (I - Q)``.
     Before each update, a bound on the bit lengths of ``M``, ``U`` and ``V``
     is raised by what the update can add.
     """
@@ -198,13 +216,6 @@ def skew_normal_form(matrix):
         else:
             bounds = need
 
-    def swap(i, j):
-        if i != j:
-            m[[i, j]] = m[[j, i]]
-            m[:, [i, j]] = m[:, [j, i]]
-            u[[i, j]] = u[[j, i]]
-            v[:, [i, j]] = v[:, [j, i]]
-
     blocks = []
     t = 0
     while t + 1 < n:
@@ -214,31 +225,28 @@ def skew_normal_form(matrix):
             break
         k = live[np.argmin(abs(s.ravel()[live]))]  # first minimum in row-major order
         i, j = t + k // (n - t), t + k % (n - t)
-        if i != t:
-            swap(t, i)
-            if j == t:
-                j = i
-        if j != t + 1:
-            swap(t + 1, j)
-        if m[t, t + 1] < 0:
-            swap(t, t + 1)
+        # The list code's swaps as one permutation: the pivot's row and column
+        # move to t and t + 1, ordered so that M[t, t+1] > 0, and the rows and
+        # columns they displace move to where the pivot's were.
+        dst = [t, t + 1] + [x for x in (i, j) if x > t + 1]
+        src = ([i, j] if m[i, j] > 0 else [j, i]) + [x for x in (t, t + 1) if x not in (i, j)]
+        if dst != src:
+            m[dst] = m[src]
+            m[:, dst] = m[:, src]
+            u[dst] = u[src]
+            v[:, dst] = v[:, src]
         p = int(m[t, t + 1])
 
-        q0 = m[t + 1, t + 2:] // p     # Q[c, t]
-        q1 = -(m[t, t + 2:] // p)      # Q[c, t + 1]
-        rows = np.flatnonzero((q0 != 0) | (q1 != 0))
-        if rows.size:  # only the rows c with a non-zero quotient move
-            q0, q1 = q0[rows], q1[rows]
-            qb = max(max_bits(q0), max_bits(q1))
+        q = np.stack((m[t + 1, t + 2:] // p, -(m[t, t + 2:] // p)), axis=1)  # Q[t+2:, t:t+2]
+        if q.any():
+            qb = max_bits(q)
             guard(lambda mb, ub, vb: (mb + 2 * qb + 4, ub + qb + 2, vb + qb + n_bits + 1))
             if bounds is None:
-                q0, q1 = q0.astype(object), q1.astype(object)
-            c = t + 2 + rows
-            m[c, t:] += np.outer(q0, m[t, t:]) + np.outer(q1, m[t + 1, t:])
-            m[t:, c] += np.outer(m[t:, t], q0) + np.outer(m[t:, t + 1], q1)
-            u[c] += np.outer(q0, u[t]) + np.outer(q1, u[t + 1])
-            v[:, t] -= v[:, c] @ q0
-            v[:, t + 1] -= v[:, c] @ q1
+                q = q.astype(object)
+            m[t + 2:, t:] += q @ m[t:t + 2, t:]
+            m[t:, t + 2:] += m[t:, t:t + 2] @ q.T
+            u[t + 2:] += q @ u[t:t + 2]
+            v[:, t:t + 2] -= v[:, t + 2:] @ q
         if m[t, t + 2:].any() or m[t + 1, t + 2:].any():
             continue
 
@@ -257,15 +265,21 @@ def skew_normal_form(matrix):
     return _tuples(u), tuple(blocks), _tuples(v)
 
 
-def certifies(u, v, m, d) -> bool:
+def certifies(u, v, m, blocks) -> bool:
     """Whether ``U M U^T == D`` and ``U V == I`` hold exactly (square, same size).
 
-    Both sides are exact guarded products (``matmul``): int64 while the bit
-    bound allows, Python ints past it, so entries of any size are checked.
+    ``D`` holds the ``(0 d; -d 0)`` blocks down the diagonal, on Python ints
+    if a block needs them, and needs ``2 len(blocks) <= len(u)``.  Both
+    products are exact (``matmul``), so entries of any size are checked.
     """
-    u, v, m, d = (as_array(x) for x in (u, v, m, d))
+    u, v, m = (as_array(x) for x in (u, v, m))
+    n = len(u)
+    b = as_array([blocks])[0] if blocks else np.zeros(0, dtype=np.int64)
+    d = np.zeros((n, n), dtype=b.dtype)
+    k = np.arange(0, 2 * len(b), 2)
+    d[k, k + 1], d[k + 1, k] = b, -b
     return (np.array_equal(matmul(matmul(u, m), u.T), d)
-            and np.array_equal(matmul(u, v), np.eye(len(u), dtype=np.int64)))
+            and np.array_equal(matmul(u, v), np.eye(n, dtype=np.int64)))
 
 
 # --- the intersection form -------------------------------------------------

@@ -305,23 +305,25 @@ def certify_normal_form(nf: NormalForm, matrix) -> bool:
 
     ``U V = I`` with integer ``V`` makes ``det U`` a unit, so ``|det U| = 1``.
     Below ``INT64_MIN_ROWS`` rows the products are Python-int row dot
-    products; from there on they are guarded int64 products, on Python ints
-    past 62 bits.  Entries that are not exact integers raise ``ValueError``.
+    products, compared with the blocks and unit rows directly; from there on
+    they are ``intcore.matmul`` products, on float64 BLAS within 53 bits and
+    on Python ints past them.  Entries that are not exact integers raise
+    ``ValueError``.
     """
     n = len(nf.U)
-    if not len(nf.V) == len(matrix) == n or any(
+    if not len(nf.V) == len(matrix) == n or 2 * len(nf.blocks) > n or any(
             len(r) != n for rows in (nf.U, nf.V, matrix) for r in rows):
         return False
     if _int64(n):
         from . import intcore
-        if not intcore.certifies(nf.U, nf.V, matrix, nf.D):
+        if not intcore.certifies(nf.U, nf.V, matrix, nf.blocks):
             return False
     else:
         # U M U^T = (U M) U^T, and the rows of M^T and V^T are zip(*M), zip(*V)
         u, v, m = _exact(nf.U), _exact(nf.V), _exact(matrix)
-        if _row_dots(_row_dots(u, zip(*m)), u) != list(nf.D):
+        if not _is_blocks(_row_dots(_row_dots(u, zip(*m)), u), nf.blocks):
             return False
-        if _row_dots(u, zip(*v)) != [tuple(r) for r in identity_matrix(n)]:
+        if not _is_identity(_row_dots(u, zip(*v))):
             return False
     return (all(d > 0 for d in nf.blocks)
             and all(b % a == 0 for a, b in zip(nf.blocks, nf.blocks[1:])))
@@ -331,6 +333,25 @@ def _row_dots(a, b) -> list[tuple[int, ...]]:
     """``a @ b^T`` over Python ints: every row of ``a`` dotted with every row of ``b``."""
     b = list(b)
     return [tuple([sum(map(operator.mul, r, s)) for s in b]) for r in a]
+
+
+def _is_blocks(rows, blocks) -> bool:
+    """Whether ``rows`` is ``D`` of the non-zero ``blocks`` (zero blocks are refused)."""
+    n = len(rows)
+    for k, d in enumerate(blocks):
+        top, bottom = rows[2 * k], rows[2 * k + 1]
+        if (top[2 * k + 1] != d or bottom[2 * k] != -d
+                or top.count(0) != n - 1 or bottom.count(0) != n - 1):
+            return False
+    return not any(map(any, rows[2 * len(blocks):]))
+
+
+def _is_identity(rows) -> bool:
+    n = len(rows)
+    for i, row in enumerate(rows):
+        if row[i] != 1 or row.count(0) != n - 1:
+            return False
+    return True
 
 
 def kernel_basis(matrix) -> list[tuple[int, ...]]:

@@ -34,8 +34,8 @@ built once with the track, each adding ``+1`` at ``T[right][left]`` and
 ``-1`` at ``T[left][right]``.  Over the rows of a basis ``B``,
 ``theta_matrix = B T B^T / 2``: the image ``T b`` of each basis vector is
 formed once and dotted with the support of the others.  Arithmetic is exact:
-Python integers, or from ``INT64_MIN_ROWS`` basis vectors on, one guarded
-int64 product in ``intcore``.
+Python integers, or from ``INT64_MIN_ROWS`` basis vectors on, one exact
+product in ``intcore`` (float64 BLAS while its bit bound is within 53).
 
 The track of a triangulation
 ----------------------------
@@ -61,11 +61,11 @@ Dart = tuple[int, int]
 # Four stages fork here: the integer kernel (its elimination basis), theta,
 # the skew normal form and its certificate.  Matrices with fewer rows
 # stay on Python-int lists, where numpy's per-call dispatch costs more than
-# it saves; from here on they run on int64 arrays (``intcore``), which give
+# it saves; from here on they run on numpy arrays (``intcore``), which give
 # the same results.  Measured crossovers on standard triangulations: the
 # kernel at 21 switch rows (42 branches), the normal form at 18 to 21 rows,
-# theta at 15 basis vectors, but the certificate already at 6 to 9 rows (at n = 9,
-# lists 170-180 us against int64 75-90 us), so it would gain from a cutoff
+# theta at 15 basis vectors, but the certificate already at 6 rows (at n = 9,
+# lists 146-153 us against arrays 68-84 us), so it would gain from a cutoff
 # of its own.  ``lattice.hermite_normal_form`` (so the Hermite form of the
 # weight-lattice basis) and ``lattice._combine`` run on lists at every size.
 INT64_MIN_ROWS = 20

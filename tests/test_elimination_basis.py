@@ -15,6 +15,7 @@ import pytest
 from trackforms import (
     StructureReport,
     TrackError,
+    from_switch_sums,
     from_triangulation,
     puncture_weight,
     regions,
@@ -27,9 +28,7 @@ from trackforms import (
 from trackforms.lattice import (
     _combine,
     certify_normal_form,
-    hermite_normal_form,
     integer_kernel,
-    integer_kernel_basis,
     lattice_equal,
     predicted_blocks,
 )
@@ -84,13 +83,54 @@ def large_tracks():
     return tracks
 
 
+def gf2_kernel(rows, n) -> list[list[int]]:
+    """0/1 lifts of a basis of the kernel over GF(2) of the 0/1 ``rows`` (length ``n``)."""
+    pivots = {}  # pivot column -> reduced row, as a bit mask
+    for row in rows:
+        mask = sum(1 << c for c, x in enumerate(row) if x % 2)
+        for c, r in pivots.items():
+            if mask >> c & 1:
+                mask ^= r
+        if mask:
+            c = mask.bit_length() - 1
+            for d, r in pivots.items():
+                if r >> c & 1:
+                    pivots[d] = r ^ mask
+            pivots[c] = mask
+    basis = []
+    for free in sorted(set(range(n)) - set(pivots)):
+        v = [0] * n
+        v[free] = 1
+        for c, r in pivots.items():
+            v[c] = r >> free & 1
+        basis.append(v)
+    return basis
+
+
+def switch_sum_lattice(track) -> list[tuple[int, ...]]:
+    """Generators of the weight lattice of a triangulation track, from its edges.
+
+    A weight system is ``from_switch_sums`` of the edge vectors ``k`` whose
+    sum around every triangle is even: the lifts of a GF(2) kernel basis of
+    the triangle-edge incidence matrix and ``2 e_i`` for every edge span them.
+    """
+    tri = track.tri
+    incidence = [[0] * tri.edge_count for _ in range(tri.triangle_count)]
+    for t in range(tri.triangle_count):
+        for j in range(3):
+            incidence[t][tri.edge_of[(t, j)]] += 1
+    sums = gf2_kernel(incidence, tri.edge_count)
+    sums += [[2 * (i == e) for i in range(tri.edge_count)] for e in range(tri.edge_count)]
+    return [from_switch_sums(track, k) for k in sums]
+
+
 def test_hermite_form_of_the_elimination_basis_is_the_canonical_basis(grid_tracks, large_tracks):
     tracks = list(grid_tracks.values()) + [
         large_tracks[k] for k in ("fan(16, 4)", "fan(0, 30)", "flipped(16,4)x1000")]
     for track in tracks:
         a = switch_matrix(track)
         kernel = integer_kernel(a)
-        assert [list(r) for r in hermite_normal_form(kernel)] == integer_kernel_basis(a)
+        assert lattice_equal(kernel, switch_sum_lattice(track))
         assert all(sum(map(operator.mul, row, v)) == 0 for row in a for v in kernel)
 
 

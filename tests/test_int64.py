@@ -7,6 +7,7 @@ the same basis, theta matrix, ``U``, ``V``, blocks and verdicts.
 
 import random
 
+import numpy as np
 import pytest
 
 from trackforms import (
@@ -141,7 +142,7 @@ def test_elimination_kernels_agree(grid_tracks, monkeypatch):
         assert all(type(x) is int for row in results[0] for x in row)
 
 
-def certificate_past_62_bits():
+def certificate_past_62_bits(blocks):
     """``U = I + 2**70 E_02``, its inverse ``V`` and ``M = V D V^T`` at n = 20.
 
     ``U M U^T = D`` with ``U V = I``, and ``U``, ``V`` and ``M`` hold entries
@@ -151,11 +152,10 @@ def certificate_past_62_bits():
     n, big = 20, 2 ** 70
     u = [[int(i == j) + big * ((i, j) == (0, 2)) for j in range(n)] for i in range(n)]
     v = [[int(i == j) - big * ((i, j) == (0, 2)) for j in range(n)] for i in range(n)]
-    blocks = (1, 1, 2, 2, 6)
     d = [list(r) for r in NormalForm(u, blocks, v).D]
     vd = [[sum(v[i][k] * d[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     m = [[sum(vd[i][k] * v[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
-    return u, v, m, blocks
+    return u, v, m
 
 
 def _bumped(rows, i, j, pair=False):
@@ -170,14 +170,64 @@ def _bumped(rows, i, j, pair=False):
 @pytest.mark.parametrize("cutoff", [INT64, LISTS], ids=["int64", "lists"])
 def test_certificate_is_exact_past_62_bits(cutoff, monkeypatch):
     monkeypatch.setattr(traintrack, "INT64_MIN_ROWS", cutoff)
-    u, v, m, blocks = certificate_past_62_bits()
+    blocks = (1, 1, 2, 2, 6)
+    u, v, m = certificate_past_62_bits(blocks)
     assert intcore.as_array(u).dtype == object and intcore.as_array(m).dtype == object
     assert certify_normal_form(NormalForm(u, blocks, v), m)
+    # D is built from the blocks: one changed block is refused, a 71-bit one accepted
+    assert not certify_normal_form(NormalForm(u, (1, 1, 2, 2, 12), v), m)
+    assert not certify_normal_form(NormalForm(u, (1, 1, 2, 2), v), m)
+    assert not certify_normal_form(NormalForm(u, (1,) * 11, v), m)  # 22 rows of blocks
+    huge = (1, 1, 2, 2, 2 ** 70)
+    assert certify_normal_form(NormalForm(u, huge, v), certificate_past_62_bits(huge)[2])
     for i, j in [(0, 2), (2, 0), (0, 5), (7, 3), (19, 19)]:
         assert not certify_normal_form(NormalForm(_bumped(u, i, j), blocks, v), m)
         assert not certify_normal_form(NormalForm(u, blocks, _bumped(v, i, j)), m)
     for i, j in [(0, 1), (0, 3), (2, 5), (10, 11), (18, 19)]:
         assert not certify_normal_form(NormalForm(u, blocks, v), _bumped(m, i, j, pair=True))
+
+
+def random_product(rng, bits, k=11):
+    """``a`` (5 x k) and ``b`` (k x 7) whose ``matmul`` bound is exactly ``bits``.
+
+    The bound is ``max_bits(a) + max_bits(b) + bits(k)``.  Row 0 of ``a`` and
+    column 0 of ``b`` hold the largest entries with one sign, so entry
+    ``(0, 0)`` of the product is close to the bound.
+    """
+    ab = (bits - k.bit_length()) // 2
+    bb = bits - k.bit_length() - ab
+    a = [[rng.randint(-2 ** ab + 1, 2 ** ab - 1) for _ in range(k)] for _ in range(5)]
+    b = [[rng.randint(-2 ** bb + 1, 2 ** bb - 1) for _ in range(7)] for _ in range(k)]
+    a[0] = [2 ** ab - 1 - 2 * c for c in range(k)]
+    for c in range(k):
+        b[c][0] = 2 ** bb - 1 - 2 * c
+    a, b = intcore.as_array(a), intcore.as_array(b)
+    assert intcore.max_bits(a) + intcore.max_bits(b) + k.bit_length() == bits
+    return a, b
+
+
+@pytest.mark.parametrize("bits", [52, 53, 54, 62, 63])
+def test_matmul_is_exact_on_both_sides_of_the_float_bound(bits):
+    rng = random.Random(bits)
+    for _ in range(3):
+        a, b = random_product(rng, bits)
+        exact = a.astype(object) @ b.astype(object)
+        product = intcore.matmul(a, b)
+        assert product.tolist() == exact.tolist()
+        # float64 BLAS up to its 53-bit significand, Python ints past it
+        assert product.dtype == (np.int64 if bits <= 53 else object)
+    assert abs(int(exact[0, 0])).bit_length() >= bits - 2  # near the bound, not far below
+
+
+def test_matmul_small_object_inputs_and_empty_products():
+    a = np.array([[1, -2], [3, 4]], dtype=object)
+    assert intcore.matmul(a, a).tolist() == [[-5, -10], [15, 10]]
+    assert intcore.matmul(a, a).dtype == np.int64
+    empty = intcore.matmul(np.zeros((3, 0), dtype=np.int64), np.zeros((0, 4), dtype=np.int64))
+    assert empty.tolist() == [[0] * 4] * 3
+    # 2**54 + 2**28 + 1 needs 55 bits: float64 would round it to 2**54 + 2**28
+    x = np.array([[2 ** 27 + 1]], dtype=np.int64)
+    assert intcore.matmul(x, x).tolist() == [[(2 ** 27 + 1) ** 2]]
 
 
 def reference_combine(coeffs, basis):
