@@ -56,7 +56,6 @@ determinant 2x2 matrices.  ``solve_chebyshev`` returns all n solutions of
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -130,11 +129,31 @@ def omega_candidate(N: int, epsilon: int | None = None, index: int = 0) -> Algeb
 
     The exponents k < 4N coprime to N number 4 phi(N).  N is odd, so k -> k + N
     (mod 4N) flips the parity of k, which is the sign epsilon, and keeps
-    gcd(k, N): each epsilon has half of them.  The walk stops at the chosen k.
+    gcd(k, N): each epsilon has half of them.  ``count(x)``, the number of
+    candidates below x, is an inclusion-exclusion over the squarefree divisors
+    D of N: the multiples of D below x, or with epsilon those of one parity,
+    the k = D p (mod 2D) for the parity p.  The chosen k is the least with
+    ``count(k + 1) > index % count(4N)``, found by binary search.
     """
-    exponents = _root_exponents(N, epsilon)  # rejects N < 1 before phi(N)
-    skip = index % ((4 if epsilon is None else 2) * _totient(N))
-    return AlgebraParams(N, next(itertools.islice(exponents, skip, None)))
+    _check_candidate_filter(N, epsilon)
+    divisors = [(1, 1)]  # (Moebius sign, squarefree divisor)
+    for p in _prime_factors(N):
+        divisors += [(-sign, d * p) for sign, d in divisors]
+    step, parity = (1, 0) if epsilon is None else (2, 0 if epsilon == 1 else 1)
+
+    def count(x: int) -> int:
+        return sum(sign * ((x - d * parity + d * step - 1) // (d * step))
+                   for sign, d in divisors)
+
+    skip = index % count(4 * N)
+    lo, hi = 0, 4 * N - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if count(mid + 1) > skip:
+            hi = mid
+        else:
+            lo = mid + 1
+    return AlgebraParams(N, lo)
 
 
 def _root_exponents(N: int, epsilon):
@@ -151,17 +170,17 @@ def _check_candidate_filter(N: int, epsilon) -> None:
         raise ValueError(f"epsilon must be 1 or -1, got {epsilon}")
 
 
-def _totient(n: int) -> int:
-    """Euler's phi by trial division."""
-    out, p = n, 2
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes of n by trial division."""
+    out, p = [], 2
     while p * p <= n:
         if n % p == 0:
+            out.append(p)
             while n % p == 0:
                 n //= p
-            out -= out // p
         p += 1
     if n > 1:
-        out -= out // n
+        out.append(n)
     return out
 
 

@@ -5,35 +5,70 @@ Construction
 ``symplectic_basis`` block-diagonalizes the intersection form over the weight
 lattice, certifies that normal form, and returns basis pairs
 ``(alpha_i, beta_i)`` with ``theta(alpha_i, beta_i) = d_i`` in {1, 2} (d = 1
-pairs first) plus the puncture weight systems, which span the kernel.  Given a value of ``zeta`` on
-every basis vector and scalars ``h_k`` with ``h_k^N = zeta(eta_k)``, the
-representation is a tensor product of N-dimensional factors
+pairs first) plus the puncture weight systems, which span the kernel.  Given a
+value of ``zeta`` on every basis vector and scalars ``h_k`` with
+``h_k^N = zeta(eta_k)``, the representation is a tensor product of
+N-dimensional factors, one per pair,
 
-    X_i v_j = zeta(alpha_i)^(1/N) q^(d_i (j+1)) v_j,
-    Y_i v_j = zeta(beta_i)^(1/N) v_{j+1}      (indices mod N),
+    X_i = za_i C_i,   C_i v_j = q^(d_i (j+1)) v_j,
+    Y_i = zb_i S_i,   S_i v_j = v_{j+1}            (indices mod N),
 
-one factor per pair, with ``Z_{eta_k}`` acting by ``h_k``.  The dimension is
-``N^(3g+s-3)`` and the factor relations are ``X_i Y_i = q^(d_i) Y_i X_i``.
-Every generator, and so every ``rho(Z_w)``, has one non-zero entry per
-column: it is stored as a length-d ``Monomial``, not as a dense matrix.
+with ``za_i = zeta(alpha_i)^(1/N)``, ``zb_i = zeta(beta_i)^(1/N)`` and
+``Z_{eta_k}`` acting by ``h_k``.  The dimension is ``N^(3g+s-3)`` and the
+factor relations are ``C_i S_i = q^(d_i) S_i C_i``.
 
-Monomial evaluation decomposes a weight system over the basis,
-``w = sum_u m_u gamma_u``.  The coefficients are read off the block form:
+Symbols
+-------
+Each generator is a scalar times a clock ``C_i`` or a shift ``S_i``, so every
+``rho(Z_w)`` is a scalar times ``prod_i C_i^(a_i) S_i^(b_i)``, an element of
+a finite Heisenberg group (Weyl 1931; Bonahon-Liu 2007).  It is stored as its
+*symbol*: integer vectors ``a``, ``b`` (one entry per pair) and ``e`` (one
+per puncture) and a phase exponent ``k`` modulo 4N, which stand for
+
+    omega^k prod_i za_i^(a_i) zb_i^(b_i) prod_k h_k^(e_k) . prod_i C_i^(a_i) S_i^(b_i).
+
+A symbol holds O(m) integers whatever the dimension ``N^m``:
+
+* From coefficients.  ``w = sum_u m_u gamma_u`` acts by the reordering phase
+  ``omega^(-2 sum_{u<v} m_u m_v theta(gamma_u, gamma_v))`` times the ordered
+  product of generator powers.  The form is block-diagonal on the pairs, so
+  for ``m = (a, b, e)`` this is the symbol ``(a, b, e, -2 sum_i d_i a_i b_i)``.
+* Product.  ``S_i^b C_i^a' = q^(-d_i a' b) C_i^a' S_i^b``: the exponents add
+  and ``k += -4 sum_i d_i a'_i b_i``.
+* Power.  ``x^n = (n a, n b, n e, n k - 4 sum_i d_i a_i b_i . n(n-1)/2)`` for
+  every integer ``n``, negative ones included.
+* Equality and deviation.  ``C^a S^b`` and ``C^a' S^b'`` are the same
+  operator exactly when ``a_i = a'_i`` modulo ``N / gcd(N, d_i)`` and
+  ``b_i = b'_i`` modulo ``N`` for every ``i``; the largest entry of
+  ``|A - B|`` is then ``|s_A - s_B|`` for the evaluated scalars ``s``.  If
+  ``b`` differs the two operators have disjoint supports and it is
+  ``max(|s_A|, |s_B|)``.  If only ``a`` differs it is the largest
+  ``|s_A - s_B q^t|`` over the ``t`` of the subgroup of Z/N generated by
+  the ``d_i (a_i - a'_i)``.
+
+A scalar is evaluated as the product of the generators' own floating-point
+values, ``omega^k`` times the ``za_i ** a_i``, ``zb_i ** b_i`` and
+``h_k ** e_k``, so the checks measure the float error of the principal roots.
+Only ``commutant_dimension`` works on matrices: the N x N ``factors``.
+
+Decomposition
+-------------
+``decompose`` reads the coefficients of a weight system off the block form:
 ``a_i = theta(w, beta_i) / d_i`` and ``b_i = theta(alpha_i, w) / d_i``, each
 a dot product of ``w`` with a germ image ``T beta_i`` or ``-T alpha_i``
-formed once per representation.  The puncture coefficients are the values
-of the remainder on the disjoint supports of the etas.  It then applies the
-exact reordering phase
-
-    rho(Z_w) = omega^(-2 sum_{u<v} m_u m_v theta(gamma_u, gamma_v))
-               prod_u rho(Z_{gamma_u})^(m_u),
-
-which is independent of the basis ordering.  The resulting scalar of
+formed once per representation.  The puncture coefficients are the values of
+the remainder on the disjoint supports of the etas.  The scalar of
 ``rho(Z_w^N)`` is ``central_character(w)``: the product of the
-``zeta(gamma_u)^(m_u)`` times ``epsilon`` raised to the same pairing sum.
-When ``epsilon = +1`` (and always on basis vectors) this is just the
-multiplicative extension of ``zeta``; when ``epsilon = -1`` the quadratic
-sign is genuinely there, as a direct matrix-power computation confirms.
+``zeta(gamma_u)^(m_u)`` times ``epsilon`` raised to the pairing sum
+``sum_i d_i a_i b_i``.  When ``epsilon = +1`` (and always on basis vectors)
+this is just the multiplicative extension of ``zeta``; when
+``epsilon = -1`` the quadratic sign is genuinely there, as a direct
+matrix-power computation confirms.
+
+``verify`` and ``frobenius_compat`` draw coefficient vectors, build each
+sample's weight system once, and check that ``decompose`` recovers the drawn
+coefficients and that the Frobenius image of ``Z_w`` is exactly ``Z_(N w)``.
+From there they work on the coefficients ``c`` and ``N c``.
 
 N-th roots ``zeta^(1/N)`` use the principal branch; any other choice gives an
 isomorphic representation.
@@ -42,27 +77,27 @@ isomorphic representation.
 from __future__ import annotations
 
 import cmath
+import math
 import operator
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
-from .algebra import AlgebraElement, BalancedAlgebra, frobenius, phase_eval, solve_chebyshev
+from .algebra import BalancedAlgebra, frobenius, solve_chebyshev
 from .lattice import _combine, certify_normal_form, skew_normal_form
 from .traintrack import TriangulationTrack, germ_image, halved, is_weight_system, puncture_weights
 from .traintrack import theta_matrix, weight_lattice_basis
 from .traintrack import theta  # not called here; perfbench's tracer counts theta calls at this name
 
 # The h_k^N = zeta(eta_k) tolerance, the relative singular-value cutoff of the
-# commutant rank, the random lattice vectors per central/Frobenius check, and
-# the length-d working operators that the checks hold next to the generators.
+# commutant rank, and the random lattice vectors per central/Frobenius check.
 ROOT_TOL = 1e-9
 SV_CUTOFF = 1e-7
 SCALAR_SAMPLES = 5
 FROBENIUS_SAMPLES = 10
-WORK_OPERATORS = 6
 
 
 class RepresentationError(ValueError):
@@ -136,9 +171,10 @@ class RepresentationSpec:
                     raise RepresentationError(
                         f"basis vectors {i}, {j} pair to {v}, expected {expect}")
         for k, (h_k, z) in enumerate(zip(self.h, self.zeta_etas)):
-            if abs(h_k ** params.N - z) > ROOT_TOL * max(1.0, abs(z)):
+            power = _power(h_k, params.N)
+            if not abs(power - z) <= ROOT_TOL * max(1.0, abs(z)):
                 raise RepresentationError(
-                    f"h[{k}]^N = {h_k ** params.N} differs from zeta(eta_{k}) = {z}")
+                    f"h[{k}]^N = {power} differs from zeta(eta_{k}) = {z}")
         return pairing
 
 
@@ -160,84 +196,110 @@ def _principal_root(z: complex, n: int) -> complex:
     return cmath.exp(cmath.log(z) / n)
 
 
-@dataclass(eq=False)
-class Monomial:
-    """The operator ``e_j -> values[j] e_perm[j]``: one non-zero entry per column."""
+def _power(z: complex, n: int) -> complex:
+    """``z ** n``, or an infinity where the power leaves the range of floats."""
+    try:
+        return z ** n
+    except (OverflowError, ZeroDivisionError):
+        return complex(math.inf)
 
-    perm: np.ndarray
-    values: np.ndarray
 
-    @classmethod
-    def scalar(cls, d: int, c: complex) -> Monomial:
-        return cls(np.arange(d), np.full(d, c, dtype=complex))
+@dataclass(frozen=True)
+class Symbol:
+    """``omega^k prod za^a zb^b h^e . prod_i C_i^(a_i) S_i^(b_i)`` (see the module docstring)."""
 
-    def __matmul__(self, other: Monomial) -> Monomial:
-        return Monomial(self.perm[other.perm], other.values * self.values[other.perm])
-
-    def __rmul__(self, c: complex) -> Monomial:
-        return Monomial(self.perm, c * self.values)
-
-    def __pow__(self, k: int) -> Monomial:
-        if k < 0:
-            inverse = np.empty_like(self.perm)
-            inverse[self.perm] = np.arange(len(inverse))
-            return Monomial(inverse, 1 / self.values[inverse]) ** -k
-        if k <= 1:
-            return self if k else Monomial.scalar(len(self.perm), 1)
-        half = self ** (k // 2)  # repeated squaring
-        return half @ half @ self if k % 2 else half @ half
-
-    def deviation(self, other: Monomial) -> float:
-        """The exact max |A - B| over the entries of the two dense matrices."""
-        apart = np.maximum(np.abs(self.values), np.abs(other.values))
-        same = self.perm == other.perm
-        return float(np.where(same, np.abs(self.values - other.values), apart).max())
-
-    def dense(self) -> np.ndarray:
-        return np.eye(len(self.perm), dtype=complex)[:, self.perm] * self.values
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    e: tuple[int, ...]
+    k: int
 
 
 class Representation:
-    """Monomial operators realizing the algebra on a tensor product of cyclic factors."""
+    """The symbols of a tensor product of cyclic factors realizing the algebra."""
 
     def __init__(self, spec: RepresentationSpec):
         params = spec.algebra.params
         N = params.N
         m = len(spec.basis.pairs)
-        _require_memory(N, m, len(spec.basis.etas))
+        _require_memory(N, m)
         self._theta = spec.validate()
         self.spec = spec
         self.algebra = spec.algebra
         self.params = params
-        self.dim = d = N ** m
-
-        # Index j of the tensor product has digit (j // N^(m-1-i)) % N in factor i.
-        # The X generators share ``index`` as their permutation.
-        index = np.arange(d)
-        self.factors: list[tuple[np.ndarray, np.ndarray]] = []  # (X_i, Y_i)
-        xs, ys = [], []
-        for i, (_, _, d_i) in enumerate(spec.basis.pairs):
-            za = _principal_root(spec.zeta_alphas[i], N)
-            zb = _principal_root(spec.zeta_betas[i], N)
-            diag = np.array([za * params.q ** (d_i * (j + 1)) for j in range(N)], dtype=complex)
-            self.factors.append((np.diag(diag), zb * np.roll(np.eye(N, dtype=complex), 1, axis=0)))
-            stride = N ** (m - 1 - i)
-            digit = index // stride % N
-            xs.append(Monomial(index, diag[digit]))
-            ys.append(Monomial(index + stride * ((digit + 1) % N - digit), np.full(d, zb)))
+        self.dim = N ** m
+        self.d = [d for _, _, d in spec.basis.pairs]
+        # The generators' own values: X_i = za_i C_i, Y_i = zb_i S_i, Z_{eta_k} = h_k.
+        self.za = [_principal_root(z, N) for z in spec.zeta_alphas]
+        self.zb = [_principal_root(z, N) for z in spec.zeta_betas]
+        self.h = list(spec.h)
+        # The N x N factors (X_i, Y_i); only commutant_dimension reads them.
+        self.factors: list[tuple[np.ndarray, np.ndarray]] = [
+            _factor(params, za, zb, d) for za, zb, d in zip(self.za, self.zb, self.d)]
 
         self.gamma_vectors = spec.basis.gamma_vectors
         self.zeta_gamma = list(spec.zeta_alphas) + list(spec.zeta_betas) + list(spec.zeta_etas)
-        self.generators = xs + ys + [Monomial.scalar(d, h) for h in spec.h]  # etas act by scalars
-        # The etas are 0/1 with disjoint supports: each is read at its first 1.
-        self._eta_index = [eta.index(1) for eta in spec.basis.etas]
+        self._zero = (0,) * m
+        self.generators = [self.symbol(row) for row in _unit_rows(len(self.gamma_vectors))]
+        # The etas are 0/1 with disjoint supports: each is read at its first 1,
+        # where the pairs' gammas give the column subtracted from w.
+        pair_gammas = self.gamma_vectors[:2 * m]
+        self._eta_columns = [(k, [g[k] for g in pair_gammas])
+                             for k in (eta.index(1) for eta in spec.basis.etas)]
         # theta(w, beta_i) = w . T beta_i / 2 and theta(alpha_i, w) = w . T(-alpha_i) / 2
         track = spec.algebra.track
         self._pairing_images = (
             [(germ_image(track, beta), d) for _, beta, d in spec.basis.pairs]
             + [(germ_image(track, [-x for x in alpha]), d) for alpha, _, d in spec.basis.pairs])
 
-    # -- evaluation ---------------------------------------------------------
+    # -- symbols ------------------------------------------------------------
+
+    def _pairing(self, a, b) -> int:
+        """``sum_i d_i a_i b_i``, the pairing sum of the form on the pairs."""
+        return sum(map(operator.mul, self.d, map(operator.mul, a, b)))
+
+    def symbol(self, coeffs) -> Symbol:
+        """rho(Z_w) for the coefficients ``(a, b, e)`` of ``w`` over the gammas."""
+        m = len(self.d)
+        a, b, e = tuple(coeffs[:m]), tuple(coeffs[m:2 * m]), tuple(coeffs[2 * m:])
+        return Symbol(a, b, e, -2 * self._pairing(a, b) % self.params.phase_order)
+
+    def product(self, x: Symbol, y: Symbol) -> Symbol:
+        k = x.k + y.k - 4 * self._pairing(y.a, x.b)
+        return Symbol(tuple(map(operator.add, x.a, y.a)), tuple(map(operator.add, x.b, y.b)),
+                      tuple(map(operator.add, x.e, y.e)), k % self.params.phase_order)
+
+    def power(self, x: Symbol, n: int) -> Symbol:
+        k = n * x.k - 2 * n * (n - 1) * self._pairing(x.a, x.b)
+        return Symbol(tuple(n * c for c in x.a), tuple(n * c for c in x.b),
+                      tuple(n * c for c in x.e), k % self.params.phase_order)
+
+    def scalar(self, x: Symbol) -> complex:
+        """The scalar of ``x``: omega^k times the generators' values to their exponents."""
+        value = self.params.root_value(x.k)
+        for values, exponents in ((self.za, x.a), (self.zb, x.b), (self.h, x.e)):
+            for z, c in compress(zip(values, exponents), exponents):
+                value *= _power(z, c)
+        return value
+
+    def deviation(self, x, y) -> float:
+        """The exact largest entry of ``|A - B|``; a side that is a number is that times I."""
+        (ax, bx, sx), (ay, by, sy) = self._parts(x), self._parts(y)
+        if not (cmath.isfinite(sx) and cmath.isfinite(sy)):
+            return math.inf
+        N = self.params.N
+        if bx != by and any((u - v) % N for u, v in zip(bx, by)):
+            return max(abs(sx), abs(sy))
+        step = N if ax == ay else math.gcd(N, *(d * (u - v) for d, u, v in zip(self.d, ax, ay)))
+        if step == N:
+            return abs(sx - sy)
+        return max(abs(sx - sy * self.params.root_value(4 * t)) for t in range(0, N, step))
+
+    def _parts(self, x) -> tuple[tuple[int, ...], tuple[int, ...], complex]:
+        if isinstance(x, Symbol):
+            return x.a, x.b, self.scalar(x)
+        return self._zero, self._zero, complex(x)
+
+    # -- weight systems -----------------------------------------------------
 
     def decompose(self, weights) -> list[int]:
         """Coefficients of ``weights`` over the gammas, read off the block form."""
@@ -245,6 +307,13 @@ class Representation:
         w = tuple(weights)
         if len(w) != track.branch_count or not is_weight_system(track, w):
             raise RepresentationError("input is not a weight system of the track")
+        coeffs = self._coefficients(w)
+        if _combine([coeffs], self.gamma_vectors) != [w]:
+            raise RepresentationError("decomposition failed to reproduce the weight system")
+        return coeffs
+
+    def _coefficients(self, w) -> list[int]:
+        """The coefficients read off the block form, unchecked, for a weight system ``w``."""
         coeffs = []
         for image, d in self._pairing_images:  # d_i a_i, then d_i b_i
             x = halved(sum(map(operator.mul, w, image)))
@@ -253,65 +322,49 @@ class Representation:
                 raise RepresentationError(
                     f"weight system leaves the lattice: pairing {x} is not a multiple of {d}")
             coeffs.append(c)
-        paired, = _combine([coeffs + [0] * len(self._eta_index)], self.gamma_vectors)
-        coeffs += [w[k] - paired[k] for k in self._eta_index]
-        if _combine([coeffs], self.gamma_vectors) != [w]:
-            raise RepresentationError("decomposition failed to reproduce the weight system")
+        coeffs += [w[k] - sum(map(operator.mul, coeffs, column))
+                   for k, column in self._eta_columns]
         return coeffs
 
-    def _pairing_sum(self, coeffs) -> int:
-        total = 0
-        live = [(u, c) for u, c in enumerate(coeffs) if c]
-        for a in range(len(live)):
-            u, cu = live[a]
-            for b in range(a + 1, len(live)):
-                v, cv = live[b]
-                total += cu * cv * self._theta[u][v]
-        return total
-
-    def operator(self, weights) -> Monomial:
-        """rho(Z_w) as a monomial operator."""
-        coeffs = self.decompose(weights)
-        out = Monomial.scalar(self.dim, self.params.root_value(-2 * self._pairing_sum(coeffs)))
-        for gen, c in zip(self.generators, coeffs):
-            if c:
-                out = out @ gen ** c
-        return out
-
-    def evaluate(self, x: AlgebraElement) -> np.ndarray:
-        """The dense matrix of a general element."""
-        self.algebra.require_same(x)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for w, coeff in x.terms.items():
-            out += phase_eval(coeff, self.params) * self.operator(w).dense()
-        return out
+    def operator(self, weights) -> Symbol:
+        """rho(Z_w) as a symbol."""
+        return self.symbol(self.decompose(weights))
 
     def central_character(self, weights) -> complex:
         """The scalar of rho(Z_w^N): the epsilon-twisted multiplicative extension of zeta."""
-        coeffs = self.decompose(weights)
-        value = complex(self.params.epsilon ** (self._pairing_sum(coeffs) % 2))
-        for u, c in enumerate(coeffs):
-            if c:
-                value *= self.zeta_gamma[u] ** c
+        return self._character(self.decompose(weights))
+
+    def _character(self, coeffs) -> complex:
+        m = len(self.d)
+        value = complex(self.params.epsilon ** (self._pairing(coeffs[:m], coeffs[m:2 * m]) % 2))
+        for z, c in compress(zip(self.zeta_gamma, coeffs), coeffs):
+            value *= _power(z, c)
         return value
+
+
+def _factor(params, za: complex, zb: complex, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The N x N matrices of X = za C and Y = zb S for a pair with block value d."""
+    N = params.N
+    clock = np.array([za * params.q ** (d * (j + 1)) for j in range(N)], dtype=complex)
+    return np.diag(clock), zb * np.roll(np.eye(N, dtype=complex), 1, axis=0)
 
 
 def build(spec: RepresentationSpec) -> Representation:
     return Representation(spec)
 
 
-def _require_memory(N: int, m: int, s: int) -> None:
-    """Refuse up front a representation that would exceed physical memory.
+def _require_memory(N: int, m: int) -> None:
+    """Refuse up front a representation whose commutant would exceed physical memory.
 
-    The estimate is the 2m + s generators and the working operators of the
-    checks, each a length-d permutation and complex value vector, plus one
-    factor's 2N^2 x N^2 commutant system and the copy its SVD makes.
+    A symbol holds O(m) integers whatever the dimension N^m.  The largest
+    allocation is one factor's 2N^2 x N^2 commutant system and the copy its
+    SVD makes, 64 N^4 bytes; with no pairs there is no factor.
     """
-    need = 24 * (2 * m + s + WORK_OPERATORS) * N ** m + (64 * N ** 4 if m else 0)
+    need = 64 * N ** 4 if m else 0
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise RepresentationError(
-            f"dimension {N ** m} needs about {need / 2 ** 30:.1f} GiB, "
+            f"N = {N} needs about {need / 2 ** 30:.1f} GiB for the commutant of a factor, "
             f"more than the {have / 2 ** 30:.1f} GiB of physical memory")
 
 
@@ -351,34 +404,53 @@ def commutant_dimension(rep: Representation) -> int:
     return dim
 
 
-def _max_deviation(pairs) -> float:
-    """The largest entry of |A - B| over the (A, B) operator pairs."""
-    return max((a.deviation(b) for a, b in pairs), default=0.0)
+def _max_deviation(rep: Representation, pairs) -> float:
+    """The largest entry of |A - B| over the (A, B) pairs of symbols or scalars."""
+    return max((rep.deviation(a, b) for a, b in pairs), default=0.0)
 
 
-def _random_vectors(rep: Representation, seed: int, count: int) -> list[tuple[int, ...]]:
-    """Seeded lattice vectors with coefficients in [-2, 2] over the gammas."""
+def _unit_rows(n: int) -> list[list[int]]:
+    return [[int(u == v) for v in range(n)] for u in range(n)]
+
+
+def _random_coefficients(rep: Representation, seed: int, count: int) -> list[list[int]]:
+    """Seeded coefficient vectors in [-2, 2] over the gammas."""
     rng = random.Random(seed)
-    gammas = rep.gamma_vectors
-    return _combine([[rng.randint(-2, 2) for _ in gammas] for _ in range(count)], gammas)
+    return [[rng.randint(-2, 2) for _ in rep.gamma_vectors] for _ in range(count)]
+
+
+def _weight_systems(rep: Representation, rows) -> list[tuple[int, ...]]:
+    """The weight systems of coefficient rows, each checked to decompose back to its row."""
+    weights = _combine(rows, rep.gamma_vectors)
+    for row, w in zip(rows, weights):
+        if rep._coefficients(w) != row:
+            raise RepresentationError(f"decompose does not recover the coefficients {row}")
+    return weights
 
 
 def verify(rep: Representation, tol: float = 1e-9, seed: int = 0) -> CheckReport:
     """Commutation phases, N-th power scalars, puncture scalars, irreducibility."""
-    params, d, gens = rep.params, rep.dim, rep.generators
-    N = params.N
-    report = CheckReport(dim=d)
+    params, gens, pairing = rep.params, rep.generators, rep._theta
+    N, order, n = params.N, params.phase_order, len(gens)
+    report = CheckReport(dim=rep.dim)
+
+    def commuted(u, v):  # q^theta(gamma_u, gamma_v) rho(Z_gamma_v) rho(Z_gamma_u)
+        x = rep.product(gens[v], gens[u])
+        return replace(x, k=(x.k + 4 * pairing[u][v]) % order)
+
     report.deviations["commutation"] = _max_deviation(
-        (gu @ gens[v], params.root_value(4 * rep._theta[u][v]) * (gens[v] @ gu))
-        for u, gu in enumerate(gens) for v in range(u + 1, len(gens)))
+        rep, ((rep.product(gens[u], gens[v]), commuted(u, v))
+              for u in range(n) for v in range(u + 1, n)))
     report.deviations["power_scalar"] = _max_deviation(
-        (gu ** N, Monomial.scalar(d, z)) for gu, z in zip(gens, rep.zeta_gamma))
+        rep, ((rep.power(g, N), z) for g, z in zip(gens, rep.zeta_gamma)))
+    etas = _unit_rows(n)[2 * len(rep.d):]
+    _weight_systems(rep, etas)
     report.deviations["puncture_scalar"] = _max_deviation(
-        (rep.operator(eta), Monomial.scalar(d, h))
-        for eta, h in zip(rep.spec.basis.etas, rep.spec.h))
+        rep, ((rep.symbol(row), h) for row, h in zip(etas, rep.spec.h)))
+    samples = _random_coefficients(rep, seed, SCALAR_SAMPLES)
+    _weight_systems(rep, samples)
     report.deviations["central_scalar"] = _max_deviation(
-        (rep.operator(w) ** N, Monomial.scalar(d, rep.central_character(w)))
-        for w in _random_vectors(rep, seed, SCALAR_SAMPLES))
+        rep, ((rep.power(rep.symbol(c), N), rep._character(c)) for c in samples))
     report.commutant_dim = commutant_dimension(rep)
     report.passed = (all(v <= tol for v in report.deviations.values())
                      and report.commutant_dim == 1)
@@ -390,26 +462,28 @@ def frobenius_compat(rep: Representation, tol: float = 1e-9, seed: int = 0) -> C
 
     Basis monomials must act by their plain zeta value; random lattice
     vectors are compared both against the epsilon-twisted character and
-    against the direct N-th power of the monomial.
+    against the N-th power of their symbol.
     """
-    d = rep.dim
-    report = CheckReport(dim=d)
+    N = rep.params.N
+    report = CheckReport(dim=rep.dim)
     iota_algebra = BalancedAlgebra(rep.algebra.track, rep.params.iota_params())
 
-    def lifted(w) -> Monomial:
-        # the Frobenius image of a monomial is one monomial
-        (nw, coeff), = frobenius(iota_algebra.monomial(w), rep.algebra).terms.items()
-        return phase_eval(coeff, rep.params) * rep.operator(nw)
+    def lifted(rows) -> list[Symbol]:
+        # the Frobenius image of Z_w is Z_(N w), whose coefficients are N c
+        for w in _weight_systems(rep, rows):
+            image = frobenius(iota_algebra.monomial(w), rep.algebra)
+            if image.terms != {tuple(N * x for x in w): {0: 1}}:
+                raise RepresentationError("the Frobenius image of Z_w is not Z_(N w)")
+        return [rep.symbol([N * c for c in row]) for row in rows]
 
     report.deviations["basis_character"] = _max_deviation(
-        (lifted(gamma), Monomial.scalar(d, z)) for gamma, z in zip(rep.gamma_vectors, rep.zeta_gamma))
-    dev_char = dev_power = 0.0
-    for w in _random_vectors(rep, seed, FROBENIUS_SAMPLES):
-        op = lifted(w)
-        dev_char = max(dev_char, op.deviation(Monomial.scalar(d, rep.central_character(w))))
-        dev_power = max(dev_power, op.deviation(rep.operator(w) ** rep.params.N))
-    report.deviations["random_character"] = dev_char
-    report.deviations["matrix_power_oracle"] = dev_power
+        rep, zip(lifted(_unit_rows(len(rep.gamma_vectors))), rep.zeta_gamma))
+    samples = _random_coefficients(rep, seed, FROBENIUS_SAMPLES)
+    ops = lifted(samples)
+    report.deviations["random_character"] = _max_deviation(
+        rep, zip(ops, map(rep._character, samples)))
+    report.deviations["matrix_power_oracle"] = _max_deviation(
+        rep, ((op, rep.power(rep.symbol(c), N)) for op, c in zip(ops, samples)))
     report.passed = all(v <= tol for v in report.deviations.values())
     return report
 

@@ -1,0 +1,138 @@
+"""Length-d and dense oracles for representation symbols.
+
+``Monomial(perm, values)`` is the operator ``e_j -> values[j] e_perm[j]``:
+one non-zero entry per column, held as a length-d permutation and a length-d
+complex vector.  ``generators`` builds the 2m + s generators of a
+representation that way, digit by digit of the tensor index, from the
+generators' own values ``rep.za``, ``rep.zb`` and ``rep.h``;
+``reference_generators`` builds them as dense Kronecker products of the N x N
+factors.  Both are independent of the symbol laws in ``representation.py``,
+which the tests check against them.
+"""
+
+import numpy as np
+
+from trackforms import from_triangulation, standard_triangulation
+from trackforms.algebra import BalancedAlgebra, omega_candidates, phase_eval
+from trackforms.representation import build, random_spec
+
+
+def make_rep(g, s, N, epsilon=1, seed=0, omega_index=0):
+    track = from_triangulation(standard_triangulation(g, s))
+    params = omega_candidates(N, epsilon=epsilon)[omega_index]
+    algebra = BalancedAlgebra(track, params)
+    return build(random_spec(algebra, seed=seed))
+
+
+class Monomial:
+    """The operator ``e_j -> values[j] e_perm[j]``: one non-zero entry per column."""
+
+    def __init__(self, perm: np.ndarray, values: np.ndarray):
+        self.perm = perm
+        self.values = values
+
+    @classmethod
+    def scalar(cls, d: int, c: complex) -> "Monomial":
+        return cls(np.arange(d), np.full(d, c, dtype=complex))
+
+    def __matmul__(self, other: "Monomial") -> "Monomial":
+        return Monomial(self.perm[other.perm], other.values * self.values[other.perm])
+
+    def __rmul__(self, c: complex) -> "Monomial":
+        return Monomial(self.perm, c * self.values)
+
+    def __pow__(self, k: int) -> "Monomial":
+        if k < 0:
+            inverse = np.empty_like(self.perm)
+            inverse[self.perm] = np.arange(len(inverse))
+            return Monomial(inverse, 1 / self.values[inverse]) ** -k
+        if k <= 1:
+            return self if k else Monomial.scalar(len(self.perm), 1)
+        half = self ** (k // 2)  # repeated squaring
+        return half @ half @ self if k % 2 else half @ half
+
+    def deviation(self, other: "Monomial") -> float:
+        """The exact max |A - B| over the entries of the two dense matrices."""
+        apart = np.maximum(np.abs(self.values), np.abs(other.values))
+        same = self.perm == other.perm
+        return float(np.where(same, np.abs(self.values - other.values), apart).max())
+
+    def dense(self) -> np.ndarray:
+        return np.eye(len(self.perm), dtype=complex)[:, self.perm] * self.values
+
+
+def generators(rep) -> list[Monomial]:
+    """X_i, Y_i and the eta scalars as length-d monomials.
+
+    Index j of the tensor product has digit (j // N^(m-1-i)) % N in factor i.
+    """
+    N, m, d = rep.params.N, len(rep.d), rep.dim
+    index = np.arange(d)
+    xs, ys = [], []
+    for i, (za, zb, d_i) in enumerate(zip(rep.za, rep.zb, rep.d)):
+        diag = np.array([za * rep.params.q ** (d_i * (j + 1)) for j in range(N)], dtype=complex)
+        stride = N ** (m - 1 - i)
+        digit = index // stride % N
+        xs.append(Monomial(index, diag[digit]))
+        ys.append(Monomial(index + stride * ((digit + 1) % N - digit), np.full(d, zb)))
+    return xs + ys + [Monomial.scalar(d, h) for h in rep.h]
+
+
+def reference_generators(rep):
+    """The dense generators: Kronecker products of the factors, the etas times I."""
+    N, m = rep.params.N, len(rep.factors)
+
+    def embed(factor, position):
+        out = np.eye(1, dtype=complex)
+        for slot in range(m):
+            out = np.kron(out, factor if slot == position else np.eye(N, dtype=complex))
+        return out
+
+    return ([embed(x, i) for i, (x, _) in enumerate(rep.factors)]
+            + [embed(y, i) for i, (_, y) in enumerate(rep.factors)]
+            + [h * np.eye(rep.dim, dtype=complex) for h in rep.h])
+
+
+def symbol_monomial(rep, x, gens) -> Monomial:
+    """A symbol as omega^k times the ordered generator powers X^a Y^b Z_eta^e."""
+    out = Monomial.scalar(rep.dim, rep.params.root_value(x.k))
+    for gen, c in zip(gens, x.a + x.b + x.e):
+        if c:
+            out = out @ gen ** c
+    return out
+
+
+def symbol_dense(rep, x, gens) -> np.ndarray:
+    """A symbol as a dense matrix, from the dense generators ``gens``."""
+    out = rep.params.root_value(x.k) * np.eye(rep.dim, dtype=complex)
+    for gen, c in zip(gens, x.a + x.b + x.e):
+        if c:
+            out = out @ np.linalg.matrix_power(gen, c)
+    return out
+
+
+def reordering_exponent(rep, coeffs) -> int:
+    """-2 sum_{u<v} m_u m_v theta(gamma_u, gamma_v), over the whole validated pairing."""
+    n = len(coeffs)
+    return -2 * sum(coeffs[u] * coeffs[v] * rep._theta[u][v]
+                    for u in range(n) for v in range(u + 1, n))
+
+
+def operator(rep, w, gens) -> Monomial:
+    """rho(Z_w): the reordering phase times the product of generator powers."""
+    coeffs = rep.decompose(w)
+    out = Monomial.scalar(rep.dim, rep.params.root_value(reordering_exponent(rep, coeffs)))
+    for gen, c in zip(gens, coeffs):
+        if c:
+            out = out @ gen ** c
+    return out
+
+
+def evaluate(rep, x, gens=None) -> np.ndarray:
+    """The dense matrix of a general algebra element."""
+    rep.algebra.require_same(x)
+    gens = generators(rep) if gens is None else gens
+    out = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for w, coeff in x.terms.items():
+        out += phase_eval(coeff, rep.params) * operator(rep, w, gens).dense()
+    return out

@@ -11,6 +11,7 @@ from trackforms.algebra import (
     AlgebraElement,
     AlgebraParams,
     BalancedAlgebra,
+    _root_exponents,
     chebyshev_coefficients,
     chebyshev_value,
     frobenius,
@@ -81,6 +82,16 @@ def test_omega_candidate_indexes_the_candidate_list():
             assert candidates == reference_omega_candidates(N, epsilon)
             for i in range(3 * len(candidates)):
                 assert omega_candidate(N, epsilon, i) == candidates[i % len(candidates)]
+
+
+def test_omega_candidate_counts_like_the_walk():
+    # every index of every odd N <= 300, against the walk over the exponents
+    # k < 4N in increasing order that omega_candidate took before it counted
+    for N in range(1, 301, 2):
+        for epsilon in (None, 1, -1):
+            walk = list(_root_exponents(N, epsilon))
+            for i in (*range(len(walk)), len(walk), 2 * len(walk) + 1, -1):
+                assert omega_candidate(N, epsilon, i).root_exponent == walk[i % len(walk)]
 
 
 def test_omega_candidate_builds_no_list():

@@ -205,6 +205,11 @@ def test_tolerance_is_read_only_by_rep(capsys, monkeypatch, argv):
     (None, ["chebyshev", "--y", "1e308", "--n", "3"], None),
     (None, ["chebyshev", "--y", "1", "2", "3", "--n", "3"], None),
     (None, ["chebyshev", "--y", "1", "--n", "4097"], None),
+    # powers that leave the floats: h^N in the spec check, zeta^(2/N) in a sample
+    (None, ["rep"], {"genus": 1, "punctures": 1, "N": 3, "h": [[1e308, 0]],
+                     "zeta": {"alphas": [[1, 0]], "betas": [[1, 0]], "etas": [[1, 0]]}}),
+    (None, ["rep"], {"genus": 1, "punctures": 1, "N": 3, "h": [[1, 0]],
+                     "zeta": {"alphas": [[1e300, 0]], "betas": [[1, 0]], "etas": [[1, 0]]}}),
 ])
 def test_bad_input_exits_two_without_traceback(tmp_path, capsys, monkeypatch, tol, argv, data):
     # fd 0 holds a valid triangulation, so that input which is wrongly read
@@ -236,3 +241,45 @@ def test_memory_guard_runs_before_spec_validation(capsys):
     code, out, err = run(capsys, "rep", "-g", "1", "-s", "1", "--N", "10000001")
     assert code == 2 and out == ""
     assert "GiB of physical memory" in err
+
+
+# ``rep --seed 4`` payloads before symbols replaced the length-d monomial
+# operators: everything but the max_deviation floats.
+OMEGA_5 = [0.9510565162951535, 0.3090169943749474]
+OMEGA_3 = [0.8660254037844387, 0.49999999999999994]
+GOLDEN_REPS = {(1, 2, 5): (25, OMEGA_5), (0, 6, 3): (27, OMEGA_3), (1, 3, 3): (27, OMEGA_3),
+               (2, 1, 3): (81, OMEGA_3)}
+
+
+@pytest.mark.parametrize("g,s,N", list(GOLDEN_REPS))
+def test_rep_golden_payload(capsys, g, s, N):
+    code, out, _ = run(capsys, "rep", "-g", str(g), "-s", str(s), "--N", str(N), "--seed", "4")
+    assert code == 0
+    payload = json.loads(out)
+    dim, omega = GOLDEN_REPS[g, s, N]
+    assert sorted(payload) == ["N", "dim", "epsilon", "frobenius", "omega", "pass", "seed",
+                               "tolerance", "verify"]
+    assert (payload["dim"], payload["N"], payload["epsilon"]) == (dim, N, -1)
+    assert payload["omega"] == omega
+    assert (payload["seed"], payload["tolerance"], payload["pass"]) == (4, 1e-09, True)
+    verify, frob = payload["verify"], payload["frobenius"]
+    assert sorted(verify) == ["commutant_dim", "dim", "max_deviation", "pass"]
+    assert sorted(frob) == ["dim", "max_deviation", "pass"]
+    assert (verify["commutant_dim"], verify["dim"], frob["dim"]) == (1, dim, dim)
+    assert verify["pass"] is frob["pass"] is True
+    assert sorted(verify["max_deviation"]) == ["central_scalar", "commutation", "power_scalar",
+                                               "puncture_scalar"]
+    assert sorted(frob["max_deviation"]) == ["basis_character", "matrix_power_oracle",
+                                             "random_character"]
+    for value in (*verify["max_deviation"].values(), *frob["max_deviation"].values()):
+        assert 0.0 <= value <= 1e-12
+
+
+@pytest.mark.parametrize("g,s,N,dim", [(3, 2, 5, 5 ** 8), (4, 3, 5, 5 ** 12)])
+def test_rep_large_dimension(capsys, g, s, N, dim):
+    # symbols hold O(m) integers, so no dimension is too large in itself
+    code, out, _ = run(capsys, "rep", "-g", str(g), "-s", str(s), "--N", str(N))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dim"] == dim and payload["pass"] is True
+    assert payload["verify"]["commutant_dim"] == 1

@@ -6,15 +6,21 @@ import numpy as np
 import pytest
 
 from trackforms import from_triangulation, representation, standard_triangulation
-from trackforms.algebra import BalancedAlgebra, frobenius, omega_candidates, phase_eval
+from trackforms.algebra import (
+    BalancedAlgebra,
+    frobenius,
+    omega_candidate,
+    omega_candidates,
+    phase_eval,
+)
 from trackforms.cli import main
 from trackforms.lattice import NormalForm, _combine, skew_normal_form
 from trackforms.representation import (
     FROBENIUS_SAMPLES,
     SCALAR_SAMPLES,
     SV_CUTOFF,
-    Monomial,
     RepresentationError,
+    Symbol,
     build,
     commutant_dimension,
     frobenius_compat,
@@ -26,34 +32,21 @@ from trackforms.representation import (
 from trackforms.traintrack import theta
 
 from conftest import random_weight
-
-
-def make_rep(g, s, N, epsilon=1, seed=0, omega_index=0):
-    track = from_triangulation(standard_triangulation(g, s))
-    params = omega_candidates(N, epsilon=epsilon)[omega_index]
-    algebra = BalancedAlgebra(track, params)
-    return build(random_spec(algebra, seed=seed))
-
-
-def reference_generators(rep):
-    """The dense generators: Kronecker products of the factors, the etas times I."""
-    N, m = rep.params.N, len(rep.factors)
-
-    def embed(factor, position):
-        out = np.eye(1, dtype=complex)
-        for slot in range(m):
-            out = np.kron(out, factor if slot == position else np.eye(N, dtype=complex))
-        return out
-
-    return ([embed(x, i) for i, (x, _) in enumerate(rep.factors)]
-            + [embed(y, i) for i, (_, y) in enumerate(rep.factors)]
-            + [h * np.eye(rep.dim, dtype=complex) for h in rep.spec.h])
+from oracles import (
+    Monomial,
+    evaluate,
+    generators,
+    make_rep,
+    reference_generators,
+    reordering_exponent,
+    symbol_monomial,
+)
 
 
 def reference_operator(rep, gens, w):
     """Dense rho(Z_w): the reordering phase times the product of generator powers."""
     coeffs = rep.decompose(w)
-    mat = rep.params.root_value(-2 * rep._pairing_sum(coeffs)) * np.eye(rep.dim, dtype=complex)
+    mat = rep.params.root_value(reordering_exponent(rep, coeffs)) * np.eye(rep.dim, dtype=complex)
     for gen, c in zip(gens, coeffs):
         if c:
             mat = mat @ np.linalg.matrix_power(gen, c)
@@ -177,22 +170,23 @@ def test_evaluation_is_homomorphism():
     algebra = rep.algebra
     basis = rep.gamma_vectors
     rng = random.Random(6)
+    gens = generators(rep)
     for _ in range(50):
         a = random_weight(algebra.track, basis, rng, span=1)
         b = random_weight(algebra.track, basis, rng, span=1)
         x = algebra.monomial(a).scaled_by_root(rng.randrange(algebra.params.phase_order))
         y = algebra.monomial(b).scaled(rng.randint(1, 2))
-        lhs = rep.evaluate(algebra.mul(x, y))
-        rhs = rep.evaluate(x) @ rep.evaluate(y)
+        lhs = evaluate(rep, algebra.mul(x, y), gens)
+        rhs = evaluate(rep, x, gens) @ evaluate(rep, y, gens)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
 def test_identity_and_puncture_scalars():
     rep = make_rep(1, 2, 3, seed=7)
     eye = np.eye(rep.dim)
-    assert np.max(np.abs(rep.evaluate(rep.algebra.one()) - eye)) < 1e-12
+    assert np.max(np.abs(evaluate(rep, rep.algebra.one()) - eye)) < 1e-12
     for k, h in enumerate(rep.spec.h):
-        mat = rep.evaluate(rep.algebra.puncture_element(k))
+        mat = evaluate(rep, rep.algebra.puncture_element(k))
         assert np.max(np.abs(mat - h * eye)) < 1e-9
 
 
@@ -200,9 +194,10 @@ def test_central_powers_are_scalar():
     rep = make_rep(1, 1, 3, epsilon=-1, seed=8)
     rng = random.Random(9)
     N = rep.params.N
+    gens = generators(rep)
     for _ in range(10):
         w = random_weight(rep.algebra.track, rep.gamma_vectors, rng, span=2)
-        mat = np.linalg.matrix_power(rep.operator(w).dense(), N)
+        mat = np.linalg.matrix_power(symbol_monomial(rep, rep.operator(w), gens).dense(), N)
         scalar = rep.central_character(w)
         assert np.max(np.abs(mat - scalar * np.eye(rep.dim))) < 1e-9
 
@@ -217,22 +212,34 @@ def test_epsilon_minus_one_twists_the_character():
     realized = rep.central_character(w)
     plain = rep.zeta_gamma[0] * rep.zeta_gamma[1]
     assert abs(realized + plain) < 1e-12
-    mat = np.linalg.matrix_power(rep.operator(w).dense(), rep.params.N)
+    mat = np.linalg.matrix_power(symbol_monomial(rep, rep.operator(w), generators(rep)).dense(),
+                                 rep.params.N)
     assert np.max(np.abs(mat - realized * np.eye(rep.dim))) < 1e-9
 
 
 def test_tampered_representation_fails():
+    # a wrong za: X_0^N no longer acts by zeta(alpha_0)
     rep = make_rep(1, 1, 3, seed=12)
-    rep.generators[0].values[0] += 0.5  # X_0
+    rep.za[0] *= cmath.exp(0.01j)
     report = verify(rep, tol=1e-9)
     assert not report.passed
-    assert report.deviations["commutation"] > 1e-9
+    assert report.deviations["power_scalar"] > 1e-9
+    assert not frobenius_compat(rep, tol=1e-9).passed
 
 
 def test_tampered_permutation_fails():
+    # a wrong shift (Y_0 acting as S_0^2) and a wrong commutation phase (the
+    # product law run with d_0 = 2 against theta(alpha_0, beta_0) = 1)
     rep = make_rep(1, 1, 3, seed=12)
-    y = rep.generators[len(rep.factors)]  # Y_0
-    y.perm[[0, 1]] = y.perm[[1, 0]]
+    m = len(rep.d)
+    y = rep.generators[m]
+    rep.generators[m] = Symbol(y.a, tuple(2 * b for b in y.b), y.e, y.k)
+    report = verify(rep, tol=1e-9)
+    assert not report.passed
+    assert report.deviations["commutation"] > 1e-9
+    rep = make_rep(1, 1, 3, seed=12)
+    assert rep.d[0] == 1
+    rep.d[0] = 2
     report = verify(rep, tol=1e-9)
     assert not report.passed
     assert report.deviations["commutation"] > 1e-9
@@ -314,17 +321,25 @@ def test_commutant_multiplies_over_factors():
         assert commutant_dimension(rep) == reference_commutant_dimension(rep) == 3 ** (i + 1)
 
 
+def test_no_pairs_means_no_factor_matrices():
+    # the thrice-punctured sphere has dimension 1 at any N: nothing N x N is built
+    track = from_triangulation(standard_triangulation(0, 3))
+    algebra = BalancedAlgebra(track, omega_candidate(1000001))
+    rep = build(random_spec(algebra, seed=1))
+    assert rep.dim == 1 and rep.factors == [] and commutant_dimension(rep) == 1
+
+
 def test_memory_guard_estimate(monkeypatch):
-    # on a machine with 8 GiB: (1,1,201) fails on its 2N^2 x N^2 commutant
-    # system, (N, m) = (3, 25) on its length-3^25 generators, while (3,2,5),
-    # dimension 5^8, fits; nothing is allocated here
+    # on a machine with 8 GiB: N = 201 fails on its 2N^2 x N^2 commutant
+    # system; symbols hold O(m) integers, so (N, m) = (3, 25), dimension
+    # 3^25, fits, as does any N without pairs; nothing is allocated here
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 21}
     monkeypatch.setattr(representation.os, "sysconf", pages.__getitem__)
-    for N, m, s in ((201, 1, 1), (3, 25, 2)):
+    for N, m in ((201, 1), (201, 8), (10 ** 4 + 1, 1)):
         with pytest.raises(RepresentationError, match="GiB of physical memory"):
-            representation._require_memory(N, m, s)
-    for N, m, s in ((5, 8, 2), (3, 9, 3), (101, 1, 1), (3, 4, 1), (10 ** 9, 0, 3)):
-        representation._require_memory(N, m, s)
+            representation._require_memory(N, m)
+    for N, m in ((3, 25), (5, 12), (5, 8), (3, 9), (101, 1), (3, 4), (10 ** 9, 0)):
+        representation._require_memory(N, m)
 
 
 @pytest.mark.parametrize("g,s,N", [(1, 1, 3), (1, 2, 5), (0, 6, 3), (1, 3, 3), (2, 1, 3),
@@ -332,12 +347,15 @@ def test_memory_guard_estimate(monkeypatch):
 def test_monomial_operators_match_dense_reference(g, s, N):
     rep = make_rep(g, s, N, seed=g + s + N)
     gens = reference_generators(rep)
-    for gen, ref in zip(rep.generators, gens, strict=True):
-        assert np.array_equal(gen.dense(), ref)
+    monomials = generators(rep)
+    for gen, mono, ref in zip(rep.generators, monomials, gens, strict=True):
+        assert np.array_equal(mono.dense(), ref)
+        assert np.array_equal(symbol_monomial(rep, gen, monomials).dense(), ref)
     rng = random.Random(N)
     for _ in range(3):
         w = random_weight(rep.algebra.track, rep.gamma_vectors, rng, span=2)
-        assert np.max(np.abs(rep.operator(w).dense() - reference_operator(rep, gens, w))) < 1e-12
+        dense = symbol_monomial(rep, rep.operator(w), monomials).dense()
+        assert np.max(np.abs(dense - reference_operator(rep, gens, w))) < 1e-12
     deviations = {**verify(rep, seed=N).deviations, **frobenius_compat(rep, seed=N).deviations}
     reference = reference_deviations(rep, seed=N)
     assert deviations.keys() == reference.keys()
@@ -381,7 +399,7 @@ def test_frobenius_compat_eta_scalars():
     N = rep.params.N
     for k, eta in enumerate(rep.spec.basis.etas):
         lifted = frobenius(iota.monomial(eta), rep.algebra)
-        mat = rep.evaluate(lifted)
+        mat = evaluate(rep, lifted)
         expected = rep.spec.h[k] ** N
         assert np.max(np.abs(mat - expected * np.eye(rep.dim))) < 1e-9
 
