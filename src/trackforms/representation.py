@@ -49,7 +49,8 @@ A symbol holds O(m) integers whatever the dimension ``N^m``:
 A scalar is evaluated as the product of the generators' own floating-point
 values, ``omega^k`` times the ``za_i ** a_i``, ``zb_i ** b_i`` and
 ``h_k ** e_k``, so the checks measure the float error of the principal roots.
-Only ``commutant_dimension`` works on matrices: the N x N ``factors``.
+Nothing is a matrix: ``commutant_dimension`` is the exact certificate
+``prod_i gcd(d_i, N)`` of the clock-and-shift theorem.
 
 Decomposition
 -------------
@@ -79,12 +80,9 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import os
 import random
 from dataclasses import dataclass, field, replace
 from itertools import compress
-
-import numpy as np
 
 from .algebra import BalancedAlgebra, frobenius, solve_chebyshev
 from .lattice import _combine, certify_normal_form, skew_normal_form
@@ -92,10 +90,9 @@ from .traintrack import TriangulationTrack, germ_image, halved, is_weight_system
 from .traintrack import theta_matrix, weight_lattice_basis
 from .traintrack import theta  # not called here; perfbench's tracer counts theta calls at this name
 
-# The h_k^N = zeta(eta_k) tolerance, the relative singular-value cutoff of the
-# commutant rank, and the random lattice vectors per central/Frobenius check.
+# The h_k^N = zeta(eta_k) tolerance and the random lattice vectors per
+# central/Frobenius check.
 ROOT_TOL = 1e-9
-SV_CUTOFF = 1e-7
 SCALAR_SAMPLES = 5
 FROBENIUS_SAMPLES = 10
 
@@ -221,7 +218,6 @@ class Representation:
         params = spec.algebra.params
         N = params.N
         m = len(spec.basis.pairs)
-        _require_memory(N, m)
         self._theta = spec.validate()
         self.spec = spec
         self.algebra = spec.algebra
@@ -232,9 +228,6 @@ class Representation:
         self.za = [_principal_root(z, N) for z in spec.zeta_alphas]
         self.zb = [_principal_root(z, N) for z in spec.zeta_betas]
         self.h = list(spec.h)
-        # The N x N factors (X_i, Y_i); only commutant_dimension reads them.
-        self.factors: list[tuple[np.ndarray, np.ndarray]] = [
-            _factor(params, za, zb, d) for za, zb, d in zip(self.za, self.zb, self.d)]
 
         self.gamma_vectors = spec.basis.gamma_vectors
         self.zeta_gamma = list(spec.zeta_alphas) + list(spec.zeta_betas) + list(spec.zeta_etas)
@@ -342,30 +335,8 @@ class Representation:
         return value
 
 
-def _factor(params, za: complex, zb: complex, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The N x N matrices of X = za C and Y = zb S for a pair with block value d."""
-    N = params.N
-    clock = np.array([za * params.q ** (d * (j + 1)) for j in range(N)], dtype=complex)
-    return np.diag(clock), zb * np.roll(np.eye(N, dtype=complex), 1, axis=0)
-
-
 def build(spec: RepresentationSpec) -> Representation:
     return Representation(spec)
-
-
-def _require_memory(N: int, m: int) -> None:
-    """Refuse up front a representation whose commutant would exceed physical memory.
-
-    A symbol holds O(m) integers whatever the dimension N^m.  The largest
-    allocation is one factor's 2N^2 x N^2 commutant system and the copy its
-    SVD makes, 64 N^4 bytes; with no pairs there is no factor.
-    """
-    need = 64 * N ** 4 if m else 0
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise RepresentationError(
-            f"N = {N} needs about {need / 2 ** 30:.1f} GiB for the commutant of a factor, "
-            f"more than the {have / 2 ** 30:.1f} GiB of physical memory")
 
 
 # -- verification -------------------------------------------------------------
@@ -391,17 +362,17 @@ def commutant_dimension(rep: Representation) -> int:
 
     The image algebra is the tensor product of the factor algebras generated
     by (X_i, Y_i), and the eta generators are scalars, so the commutant is the
-    tensor product of the factor commutants: the product over the factors of
-    N^2 - rank [X (x) I - I (x) X^T; Y (x) I - I (x) Y^T].
+    tensor product of the factor commutants.  Each is known exactly by the
+    clock-and-shift theorem (Weyl 1931).  The non-zero scalars ``za_i``,
+    ``zb_i`` (``RepresentationSpec.validate``) leave it that of ``C_i`` and
+    ``S_i``; the matrices commuting with the shift are the polynomials
+    ``sum_k c_k S_i^k``, and one commutes with the clock exactly when
+    ``c_k = 0`` unless ``q^(d_i k) = 1``.  ``q`` is a primitive N-th root
+    (``AlgebraParams``), so that leaves the ``gcd(d_i, N)`` powers ``k`` that
+    are multiples of ``N / gcd(d_i, N)``.  With no pairs the product is 1.
     """
-    dim = 1
-    for x, y in rep.factors:
-        eye = np.eye(len(x), dtype=complex)
-        system = np.vstack([np.kron(g, eye) - np.kron(eye, g.T) for g in (x, y)])
-        sv = np.linalg.svd(system, compute_uv=False)
-        rank = int(np.sum(sv > SV_CUTOFF * max(1.0, float(sv[0]))))
-        dim *= len(x) ** 2 - rank
-    return dim
+    N = rep.params.N
+    return math.prod(math.gcd(d, N) for d in rep.d)
 
 
 def _max_deviation(rep: Representation, pairs) -> float:

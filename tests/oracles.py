@@ -6,22 +6,47 @@ complex vector.  ``generators`` builds the 2m + s generators of a
 representation that way, digit by digit of the tensor index, from the
 generators' own values ``rep.za``, ``rep.zb`` and ``rep.h``;
 ``reference_generators`` builds them as dense Kronecker products of the N x N
-factors.  Both are independent of the symbol laws in ``representation.py``,
-which the tests check against them.
+``factors``.  Both are independent of the symbol laws in ``representation.py``,
+which the tests check against them.  ``svd_commutant_dimension`` is the
+numerical rank that ``commutant_dimension``'s exact certificate replaces.
 """
 
 import numpy as np
 
 from trackforms import from_triangulation, standard_triangulation
-from trackforms.algebra import BalancedAlgebra, omega_candidates, phase_eval
+from trackforms.algebra import BalancedAlgebra, omega_candidate, phase_eval
 from trackforms.representation import build, random_spec
+
+# Singular values at most SV_CUTOFF * max(1, largest) count as zero.
+SV_CUTOFF = 1e-7
 
 
 def make_rep(g, s, N, epsilon=1, seed=0, omega_index=0):
     track = from_triangulation(standard_triangulation(g, s))
-    params = omega_candidates(N, epsilon=epsilon)[omega_index]
+    params = omega_candidate(N, epsilon, omega_index)
     algebra = BalancedAlgebra(track, params)
     return build(random_spec(algebra, seed=seed))
+
+
+def factors(rep) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The N x N matrices of X_i = za_i C_i and Y_i = zb_i S_i, one pair per block value d_i."""
+    N, q = rep.params.N, rep.params.q
+    out = []
+    for za, zb, d in zip(rep.za, rep.zb, rep.d):
+        clock = np.array([za * q ** (d * (j + 1)) for j in range(N)], dtype=complex)
+        out.append((np.diag(clock), zb * np.roll(np.eye(N, dtype=complex), 1, axis=0)))
+    return out
+
+
+def svd_commutant_dimension(matrices) -> int:
+    """d^2 - rank of the stacked system [A (x) I - I (x) A^T] over the d x d ``matrices``."""
+    matrices = list(matrices)
+    if not matrices:
+        return 1
+    eye = np.eye(len(matrices[0]), dtype=complex)
+    system = np.vstack([np.kron(a, eye) - np.kron(eye, a.T) for a in matrices])
+    sv = np.linalg.svd(system, compute_uv=False)
+    return len(eye) ** 2 - int(np.sum(sv > SV_CUTOFF * max(1.0, float(sv[0]))))
 
 
 class Monomial:
@@ -80,7 +105,8 @@ def generators(rep) -> list[Monomial]:
 
 def reference_generators(rep):
     """The dense generators: Kronecker products of the factors, the etas times I."""
-    N, m = rep.params.N, len(rep.factors)
+    N, pairs = rep.params.N, factors(rep)
+    m = len(pairs)
 
     def embed(factor, position):
         out = np.eye(1, dtype=complex)
@@ -88,8 +114,8 @@ def reference_generators(rep):
             out = np.kron(out, factor if slot == position else np.eye(N, dtype=complex))
         return out
 
-    return ([embed(x, i) for i, (x, _) in enumerate(rep.factors)]
-            + [embed(y, i) for i, (_, y) in enumerate(rep.factors)]
+    return ([embed(x, i) for i, (x, _) in enumerate(pairs)]
+            + [embed(y, i) for i, (_, y) in enumerate(pairs)]
             + [h * np.eye(rep.dim, dtype=complex) for h in rep.h])
 
 

@@ -199,7 +199,8 @@ def test_tolerance_is_read_only_by_rep(capsys, monkeypatch, argv):
     (None, ["rep"], {"triangulation": [], "N": 3}),
     (None, ["rep"], 5),
     (None, ["verify-structure"], 5),
-    (None, ["rep", "-g", "1", "-s", "1", "--N", "100001"], None),
+    # the even neighbour of N = 100001, which builds and verifies
+    (None, ["rep", "-g", "1", "-s", "1", "--N", "100002"], None),
     (None, ["rep"], {"genus": 1, "punctures": 1, "N": 0, "omega": [1, 0]}),
     (None, ["chebyshev", "--y", "nan", "--n", "3"], None),
     (None, ["chebyshev", "--y", "1e308", "--n", "3"], None),
@@ -235,12 +236,13 @@ def test_bad_input_exits_two_without_traceback(tmp_path, capsys, monkeypatch, to
     assert out == ""
 
 
-def test_memory_guard_runs_before_spec_validation(capsys):
+def test_spec_check_refuses_float_roots_at_large_n(capsys):
     # at this N the floating-point h^N of the random spec drifts past the
-    # h^N = zeta(eta) tolerance; the size is refused before that is checked
+    # h^N = zeta(eta) tolerance, which the spec check reports
     code, out, err = run(capsys, "rep", "-g", "1", "-s", "1", "--N", "10000001")
     assert code == 2 and out == ""
-    assert "GiB of physical memory" in err
+    assert err.startswith("error: h[0]^N = ") and "differs from zeta(eta_0)" in err
+    assert "Traceback" not in err
 
 
 # ``rep --seed 4`` payloads before symbols replaced the length-d monomial
@@ -275,9 +277,11 @@ def test_rep_golden_payload(capsys, g, s, N):
         assert 0.0 <= value <= 1e-12
 
 
-@pytest.mark.parametrize("g,s,N,dim", [(3, 2, 5, 5 ** 8), (4, 3, 5, 5 ** 12)])
+@pytest.mark.parametrize("g,s,N,dim", [(3, 2, 5, 5 ** 8), (4, 3, 5, 5 ** 12),
+                                       (1, 1, 100001, 100001), (3, 2, 100001, 100001 ** 8)])
 def test_rep_large_dimension(capsys, g, s, N, dim):
-    # symbols hold O(m) integers, so no dimension is too large in itself
+    # symbols hold O(m) integers and the commutant is a gcd product, so
+    # neither the dimension nor N is too large in itself
     code, out, _ = run(capsys, "rep", "-g", str(g), "-s", str(s), "--N", str(N))
     assert code == 0
     payload = json.loads(out)

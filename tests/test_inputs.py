@@ -129,8 +129,8 @@ KEYS = ["triangles", "gluings", "branches", "switches", "side_a", "side_b", "gen
         "punctures", "N", "seed", "omega", "omega_index", "epsilon", "zeta", "alphas",
         "betas", "etas", "h", "triangulation"]
 
-# Integers stay in [-1, 3], so no surface or representation the CLI builds
-# comes near the memory guard: the largest, (3, 3, 3), has dimension 3^9.
+# Integers stay in [-1, 3], so every surface and representation the CLI
+# builds is small: the largest, (3, 3, 3), has dimension 3^9.
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-1, 3), st.floats(-4, 4),
     st.sampled_from([float("nan"), float("inf"), 1e308, 0.5, -0.0]),

@@ -1,6 +1,8 @@
 import cmath
 import json
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from trackforms.lattice import NormalForm, _combine, skew_normal_form
 from trackforms.representation import (
     FROBENIUS_SAMPLES,
     SCALAR_SAMPLES,
-    SV_CUTOFF,
     RepresentationError,
     Symbol,
     build,
@@ -35,10 +36,12 @@ from conftest import random_weight
 from oracles import (
     Monomial,
     evaluate,
+    factors,
     generators,
     make_rep,
     reference_generators,
     reordering_exponent,
+    svd_commutant_dimension,
     symbol_monomial,
 )
 
@@ -134,11 +137,9 @@ def test_dimension_law(g, s, N, dim):
 def test_factor_weyl_relations():
     rep = make_rep(1, 2, 3, seed=11)
     q = rep.params.q
-    m = len(rep.spec.basis.pairs)
-    gens = reference_generators(rep)
-    for i, (_, _, d) in enumerate(rep.spec.basis.pairs):
-        x = gens[i]
-        y = gens[m + i]
+    pairs = factors(rep)
+    assert len(pairs) == len(rep.d) == 2
+    for (x, y), d in zip(pairs, rep.d):
         assert np.max(np.abs(x @ y - q ** d * (y @ x))) < 1e-12
 
 
@@ -284,15 +285,7 @@ def test_spec_validation_rejects_zero_zeta():
 
 def reference_commutant_dimension(rep):
     """The stacked d^2 x d^2 commutant system over all 2m dense generators."""
-    d = rep.dim
-    eye = np.eye(d, dtype=complex)
-    blocks = [np.kron(g, eye) - np.kron(eye, g.T)
-              for g in reference_generators(rep)[:2 * len(rep.factors)]]  # etas are scalar
-    if not blocks:
-        return 1
-    sv = np.linalg.svd(np.vstack(blocks), compute_uv=False)
-    rank = int(np.sum(sv > SV_CUTOFF * max(1.0, float(sv[0]))))
-    return d * d - rank
+    return svd_commutant_dimension(reference_generators(rep)[:2 * len(rep.d)])  # etas are scalar
 
 
 @pytest.mark.parametrize("g,s,N", [(1, 1, 3), (1, 1, 5), (0, 4, 5), (1, 2, 3), (0, 5, 3),
@@ -304,21 +297,30 @@ def test_commutant_matches_stacked_reference(g, s, N):
 
 
 def test_commutant_grows_for_reducible_data():
-    # a diagonal Y leaves the factor algebra diagonal: its commutant is the N diagonals
+    # d = N makes the clock a scalar: the factor commutant is the N powers of the shift
     rep = make_rep(1, 1, 3, seed=15)
     assert commutant_dimension(rep) == 1
-    x, _ = rep.factors[0]
-    y = np.diag([1.0, 2.0, 3.0]).astype(complex)
-    rep.factors[0] = (x, y)
+    rep.d[0] = 3
     assert commutant_dimension(rep) == reference_commutant_dimension(rep) == 3
 
 
 def test_commutant_multiplies_over_factors():
     rep = make_rep(1, 2, 3, seed=21)
     for i in range(2):
-        x, _ = rep.factors[i]
-        rep.factors[i] = (x, np.diag([1.0, 2.0, 3.0]).astype(complex))
+        rep.d[i] = 3
         assert commutant_dimension(rep) == reference_commutant_dimension(rep) == 3 ** (i + 1)
+
+
+@pytest.mark.parametrize("N", [1, 3, 5, 9, 15])
+def test_factor_commutant_is_gcd(N):
+    # the clock-and-shift theorem against the numerical rank, for every block
+    # value d up to 2N + 1 and the first root exponents of either sign
+    for omega_index in range(4):
+        rep = make_rep(1, 1, N, epsilon=None, seed=N, omega_index=omega_index)
+        for d in range(1, 2 * N + 2):
+            rep.d[0] = d
+            (pair,) = factors(rep)
+            assert commutant_dimension(rep) == svd_commutant_dimension(pair) == math.gcd(d, N)
 
 
 def test_no_pairs_means_no_factor_matrices():
@@ -326,20 +328,25 @@ def test_no_pairs_means_no_factor_matrices():
     track = from_triangulation(standard_triangulation(0, 3))
     algebra = BalancedAlgebra(track, omega_candidate(1000001))
     rep = build(random_spec(algebra, seed=1))
-    assert rep.dim == 1 and rep.factors == [] and commutant_dimension(rep) == 1
+    assert rep.dim == 1 and commutant_dimension(rep) == 1
 
 
-def test_memory_guard_estimate(monkeypatch):
-    # on a machine with 8 GiB: N = 201 fails on its 2N^2 x N^2 commutant
-    # system; symbols hold O(m) integers, so (N, m) = (3, 25), dimension
-    # 3^25, fits, as does any N without pairs; nothing is allocated here
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 21}
-    monkeypatch.setattr(representation.os, "sysconf", pages.__getitem__)
-    for N, m in ((201, 1), (201, 8), (10 ** 4 + 1, 1)):
-        with pytest.raises(RepresentationError, match="GiB of physical memory"):
-            representation._require_memory(N, m)
-    for N, m in ((3, 25), (5, 12), (5, 8), (3, 9), (101, 1), (3, 4), (10 ** 9, 0)):
-        representation._require_memory(N, m)
+@pytest.mark.parametrize("g,s,N", [(1, 1, 100001), (2, 1, 1000001)])
+def test_rep_memory_does_not_grow_with_n(g, s, N):
+    # symbols hold O(m) integers and the commutant is a gcd product: nothing
+    # of size N is allocated by the build or either check
+    track = from_triangulation(standard_triangulation(g, s))
+    spec = random_spec(BalancedAlgebra(track, omega_candidate(N)), seed=1)
+    tracemalloc.start()
+    try:
+        rep = build(spec)
+        verify(rep, seed=1)
+        frobenius_compat(rep, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.dim == N ** (3 * g + s - 3)
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("g,s,N", [(1, 1, 3), (1, 2, 5), (0, 6, 3), (1, 3, 3), (2, 1, 3),
