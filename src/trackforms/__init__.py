@@ -20,7 +20,6 @@ from .traintrack import (
     from_triangulation,
     puncture_weight,
     puncture_weights,
-    region_weight_system,
     regions,
     switch_sums,
     theta,
@@ -31,7 +30,6 @@ from .lattice import (
     NormalForm,
     StructureReport,
     hermite_normal_form,
-    kernel_basis,
     lattice_equal,
     skew_normal_form,
     verify_structure,
@@ -51,11 +49,9 @@ __all__ = [
     "from_switch_sums",
     "from_triangulation",
     "hermite_normal_form",
-    "kernel_basis",
     "lattice_equal",
     "puncture_weight",
     "puncture_weights",
-    "region_weight_system",
     "regions",
     "sigma_matrix",
     "skew_normal_form",

@@ -8,6 +8,15 @@ cost more than it saves.  The kernel and the normal form take the same steps
 as their list counterparts (same pivots, quotients and swaps), so the
 results are identical; the certificate and theta are exact products.
 
+On ``verify_structure``'s large path one array goes from stage to stage:
+the switch matrix is built as an array (``switch_matrix``), the kernel's
+array is theta's basis, theta's array is the normal form's ``M`` and the
+certificate's, the normal form's ``U`` and ``V`` arrays are the
+certificate's, and the kernel rows of ``U`` times the basis are one
+``matmul`` whose rows the eta match reads at the etas' first support
+entries (``eta_consistent``).  Each stage still validates an array it is
+given (``as_array``); Python ints are made only for a public result.
+
 The kernel and the normal form run on int64 arrays.  numpy's int64
 arithmetic wraps silently on overflow, so each routine keeps an upper bound
 on the bit length of what an update can produce, and no int64 value it
@@ -45,14 +54,15 @@ FLOAT_BITS = 53
 # --- arrays and bit bounds -------------------------------------------------
 
 def as_array(rows) -> np.ndarray:
-    """A 2-D int64 array of the rectangular ``rows``; object if an entry needs 62 bits.
+    """A new 2-D int64 array of the rectangular ``rows``; object if an entry needs 62 bits.
 
-    Entries must pass ``operator.index`` (else ``ValueError``).  They are read one
-    by one only when numpy infers no integer dtype, as for a float or a huge entry.
+    ``rows`` may be lists or an array.  Entries must pass ``operator.index``
+    (else ``ValueError``).  They are read one by one only when numpy infers no
+    integer dtype, as for a float, a huge entry or an ``object`` array.
     """
     a = np.array(rows)
-    if a.size and a.ndim == 2 and a.dtype.kind in "biu":
-        if -(1 << WORD_BITS) < a.min() and a.max() < 1 << WORD_BITS:
+    if a.ndim == 2 and a.dtype.kind in "biu":
+        if not a.size or -(1 << WORD_BITS) < a.min() and a.max() < 1 << WORD_BITS:
             return a.astype(np.int64, copy=False)
     try:
         return np.array([[operator.index(x) for x in row] for row in rows], dtype=object)
@@ -79,10 +89,6 @@ def row_bits(a: np.ndarray) -> np.ndarray:
     if a.shape[1] == 0:
         return np.zeros(a.shape[0], dtype=np.int64)
     return bit_lengths(np.maximum(a.max(axis=1), -a.min(axis=1))).astype(np.int64)
-
-
-def _tuples(a: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, a.tolist()))
 
 
 class Rows:
@@ -140,6 +146,20 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # --- integer kernel ----------------------------------------------------------
 
+def switch_matrix(switches, branch_count: int) -> np.ndarray:
+    """``traintrack.switch_matrix`` as an int64 array, from the darts, with no list to parse."""
+    rows, cols, signs = [], [], []
+    for s, (side_a, side_b) in enumerate(switches):
+        for side, sign in ((side_a, 1), (side_b, -1)):
+            for b, _ in side:
+                rows.append(s)
+                cols.append(b)
+                signs.append(sign)
+    a = np.zeros((len(switches), branch_count), dtype=np.int64)
+    np.add.at(a, (rows, cols), signs)
+    return a
+
+
 def _pivot(work: Rows, r: int, c: int) -> bool:
     """``lattice._pivot`` on an array: the same pivots, quotients and result.
 
@@ -160,8 +180,8 @@ def _pivot(work: Rows, r: int, c: int) -> bool:
             return True
 
 
-def integer_kernel(matrix) -> list[list[int]]:
-    """``lattice.integer_kernel``: row-reduce ``[matrix^T | I]``, not canonicalized."""
+def integer_kernel(matrix) -> np.ndarray:
+    """``lattice.integer_kernel`` as an array: row-reduce ``[matrix^T | I]``."""
     a = as_array(matrix)
     rows, cols = a.shape
     work = np.zeros((cols, rows + cols), dtype=a.dtype)
@@ -172,7 +192,7 @@ def integer_kernel(matrix) -> list[list[int]]:
     for c in range(rows):
         if _pivot(work, r, c):
             r += 1
-    return work.a[r:, rows:].tolist()
+    return work.a[r:, rows:].copy()  # not a view that keeps the whole work matrix
 
 
 # --- skew normal form ------------------------------------------------------
@@ -180,7 +200,9 @@ def integer_kernel(matrix) -> list[list[int]]:
 def skew_normal_form(matrix):
     """``lattice.skew_normal_form`` on arrays: the same pivots, ``U``, ``V`` and blocks.
 
-    Returns ``(U, blocks, V)`` as tuples of Python ints.  The swaps that
+    ``matrix`` may be lists or an array; it is read by ``as_array`` and not
+    changed.  Returns ``(U, blocks, V)`` with ``U`` and ``V`` as arrays
+    (int64, or object once they widen).  The swaps that
     bring a step's pivot to ``(t, t+1)`` are one permutation of ``M``, ``U``
     and ``V``.  The clearing sweep of pair ``(t, t+1)`` is one congruence by
     ``I + Q``, where ``Q`` is zero outside columns ``t, t+1`` of rows ``t+2``
@@ -192,9 +214,9 @@ def skew_normal_form(matrix):
     is raised by what the update can add.
     """
     n = len(matrix)
-    if any(len(row) != n for row in matrix):
+    m = as_array(matrix)  # ragged rows raise ValueError here
+    if m.shape != (n, n):
         raise ValueError("matrix is not square")
-    m = as_array(matrix)
     bad = np.argwhere(m != -m.T)
     if bad.size:
         raise ValueError(f"matrix is not antisymmetric at ({bad[0][0]}, {bad[0][1]})")
@@ -262,15 +284,16 @@ def skew_normal_form(matrix):
             continue
         blocks.append(p)
         t += 2
-    return _tuples(u), tuple(blocks), _tuples(v)
+    return u, tuple(blocks), v
 
 
 def certifies(u, v, m, blocks) -> bool:
     """Whether ``U M U^T == D`` and ``U V == I`` hold exactly (square, same size).
 
     ``D`` holds the ``(0 d; -d 0)`` blocks down the diagonal, on Python ints
-    if a block needs them, and needs ``2 len(blocks) <= len(u)``.  Both
-    products are exact (``matmul``), so entries of any size are checked.
+    if a block needs them, and needs ``2 len(blocks) <= len(u)``.  The
+    matrices may be lists or arrays.  Both products are exact (``matmul``),
+    so entries of any size are checked.
     """
     u, v, m = (as_array(x) for x in (u, v, m))
     n = len(u)
@@ -304,7 +327,23 @@ def doubled_pairings(germ_pairs, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return doubled
 
 
-def theta_matrix(germ_pairs, basis) -> list[list[int]]:
-    """``traintrack.theta_matrix`` as one exact array product ``B (T B^T) / 2``."""
+def theta_matrix(germ_pairs, basis):
+    """``traintrack.theta_matrix`` as one exact array product ``B (T B^T) / 2``.
+
+    An array for an array ``basis``, lists of Python ints for lists.
+    """
     b = as_array(basis)
-    return (doubled_pairings(germ_pairs, b, b) // 2).tolist()
+    theta = doubled_pairings(germ_pairs, b, b) // 2
+    return theta if isinstance(basis, np.ndarray) else theta.tolist()
+
+
+# --- the eta match ---------------------------------------------------------
+
+def eta_consistent(rows: np.ndarray, lead) -> bool:
+    """Whether column ``j`` of ``rows`` equals column ``lead[j]``, or is 0 where ``lead[j] < 0``.
+
+    ``lattice._eta_match``'s test that every row is its reading times the etas.
+    """
+    lead = np.asarray(lead, dtype=np.int64)
+    on = lead >= 0
+    return bool((rows[:, on] == rows[:, lead[on]]).all()) and not rows[:, ~on].any()

@@ -4,10 +4,15 @@ Everything here is exact; nothing is ever rounded.  Three routines here
 fork at ``traintrack.INT64_MIN_ROWS`` rows: the integer kernel (the
 elimination basis), the skew normal form and its certificate run on
 Python-int lists below it and on the overflow-guarded int64 arrays of
-``intcore`` from there on, with the same results.  ``hermite_normal_form``
-(so the weight-lattice basis ``integer_kernel_basis``) and ``_combine`` stay
-on lists at every size.  Every routine that takes caller matrices reads its
-entries with ``operator.index`` and refuses anything else.  The central
+``intcore`` from there on, with the same results.  On that path
+``verify_structure`` keeps arrays from the switch matrix to the eta match:
+the kernel, theta's matrix, the normal form's ``U`` and ``V`` (kept on the
+``NormalForm`` next to their tuples), which the certificate reads, and
+``_combine``'s product all stay arrays.  ``hermite_normal_form`` (so the weight-lattice
+basis ``integer_kernel_basis``) stays on lists at every size; the eta match
+uses it only on an ``s x s`` matrix.  Every routine that takes caller
+matrices, lists or arrays, reads its entries with ``operator.index`` (or
+checks an int64 dtype) and refuses anything else.  The central
 routine, :func:`skew_normal_form`, reduces an antisymmetric integer
 matrix ``M`` by a unimodular congruence ``U M U^T`` to a block diagonal
 matrix with 2x2 blocks ``(0 d; -d 0)``, ``d_1 | d_2 | ...``, followed by a
@@ -32,12 +37,14 @@ blocks next to the ``n_even`` zero rows.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
 
 from .traintrack import (
     TrainTrack,
     TriangulationTrack,
     _int64,
+    _is_array,
     puncture_weights,
     regions,
     switch_matrix,
@@ -138,7 +145,7 @@ def integer_kernel(matrix) -> list[list[int]]:
     cols = len(matrix[0]) if rows else 0
     if _int64(rows):
         from . import intcore
-        return intcore.integer_kernel(matrix)
+        return intcore.integer_kernel(matrix).tolist()
     matrix = _exact(matrix)
     work = [[matrix[i][j] for i in range(rows)] + [1 if k == j else 0 for k in range(cols)]
             for j in range(cols)]
@@ -147,6 +154,17 @@ def integer_kernel(matrix) -> list[list[int]]:
         if _pivot(work, r, c):
             r += 1
     return [row[rows:] for row in work[r:]]
+
+
+def _weight_kernel(track: TrainTrack):
+    """``integer_kernel(switch_matrix(track))``, an array from ``INT64_MIN_ROWS`` switches on.
+
+    The array path builds the switch matrix as an array, with no list to parse.
+    """
+    if _int64(track.switch_count):
+        from . import intcore
+        return intcore.integer_kernel(intcore.switch_matrix(track.switches, track.branch_count))
+    return integer_kernel(switch_matrix(track))
 
 
 def integer_kernel_basis(matrix) -> list[list[int]]:
@@ -160,15 +178,20 @@ def integer_kernel_basis(matrix) -> list[list[int]]:
 class NormalForm:
     """Certificate ``U M U^T = D`` with ``U V = I``, so ``|det U| = 1``.
 
-    ``blocks`` lists the d's of the 2x2 blocks in divisibility order; ``D``
-    and ``nullity`` follow from them.  Rows ``2 * len(blocks)`` onward of
-    ``U`` are a basis of the integer kernel.  ``V`` is the inverse of ``U``,
-    kept so that unimodularity is checked by one product.
+    ``blocks`` lists the d's of the 2x2 blocks ``(0 d; -d 0)`` of ``D`` in
+    divisibility order; ``nullity`` follows from them.  Rows
+    ``2 * len(blocks)`` onward of ``U`` are a basis of the integer kernel.
+    ``V`` is the inverse of ``U``, kept so that unimodularity is checked by
+    one product.  ``arrays`` holds ``(U, V)`` as the read-only arrays the
+    int64 path computed, for the certificate and the eta match to read
+    without parsing the tuples again; it is None otherwise, and
+    ``dataclasses.replace`` drops it.
     """
 
     U: tuple[tuple[int, ...], ...]
     blocks: tuple[int, ...]
     V: tuple[tuple[int, ...], ...]
+    arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -178,25 +201,8 @@ class NormalForm:
     def nullity(self) -> int:
         return len(self.U) - self.rank
 
-    @property
-    def D(self) -> tuple[tuple[int, ...], ...]:
-        """The ``(0 d; -d 0)`` blocks down the diagonal, then zero rows and columns."""
-        d = [[0] * len(self.U) for _ in self.U]
-        for k, b in enumerate(self.blocks):
-            d[2 * k][2 * k + 1], d[2 * k + 1][2 * k] = b, -b
-        return tuple(map(tuple, d))
-
     def kernel_rows(self) -> list[tuple[int, ...]]:
         return [self.U[i] for i in range(self.rank, len(self.U))]
-
-    def to_json_dict(self) -> dict:
-        """Row-major integer arrays for U and D plus the block data."""
-        return {
-            "U": [list(r) for r in self.U],
-            "D": [list(r) for r in self.D],
-            "blocks": list(self.blocks),
-            "nullity": self.nullity,
-        }
 
 
 def _check_antisymmetric(m) -> list[list[int]]:
@@ -221,7 +227,11 @@ def skew_normal_form(matrix) -> NormalForm:
     """
     if _int64(len(matrix)):
         from . import intcore
-        return NormalForm(*intcore.skew_normal_form(matrix))
+        u, blocks, v = intcore.skew_normal_form(matrix)
+        nf = NormalForm(tuple(map(tuple, u.tolist())), blocks, tuple(map(tuple, v.tolist())))
+        u.flags.writeable = v.flags.writeable = False
+        object.__setattr__(nf, "arrays", (u, v))
+        return nf
     m = _check_antisymmetric(matrix)
     n = len(m)
     u = identity_matrix(n)
@@ -316,7 +326,8 @@ def certify_normal_form(nf: NormalForm, matrix) -> bool:
         return False
     if _int64(n):
         from . import intcore
-        if not intcore.certifies(nf.U, nf.V, matrix, nf.blocks):
+        u, v = nf.arrays or (nf.U, nf.V)
+        if not intcore.certifies(u, v, matrix, nf.blocks):
             return False
     else:
         # U M U^T = (U M) U^T, and the rows of M^T and V^T are zip(*M), zip(*V)
@@ -352,11 +363,6 @@ def _is_identity(rows) -> bool:
         if row[i] != 1 or row.count(0) != n - 1:
             return False
     return True
-
-
-def kernel_basis(matrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel of an antisymmetric matrix (trailing rows of U)."""
-    return skew_normal_form(matrix).kernel_rows()
 
 
 # --- the structure theorem -------------------------------------------------
@@ -411,10 +417,12 @@ def verify_structure(track: TrainTrack) -> StructureReport:
     The form is reduced on the elimination basis of the weight lattice, not
     on its Hermite form: every reported figure (blocks, nullity, rank, the
     eta match) is an invariant of the form on the lattice, and the Hermite
-    form only made ``U`` grow on flipped triangulations.
+    form only made ``U`` grow on flipped triangulations.  From
+    ``INT64_MIN_ROWS`` switch rows on, the basis, ``M``, ``U``, ``V`` and the
+    kernel rows stay arrays from stage to stage.
     """
     regs, topo = regions(track)
-    basis = integer_kernel(switch_matrix(track))
+    basis = _weight_kernel(track)
     m = theta_matrix(track, basis)
     nf = skew_normal_form(m)
     if not certify_normal_form(nf, m):
@@ -432,8 +440,8 @@ def verify_structure(track: TrainTrack) -> StructureReport:
 
     eta_match = None
     if isinstance(track, TriangulationTrack):
-        kernel_branch = _combine(nf.kernel_rows(), basis)
-        eta_match = lattice_equal(kernel_branch, puncture_weights(track))
+        u = nf.U if nf.arrays is None else nf.arrays[0]
+        eta_match = _eta_match(_combine(u[nf.rank:], basis), puncture_weights(track))
         passed = passed and eta_match
     return StructureReport(
         case=case,
@@ -451,12 +459,16 @@ def verify_structure(track: TrainTrack) -> StructureReport:
     )
 
 
-def _combine(rows, basis) -> list[tuple[int, ...]]:
+def _combine(rows, basis):
     """The combinations ``rows @ basis``: one vector per row of coefficients.
 
-    Each row adds up its basis vectors with non-zero coefficients, which
-    skips the zeros of the sparse rows of ``U``.
+    If either side is an array this is one exact ``intcore.matmul``, and the
+    result an array.  On lists each row adds up its basis vectors with
+    non-zero coefficients, which skips the zeros of the sparse rows of ``U``.
     """
+    if _is_array(rows) or _is_array(basis):
+        from . import intcore
+        return intcore.matmul(intcore.as_array(rows), intcore.as_array(basis))
     out = []
     for row in rows:
         vector = [0] * len(basis[0])
@@ -466,3 +478,35 @@ def _combine(rows, basis) -> list[tuple[int, ...]]:
                     vector[i] += c * x
         out.append(tuple(vector))
     return out
+
+
+def _eta_match(rows, etas) -> bool:
+    """Whether ``rows`` is a basis of the lattice that the ``etas`` span.
+
+    The etas are 0/1 vectors with disjoint, non-empty supports, so a vector
+    ``c @ etas`` of their span is known from its *reading* ``c``: its entries
+    at the etas' first support entries.  ``rows`` is a basis exactly when
+    there are ``s = len(etas)`` of them, every row equals its reading times
+    the etas, and the ``s x s`` matrix of readings is unimodular, that is,
+    its Hermite form is ``I``.  Array rows (exact, of any dtype) are checked
+    as arrays.
+    """
+    s = len(etas)
+    if len(rows) != s or not s:
+        return len(rows) == s
+    first = [eta.index(1) for eta in etas]
+    # lead[j]: the first support entry of the eta through entry j, -1 off every support
+    lead = [-1] * len(etas[0])
+    for f, eta in zip(first, etas):
+        for j in compress(range(len(eta)), eta):
+            lead[j] = f
+    if _is_array(rows):
+        from . import intcore
+        if not intcore.eta_consistent(rows, lead):
+            return False
+        readings = rows[:, first].tolist()
+    else:
+        if any(row[j] != (row[f] if f >= 0 else 0) for row in rows for j, f in enumerate(lead)):
+            return False
+        readings = [[row[f] for f in first] for row in rows]
+    return hermite_normal_form(readings) == tuple(map(tuple, identity_matrix(s)))

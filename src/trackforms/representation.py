@@ -44,7 +44,8 @@ A symbol holds O(m) integers whatever the dimension ``N^m``:
   ``b`` differs the two operators have disjoint supports and it is
   ``max(|s_A|, |s_B|)``.  If only ``a`` differs it is the largest
   ``|s_A - s_B q^t|`` over the ``t`` of the subgroup of Z/N generated by
-  the ``d_i (a_i - a'_i)``.
+  the ``d_i (a_i - a'_i)``, taken at the ``q^t`` nearest the direction of
+  ``-s_A / s_B``, which one rounding finds.
 
 A scalar is evaluated as the product of the generators' own floating-point
 values, ``omega^k`` times the ``za_i ** a_i``, ``zb_i ** b_i`` and
@@ -285,7 +286,16 @@ class Representation:
         step = N if ax == ay else math.gcd(N, *(d * (u - v) for d, u, v in zip(self.d, ax, ay)))
         if step == N:
             return abs(sx - sy)
-        return max(abs(sx - sy * self.params.root_value(4 * t)) for t in range(0, N, step))
+        # The q^t over the multiples t of step are the L-th roots of unity, and
+        # |sx - sy z| is largest at the root z nearest the direction of
+        # -sx / sy.  q^t = exp(2 pi i r t / N) for the root exponent r, so the
+        # j-th root is t = step (j / r mod L).  Its neighbours are evaluated
+        # too, in case the rounded phase lands across a midpoint.
+        L = N // step
+        j = round(cmath.phase(-sx * sy.conjugate()) * L / (2 * math.pi))
+        r_inverse = pow(self.params.root_exponent, -1, L)
+        return max(abs(sx - sy * self.params.root_value(4 * step * (k * r_inverse % L)))
+                   for k in (j - 1, j, j + 1))
 
     def _parts(self, x) -> tuple[tuple[int, ...], tuple[int, ...], complex]:
         if isinstance(x, Symbol):

@@ -52,6 +52,7 @@ theta agrees with the succession-matrix pairing of switch-sum vectors (see
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 
 from .triangulation import IdealTriangulation, sigma_matrix
@@ -66,14 +67,22 @@ Dart = tuple[int, int]
 # kernel at 21 switch rows (42 branches), the normal form at 18 to 21 rows,
 # theta at 15 basis vectors, but the certificate already at 6 rows (at n = 9,
 # lists 146-153 us against arrays 68-84 us), so it would gain from a cutoff
-# of its own.  ``lattice.hermite_normal_form`` (so the Hermite form of the
-# weight-lattice basis) and ``lattice._combine`` run on lists at every size.
+# of its own.  ``lattice.verify_structure`` hands the arrays on from stage to
+# stage, through the eta match, and each stage takes lists or arrays.  Only
+# ``lattice.hermite_normal_form`` (so the Hermite form of the weight-lattice
+# basis that ``rep`` reduces on) runs on lists at every size.
 INT64_MIN_ROWS = 20
 
 
 def _int64(rows: int) -> bool:
     """Whether a matrix with ``rows`` rows runs on int64 arrays."""
     return rows > 0 and rows >= INT64_MIN_ROWS
+
+
+def _is_array(x) -> bool:
+    """Whether ``x`` is a numpy array, without importing numpy (an array implies it is loaded)."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
 
 
 class TrackError(ValueError):
@@ -312,12 +321,18 @@ def germ_image(track: TrainTrack, b) -> list[int]:
     return image
 
 
-def theta_matrix(track: TrainTrack, basis) -> list[list[int]]:
-    """Antisymmetric matrix of theta over a list of weight systems: ``B T B^T / 2``."""
+def theta_matrix(track: TrainTrack, basis):
+    """Antisymmetric matrix of theta over a list of weight systems: ``B T B^T / 2``.
+
+    The basis may be lists or an array.  From ``INT64_MIN_ROWS`` vectors on,
+    an array basis gives an array; below that the matrix is lists.
+    """
     m = len(basis)
     if _int64(m):
         from . import intcore
         return intcore.theta_matrix(track.germ_pairs, basis)
+    if _is_array(basis):  # a short basis of a track with many switches
+        basis = basis.tolist()
     out = [[0] * m for _ in range(m)]
     images = [germ_image(track, basis[j]) for j in range(1, m)]
     for i in range(m - 1):
@@ -470,11 +485,6 @@ def _attach_puncture(track: TriangulationTrack, region: Region) -> Region:
     return Region(region.darts, region.spike_after, punctures.pop())
 
 
-def is_orientable(track: TrainTrack) -> bool:
-    """Whether the branches admit orientations that cross every switch consistently."""
-    return _switch_classes(track)[1]
-
-
 def _switch_classes(track: TrainTrack) -> tuple[bool, bool]:
     """(connected, orientable) from one parity union-find over the branches.
 
@@ -509,30 +519,3 @@ def _switch_classes(track: TrainTrack) -> tuple[bool, bool]:
         size[r1] += size[r2]
         classes -= 1
     return classes == 1, orientable
-
-
-def region_weight_system(track: TrainTrack, region: Region) -> tuple[int, ...]:
-    """The weight system carried by a region with an even number of spikes.
-
-    Split the boundary walk at its spikes into arcs and weight each branch by
-    the alternating count of arc passages; with no spikes at all this is the
-    plain multiplicity of the core curve on each branch.
-    """
-    n_spikes = region.spikes
-    if n_spikes % 2 != 0:
-        raise OddSpikesError(f"region has {n_spikes} spikes")
-    weights = [0] * track.branch_count
-    L = len(region.darts)
-    if n_spikes == 0:
-        for b, _ in region.darts:
-            weights[b] += 1
-        return require_weight_system(track, weights)
-    # Rotate so the walk starts just after a spike, then alternate arc signs.
-    last_spike = max(i for i in range(L) if region.spike_after[i])
-    order = [(i + last_spike + 1) % L for i in range(L)]
-    sign = 1
-    for i in order:
-        weights[region.darts[i][0]] += sign
-        if region.spike_after[i]:
-            sign = -sign
-    return require_weight_system(track, weights)

@@ -1,6 +1,11 @@
-"""Length-d and dense oracles for representation symbols.
+"""Oracles: plain definitions that only the tests use.
 
-``Monomial(perm, values)`` is the operator ``e_j -> values[j] e_perm[j]``:
+Structure: ``block_matrix`` and ``normal_form_json`` (the ``D`` and the
+JSON of a ``NormalForm``), ``kernel_basis`` (the trailing rows of ``U``),
+``is_orientable`` and ``region_weight_system``.
+
+Representations: ``loop_deviation`` walks the subgroup of roots that
+``Representation.deviation`` reads in closed form.  ``Monomial(perm, values)`` is the operator ``e_j -> values[j] e_perm[j]``:
 one non-zero entry per column, held as a length-d permutation and a length-d
 complex vector.  ``generators`` builds the 2m + s generators of a
 representation that way, digit by digit of the tensor index, from the
@@ -11,14 +16,91 @@ which the tests check against them.  ``svd_commutant_dimension`` is the
 numerical rank that ``commutant_dimension``'s exact certificate replaces.
 """
 
+import cmath
+import math
+
 import numpy as np
 
-from trackforms import from_triangulation, standard_triangulation
+from trackforms import OddSpikesError, from_triangulation, skew_normal_form, standard_triangulation
 from trackforms.algebra import BalancedAlgebra, omega_candidate, phase_eval
 from trackforms.representation import build, random_spec
+from trackforms.traintrack import _switch_classes, require_weight_system
 
 # Singular values at most SV_CUTOFF * max(1, largest) count as zero.
 SV_CUTOFF = 1e-7
+
+
+# --- structure ---------------------------------------------------------------
+
+def block_matrix(nf) -> tuple[tuple[int, ...], ...]:
+    """``D`` of a normal form: the ``(0 d; -d 0)`` blocks down the diagonal, then zeros."""
+    d = [[0] * len(nf.U) for _ in nf.U]
+    for k, b in enumerate(nf.blocks):
+        d[2 * k][2 * k + 1], d[2 * k + 1][2 * k] = b, -b
+    return tuple(map(tuple, d))
+
+
+def normal_form_json(nf) -> dict:
+    """Row-major integer arrays for U and D plus the block data."""
+    return {
+        "U": [list(r) for r in nf.U],
+        "D": [list(r) for r in block_matrix(nf)],
+        "blocks": list(nf.blocks),
+        "nullity": nf.nullity,
+    }
+
+
+def kernel_basis(matrix) -> list[tuple[int, ...]]:
+    """Basis of the integer kernel of an antisymmetric matrix (trailing rows of U)."""
+    return skew_normal_form(matrix).kernel_rows()
+
+
+def is_orientable(track) -> bool:
+    """Whether the branches admit orientations that cross every switch consistently."""
+    return _switch_classes(track)[1]
+
+
+def region_weight_system(track, region) -> tuple[int, ...]:
+    """The weight system carried by a region with an even number of spikes.
+
+    Split the boundary walk at its spikes into arcs and weight each branch by
+    the alternating count of arc passages; with no spikes at all this is the
+    plain multiplicity of the core curve on each branch.
+    """
+    n_spikes = region.spikes
+    if n_spikes % 2 != 0:
+        raise OddSpikesError(f"region has {n_spikes} spikes")
+    weights = [0] * track.branch_count
+    L = len(region.darts)
+    if n_spikes == 0:
+        for b, _ in region.darts:
+            weights[b] += 1
+        return require_weight_system(track, weights)
+    # Rotate so the walk starts just after a spike, then alternate arc signs.
+    last_spike = max(i for i in range(L) if region.spike_after[i])
+    order = [(i + last_spike + 1) % L for i in range(L)]
+    sign = 1
+    for i in order:
+        weights[region.darts[i][0]] += sign
+        if region.spike_after[i]:
+            sign = -sign
+    return require_weight_system(track, weights)
+
+
+# --- representations ---------------------------------------------------------
+
+def loop_deviation(rep, x, y) -> float:
+    """``rep.deviation`` with its "only a differs" branch as the walk over the subgroup."""
+    (ax, bx, sx), (ay, by, sy) = rep._parts(x), rep._parts(y)
+    if not (cmath.isfinite(sx) and cmath.isfinite(sy)):
+        return math.inf
+    N = rep.params.N
+    if bx != by and any((u - v) % N for u, v in zip(bx, by)):
+        return max(abs(sx), abs(sy))
+    step = N if ax == ay else math.gcd(N, *(d * (u - v) for d, u, v in zip(rep.d, ax, ay)))
+    if step == N:
+        return abs(sx - sy)
+    return max(abs(sx - sy * rep.params.root_value(4 * t)) for t in range(0, N, step))
 
 
 def make_rep(g, s, N, epsilon=1, seed=0, omega_index=0):

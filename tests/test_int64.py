@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from trackforms import (
+    TrainTrack,
     from_triangulation,
     intcore,
     skew_normal_form,
@@ -25,7 +26,8 @@ from trackforms.lattice import integer_kernel, integer_kernel_basis
 from trackforms.traintrack import switch_matrix
 from trackforms.triangulation import TriangulationError, flip, random_triangulation
 
-from conftest import GRID
+from conftest import GRID, random_ribbon_track
+from oracles import block_matrix
 
 INT64, LISTS = 0, 10 ** 9
 
@@ -142,6 +144,31 @@ def test_elimination_kernels_agree(grid_tracks, monkeypatch):
         assert all(type(x) is int for row in results[0] for x in row)
 
 
+def test_switch_array_matches_the_lists(grid_tracks):
+    # verify_structure's array path builds the switch matrix from the darts;
+    # ribbon tracks put both ends of a branch on one switch, or on one side
+    rng = random.Random(3)
+    ribbons = [t for t in (random_ribbon_track(rng) for _ in range(200)) if t is not None]
+    tracks = list(grid_tracks.values()) + [from_triangulation(standard_triangulation(16, 4))]
+    for track in tracks + ribbons:
+        a = intcore.switch_matrix(track.switches, track.branch_count)
+        assert a.dtype == np.int64
+        assert a.tolist() == switch_matrix(track)
+
+
+def test_many_switches_and_a_short_basis(monkeypatch):
+    # A circle through 25 bivalent switches: the kernel runs on arrays and
+    # hands theta a one-row array, which theta reads on its list path.
+    n = 25
+    track = TrainTrack(n, [([(i, 1)], [((i + 1) % n, 0)]) for i in range(n)])
+    reports = []
+    for cutoff in (traintrack.INT64_MIN_ROWS, LISTS):
+        monkeypatch.setattr(traintrack, "INT64_MIN_ROWS", cutoff)
+        reports.append(verify_structure(track))
+    assert reports[0] == reports[1]
+    assert reports[0].passed and reports[0].nullity == 1
+
+
 def certificate_past_62_bits(blocks):
     """``U = I + 2**70 E_02``, its inverse ``V`` and ``M = V D V^T`` at n = 20.
 
@@ -152,7 +179,7 @@ def certificate_past_62_bits(blocks):
     n, big = 20, 2 ** 70
     u = [[int(i == j) + big * ((i, j) == (0, 2)) for j in range(n)] for i in range(n)]
     v = [[int(i == j) - big * ((i, j) == (0, 2)) for j in range(n)] for i in range(n)]
-    d = [list(r) for r in NormalForm(u, blocks, v).D]
+    d = [list(r) for r in block_matrix(NormalForm(u, blocks, v))]
     vd = [[sum(v[i][k] * d[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     m = [[sum(vd[i][k] * v[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
     return u, v, m

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from trackforms import (
     NormalForm,
-    kernel_basis,
     lattice_equal,
     puncture_weight,
     skew_normal_form,
@@ -23,6 +22,7 @@ from trackforms.lattice import (
 )
 
 from conftest import GRID, circle_track, random_ribbon_track, unorientable_even_track
+from oracles import block_matrix, kernel_basis, normal_form_json
 
 
 # --- reference oracles: plain definitions the certificate no longer uses ----
@@ -120,8 +120,8 @@ def test_determinism_and_idempotence():
     nf1 = skew_normal_form(m)
     nf2 = skew_normal_form(m)
     assert nf1 == nf2
-    again = skew_normal_form([list(r) for r in nf1.D])
-    assert again.D == nf1.D
+    again = skew_normal_form([list(r) for r in block_matrix(nf1)])
+    assert block_matrix(again) == block_matrix(nf1)
     assert again.blocks == nf1.blocks
 
 
@@ -297,7 +297,7 @@ def test_normal_form_certificate_composition():
     m = random_skew(rng, 5)
     nf = skew_normal_form(m)
     u = [list(r) for r in nf.U]
-    assert mat_mul(mat_mul(u, m), transpose(u)) == [list(r) for r in nf.D]
+    assert mat_mul(mat_mul(u, m), transpose(u)) == [list(r) for r in block_matrix(nf)]
     assert abs(integer_det(u)) == 1
     assert mat_mul(u, [list(r) for r in nf.V]) == [[int(i == j) for j in range(5)] for i in range(5)]
     assert isinstance(nf, NormalForm)
@@ -338,7 +338,7 @@ def identity(n):
 def test_certificate_checks_unimodularity_and_blocks(u, blocks, m, valid):
     # V = I inverts the identity U's; the det-2 U has no integer inverse at all
     nf = NormalForm(u, blocks, identity(len(u)))
-    assert mat_mul(mat_mul([list(r) for r in u], m), transpose(u)) == [list(r) for r in nf.D]
+    assert mat_mul(mat_mul([list(r) for r in u], m), transpose(u)) == [list(r) for r in block_matrix(nf)]
     assert certify_normal_form(nf, m) is valid
 
 
@@ -372,7 +372,7 @@ def test_normal_form_json_round_trip():
     import json
 
     nf = skew_normal_form([[0, 2, 0], [-2, 0, 1], [0, -1, 0]])
-    data = json.loads(json.dumps(nf.to_json_dict()))
+    data = json.loads(json.dumps(normal_form_json(nf)))
     assert data["blocks"] == list(nf.blocks)
     assert data["nullity"] == nf.nullity
     assert data["U"] == [list(r) for r in nf.U]

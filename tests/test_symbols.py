@@ -10,6 +10,7 @@ from trackforms.representation import Symbol
 from oracles import (
     Monomial,
     generators,
+    loop_deviation,
     make_rep,
     reference_generators,
     symbol_dense,
@@ -75,6 +76,27 @@ def test_symbol_deviation_matches_monomials_on_every_branch(g, s, N):
             assert abs(rep.deviation(c, x) - expected) < 1e-12
         assert rep.deviation(x, x) == 0.0
         assert rep.deviation(x, b_apart[0]) == max(abs(rep.scalar(x)), abs(rep.scalar(b_apart[0])))
+
+
+@pytest.mark.parametrize("N", [3, 9, 15, 21])
+@pytest.mark.parametrize("epsilon", [1, -1])
+def test_closed_form_deviation_matches_the_subgroup_walk(N, epsilon):
+    # symbols whose clock exponents a differ and shift exponents b agree mod N,
+    # against each other and against numbers, over every root exponent's subgroups
+    rng = random.Random(N * epsilon)
+    for omega_index in range(2):
+        rep = make_rep(1, 2, N, epsilon=epsilon, seed=N, omega_index=omega_index)
+        hits = 0
+        for _ in range(40):
+            x = random_symbol(rep, rng)
+            a = tuple(c + rng.choice((0, N // 3, N // 5 if N % 5 == 0 else 1, 1))
+                      for c in x.a)
+            b = tuple(c + N * rng.randint(-1, 1) for c in x.b)
+            y = Symbol(a, b, tuple(rng.randint(-3, 3) for _ in x.e), rng.randrange(4 * N))
+            for u, v in ((x, y), (y, x), (x, rng.uniform(0.5, 2.0)), (x, 0.0)):
+                assert rep.deviation(u, v) == loop_deviation(rep, u, v)
+            hits += a != x.a
+        assert hits > 20
 
 
 @pytest.mark.parametrize("g,s,N", [(1, 2, 5), (1, 5, 3), (0, 8, 3)])

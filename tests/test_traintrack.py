@@ -13,7 +13,6 @@ from trackforms import (
     from_switch_sums,
     from_triangulation,
     puncture_weight,
-    region_weight_system,
     regions,
     standard_triangulation,
     switch_sums,
@@ -23,7 +22,6 @@ from trackforms import (
 )
 from trackforms.traintrack import (
     _switch_classes,
-    is_orientable,
     is_weight_system,
     sigma_pairing,
     theta_doubled,
@@ -36,6 +34,7 @@ from conftest import (
     random_weight,
     unorientable_even_track,
 )
+from oracles import is_orientable, region_weight_system
 
 
 @pytest.mark.parametrize("g,s,switches,branches", [(1, 1, 3, 6), (0, 4, 6, 12)])
