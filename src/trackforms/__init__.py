@@ -11,7 +11,6 @@ from .triangulation import (
 )
 from .traintrack import (
     IntegralityViolation,
-    OddSpikesError,
     ParityViolation,
     TrackError,
     TrainTrack,
@@ -39,7 +38,6 @@ __all__ = [
     "IdealTriangulation",
     "IntegralityViolation",
     "NormalForm",
-    "OddSpikesError",
     "ParityViolation",
     "StructureReport",
     "TrackError",

@@ -22,8 +22,10 @@ An element is a finite map  weight system -> phase polynomial,  where a phase
 polynomial is a dict {exponent mod 4N: integer coefficient}: an integer
 combination of powers of ``w``, reduced only by ``w^(4N) = 1``.  Elements are
 kept reduced (every exponent in ``[0, 4N)``, no zero coefficient, no empty
-polynomial), so equality is equality of the dicts.  ``phase_eval`` sends a
-phase polynomial to a complex number for a concrete ``w``.
+polynomial), so equality is equality of the dicts.  The constructor reduces
+arbitrary input; ``mul`` and ``frobenius`` build reduced terms themselves
+(see Products).  ``phase_eval`` sends a phase polynomial to a complex number
+for a concrete ``w``.
 
 Monomials correspond to symmetrized ordered products of the edge generators:
 ``weyl_exponent`` computes the symmetrizing phase ``-sum_{u<v} k_u k_v
@@ -34,15 +36,19 @@ is tested.
 
 Products
 --------
-``theta(a, b) = a^T T b / 2`` for the track's germ-pair form ``T``.  A
-product of a p-term element by a q-term element forms the germ images
-``T b`` of the q right-hand weight systems once, as one scatter over the
-germ pairs, and then all p*q doubled phases ``a . T b`` as one product
-(``intcore.doubled_pairings``).  The product goes through
-``intcore.matmul``, on float64 BLAS while a bit bound keeps it exact and on
-Python ints otherwise, so no phase ever wraps or rounds.  The keys ``a + b``
-are one broadcast sum, and one loop over the term pairs adds the coefficient
-products into polynomials that the element constructor reduces.
+``theta(a, b) = a^T T b / 2`` for the track's germ-pair form ``T``.  An
+algebra turns the track's germ pairs into an array once, at its first
+product (``intcore.germ_pair_array``).  A product of a p-term element by a
+q-term element forms the germ images ``T b`` of the q right-hand weight
+systems as one scatter over the germ pairs, and then all p*q doubled phases
+``a . T b`` as one product (``intcore.doubled_pairings``).  The product goes
+through ``intcore.matmul``, on float64 BLAS while a bit bound keeps it exact
+and on Python ints otherwise, so no phase ever wraps or rounds.  The keys
+``a + b`` are one broadcast sum, and one loop over the term pairs adds the
+coefficient products into polynomials at exponents already reduced mod 4N.
+The product drops what cancelled to 0 and hands its terms over reduced,
+without the constructor's second pass; ``frobenius`` does the same with its
+lift, which is reduced by construction.
 
 Chebyshev utilities
 -------------------
@@ -231,7 +237,13 @@ def _reduced_phase(items, order: int) -> Phase:
 # --- elements ---------------------------------------------------------------
 
 class AlgebraElement:
-    """Finite phase-weighted sum of basis monomials Z_w, w a weight system."""
+    """Finite phase-weighted sum of basis monomials Z_w, w a weight system.
+
+    ``terms`` maps each weight system to its phase polynomial, kept reduced.
+    The constructor reduces any ``terms`` it is given.  ``mul`` and
+    ``frobenius`` build theirs reduced and wrap them with ``_reduced``,
+    which does not check again.
+    """
 
     __slots__ = ("algebra", "terms")
 
@@ -239,6 +251,14 @@ class AlgebraElement:
         self.algebra = algebra
         order = algebra.params.phase_order
         self.terms = {w: q for w, p in terms.items() if (q := _reduced_phase(p.items(), order))}
+
+    @classmethod
+    def _reduced(cls, algebra: "BalancedAlgebra", terms: dict) -> "AlgebraElement":
+        """Wrap ``terms`` that are already reduced, without checking them."""
+        out = cls.__new__(cls)
+        out.algebra = algebra
+        out.terms = terms
+        return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, AlgebraElement)
@@ -287,8 +307,9 @@ class BalancedAlgebra:
 
     ``mul`` pairs every term of the left factor with the germ images of the
     right factor's weight systems in one exact product (see the module
-    docstring).  There is no phase cache, so an algebra's memory does not grow
-    with the products it has computed.
+    docstring).  Past its germ-pair array, built at the first product, an
+    algebra keeps no cache, so its memory does not grow with the products it
+    has computed.
     """
 
     def __init__(self, track: TriangulationTrack, params: AlgebraParams):
@@ -296,6 +317,7 @@ class BalancedAlgebra:
             raise TypeError("BalancedAlgebra needs the track of a triangulation")
         self.track = track
         self.params = params
+        self._germ_pairs = None  # intcore.germ_pair_array of the track, built at the first product
 
     # -- plumbing ---------------------------------------------------------
 
@@ -331,16 +353,20 @@ class BalancedAlgebra:
         The doubled phases ``2 theta(a, b) = a . (T b)`` of every term pair
         are one product of ``x``'s weight rows with the germ images of
         ``y``'s, and the keys ``a + b`` one broadcast sum.  The merge adds
-        each coefficient product at its exponent, and the constructor drops
-        what cancels.
+        each coefficient product at its exponent, already reduced mod 4N.
+        Only a coefficient that cancels to 0 can leave a term unreduced, so
+        the polynomials holding one (a C-level ``0 in p.values()`` test) are
+        rebuilt without their zeros, and those left empty are dropped.
         """
         self.require_same(x)
         self.require_same(y)
         if not x.terms or not y.terms:
             return self.zero()
         from . import intcore
+        if self._germ_pairs is None:
+            self._germ_pairs = intcore.germ_pair_array(self.track.germ_pairs)
         a, b = intcore.as_array(list(x.terms)), intcore.as_array(list(y.terms))
-        doubled = intcore.doubled_pairings(self.track.germ_pairs, a, b).tolist()
+        doubled = intcore.doubled_pairings(self._germ_pairs, a, b).tolist()
         keys = (a[:, None, :] + b[None, :, :]).tolist()
         order = self.params.phase_order
         out: dict = {}
@@ -354,7 +380,12 @@ class BalancedAlgebra:
                     for e2, c2 in pb:
                         e = (e1 + e2) % order
                         poly[e] = poly.get(e, 0) + c1 * c2
-        return AlgebraElement(self, out)
+        for w in [w for w, p in out.items() if 0 in p.values()]:
+            if p := {e: c for e, c in out[w].items() if c}:
+                out[w] = p
+            else:
+                del out[w]
+        return AlgebraElement._reduced(self, out)
 
     def power(self, x: AlgebraElement, m: int) -> AlgebraElement:
         if m < 0:
@@ -430,7 +461,14 @@ def frobenius(x: AlgebraElement, target: BalancedAlgebra) -> AlgebraElement:
     """Lift an element of the commutative degeneration along Z_w -> Z_(N w).
 
     The source must live at the iota parameters of ``target`` (same track);
-    the coefficient exponents re-embed via iota = w^(N^2).
+    the coefficient exponents re-embed via iota = w^(N^2), ``e -> e N^2 mod 4N``.
+
+    The lift of a reduced element is reduced, so it is wrapped unchecked.
+    ``w -> N w`` is injective, so no two terms meet.  The source exponents
+    lie in ``Z/4``, and ``e -> e N^2 mod 4N`` is injective there: N is odd,
+    so ``e N^2 = N (e N mod 4) (mod 4N)`` and ``e -> e N mod 4`` permutes
+    ``Z/4``.  So no two exponents of a polynomial meet, and the coefficients
+    stay the source's, none of them 0.
     """
     src = x.algebra
     if src.track is not target.track:
@@ -438,12 +476,11 @@ def frobenius(x: AlgebraElement, target: BalancedAlgebra) -> AlgebraElement:
     if src.params != target.params.iota_params():
         raise ValueError("source parameters are not the iota degeneration of the target")
     N = target.params.N
+    lift = N * N
     order = target.params.phase_order
-    terms = {}
-    for w, p in x.terms.items():
-        nw = tuple(N * v for v in w)
-        terms[nw] = {(e * N * N) % order: c for e, c in p.items()}
-    return AlgebraElement(target, terms)
+    terms = {tuple([N * v for v in w]): {e * lift % order: c for e, c in p.items()}
+             for w, p in x.terms.items()}
+    return AlgebraElement._reduced(target, terms)
 
 
 # --- Chebyshev utilities ----------------------------------------------------

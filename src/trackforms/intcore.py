@@ -34,7 +34,7 @@ int64; past it, it runs on Python-int ``object`` arrays.
 
 This module imports numpy, so ``lattice`` and ``traintrack`` import it only
 when a matrix is large enough to need it, and ``algebra`` at its first
-product (``doubled_pairings``).
+product, which also builds the algebra's ``germ_pair_array`` once.
 """
 
 from __future__ import annotations
@@ -307,13 +307,18 @@ def certifies(u, v, m, blocks) -> bool:
 
 # --- the intersection form -------------------------------------------------
 
-def doubled_pairings(germ_pairs, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def germ_pair_array(germ_pairs) -> np.ndarray:
+    """``TrainTrack.germ_pairs`` as the (P, 2) int64 array ``doubled_pairings`` takes."""
+    return np.array(germ_pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def doubled_pairings(pairs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The exact matrix of doubled pairings ``a_i^T T b_j = 2 theta(a_i, b_j)``.
 
-    The germ images ``T b_j`` are one ``np.add.at`` scatter, and all the
-    pairings one guarded product.  Raises ``IntegralityViolation`` if one is odd.
+    ``pairs`` is ``germ_pair_array`` of the track.  The germ images ``T b_j``
+    are one ``np.add.at`` scatter, and all the pairings one guarded product.
+    Raises ``IntegralityViolation`` if one is odd.
     """
-    pairs = np.array(germ_pairs, dtype=np.int64).reshape(-1, 2)
     if max_bits(b) + len(pairs).bit_length() + 1 > WORD_BITS:
         b = b.astype(object)
     left, right = pairs[:, 0], pairs[:, 1]
@@ -333,7 +338,7 @@ def theta_matrix(germ_pairs, basis):
     An array for an array ``basis``, lists of Python ints for lists.
     """
     b = as_array(basis)
-    theta = doubled_pairings(germ_pairs, b, b) // 2
+    theta = doubled_pairings(germ_pair_array(germ_pairs), b, b) // 2
     return theta if isinstance(basis, np.ndarray) else theta.tolist()
 
 

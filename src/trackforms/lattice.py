@@ -201,9 +201,6 @@ class NormalForm:
     def nullity(self) -> int:
         return len(self.U) - self.rank
 
-    def kernel_rows(self) -> list[tuple[int, ...]]:
-        return [self.U[i] for i in range(self.rank, len(self.U))]
-
 
 def _check_antisymmetric(m) -> list[list[int]]:
     n = len(m)

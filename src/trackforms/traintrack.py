@@ -101,10 +101,6 @@ class ParityViolation(ValueError):
         self.triangle = triangle
 
 
-class OddSpikesError(ValueError):
-    """Region weight systems require an even number of spikes."""
-
-
 class TrainTrack:
     def __init__(self, branch_count: int, switches):
         try:

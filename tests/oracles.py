@@ -1,8 +1,9 @@
 """Oracles: plain definitions that only the tests use.
 
 Structure: ``block_matrix`` and ``normal_form_json`` (the ``D`` and the
-JSON of a ``NormalForm``), ``kernel_basis`` (the trailing rows of ``U``),
-``is_orientable`` and ``region_weight_system``.
+JSON of a ``NormalForm``), ``kernel_rows`` and ``kernel_basis`` (the
+trailing rows of ``U``), ``is_orientable`` and ``region_weight_system``
+(which raises ``OddSpikesError``).
 
 Representations: ``loop_deviation`` walks the subgroup of roots that
 ``Representation.deviation`` reads in closed form.  ``Monomial(perm, values)`` is the operator ``e_j -> values[j] e_perm[j]``:
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from trackforms import OddSpikesError, from_triangulation, skew_normal_form, standard_triangulation
+from trackforms import from_triangulation, skew_normal_form, standard_triangulation
 from trackforms.algebra import BalancedAlgebra, omega_candidate, phase_eval
 from trackforms.representation import build, random_spec
 from trackforms.traintrack import _switch_classes, require_weight_system
@@ -50,9 +51,18 @@ def normal_form_json(nf) -> dict:
     }
 
 
+def kernel_rows(nf) -> list[tuple[int, ...]]:
+    """The rows of ``U`` from ``nf.rank`` on: a basis of the integer kernel."""
+    return list(nf.U[nf.rank:])
+
+
 def kernel_basis(matrix) -> list[tuple[int, ...]]:
     """Basis of the integer kernel of an antisymmetric matrix (trailing rows of U)."""
-    return skew_normal_form(matrix).kernel_rows()
+    return kernel_rows(skew_normal_form(matrix))
+
+
+class OddSpikesError(ValueError):
+    """Region weight systems require an even number of spikes."""
 
 
 def is_orientable(track) -> bool:

@@ -1,11 +1,16 @@
 import cmath
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, strategies as st
 
+import trackforms
 from trackforms import from_triangulation, sigma_matrix, standard_triangulation, weight_lattice_basis
 from trackforms.algebra import (
     AlgebraElement,
@@ -233,6 +238,17 @@ def reference_mul(algebra, x, y):
     return AlgebraElement(algebra, out)
 
 
+def assert_reduced(element):
+    """Every exponent in [0, 4N), no coefficient 0, no empty polynomial, and the
+    constructor's reduction leaves the element as it is."""
+    order = element.algebra.params.phase_order
+    for p in element.terms.values():
+        assert p
+        assert all(0 <= e < order and c != 0 for e, c in p.items())
+    assert element == AlgebraElement(element.algebra, element.terms)
+    return element
+
+
 def oracle_algebras():
     """The (1,1), (2,2) and (0,4) algebras at N = 3, 5 and their iota parameters."""
     for gs in [(1, 1), (2, 2), (0, 4)]:
@@ -266,10 +282,10 @@ def test_mul_matches_reference(span, coeff_bits):
         for _ in range(4):
             x = wide_element(algebra, basis, rng, rng.randint(1, 6), span, coeff_bits)
             y = wide_element(algebra, basis, rng, rng.randint(1, 6), span, coeff_bits)
-            assert algebra.mul(x, y) == reference_mul(algebra, x, y)
+            assert assert_reduced(algebra.mul(x, y)) == reference_mul(algebra, x, y)
             assert algebra.mul(x, zero) == algebra.mul(zero, x) == zero
         xy = algebra.mul(x, y)
-        assert algebra.mul(xy, x) == reference_mul(algebra, xy, x)
+        assert assert_reduced(algebra.mul(xy, x)) == reference_mul(algebra, xy, x)
 
 
 def test_mul_cancels_to_zero():
@@ -281,8 +297,16 @@ def test_mul_cancels_to_zero():
         minus = {random_weight(algebra.track, basis, rng): {0: 1, half: -1} for _ in range(3)}
         x, y = AlgebraElement(algebra, plus), AlgebraElement(algebra, minus)
         assert reference_mul(algebra, x, y) == algebra.zero()
-        assert algebra.mul(x, y) == algebra.zero()
+        assert assert_reduced(algebra.mul(x, y)) == algebra.zero()
         assert algebra.mul(x, y).terms == {}
+        # (1 + w^(2N)) (1 - w^(2N) + w) = w + w^(2N + 1): two of the four exponents cancel
+        a, c = random_weight(algebra.track, basis, rng), random_weight(algebra.track, basis, rng)
+        x = AlgebraElement(algebra, {a: {0: 1, half: 1}})
+        y = AlgebraElement(algebra, {c: {0: 1, half: -1, 1: 1}})
+        product = assert_reduced(algebra.mul(x, y))
+        assert product == reference_mul(algebra, x, y)
+        (poly,) = product.terms.values()
+        assert len(poly) == 2
 
 
 def test_mul_cancels_one_key(torus_setup):
@@ -295,10 +319,29 @@ def test_mul_cancels_one_key(torus_setup):
     shift = (2 * theta(track, a, c) - 2 * theta(track, a2, c2)) % order
     x = AlgebraElement(algebra, {a: {0: 1}, a2: {0: 1}})
     y = AlgebraElement(algebra, {c: {0: 1}, c2: {shift: -1}})
-    product = algebra.mul(x, y)
+    product = assert_reduced(algebra.mul(x, y))
     assert product == reference_mul(algebra, x, y)
     assert tuple(u + v for u, v in zip(a, c)) not in product.terms
     assert len(product.terms) == 2
+
+
+def test_germ_pairs_wait_for_the_first_product():
+    # an algebra that never multiplies builds no array and imports no numpy
+    code = textwrap.dedent("""
+        import sys
+        from trackforms import from_triangulation, standard_triangulation
+        from trackforms.algebra import BalancedAlgebra, omega_candidates
+        algebra = BalancedAlgebra(from_triangulation(standard_triangulation(1, 1)), omega_candidates(3)[0])
+        h = algebra.puncture_element(0) + algebra.one()
+        assert "numpy" not in sys.modules and algebra._germ_pairs is None
+        algebra.mul(h, h)
+        pairs = algebra._germ_pairs
+        algebra.mul(h, h)
+        assert pairs is not None and algebra._germ_pairs is pairs
+    """)
+    src = os.path.dirname(os.path.dirname(trackforms.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_mul_odd_pairing_raises(grid_tracks):
@@ -376,6 +419,33 @@ def test_frobenius_multiplicative(torus_setup):
         x = random_element(iota, basis, rng)
         y = random_element(iota, basis, rng)
         assert frobenius(iota.mul(x, y), algebra) == algebra.mul(
+            frobenius(x, algebra), frobenius(y, algebra))
+
+
+def reference_frobenius(x, target):
+    """The lift term by term, reduced by the element constructor."""
+    N, order = target.params.N, target.params.phase_order
+    return AlgebraElement(target, {tuple(N * v for v in w): {e * N * N % order: c for e, c in p.items()}
+                                   for w, p in x.terms.items()})
+
+
+@pytest.mark.parametrize("span, coeff_bits", [(1, 2), (2 ** 70, 80)])
+def test_frobenius_is_reduced(span, coeff_bits):
+    # every exponent of Z/4 and wide coefficients, lifted at N = 3 and 5
+    rng = random.Random(coeff_bits)
+    for algebra, basis in oracle_algebras():
+        if algebra.params.N == 1:
+            continue
+        iota = BalancedAlgebra(algebra.track, algebra.params.iota_params())
+        for _ in range(4):
+            x = wide_element(iota, basis, rng, rng.randint(1, 6), span, coeff_bits)
+            x = x + AlgebraElement(iota, {w: {e: rng.getrandbits(coeff_bits) + 1 for e in range(4)}
+                                          for w in list(x.terms)[:1]})
+            lifted = assert_reduced(frobenius(x, algebra))
+            assert lifted == reference_frobenius(x, algebra)
+            assert sum(map(len, lifted.terms.values())) == sum(map(len, x.terms.values()))
+        y = wide_element(iota, basis, rng, 3, span, coeff_bits)
+        assert assert_reduced(frobenius(iota.mul(x, y), algebra)) == algebra.mul(
             frobenius(x, algebra), frobenius(y, algebra))
 
 

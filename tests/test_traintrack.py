@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from trackforms import (
     IntegralityViolation,
-    OddSpikesError,
     ParityViolation,
     TrackError,
     TrainTrack,
@@ -34,7 +33,7 @@ from conftest import (
     random_weight,
     unorientable_even_track,
 )
-from oracles import is_orientable, region_weight_system
+from oracles import OddSpikesError, is_orientable, region_weight_system
 
 
 @pytest.mark.parametrize("g,s,switches,branches", [(1, 1, 3, 6), (0, 4, 6, 12)])
