@@ -8,12 +8,11 @@ cost more than it saves.  The kernel and the normal form take the same steps
 as their list counterparts (same pivots, quotients and swaps), so the
 results are identical; the certificate and theta are exact products.
 
-On ``verify_structure``'s large path one array goes from stage to stage:
-the switch matrix is built as an array (``switch_matrix``), the kernel's
-array is theta's basis, theta's array is the normal form's ``M`` and the
-certificate's, the normal form's ``U`` and ``V`` arrays are the
-certificate's, and the kernel rows of ``U`` times the basis are one
-``matmul`` whose rows the eta match reads at the etas' first support
+On the large path of ``lattice.certified_form`` one array goes from stage
+to stage: the switch matrix (``switch_matrix``), the kernel (theta's basis),
+theta's matrix and the normal form's ``U`` and ``V``, which the certificate
+reads.  Rows of ``U`` times the basis are one ``matmul``: ``rep``'s pair
+rows, or the kernel rows that the eta match reads at the etas' first support
 entries (``eta_consistent``).  Each stage still validates an array it is
 given (``as_array``); Python ints are made only for a public result.
 

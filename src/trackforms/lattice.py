@@ -4,19 +4,20 @@ Everything here is exact; nothing is ever rounded.  Three routines here
 fork at ``traintrack.INT64_MIN_ROWS`` rows: the integer kernel (the
 elimination basis), the skew normal form and its certificate run on
 Python-int lists below it and on the overflow-guarded int64 arrays of
-``intcore`` from there on, with the same results.  On that path
-``verify_structure`` keeps arrays from the switch matrix to the eta match:
-the kernel, theta's matrix, the normal form's ``U`` and ``V`` (kept on the
-``NormalForm`` next to their tuples), which the certificate reads, and
-``_combine``'s product all stay arrays.  ``hermite_normal_form`` (so the weight-lattice
-basis ``integer_kernel_basis``) stays on lists at every size; the eta match
-uses it only on an ``s x s`` matrix.  Every routine that takes caller
-matrices, lists or arrays, reads its entries with ``operator.index`` (or
-checks an int64 dtype) and refuses anything else.  The central
+``intcore`` from there on, with the same results.  Every routine that takes
+caller matrices, lists or arrays, reads its entries with ``operator.index``
+(or checks an int64 dtype) and refuses anything else.  The central
 routine, :func:`skew_normal_form`, reduces an antisymmetric integer
 matrix ``M`` by a unimodular congruence ``U M U^T`` to a block diagonal
 matrix with 2x2 blocks ``(0 d; -d 0)``, ``d_1 | d_2 | ...``, followed by a
 zero block, and returns the certificate ``U`` with its inverse ``V``.
+
+:func:`certified_form` (elimination basis, theta, normal form, certificate)
+is the structure stage of both commands; on the array path the kernel,
+theta's matrix, ``U`` and ``V`` (kept on the ``NormalForm`` next to their
+tuples) and ``_combine``'s products stay arrays.  No command reduces on
+``hermite_normal_form``, which stays on lists and serves ``lattice_equal``,
+``integer_kernel_basis`` and the eta match's ``s x s`` readings.
 
 ``verify_structure`` combines the normal form with the region census of a
 connected train track and checks the predicted block multiset:
@@ -50,8 +51,7 @@ from .traintrack import (
     switch_matrix,
     theta_matrix,
 )
-# Not called here since verify_structure reduces on the elimination basis and
-# builds the etas at once, but perfbench's tracer wraps them at this module.
+# Not called here (no Hermite basis, etas built at once); perfbench's tracer wraps them.
 from .traintrack import puncture_weight, weight_lattice_basis  # noqa: F401
 
 
@@ -154,17 +154,6 @@ def integer_kernel(matrix) -> list[list[int]]:
         if _pivot(work, r, c):
             r += 1
     return [row[rows:] for row in work[r:]]
-
-
-def _weight_kernel(track: TrainTrack):
-    """``integer_kernel(switch_matrix(track))``, an array from ``INT64_MIN_ROWS`` switches on.
-
-    The array path builds the switch matrix as an array, with no list to parse.
-    """
-    if _int64(track.switch_count):
-        from . import intcore
-        return intcore.integer_kernel(intcore.switch_matrix(track.switches, track.branch_count))
-    return integer_kernel(switch_matrix(track))
 
 
 def integer_kernel_basis(matrix) -> list[list[int]]:
@@ -364,6 +353,29 @@ def _is_identity(rows) -> bool:
 
 # --- the structure theorem -------------------------------------------------
 
+class CertificateError(ValueError):
+    """A normal form that fails its certificate (``certify_normal_form``)."""
+
+
+def certified_form(track: TrainTrack):
+    """The elimination basis and theta's normal form on it, certified or ``CertificateError``.
+
+    Every figure the commands report is an invariant of the form on the lattice,
+    and the Hermite basis only made ``U`` grow on flipped triangulations.  From
+    ``INT64_MIN_ROWS`` switches on, the basis and ``nf.arrays`` are arrays.
+    """
+    if _int64(track.switch_count):
+        from . import intcore
+        basis = intcore.integer_kernel(intcore.switch_matrix(track.switches, track.branch_count))
+    else:
+        basis = integer_kernel(switch_matrix(track))
+    m = theta_matrix(track, basis)
+    nf = skew_normal_form(m)
+    if not certify_normal_form(nf, m):
+        raise CertificateError("normal form certificate failed")
+    return basis, nf
+
+
 @dataclass(frozen=True)
 class StructureReport:
     case: str
@@ -409,21 +421,9 @@ def predicted_blocks(genus: int, n_even: int, n_odd: int, orientable: bool) -> t
 
 
 def verify_structure(track: TrainTrack) -> StructureReport:
-    """Run census + normal form on a connected track and compare block predictions.
-
-    The form is reduced on the elimination basis of the weight lattice, not
-    on its Hermite form: every reported figure (blocks, nullity, rank, the
-    eta match) is an invariant of the form on the lattice, and the Hermite
-    form only made ``U`` grow on flipped triangulations.  From
-    ``INT64_MIN_ROWS`` switch rows on, the basis, ``M``, ``U``, ``V`` and the
-    kernel rows stay arrays from stage to stage.
-    """
+    """Run census + :func:`certified_form` on a connected track and compare block predictions."""
     regs, topo = regions(track)
-    basis = _weight_kernel(track)
-    m = theta_matrix(track, basis)
-    nf = skew_normal_form(m)
-    if not certify_normal_form(nf, m):
-        raise AssertionError("normal form certificate failed")
+    basis, nf = certified_form(track)
     expected, expected_nullity = predicted_blocks(
         topo.genus, topo.n_even, topo.n_odd, topo.orientable)
     if topo.n_odd > 0:

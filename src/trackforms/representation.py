@@ -2,11 +2,11 @@
 
 Construction
 ------------
-``symplectic_basis`` block-diagonalizes the intersection form over the weight
-lattice, certifies that normal form, and returns basis pairs
-``(alpha_i, beta_i)`` with ``theta(alpha_i, beta_i) = d_i`` in {1, 2} (d = 1
-pairs first) plus the puncture weight systems, which span the kernel.  Given a
-value of ``zeta`` on every basis vector and scalars ``h_k`` with
+``symplectic_basis`` reads the certified normal form of the intersection
+form on the elimination basis (``lattice.certified_form``) and returns basis
+pairs ``(alpha_i, beta_i)`` with ``theta(alpha_i, beta_i) = d_i`` in {1, 2}
+(d = 1 pairs first) plus the puncture weight systems, which span the kernel.
+Given a value of ``zeta`` on every basis vector and scalars ``h_k`` with
 ``h_k^N = zeta(eta_k)``, the representation is a tensor product of
 N-dimensional factors, one per pair,
 
@@ -86,10 +86,12 @@ from dataclasses import dataclass, field, replace
 from itertools import compress
 
 from .algebra import BalancedAlgebra, frobenius, solve_chebyshev
-from .lattice import _combine, certify_normal_form, skew_normal_form
-from .traintrack import TriangulationTrack, germ_image, halved, is_weight_system, puncture_weights
-from .traintrack import theta_matrix, weight_lattice_basis
-from .traintrack import theta  # not called here; perfbench's tracer counts theta calls at this name
+from .lattice import _combine, certified_form
+from .traintrack import TriangulationTrack, _is_array, germ_image, halved, is_weight_system, puncture_weights
+from .traintrack import theta_matrix
+# Not called here, but perfbench's tracer wraps or counts them at this module.
+from .lattice import skew_normal_form  # noqa: F401
+from .traintrack import theta, weight_lattice_basis  # noqa: F401
 
 # The h_k^N = zeta(eta_k) tolerance and the random lattice vectors per
 # central/Frobenius check.
@@ -117,19 +119,18 @@ class SymplecticBasis:
 
 
 def symplectic_basis(track: TriangulationTrack) -> SymplecticBasis:
-    """Pair basis from the normal form of the intersection form, kernel from punctures."""
-    basis = weight_lattice_basis(track)
-    m = theta_matrix(track, basis)
-    nf = skew_normal_form(m)
-    if not certify_normal_form(nf, m):
-        raise RepresentationError("normal form certificate failed")
+    """Pair basis from ``lattice.certified_form``, kernel from punctures."""
+    basis, nf = certified_form(track)
     tri = track.tri
     g, s = tri.genus, tri.punctures
     expected = [1] * g + [2] * (2 * g + s - 3)
     if list(nf.blocks) != expected:
         raise RepresentationError(f"unexpected block pattern {nf.blocks} for (g, s) = ({g}, {s})")
 
-    vectors = _combine(nf.U[:2 * len(nf.blocks)], basis)
+    u = nf.U if nf.arrays is None else nf.arrays[0]
+    vectors = _combine(u[:nf.rank], basis)
+    if _is_array(vectors):
+        vectors = list(map(tuple, vectors.tolist()))
     pairs = list(zip(vectors[0::2], vectors[1::2], nf.blocks))
     etas = tuple(puncture_weights(track))
     return SymplecticBasis(tuple(pairs), etas)

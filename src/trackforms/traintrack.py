@@ -67,10 +67,9 @@ Dart = tuple[int, int]
 # kernel at 21 switch rows (42 branches), the normal form at 18 to 21 rows,
 # theta at 15 basis vectors, but the certificate already at 6 rows (at n = 9,
 # lists 146-153 us against arrays 68-84 us), so it would gain from a cutoff
-# of its own.  ``lattice.verify_structure`` hands the arrays on from stage to
-# stage, through the eta match, and each stage takes lists or arrays.  Only
-# ``lattice.hermite_normal_form`` (so the Hermite form of the weight-lattice
-# basis that ``rep`` reduces on) runs on lists at every size.
+# of its own.  ``lattice.certified_form`` hands the arrays on from stage to
+# stage, and each stage takes lists or arrays.  Only the Hermite form (so
+# ``weight_lattice_basis``, on which no command reduces) stays on lists.
 INT64_MIN_ROWS = 20
 
 

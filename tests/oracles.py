@@ -2,7 +2,8 @@
 
 Structure: ``block_matrix`` and ``normal_form_json`` (the ``D`` and the
 JSON of a ``NormalForm``), ``kernel_rows`` and ``kernel_basis`` (the
-trailing rows of ``U``), ``is_orientable`` and ``region_weight_system``
+trailing rows of ``U``), ``doubled_last_row`` (a normal form that fails
+only its certificate), ``is_orientable`` and ``region_weight_system``
 (which raises ``OddSpikesError``).
 
 Representations: ``loop_deviation`` walks the subgroup of roots that
@@ -22,7 +23,7 @@ import math
 
 import numpy as np
 
-from trackforms import from_triangulation, skew_normal_form, standard_triangulation
+from trackforms import NormalForm, from_triangulation, skew_normal_form, standard_triangulation
 from trackforms.algebra import BalancedAlgebra, omega_candidate, phase_eval
 from trackforms.representation import build, random_spec
 from trackforms.traintrack import _switch_classes, require_weight_system
@@ -59,6 +60,16 @@ def kernel_rows(nf) -> list[tuple[int, ...]]:
 def kernel_basis(matrix) -> list[tuple[int, ...]]:
     """Basis of the integer kernel of an antisymmetric matrix (trailing rows of U)."""
     return kernel_rows(skew_normal_form(matrix))
+
+
+def doubled_last_row(matrix) -> NormalForm:
+    """``skew_normal_form`` with the last (kernel) row of ``U`` doubled.
+
+    ``U M U^T = D`` and the blocks still hold, but ``det U = 2``: only the
+    certificate's ``U V = I`` notices.
+    """
+    nf = skew_normal_form(matrix)
+    return NormalForm(nf.U[:-1] + (tuple(2 * x for x in nf.U[-1]),), nf.blocks, nf.V)
 
 
 class OddSpikesError(ValueError):

@@ -3,9 +3,11 @@ import os
 
 import pytest
 
+from trackforms import lattice
 from trackforms.cli import main
 
 from conftest import unorientable_even_track
+from oracles import doubled_last_row
 
 
 def run(capsys, *argv):
@@ -243,6 +245,19 @@ def test_spec_check_refuses_float_roots_at_large_n(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: h[0]^N = ") and "differs from zeta(eta_0)" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-structure", "-g", "1", "-s", "2"],
+    ["verify-structure", "-g", "8", "-s", "4"],  # the int64 path
+    ["rep", "-g", "1", "-s", "2", "--N", "3"],
+    ["rep", "-g", "8", "-s", "4", "--N", "1"],
+])
+def test_failed_certificate_exits_two_without_traceback(capsys, monkeypatch, argv):
+    monkeypatch.setattr(lattice, "skew_normal_form", doubled_last_row)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "certificate" in err and "Traceback" not in err
 
 
 # ``rep --seed 4`` payloads before symbols replaced the length-d monomial

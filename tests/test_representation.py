@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trackforms import from_triangulation, representation, standard_triangulation
+from trackforms import from_triangulation, lattice, representation, standard_triangulation
 from trackforms.algebra import (
     BalancedAlgebra,
     frobenius,
@@ -16,7 +16,7 @@ from trackforms.algebra import (
     phase_eval,
 )
 from trackforms.cli import main
-from trackforms.lattice import NormalForm, _combine, skew_normal_form
+from trackforms.lattice import CertificateError, _combine, lattice_equal
 from trackforms.representation import (
     FROBENIUS_SAMPLES,
     SCALAR_SAMPLES,
@@ -30,11 +30,13 @@ from trackforms.representation import (
     symplectic_basis,
     verify,
 )
-from trackforms.traintrack import theta
+from trackforms.traintrack import theta, theta_matrix, weight_lattice_basis
+from trackforms.triangulation import random_triangulation
 
 from conftest import random_weight
 from oracles import (
     Monomial,
+    doubled_last_row,
     evaluate,
     factors,
     generators,
@@ -109,6 +111,45 @@ def test_symplectic_basis_pairings():
         for j in range(i + 1, len(gammas)):
             expected = basis.pairs[i][2] if (i < m and j == i + m) else 0
             assert theta(track, gammas[i], gammas[j]) == expected
+
+
+@pytest.fixture(scope="module")
+def flipped_tracks():
+    return {(g, s, flips): from_triangulation(random_triangulation(g, s, flips, 1))
+            for g, s, flips in [(8, 4, 500), (12, 4, 2000)]}
+
+
+def test_symplectic_basis_against_the_hermite_route(grid_tracks, flipped_tracks):
+    # The gammas are reduced on the elimination basis; the Hermite basis is
+    # the oracle for the lattice they span.
+    for track in [*grid_tracks.values(), *flipped_tracks.values()]:
+        basis = symplectic_basis(track)
+        gammas = basis.gamma_vectors
+        assert all(type(x) is int for v in gammas for x in v)
+        assert lattice_equal(gammas, weight_lattice_basis(track))
+        g, s = track.tri.genus, track.tri.punctures
+        assert [d for _, _, d in basis.pairs] == [1] * g + [2] * (2 * g + s - 3)
+        m, n = len(basis.pairs), len(gammas)
+        blocks = [[0] * n for _ in range(n)]
+        for i, (_, _, d) in enumerate(basis.pairs):
+            blocks[i][i + m], blocks[i + m][i] = d, -d
+        assert theta_matrix(track, gammas) == blocks
+
+
+def test_flipped_gamma_vectors_stay_small(flipped_tracks):
+    # On the Hermite basis these entries reach 13 bits.
+    gammas = symplectic_basis(flipped_tracks[12, 4, 2000]).gamma_vectors
+    assert max(abs(x).bit_length() for v in gammas for x in v) <= 3
+
+
+def test_rep_on_a_flipped_triangulation(tmp_path, capsys):
+    tri = tmp_path / "flipped.json"
+    tri.write_text(json.dumps(random_triangulation(8, 4, 500, 1).to_json_dict()))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"triangulation": str(tri), "N": 3}))
+    assert main(["rep", "--input", str(spec)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pass"] is True and payload["verify"]["commutant_dim"] == 1
 
 
 @pytest.mark.parametrize("g,s", [(1, 1), (0, 4), (1, 2), (2, 1), (1, 3), (0, 6)])
@@ -256,16 +297,12 @@ def test_spec_validation_rejects_bad_h():
 
 
 def test_symplectic_basis_refuses_an_uncertified_normal_form(monkeypatch):
-    # Doubling a kernel row keeps U M U^T = D and the blocks, but det U = 2:
-    # the gammas would span a sublattice, which no later check would notice.
-    def doubled_last_row(m):
-        nf = skew_normal_form(m)
-        return NormalForm(nf.U[:-1] + (tuple(2 * x for x in nf.U[-1]),), nf.blocks, nf.V)
-
+    # With a doubled kernel row the gammas would span a sublattice, which no
+    # later check would notice.
     track = from_triangulation(standard_triangulation(1, 2))
     representation.symplectic_basis(track)
-    monkeypatch.setattr(representation, "skew_normal_form", doubled_last_row)
-    with pytest.raises(RepresentationError, match="certificate"):
+    monkeypatch.setattr(lattice, "skew_normal_form", doubled_last_row)
+    with pytest.raises(CertificateError, match="certificate"):
         representation.symplectic_basis(track)
 
 
