@@ -13,21 +13,14 @@ lattice).  Exits 1 if any cell or flipped triangulation fails.
 import argparse
 import sys
 
-from trackforms import (
-    from_triangulation,
-    skew_normal_form,
-    standard_triangulation,
-    theta_matrix,
-    verify_structure,
-)
-from trackforms.lattice import integer_kernel
-from trackforms.traintrack import switch_matrix
+from trackforms import from_triangulation, standard_triangulation, verify_structure
+from trackforms.lattice import certified_form
 from trackforms.triangulation import random_triangulation
 
 
 def u_bits(track) -> int:
     """Largest ``|U|`` bit length of the normal form on the elimination basis."""
-    nf = skew_normal_form(theta_matrix(track, integer_kernel(switch_matrix(track))))
+    _, nf = certified_form(track)
     return max((abs(x).bit_length() for row in nf.U for x in row), default=0)
 
 

@@ -22,8 +22,6 @@ from .traintrack import (
     regions,
     switch_sums,
     theta,
-    theta_matrix,
-    weight_lattice_basis,
 )
 from .lattice import (
     NormalForm,
@@ -31,7 +29,9 @@ from .lattice import (
     hermite_normal_form,
     lattice_equal,
     skew_normal_form,
+    theta_matrix,
     verify_structure,
+    weight_lattice_basis,
 )
 
 __all__ = [

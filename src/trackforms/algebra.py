@@ -125,6 +125,12 @@ def params_from_omega(N: int, omega: complex, tol: float = 1e-9) -> AlgebraParam
     return candidate
 
 
+# ``omega_candidate`` factors N by trial division up to sqrt(N), so its time
+# grows as sqrt(N): 0.16 s for the prime 2**40 - 87 on one core.  A larger N
+# needs an explicit omega (``params_from_omega``).
+OMEGA_CANDIDATE_MAX_N = 2 ** 40
+
+
 def omega_candidates(N: int, epsilon: int | None = None) -> list[AlgebraParams]:
     """All parameter choices for a given odd N, optionally filtered by epsilon."""
     return [AlgebraParams(N, k) for k in _root_exponents(N, epsilon)]
@@ -142,6 +148,8 @@ def omega_candidate(N: int, epsilon: int | None = None, index: int = 0) -> Algeb
     ``count(k + 1) > index % count(4N)``, found by binary search.
     """
     _check_candidate_filter(N, epsilon)
+    if N > OMEGA_CANDIDATE_MAX_N:
+        raise ValueError(f"N must be at most 2**40 to pick an omega candidate (or give omega), got {N}")
     divisors = [(1, 1)]  # (Moebius sign, squarefree divisor)
     for p in _prime_factors(N):
         divisors += [(-sign, d * p) for sign, d in divisors]
@@ -172,7 +180,7 @@ def _root_exponents(N: int, epsilon):
 def _check_candidate_filter(N: int, epsilon) -> None:
     if N < 1 or N % 2 == 0:
         raise ValueError(f"N must be odd and positive, got {N}")
-    if epsilon not in (None, 1, -1):
+    if epsilon is not None and (type(epsilon) is not int or epsilon not in (1, -1)):
         raise ValueError(f"epsilon must be 1 or -1, got {epsilon}")
 
 

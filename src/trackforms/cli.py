@@ -18,7 +18,6 @@ import contextlib
 import functools
 import json
 import math
-import operator
 import os
 import sys
 
@@ -70,10 +69,9 @@ def _object(value, what: str) -> dict:
 
 def _int(data: dict, key: str, default=None) -> int:
     value = data[key] if default is None else data.get(key, default)
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+    if type(value) is not int:  # a JSON true or false is a bool, which Python counts as an int
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _complex(value, what: str) -> complex:

@@ -1,10 +1,9 @@
 """The exact integer stages on machine words: numpy arrays, never wrapping.
 
-Four stages send matrices of ``traintrack.INT64_MIN_ROWS`` rows or more
-here: the integer kernel (the elimination basis), the skew normal form and
-its certificate (from ``lattice``) and theta (from ``traintrack``).  Smaller
-ones stay on their Python-int lists, where numpy's per-call dispatch would
-cost more than it saves.  The kernel and the normal form take the same steps
+Four stages of ``lattice`` send matrices of ``lattice.INT64_MIN_ROWS`` rows
+or more here: the integer kernel (the elimination basis), theta, the skew
+normal form and its certificate.  Smaller ones stay on their Python-int
+lists, where numpy's per-call dispatch would cost more than it saves.  The kernel and the normal form take the same steps
 as their list counterparts (same pivots, quotients and swaps), so the
 results are identical; the certificate and theta are exact products.
 
@@ -31,9 +30,9 @@ stays within ``FLOAT_BITS = 53`` it runs on float64 BLAS, where every
 partial sum is an integer the significand holds exactly, and comes back as
 int64; past it, it runs on Python-int ``object`` arrays.
 
-This module imports numpy, so ``lattice`` and ``traintrack`` import it only
-when a matrix is large enough to need it, and ``algebra`` at its first
-product, which also builds the algebra's ``germ_pair_array`` once.
+This module imports numpy, so ``lattice`` imports it only when a matrix is
+large enough to need it, and ``algebra`` at its first product, which also
+builds the algebra's ``germ_pair_array`` once.
 """
 
 from __future__ import annotations
@@ -332,7 +331,7 @@ def doubled_pairings(pairs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndar
 
 
 def theta_matrix(germ_pairs, basis):
-    """``traintrack.theta_matrix`` as one exact array product ``B (T B^T) / 2``.
+    """``lattice.theta_matrix`` as one exact array product ``B (T B^T) / 2``.
 
     An array for an array ``basis``, lists of Python ints for lists.
     """

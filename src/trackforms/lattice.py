@@ -1,8 +1,8 @@
-"""Exact integer linear algebra: Hermite forms, kernels, and the skew normal form.
+"""Exact integer linear algebra: Hermite forms, kernels, theta's matrix, the skew normal form.
 
-Everything here is exact; nothing is ever rounded.  Three routines here
-fork at ``traintrack.INT64_MIN_ROWS`` rows: the integer kernel (the
-elimination basis), the skew normal form and its certificate run on
+Everything here is exact; nothing is ever rounded.  Four routines here
+fork at ``INT64_MIN_ROWS`` rows: the integer kernel (the elimination
+basis), theta's matrix, the skew normal form and its certificate run on
 Python-int lists below it and on the overflow-guarded int64 arrays of
 ``intcore`` from there on, with the same results.  Every routine that takes
 caller matrices, lists or arrays, reads its entries with ``operator.index``
@@ -17,7 +17,7 @@ is the structure stage of both commands; on the array path the kernel,
 theta's matrix, ``U`` and ``V`` (kept on the ``NormalForm`` next to their
 tuples) and ``_combine``'s products stay arrays.  No command reduces on
 ``hermite_normal_form``, which stays on lists and serves ``lattice_equal``,
-``integer_kernel_basis`` and the eta match's ``s x s`` readings.
+``weight_lattice_basis`` and the eta match's ``s x s`` readings.
 
 ``verify_structure`` combines the normal form with the region census of a
 connected train track and checks the predicted block multiset:
@@ -38,21 +38,48 @@ blocks next to the ``n_even`` zero rows.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass, field
 from itertools import compress
 
 from .traintrack import (
     TrainTrack,
     TriangulationTrack,
-    _int64,
-    _is_array,
+    germ_image,
+    halved,
     puncture_weights,
     regions,
     switch_matrix,
-    theta_matrix,
 )
-# Not called here (no Hermite basis, etas built at once); perfbench's tracer wraps them.
-from .traintrack import puncture_weight, weight_lattice_basis  # noqa: F401
+# Not called here (the etas come at once); perfbench's tracer wraps it.
+from .traintrack import puncture_weight  # noqa: F401
+
+# Four stages fork here: the integer kernel (its elimination basis), theta,
+# the skew normal form and its certificate.  Matrices with fewer rows stay on
+# Python-int lists, where numpy's per-call dispatch costs more than it saves;
+# from here on they run on numpy arrays (``intcore``), which give the same
+# results.  Measured crossovers on standard triangulations: the kernel at 21
+# switch rows (42 branches), the normal form at 18 to 21 rows, theta at 15
+# basis vectors.  The certificate alone crosses at 6 rows (at n = 9, lists
+# 146-153 us against arrays 68-84 us), but a cutoff of its own there would
+# load numpy on the grid cells and ribbon tracks of ``survey_small``, whose
+# forms have 6 to 9 rows, and importing numpy raises a process from 13.1 to
+# 27.0 MB RSS.  Nor can one array core serve every size: with every stage on
+# arrays a ``survey_small`` operation goes from 97-103 to 274-285 us, each
+# stage 35-65 us slower.  So the list paths stay.  ``certified_form`` hands
+# the arrays on from stage to stage, and each stage takes lists or arrays.
+INT64_MIN_ROWS = 20
+
+
+def _int64(rows: int) -> bool:
+    """Whether a matrix with ``rows`` rows runs on int64 arrays."""
+    return rows > 0 and rows >= INT64_MIN_ROWS
+
+
+def _is_array(x) -> bool:
+    """Whether ``x`` is a numpy array, without importing numpy (an array implies it is loaded)."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
 
 
 # --- generic helpers -------------------------------------------------------
@@ -139,7 +166,7 @@ def integer_kernel(matrix) -> list[list[int]]:
 
     Row-reduces ``[matrix^T | I]``; the right parts of the rows whose left
     part dies are the basis.  It spans the kernel lattice but is not
-    canonical: :func:`integer_kernel_basis` puts it into Hermite form.
+    canonical: :func:`weight_lattice_basis` puts it into Hermite form.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
@@ -156,9 +183,41 @@ def integer_kernel(matrix) -> list[list[int]]:
     return [row[rows:] for row in work[r:]]
 
 
-def integer_kernel_basis(matrix) -> list[list[int]]:
-    """Basis of the integer kernel {v : matrix @ v = 0}, canonicalized by HNF."""
-    return [list(row) for row in hermite_normal_form(integer_kernel(matrix))]
+# --- the weight lattice and theta over it ----------------------------------
+
+def weight_lattice_basis(track: TrainTrack) -> list[tuple[int, ...]]:
+    """Basis of the integer kernel of the switch conditions, canonically ordered (Hermite form)."""
+    return list(hermite_normal_form(integer_kernel(switch_matrix(track))))
+
+
+def theta_matrix(track: TrainTrack, basis):
+    """Antisymmetric matrix of theta over a list of weight systems: ``B T B^T / 2``.
+
+    ``T`` is the germ-pair form ``track.germ_pairs``.  Below
+    ``INT64_MIN_ROWS`` vectors the image ``T b`` of each basis vector is
+    formed once and dotted with the support of the others, over Python ints;
+    from there on it is one exact product in ``intcore`` (float64 BLAS while
+    its bit bound is within 53), an array for an array basis.
+    """
+    m = len(basis)
+    if _int64(m):
+        from . import intcore
+        return intcore.theta_matrix(track.germ_pairs, basis)
+    if _is_array(basis):  # a short basis of a track with many switches
+        basis = basis.tolist()
+    out = [[0] * m for _ in range(m)]
+    images = [germ_image(track, basis[j]) for j in range(1, m)]
+    for i in range(m - 1):
+        support = [(k, x) for k, x in enumerate(basis[i]) if x]
+        row = out[i]
+        for j in range(i + 1, m):
+            image = images[j - 1]
+            doubled = 0
+            for k, x in support:
+                doubled += x * image[k]
+            row[j] = v = halved(doubled)
+            out[j][i] = -v
+    return out
 
 
 # --- skew normal form ------------------------------------------------------

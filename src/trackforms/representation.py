@@ -86,12 +86,11 @@ from dataclasses import dataclass, field, replace
 from itertools import compress
 
 from .algebra import BalancedAlgebra, frobenius, solve_chebyshev
-from .lattice import _combine, certified_form
-from .traintrack import TriangulationTrack, _is_array, germ_image, halved, is_weight_system, puncture_weights
-from .traintrack import theta_matrix
+from .lattice import _combine, _is_array, certified_form, theta_matrix
+from .traintrack import TriangulationTrack, germ_image, halved, is_weight_system, puncture_weights
 # Not called here, but perfbench's tracer wraps or counts them at this module.
-from .lattice import skew_normal_form  # noqa: F401
-from .traintrack import theta, weight_lattice_basis  # noqa: F401
+from .lattice import skew_normal_form, weight_lattice_basis  # noqa: F401
+from .traintrack import theta  # noqa: F401
 
 # The h_k^N = zeta(eta_k) tolerance and the random lattice vectors per
 # central/Frobenius check.

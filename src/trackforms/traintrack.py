@@ -31,11 +31,8 @@ The pairing is bilinear, so it is one sparse antisymmetric integer matrix
 ``T`` over branches: ``theta(a, b) = a^T T b / 2``.  ``TrainTrack.germ_pairs``
 is ``T``: one ``(left branch, right branch)`` entry per same-side germ pair,
 built once with the track, each adding ``+1`` at ``T[right][left]`` and
-``-1`` at ``T[left][right]``.  Over the rows of a basis ``B``,
-``theta_matrix = B T B^T / 2``: the image ``T b`` of each basis vector is
-formed once and dotted with the support of the others.  Arithmetic is exact:
-Python integers, or from ``INT64_MIN_ROWS`` basis vectors on, one exact
-product in ``intcore`` (float64 BLAS while its bit bound is within 53).
+``-1`` at ``T[left][right]``.  ``germ_image`` forms ``T b``; the matrix of
+theta over a basis is ``lattice.theta_matrix``.
 
 The track of a triangulation
 ----------------------------
@@ -52,36 +49,11 @@ theta agrees with the succession-matrix pairing of switch-sum vectors (see
 from __future__ import annotations
 
 import operator
-import sys
 from dataclasses import dataclass
 
 from .triangulation import IdealTriangulation, sigma_matrix
 
 Dart = tuple[int, int]
-
-# Four stages fork here: the integer kernel (its elimination basis), theta,
-# the skew normal form and its certificate.  Matrices with fewer rows
-# stay on Python-int lists, where numpy's per-call dispatch costs more than
-# it saves; from here on they run on numpy arrays (``intcore``), which give
-# the same results.  Measured crossovers on standard triangulations: the
-# kernel at 21 switch rows (42 branches), the normal form at 18 to 21 rows,
-# theta at 15 basis vectors, but the certificate already at 6 rows (at n = 9,
-# lists 146-153 us against arrays 68-84 us), so it would gain from a cutoff
-# of its own.  ``lattice.certified_form`` hands the arrays on from stage to
-# stage, and each stage takes lists or arrays.  Only the Hermite form (so
-# ``weight_lattice_basis``, on which no command reduces) stays on lists.
-INT64_MIN_ROWS = 20
-
-
-def _int64(rows: int) -> bool:
-    """Whether a matrix with ``rows`` rows runs on int64 arrays."""
-    return rows > 0 and rows >= INT64_MIN_ROWS
-
-
-def _is_array(x) -> bool:
-    """Whether ``x`` is a numpy array, without importing numpy (an array implies it is loaded)."""
-    np = sys.modules.get("numpy")
-    return np is not None and isinstance(x, np.ndarray)
 
 
 class TrackError(ValueError):
@@ -223,14 +195,6 @@ def switch_matrix(track: TrainTrack) -> list[list[int]]:
     return rows
 
 
-def weight_lattice_basis(track: TrainTrack) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel of the switch conditions, canonically ordered."""
-    from .lattice import integer_kernel_basis
-
-    basis = integer_kernel_basis(switch_matrix(track))
-    return [tuple(v) for v in basis]
-
-
 def switch_sums(track: TrainTrack, weights) -> tuple[int, ...]:
     """The side sum at each switch (both sides agree for a weight system)."""
     w = require_weight_system(track, weights)
@@ -314,33 +278,6 @@ def germ_image(track: TrainTrack, b) -> list[int]:
         image[right] += b[left]
         image[left] -= b[right]
     return image
-
-
-def theta_matrix(track: TrainTrack, basis):
-    """Antisymmetric matrix of theta over a list of weight systems: ``B T B^T / 2``.
-
-    The basis may be lists or an array.  From ``INT64_MIN_ROWS`` vectors on,
-    an array basis gives an array; below that the matrix is lists.
-    """
-    m = len(basis)
-    if _int64(m):
-        from . import intcore
-        return intcore.theta_matrix(track.germ_pairs, basis)
-    if _is_array(basis):  # a short basis of a track with many switches
-        basis = basis.tolist()
-    out = [[0] * m for _ in range(m)]
-    images = [germ_image(track, basis[j]) for j in range(1, m)]
-    for i in range(m - 1):
-        support = [(k, x) for k, x in enumerate(basis[i]) if x]
-        row = out[i]
-        for j in range(i + 1, m):
-            image = images[j - 1]
-            doubled = 0
-            for k, x in support:
-                doubled += x * image[k]
-            row[j] = v = halved(doubled)
-            out[j][i] = -v
-    return out
 
 
 def sigma_pairing(track: TriangulationTrack, a, b) -> int:

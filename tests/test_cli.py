@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import trackforms
 from trackforms import lattice
 from trackforms.cli import main
 
@@ -213,6 +217,12 @@ def test_tolerance_is_read_only_by_rep(capsys, monkeypatch, argv):
                      "zeta": {"alphas": [[1, 0]], "betas": [[1, 0]], "etas": [[1, 0]]}}),
     (None, ["rep"], {"genus": 1, "punctures": 1, "N": 3, "h": [[1, 0]],
                      "zeta": {"alphas": [[1e300, 0]], "betas": [[1, 0]], "etas": [[1, 0]]}}),
+    # a JSON true is a bool, neither an integer nor a sign, and -1.0 is a float
+    (None, ["rep"], {"genus": True, "punctures": True, "N": True}),
+    (None, ["rep"], {"genus": 1, "punctures": 1, "N": 3, "epsilon": True}),
+    (None, ["rep"], {"genus": 1, "punctures": 1, "N": 3, "epsilon": -1.0}),
+    # the prime 2**61 - 1, too large to factor for an omega candidate
+    (None, ["rep", "-g", "1", "-s", "1", "--N", "2305843009213693951"], None),
 ])
 def test_bad_input_exits_two_without_traceback(tmp_path, capsys, monkeypatch, tol, argv, data):
     # fd 0 holds a valid triangulation, so that input which is wrongly read
@@ -236,6 +246,28 @@ def test_bad_input_exits_two_without_traceback(tmp_path, capsys, monkeypatch, to
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert out == ""
+
+
+def test_small_commands_load_no_numpy():
+    # the list paths keep numpy out of small runs, and with it 14 MB of RSS
+    code = textwrap.dedent("""
+        import contextlib, io, random, sys
+        from trackforms import verify_structure
+        from trackforms.cli import main
+        from trackforms.fixtures import random_ribbon_track
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["rep", "-g", "1", "-s", "2", "--N", "5"]) == 0
+            assert main(["verify-structure", "-g", "2", "-s", "1"]) == 0
+        rng = random.Random(0)
+        tracks = [t for t in (random_ribbon_track(rng) for _ in range(200)) if t and t.is_connected()]
+        assert len(tracks) > 100 and max(t.branch_count for t in tracks) == 7
+        for track in tracks:
+            verify_structure(track)
+        assert "numpy" not in sys.modules
+    """)
+    src = os.path.dirname(os.path.dirname(trackforms.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_spec_check_refuses_float_roots_at_large_n(capsys):

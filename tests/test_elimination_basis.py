@@ -1,7 +1,7 @@
 """verify_structure on the elimination basis against the Hermite-basis route.
 
 ``integer_kernel`` returns the rows that unimodular elimination leaves,
-``integer_kernel_basis`` their Hermite form.  Both span the weight lattice,
+``weight_lattice_basis`` their Hermite form.  Both span the weight lattice,
 and every figure of a structure report is an invariant of the form on that
 lattice, so the report must not depend on which of the two bases the form is
 reduced on.  ``reference_report`` keeps the Hermite route as the oracle.

@@ -14,12 +14,12 @@ import pytest
 
 from trackforms import (
     from_triangulation,
+    lattice,
     lattice_equal,
     puncture_weights,
     skew_normal_form,
     standard_triangulation,
     theta_matrix,
-    traintrack,
     verify_structure,
 )
 from trackforms.lattice import _combine, _eta_match, integer_kernel
@@ -108,7 +108,7 @@ def test_match_is_exact_on_object_rows(case):
 @pytest.mark.parametrize("cutoff", [0, 10 ** 9], ids=["int64", "lists"])
 @pytest.mark.parametrize("g,s", GRID)
 def test_both_paths_give_the_same_match(g, s, cutoff, monkeypatch):
-    monkeypatch.setattr(traintrack, "INT64_MIN_ROWS", cutoff)
+    monkeypatch.setattr(lattice, "INT64_MIN_ROWS", cutoff)
     track = from_triangulation(standard_triangulation(g, s))
     rows, etas = oracle_rows(track)
     assert verify_structure(track).eta_kernel_match is lattice_equal(rows, etas) is True

@@ -1,6 +1,6 @@
 """The int64 structure stages against the Python-int ones they replace.
 
-``traintrack.INT64_MIN_ROWS`` picks the path: 0 sends every matrix to the int64
+``lattice.INT64_MIN_ROWS`` picks the path: 0 sends every matrix to the int64
 routines, a huge cutoff keeps every matrix on Python ints.  Both must give
 the same basis, theta matrix, ``U``, ``V``, blocks and verdicts.
 """
@@ -14,15 +14,15 @@ from trackforms import (
     TrainTrack,
     from_triangulation,
     intcore,
+    lattice,
     skew_normal_form,
     standard_triangulation,
     theta_matrix,
-    traintrack,
     verify_structure,
     weight_lattice_basis,
 )
 from trackforms.lattice import NormalForm, _combine, certify_normal_form
-from trackforms.lattice import integer_kernel, integer_kernel_basis
+from trackforms.lattice import hermite_normal_form, integer_kernel
 from trackforms.traintrack import switch_matrix
 from trackforms.triangulation import TriangulationError, flip, random_triangulation
 
@@ -33,7 +33,7 @@ INT64, LISTS = 0, 10 ** 9
 
 
 def stages(track, cutoff, monkeypatch):
-    monkeypatch.setattr(traintrack, "INT64_MIN_ROWS", cutoff)
+    monkeypatch.setattr(lattice, "INT64_MIN_ROWS", cutoff)
     basis = weight_lattice_basis(track)
     m = theta_matrix(track, basis)
     return basis, m, skew_normal_form(m)
@@ -92,12 +92,12 @@ def random_skew(rng, n, bound=9):
 def test_dense_random_matrices_widen_to_python_ints(seed, monkeypatch):
     m = random_skew(random.Random(seed), 60)
     assert intcore.as_array(m).dtype == "int64"  # the elimination starts on int64
-    monkeypatch.setattr(traintrack, "INT64_MIN_ROWS", INT64)
+    monkeypatch.setattr(lattice, "INT64_MIN_ROWS", INT64)
     nf = skew_normal_form(m)
     assert max(abs(x).bit_length() for row in nf.U for x in row) > 1000
     if seed == 0:  # a second certificate of thousands of bits adds a second, not coverage
         assert certify_normal_form(nf, m)
-    monkeypatch.setattr(traintrack, "INT64_MIN_ROWS", LISTS)
+    monkeypatch.setattr(lattice, "INT64_MIN_ROWS", LISTS)
     assert skew_normal_form(m) == nf
 
 
@@ -108,7 +108,7 @@ def test_normal_form_crosses_62_bits_mid_elimination(monkeypatch):
     assert intcore.as_array(m).dtype == "int64"
     results = []
     for cutoff in (INT64, LISTS):
-        monkeypatch.setattr(traintrack, "INT64_MIN_ROWS", cutoff)
+        monkeypatch.setattr(lattice, "INT64_MIN_ROWS", cutoff)
         results.append(skew_normal_form(m))
     assert results[0] == results[1]
     assert max(abs(x).bit_length() for row in results[0].U for x in row) > 62
@@ -121,10 +121,10 @@ def test_kernel_crosses_62_bits_mid_elimination(monkeypatch):
     matrix = [[int(j == i) - 2 * int(j == i + 1) for j in range(n)] for i in range(n - 1)]
     results = []
     for cutoff in (INT64, LISTS):
-        monkeypatch.setattr(traintrack, "INT64_MIN_ROWS", cutoff)
-        results.append((integer_kernel(matrix), integer_kernel_basis(matrix)))
+        monkeypatch.setattr(lattice, "INT64_MIN_ROWS", cutoff)
+        results.append((integer_kernel(matrix), hermite_normal_form(integer_kernel(matrix))))
     assert results[0] == results[1]
-    assert results[0][1] == [[2 ** (n - 1 - i) for i in range(n)]]
+    assert results[0][1] == (tuple(2 ** (n - 1 - i) for i in range(n)),)
 
 
 def test_elimination_kernels_agree(grid_tracks, monkeypatch):
@@ -138,7 +138,7 @@ def test_elimination_kernels_agree(grid_tracks, monkeypatch):
         a = switch_matrix(track)
         results = []
         for cutoff in (INT64, LISTS):
-            monkeypatch.setattr(traintrack, "INT64_MIN_ROWS", cutoff)
+            monkeypatch.setattr(lattice, "INT64_MIN_ROWS", cutoff)
             results.append(integer_kernel(a))
         assert results[0] == results[1]
         assert all(type(x) is int for row in results[0] for x in row)
@@ -162,8 +162,8 @@ def test_many_switches_and_a_short_basis(monkeypatch):
     n = 25
     track = TrainTrack(n, [([(i, 1)], [((i + 1) % n, 0)]) for i in range(n)])
     reports = []
-    for cutoff in (traintrack.INT64_MIN_ROWS, LISTS):
-        monkeypatch.setattr(traintrack, "INT64_MIN_ROWS", cutoff)
+    for cutoff in (lattice.INT64_MIN_ROWS, LISTS):
+        monkeypatch.setattr(lattice, "INT64_MIN_ROWS", cutoff)
         reports.append(verify_structure(track))
     assert reports[0] == reports[1]
     assert reports[0].passed and reports[0].nullity == 1
@@ -196,7 +196,7 @@ def _bumped(rows, i, j, pair=False):
 
 @pytest.mark.parametrize("cutoff", [INT64, LISTS], ids=["int64", "lists"])
 def test_certificate_is_exact_past_62_bits(cutoff, monkeypatch):
-    monkeypatch.setattr(traintrack, "INT64_MIN_ROWS", cutoff)
+    monkeypatch.setattr(lattice, "INT64_MIN_ROWS", cutoff)
     blocks = (1, 1, 2, 2, 6)
     u, v, m = certificate_past_62_bits(blocks)
     assert intcore.as_array(u).dtype == object and intcore.as_array(m).dtype == object

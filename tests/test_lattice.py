@@ -12,12 +12,12 @@ from trackforms import (
     theta_matrix,
     verify_structure,
 )
-from trackforms import traintrack
+from trackforms import lattice
 from trackforms.lattice import (
     _combine,
     certify_normal_form,
     hermite_normal_form,
-    integer_kernel_basis,
+    integer_kernel,
     predicted_blocks,
 )
 
@@ -170,24 +170,24 @@ def test_lattice_equal_under_unimodular_moves(rnd):
     assert lattice_equal(rows, moved)
 
 
-def test_integer_kernel_basis_small():
+def test_hermite_kernel_basis_small():
     # x + y = 0 over the integers
-    basis = integer_kernel_basis([[1, 1]])
+    basis = hermite_normal_form(integer_kernel([[1, 1]]))
     assert lattice_equal(basis, [(1, -1)])
 
 
-def test_integer_kernel_basis_is_saturated():
+def test_hermite_kernel_basis_is_saturated():
     # every small integer kernel vector already lies in the lattice of the basis
     rng = random.Random(2024)
     for _ in range(60):
         rows, cols = rng.randint(1, 3), rng.randint(2, 4)
         m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-        basis = integer_kernel_basis(m)
+        basis = hermite_normal_form(integer_kernel(m))
         for v in basis:
             assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in m)
         for v in itertools.product(range(-2, 3), repeat=cols):
             if all(sum(x * y for x, y in zip(row, v)) == 0 for row in m):
-                assert lattice_equal(basis, basis + [list(v)]), (m, v)
+                assert lattice_equal(basis, basis + (v,)), (m, v)
 
 
 def test_integer_det():
@@ -342,9 +342,9 @@ def test_certificate_checks_unimodularity_and_blocks(u, blocks, m, valid):
     assert certify_normal_form(nf, m) is valid
 
 
-@pytest.mark.parametrize("cutoff", [traintrack.INT64_MIN_ROWS, 0], ids=["lists", "int64"])
+@pytest.mark.parametrize("cutoff", [lattice.INT64_MIN_ROWS, 0], ids=["lists", "int64"])
 def test_certificate_verdicts_agree_on_both_paths(cutoff, monkeypatch):
-    monkeypatch.setattr(traintrack, "INT64_MIN_ROWS", cutoff)
+    monkeypatch.setattr(lattice, "INT64_MIN_ROWS", cutoff)
     for u, blocks, m, valid in CERTIFICATE_CASES:
         assert certify_normal_form(NormalForm(u, blocks, identity(len(u))), m) is valid
     # the det-2 U against other integer V's: U V = I has no integer solution
@@ -353,9 +353,9 @@ def test_certificate_verdicts_agree_on_both_paths(cutoff, monkeypatch):
         assert not certify_normal_form(NormalForm(u, blocks, v), m)
 
 
-@pytest.mark.parametrize("cutoff", [traintrack.INT64_MIN_ROWS, 0], ids=["lists", "int64"])
+@pytest.mark.parametrize("cutoff", [lattice.INT64_MIN_ROWS, 0], ids=["lists", "int64"])
 def test_certificate_rejects_a_wrong_inverse(cutoff, monkeypatch):
-    monkeypatch.setattr(traintrack, "INT64_MIN_ROWS", cutoff)
+    monkeypatch.setattr(lattice, "INT64_MIN_ROWS", cutoff)
     rng = random.Random(8)
     m = random_skew(rng, 5)
     nf = skew_normal_form(m)

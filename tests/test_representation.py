@@ -16,7 +16,7 @@ from trackforms.algebra import (
     phase_eval,
 )
 from trackforms.cli import main
-from trackforms.lattice import CertificateError, _combine, lattice_equal
+from trackforms.lattice import CertificateError, _combine, lattice_equal, theta_matrix, weight_lattice_basis
 from trackforms.representation import (
     FROBENIUS_SAMPLES,
     SCALAR_SAMPLES,
@@ -30,7 +30,7 @@ from trackforms.representation import (
     symplectic_basis,
     verify,
 )
-from trackforms.traintrack import theta, theta_matrix, weight_lattice_basis
+from trackforms.traintrack import theta
 from trackforms.triangulation import random_triangulation
 
 from conftest import random_weight
