@@ -21,7 +21,7 @@ import math
 import os
 import sys
 
-from .algebra import BalancedAlgebra, chebyshev_value, omega_candidate, params_from_omega, solve_chebyshev
+from .algebra import chebyshev_value, omega_candidate, params_from_omega, solve_chebyshev
 from .lattice import verify_structure
 from .representation import (
     RepresentationSpec,
@@ -127,12 +127,12 @@ def _rep_spec_from_json(data: dict, seed: int):
         params = params_from_omega(N, _complex(data["omega"], "omega"))
     else:
         params = omega_candidate(N, data.get("epsilon"), _int(data, "omega_index", 0))
-    algebra = BalancedAlgebra(track, params)
     if "zeta" not in data:
-        return random_spec(algebra, seed=seed)
+        return random_spec(track, params, seed=seed)
     z = _object(data["zeta"], "zeta")
     return RepresentationSpec(
-        algebra=algebra,
+        track=track,
+        params=params,
         basis=symplectic_basis(track),
         zeta_alphas=_complexes(z["alphas"], "zeta alphas"),
         zeta_betas=_complexes(z["betas"], "zeta betas"),
@@ -152,7 +152,7 @@ def cmd_rep(args) -> int:
     spec = _rep_spec_from_json(data, seed)
     rep = build(spec)  # validates the spec: RepresentationError, exit 2
     report = verify(rep, tol=tol, seed=seed)
-    frob = frobenius_compat(rep, tol=tol, seed=seed)
+    frob = frobenius_compat(report, tol=tol)
     payload = {
         "dim": rep.dim,
         "N": rep.params.N,

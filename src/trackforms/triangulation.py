@@ -24,7 +24,6 @@ Derived combinatorics used throughout the package:
 
 from __future__ import annotations
 
-import json
 import operator
 import random
 from dataclasses import dataclass, field
@@ -187,13 +186,6 @@ class IdealTriangulation:
         except (KeyError, TypeError) as exc:
             raise TriangulationError(f"malformed triangulation JSON: {exc}") from exc
         return cls(triangles, gluings)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "IdealTriangulation":
-        return cls.from_json_dict(json.loads(text))
 
 
 def validate(triangulation_or_count, gluings=None) -> Diagnostics:

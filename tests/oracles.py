@@ -7,7 +7,10 @@ only its certificate), ``is_orientable`` and ``region_weight_system``
 (which raises ``OddSpikesError``).
 
 Representations: ``loop_deviation`` walks the subgroup of roots that
-``Representation.deviation`` reads in closed form.  ``Monomial(perm, values)`` is the operator ``e_j -> values[j] e_perm[j]``:
+``Representation.deviation`` reads in closed form.  ``two_pass_reports``
+computes the seven ``rep`` deviations as two passes that draw their own
+samples, and lifts every sample through ``frobenius``, raising unless the
+lift of ``Z_w`` is ``Z_(N w)``.  ``Monomial(perm, values)`` is the operator ``e_j -> values[j] e_perm[j]``:
 one non-zero entry per column, held as a length-d permutation and a length-d
 complex vector.  ``generators`` builds the 2m + s generators of a
 representation that way, digit by digit of the tensor index, from the
@@ -20,12 +23,22 @@ numerical rank that ``commutant_dimension``'s exact certificate replaces.
 
 import cmath
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 
 from trackforms import NormalForm, from_triangulation, skew_normal_form, standard_triangulation
-from trackforms.algebra import BalancedAlgebra, omega_candidate, phase_eval
-from trackforms.representation import build, random_spec
+from trackforms.algebra import BalancedAlgebra, frobenius, omega_candidate, phase_eval
+from trackforms.lattice import _combine
+from trackforms.representation import (
+    FROBENIUS_SAMPLES,
+    SCALAR_SAMPLES,
+    RepresentationError,
+    build,
+    commutant_dimension,
+    random_spec,
+)
 from trackforms.traintrack import _switch_classes, require_weight_system
 
 # Singular values at most SV_CUTOFF * max(1, largest) count as zero.
@@ -126,9 +139,70 @@ def loop_deviation(rep, x, y) -> float:
 
 def make_rep(g, s, N, epsilon=1, seed=0, omega_index=0):
     track = from_triangulation(standard_triangulation(g, s))
-    params = omega_candidate(N, epsilon, omega_index)
-    algebra = BalancedAlgebra(track, params)
-    return build(random_spec(algebra, seed=seed))
+    return build(random_spec(track, omega_candidate(N, epsilon, omega_index), seed=seed))
+
+
+def algebra_of(rep) -> BalancedAlgebra:
+    """The algebra that ``rep`` realizes."""
+    return BalancedAlgebra(rep.track, rep.params)
+
+
+def two_pass_reports(rep, tol=1e-9, seed=0) -> tuple[dict, bool, dict, bool]:
+    """``verify``'s and ``frobenius_compat``'s deviations and verdicts, each pass on its own draws.
+
+    The first pass draws SCALAR_SAMPLES coefficient rows, the second
+    FROBENIUS_SAMPLES from the same seed.  The second lifts every unit row and
+    sample ``w`` through ``frobenius`` from the iota algebra, raises unless the
+    lift is exactly ``Z_(N w)``, and compares ``symbol(N c)`` with the zeta
+    values, the character and ``power(symbol(c), N)``.
+    """
+    N, order, n = rep.params.N, rep.params.phase_order, len(rep.generators)
+    gens, pairing = rep.generators, rep._theta
+    units = [[int(u == v) for v in range(n)] for u in range(n)]
+
+    def draw(count):
+        rng = random.Random(seed)
+        rows = [[rng.randint(-2, 2) for _ in rep.gamma_vectors] for _ in range(count)]
+        for row, w in zip(rows, _combine(rows, rep.gamma_vectors)):
+            assert rep.decompose(w) == row
+        return rows
+
+    def worst(pairs):
+        return max((rep.deviation(a, b) for a, b in pairs), default=0.0)
+
+    def commuted(u, v):
+        x = rep.product(gens[v], gens[u])
+        return replace(x, k=(x.k + 4 * pairing[u][v]) % order)
+
+    checks = {
+        "commutation": worst((rep.product(gens[u], gens[v]), commuted(u, v))
+                             for u in range(n) for v in range(u + 1, n)),
+        "power_scalar": worst((rep.power(g, N), z) for g, z in zip(gens, rep.zeta_gamma)),
+        "puncture_scalar": worst((rep.symbol(row), h)
+                                 for row, h in zip(units[2 * len(rep.d):], rep.spec.h)),
+        "central_scalar": worst((rep.power(rep.symbol(c), N), rep._character(c))
+                                for c in draw(SCALAR_SAMPLES)),
+    }
+    checks_passed = all(v <= tol for v in checks.values()) and commutant_dimension(rep) == 1
+
+    algebra = algebra_of(rep)
+    iota = BalancedAlgebra(rep.track, rep.params.iota_params())
+
+    def lifted(rows):
+        for w in _combine(rows, rep.gamma_vectors):
+            if frobenius(iota.monomial(w), algebra).terms != {tuple(N * x for x in w): {0: 1}}:
+                raise RepresentationError("the Frobenius image of Z_w is not Z_(N w)")
+        return [rep.symbol([N * c for c in row]) for row in rows]
+
+    samples = draw(FROBENIUS_SAMPLES)
+    ops = lifted(samples)
+    frob = {
+        "basis_character": worst(zip(lifted(units), rep.zeta_gamma)),
+        "random_character": worst(zip(ops, map(rep._character, samples))),
+        "matrix_power_oracle": worst((op, rep.power(rep.symbol(c), N))
+                                     for op, c in zip(ops, samples)),
+    }
+    return checks, checks_passed, frob, all(v <= tol for v in frob.values())
 
 
 def factors(rep) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -259,7 +333,7 @@ def operator(rep, w, gens) -> Monomial:
 
 def evaluate(rep, x, gens=None) -> np.ndarray:
     """The dense matrix of a general algebra element."""
-    rep.algebra.require_same(x)
+    algebra_of(rep).require_same(x)
     gens = generators(rep) if gens is None else gens
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
     for w, coeff in x.terms.items():

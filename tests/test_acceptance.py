@@ -131,9 +131,8 @@ def test_criterion_6_representation_suite():
     for g, s, N in REP_GRID:
         track = _track(g, s)
         params = omega_candidates(N, epsilon=1)[0]
-        algebra = BalancedAlgebra(track, params)
         for seed in (0, 1, 2):
-            rep = build(random_spec(algebra, seed=seed))
+            rep = build(random_spec(track, params, seed=seed))
             assert rep.dim == N ** (3 * g + s - 3)
             report = verify(rep, tol=TOL, seed=seed)
             assert report.passed, (g, s, N, seed, report.deviations)
@@ -150,8 +149,8 @@ def test_criterion_7_frobenius_compatibility():
         track = _track(g, s)
         params = omega_candidates(N, epsilon=1)[0]
         algebra = BalancedAlgebra(track, params)
-        rep = build(random_spec(algebra, seed=0))
-        report = frobenius_compat(rep, tol=TOL, seed=0)
+        rep = build(random_spec(track, params, seed=0))
+        report = frobenius_compat(verify(rep, tol=TOL, seed=0), tol=TOL)
         assert report.passed, (g, s, N, report.deviations)
 
         iota = BalancedAlgebra(track, params.iota_params())

@@ -21,6 +21,7 @@ from trackforms.representation import (
     FROBENIUS_SAMPLES,
     SCALAR_SAMPLES,
     RepresentationError,
+    RepresentationSpec,
     Symbol,
     build,
     commutant_dimension,
@@ -36,6 +37,7 @@ from trackforms.triangulation import random_triangulation
 from conftest import random_weight
 from oracles import (
     Monomial,
+    algebra_of,
     doubled_last_row,
     evaluate,
     factors,
@@ -45,6 +47,7 @@ from oracles import (
     reordering_exponent,
     svd_commutant_dimension,
     symbol_monomial,
+    two_pass_reports,
 )
 
 
@@ -64,7 +67,8 @@ def reference_deviations(rep, seed):
     params, N, n = rep.params, rep.params.N, len(gens)
     eye = np.eye(rep.dim, dtype=complex)
     gammas = rep.gamma_vectors
-    iota = BalancedAlgebra(rep.algebra.track, params.iota_params())
+    algebra = algebra_of(rep)
+    iota = BalancedAlgebra(rep.track, params.iota_params())
 
     def maxabs(a):
         return float(np.max(np.abs(a)))
@@ -74,7 +78,7 @@ def reference_deviations(rep, seed):
         return _combine([[rng.randint(-2, 2) for _ in gammas] for _ in range(count)], gammas)
 
     def lifted(w):
-        x = frobenius(iota.monomial(w), rep.algebra)
+        x = frobenius(iota.monomial(w), algebra)
         return sum(phase_eval(c, params) * reference_operator(rep, gens, nw)
                    for nw, c in x.terms.items())
 
@@ -163,7 +167,7 @@ def test_decompose_recovers_coefficients(g, s):
 
 def test_decompose_rejects_non_weight_systems():
     rep = make_rep(1, 1, 3)
-    n = rep.algebra.track.branch_count
+    n = rep.track.branch_count
     for bad in ((1,) + (0,) * (n - 1), (0,) * (n + 1)):
         with pytest.raises(RepresentationError):
             rep.decompose(bad)
@@ -195,8 +199,9 @@ def test_verify_passes_generically():
 def test_verify_both_epsilon_signs():
     for eps in (1, -1):
         rep = make_rep(1, 1, 5, epsilon=eps, seed=3)
-        assert verify(rep, tol=1e-9).passed
-        assert frobenius_compat(rep, tol=1e-9).passed
+        report = verify(rep, tol=1e-9)
+        assert report.passed
+        assert frobenius_compat(report, tol=1e-9).passed
 
 
 def test_degenerate_n_equals_one():
@@ -209,7 +214,7 @@ def test_degenerate_n_equals_one():
 
 def test_evaluation_is_homomorphism():
     rep = make_rep(0, 4, 5, seed=5)
-    algebra = rep.algebra
+    algebra = algebra_of(rep)
     basis = rep.gamma_vectors
     rng = random.Random(6)
     gens = generators(rep)
@@ -226,9 +231,10 @@ def test_evaluation_is_homomorphism():
 def test_identity_and_puncture_scalars():
     rep = make_rep(1, 2, 3, seed=7)
     eye = np.eye(rep.dim)
-    assert np.max(np.abs(evaluate(rep, rep.algebra.one()) - eye)) < 1e-12
+    algebra = algebra_of(rep)
+    assert np.max(np.abs(evaluate(rep, algebra.one()) - eye)) < 1e-12
     for k, h in enumerate(rep.spec.h):
-        mat = evaluate(rep, rep.algebra.puncture_element(k))
+        mat = evaluate(rep, algebra.puncture_element(k))
         assert np.max(np.abs(mat - h * eye)) < 1e-9
 
 
@@ -238,7 +244,7 @@ def test_central_powers_are_scalar():
     N = rep.params.N
     gens = generators(rep)
     for _ in range(10):
-        w = random_weight(rep.algebra.track, rep.gamma_vectors, rng, span=2)
+        w = random_weight(rep.track, rep.gamma_vectors, rng, span=2)
         mat = np.linalg.matrix_power(symbol_monomial(rep, rep.operator(w), gens).dense(), N)
         scalar = rep.central_character(w)
         assert np.max(np.abs(mat - scalar * np.eye(rep.dim))) < 1e-9
@@ -259,38 +265,88 @@ def test_epsilon_minus_one_twists_the_character():
     assert np.max(np.abs(mat - realized * np.eye(rep.dim))) < 1e-9
 
 
-def test_tampered_representation_fails():
-    # a wrong za: X_0^N no longer acts by zeta(alpha_0)
+def tampered_root():
+    """A wrong za: X_0^N no longer acts by zeta(alpha_0)."""
     rep = make_rep(1, 1, 3, seed=12)
     rep.za[0] *= cmath.exp(0.01j)
-    report = verify(rep, tol=1e-9)
-    assert not report.passed
-    assert report.deviations["power_scalar"] > 1e-9
-    assert not frobenius_compat(rep, tol=1e-9).passed
+    return rep
 
 
-def test_tampered_permutation_fails():
-    # a wrong shift (Y_0 acting as S_0^2) and a wrong commutation phase (the
-    # product law run with d_0 = 2 against theta(alpha_0, beta_0) = 1)
+def tampered_shift():
+    """A wrong shift: Y_0 acts as S_0^2."""
     rep = make_rep(1, 1, 3, seed=12)
     m = len(rep.d)
     y = rep.generators[m]
     rep.generators[m] = Symbol(y.a, tuple(2 * b for b in y.b), y.e, y.k)
-    report = verify(rep, tol=1e-9)
-    assert not report.passed
-    assert report.deviations["commutation"] > 1e-9
+    return rep
+
+
+def tampered_block():
+    """A wrong commutation phase: the product law run with d_0 = 2 against theta(alpha_0, beta_0) = 1."""
     rep = make_rep(1, 1, 3, seed=12)
     assert rep.d[0] == 1
     rep.d[0] = 2
-    report = verify(rep, tol=1e-9)
+    return rep
+
+
+def test_tampered_representation_fails():
+    report = verify(tampered_root(), tol=1e-9)
     assert not report.passed
-    assert report.deviations["commutation"] > 1e-9
+    assert report.deviations["power_scalar"] > 1e-9
+    assert not frobenius_compat(report, tol=1e-9).passed
+
+
+def test_tampered_permutation_fails():
+    for rep in (tampered_shift(), tampered_block()):
+        report = verify(rep, tol=1e-9)
+        assert not report.passed
+        assert report.deviations["commutation"] > 1e-9
+
+
+def explicit_zeta_rep():
+    """(1,2) at N = 3 and epsilon = -1, with zeta and h given by value."""
+    track = from_triangulation(standard_triangulation(1, 2))
+    return build(RepresentationSpec(track, omega_candidate(3, -1), symplectic_basis(track),
+                                    [1j, 0.6 + 0.8j], [-1, 0.8 - 0.6j], [-1j, 1], [1j, 1]))
+
+
+SINGLE_PASS_CASES = {
+    "(1,1,1,+1)": lambda: make_rep(1, 1, 1, seed=1),
+    "(1,2,3,-1)": lambda: make_rep(1, 2, 3, epsilon=-1, seed=2),
+    "(2,1,3,+1)": lambda: make_rep(2, 1, 3, seed=3),
+    "(0,5,5,-1)": lambda: make_rep(0, 5, 5, epsilon=-1, seed=4),
+    "(2,2,5,+1)": lambda: make_rep(2, 2, 5, seed=5),
+    "(1,1,100001,+1)": lambda: make_rep(1, 1, 100001, seed=6),
+    "(3,2,100001,-1)": lambda: make_rep(3, 2, 100001, epsilon=-1, seed=7),
+    "explicit zeta": explicit_zeta_rep,
+    "tampered root": tampered_root,
+    "tampered shift": tampered_shift,
+    "tampered block": tampered_block,
+}
+
+
+@pytest.mark.parametrize("case", list(SINGLE_PASS_CASES))
+def test_single_pass_matches_the_two_pass_reference(case):
+    rep = SINGLE_PASS_CASES[case]()
+    report = verify(rep, tol=1e-9, seed=8)
+    frob = frobenius_compat(report, tol=1e-9)
+    checks, checks_passed, reference, reference_passed = two_pass_reports(rep, tol=1e-9, seed=8)
+    assert report.deviations == checks and report.passed is checks_passed
+    if case == "tampered shift":
+        # basis_character is power_scalar, which reads the generators; the
+        # two-pass lift reads symbol(N e_u) and so misses a tampered generator
+        assert frob.deviations.pop("basis_character") == report.deviations["power_scalar"] > 1e-9
+        assert reference.pop("basis_character") <= 1e-9
+        assert reference_passed and not frob.passed
+    else:
+        assert frob.passed is reference_passed
+    assert frob.deviations == reference
+    assert frob.deviations["matrix_power_oracle"] == 0.0
 
 
 def test_spec_validation_rejects_bad_h():
     track = from_triangulation(standard_triangulation(1, 1))
-    algebra = BalancedAlgebra(track, omega_candidates(3, epsilon=1)[0])
-    spec = random_spec(algebra, seed=13)
+    spec = random_spec(track, omega_candidates(3, epsilon=1)[0], seed=13)
     spec.h[0] *= cmath.exp(0.3j)
     with pytest.raises(RepresentationError):
         spec.validate()
@@ -313,8 +369,7 @@ def test_spec_validation_rejects_even_n():
 
 def test_spec_validation_rejects_zero_zeta():
     track = from_triangulation(standard_triangulation(1, 1))
-    algebra = BalancedAlgebra(track, omega_candidates(3, epsilon=1)[0])
-    spec = random_spec(algebra, seed=14)
+    spec = random_spec(track, omega_candidates(3, epsilon=1)[0], seed=14)
     spec.zeta_alphas[0] = 0
     with pytest.raises(RepresentationError):
         spec.validate()
@@ -363,8 +418,7 @@ def test_factor_commutant_is_gcd(N):
 def test_no_pairs_means_no_factor_matrices():
     # the thrice-punctured sphere has dimension 1 at any N: nothing N x N is built
     track = from_triangulation(standard_triangulation(0, 3))
-    algebra = BalancedAlgebra(track, omega_candidate(1000001))
-    rep = build(random_spec(algebra, seed=1))
+    rep = build(random_spec(track, omega_candidate(1000001), seed=1))
     assert rep.dim == 1 and commutant_dimension(rep) == 1
 
 
@@ -373,12 +427,11 @@ def test_rep_memory_does_not_grow_with_n(g, s, N):
     # symbols hold O(m) integers and the commutant is a gcd product: nothing
     # of size N is allocated by the build or either check
     track = from_triangulation(standard_triangulation(g, s))
-    spec = random_spec(BalancedAlgebra(track, omega_candidate(N)), seed=1)
+    spec = random_spec(track, omega_candidate(N), seed=1)
     tracemalloc.start()
     try:
         rep = build(spec)
-        verify(rep, seed=1)
-        frobenius_compat(rep, seed=1)
+        frobenius_compat(verify(rep, seed=1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -397,10 +450,11 @@ def test_monomial_operators_match_dense_reference(g, s, N):
         assert np.array_equal(symbol_monomial(rep, gen, monomials).dense(), ref)
     rng = random.Random(N)
     for _ in range(3):
-        w = random_weight(rep.algebra.track, rep.gamma_vectors, rng, span=2)
+        w = random_weight(rep.track, rep.gamma_vectors, rng, span=2)
         dense = symbol_monomial(rep, rep.operator(w), monomials).dense()
         assert np.max(np.abs(dense - reference_operator(rep, gens, w))) < 1e-12
-    deviations = {**verify(rep, seed=N).deviations, **frobenius_compat(rep, seed=N).deviations}
+    report = verify(rep, seed=N)
+    deviations = {**report.deviations, **frobenius_compat(report).deviations}
     reference = reference_deviations(rep, seed=N)
     assert deviations.keys() == reference.keys()
     for name, value in reference.items():
@@ -433,16 +487,16 @@ def test_rep_genus_two_end_to_end(capsys):
 def test_frobenius_compat_basis_and_random():
     for (g, s, N) in [(1, 1, 3), (0, 4, 5), (1, 2, 3)]:
         rep = make_rep(g, s, N, epsilon=-1, seed=16)
-        report = frobenius_compat(rep, tol=1e-9, seed=17)
+        report = frobenius_compat(verify(rep, tol=1e-9, seed=17), tol=1e-9)
         assert report.passed, report.deviations
 
 
 def test_frobenius_compat_eta_scalars():
     rep = make_rep(1, 2, 3, seed=18)
-    iota = BalancedAlgebra(rep.algebra.track, rep.params.iota_params())
+    iota = BalancedAlgebra(rep.track, rep.params.iota_params())
     N = rep.params.N
     for k, eta in enumerate(rep.spec.basis.etas):
-        lifted = frobenius(iota.monomial(eta), rep.algebra)
+        lifted = frobenius(iota.monomial(eta), algebra_of(rep))
         mat = evaluate(rep, lifted)
         expected = rep.spec.h[k] ** N
         assert np.max(np.abs(mat - expected * np.eye(rep.dim))) < 1e-9

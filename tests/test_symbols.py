@@ -45,8 +45,11 @@ def test_symbol_products_and_powers_match_monomials(g, s, N):
         x, y = random_symbol(rep, rng), random_symbol(rep, rng)
         mx, my = symbol_monomial(rep, x, gens), symbol_monomial(rep, y, gens)
         assert close(symbol_monomial(rep, rep.product(x, y), gens), mx @ my)
+        c = x.a + x.b + x.e  # a coefficient row over the gammas
         for n in (-3, -1, 0, 1, 2, N + 2):
             assert close(symbol_monomial(rep, rep.power(x, n), gens), mx ** n), n
+            # Z_(n w) is the n-th power of Z_w, exactly: matrix_power_oracle is 0 by it
+            assert rep.symbol([n * v for v in c]) == rep.power(rep.symbol(c), n), n
 
 
 @pytest.mark.parametrize("g,s,N", MONOMIAL_CELLS)
