@@ -30,8 +30,15 @@ stays within ``FLOAT_BITS = 53`` it runs on float64 BLAS, where every
 partial sum is an integer the significand holds exactly, and comes back as
 int64; past it, it runs on Python-int ``object`` arrays.
 
+The balanced algebra keeps its elements here as arrays (see ``algebra``):
+``germ_images`` makes the germ images of the keys a read gives, and a
+product is ``doubled_pairings`` of the left keys with the right images,
+``sum_ranks`` to number the key sums, whose packed codes stay exact on
+int64, and ``merge_slots`` to add equal (key, exponent) slots.  They widen
+to Python ints by the same bit bounds.
+
 This module imports numpy, so ``lattice`` imports it only when a matrix is
-large enough to need it, and ``algebra`` at its first product, which also
+large enough to need it, and ``algebra`` at its first element, which also
 builds the algebra's ``germ_pair_array`` once.
 """
 
@@ -306,16 +313,16 @@ def certifies(u, v, m, blocks) -> bool:
 # --- the intersection form -------------------------------------------------
 
 def germ_pair_array(germ_pairs) -> np.ndarray:
-    """``TrainTrack.germ_pairs`` as the (P, 2) int64 array ``doubled_pairings`` takes."""
+    """``TrainTrack.germ_pairs`` as the (P, 2) int64 array ``germ_images`` takes."""
     return np.array(germ_pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def doubled_pairings(pairs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The exact matrix of doubled pairings ``a_i^T T b_j = 2 theta(a_i, b_j)``.
+def germ_images(pairs: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The germ images ``T b_j`` of the rows of ``b``, as one ``np.add.at`` scatter.
 
-    ``pairs`` is ``germ_pair_array`` of the track.  The germ images ``T b_j``
-    are one ``np.add.at`` scatter, and all the pairings one guarded product.
-    Raises ``IntegralityViolation`` if one is odd.
+    ``pairs`` is ``germ_pair_array`` of the track.  A row of images is a sum
+    of at most ``2 len(pairs)`` entries of ``b``, so past that bound the
+    images are made on Python ints.
     """
     if max_bits(b) + len(pairs).bit_length() + 1 > WORD_BITS:
         b = b.astype(object)
@@ -323,10 +330,20 @@ def doubled_pairings(pairs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndar
     images = np.zeros_like(b)  # row j is T b_j
     np.add.at(images, (slice(None), right), b[:, left])
     np.subtract.at(images, (slice(None), left), b[:, right])
+    return images
+
+
+def doubled_pairings(a: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """The exact matrix of doubled pairings ``a_i^T T b_j = 2 theta(a_i, b_j)``.
+
+    ``images`` holds the germ images ``T b_j`` (``germ_images``).  All the
+    pairings are one guarded product.  Raises ``IntegralityViolation`` if
+    one is odd.
+    """
     doubled = matmul(a, images.T)
-    odd = np.argwhere(doubled % 2 != 0)
-    if odd.size:
-        raise IntegralityViolation(f"doubled pairing {doubled[tuple(odd[0])]} is odd")
+    odd = doubled % 2
+    if odd.any():
+        raise IntegralityViolation(f"doubled pairing {doubled[tuple(np.argwhere(odd)[0])]} is odd")
     return doubled
 
 
@@ -336,8 +353,90 @@ def theta_matrix(germ_pairs, basis):
     An array for an array ``basis``, lists of Python ints for lists.
     """
     b = as_array(basis)
-    theta = doubled_pairings(germ_pair_array(germ_pairs), b, b) // 2
+    theta = doubled_pairings(b, germ_images(germ_pair_array(germ_pairs), b)) // 2
     return theta if isinstance(basis, np.ndarray) else theta.tolist()
+
+
+# --- sparse sums: the products of the balanced algebra --------------------
+
+def merge_slots(key, exponent, coeff, keys: int, order: int):
+    """Add the entries of equal (key, exponent) slots and drop the zeros.
+
+    ``key`` numbers each entry's key among ``keys`` keys in their canonical
+    order, every exponent lies in ``[0, order)``, and the caller has sized
+    ``coeff`` so that no sum of its entries wraps.  One sort by slot
+    ``key * order + exponent`` (on Python ints if that could pass
+    ``WORD_BITS`` bits) brings equal slots together, ``np.add.reduceat``
+    adds them and zeros are dropped.  Returns ``(used, term, exponent,
+    coeff)``: the entries sorted by slot, ``used`` the key numbers that keep
+    an entry, in order, and ``term`` each entry's index into ``used``.
+    """
+    if keys * order > 1 << WORD_BITS:
+        key = key.astype(object)
+    slot = key * order + exponent
+    perm = np.argsort(slot, kind="stable")  # lexsort's kernel: one sort kernel fewer in memory
+    slot, coeff = slot[perm], coeff[perm]
+    new = np.empty(len(slot), dtype=bool)
+    new[:1] = True
+    np.not_equal(slot[1:], slot[:-1], out=new[1:])
+    if not new.all():
+        start = np.flatnonzero(new)
+        slot, coeff = slot[start], np.add.reduceat(coeff, start)
+    live = coeff != 0
+    if not live.all():
+        slot, coeff = slot[live], coeff[live]
+    key, exponent = (slot // order).astype(np.intp), slot % order
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    return key[new], new.cumsum() - 1, exponent, coeff
+
+
+def sum_ranks(ka, kb):
+    """Number the sums ``ka[i] + kb[j]`` (pair ``i * len(kb) + j``) in lexicographic order.
+
+    Returns ``(rank, rep)``: the number of each pair's sum among the
+    distinct sums, and one pair for each distinct sum.  One lexicographic
+    sort of the pairs by their ``_sum_codes`` does it.
+    """
+    codes = _sum_codes(ka, kb)
+    perm = np.lexsort(codes.T[::-1])
+    codes = codes[perm]
+    new = np.empty(len(perm), dtype=bool)
+    new[0] = True
+    np.logical_or.reduce(codes[1:] != codes[:-1], axis=1, out=new[1:])
+    rank = np.empty(len(perm), dtype=np.intp)
+    rank[perm] = new.cumsum() - 1
+    return rank, perm[new]
+
+
+def _sum_codes(ka, kb):
+    """Codes that order the rows ``ka[i] + kb[j]`` lexicographically, most significant first.
+
+    Row ``i * len(kb) + j`` of the result holds the codes of ``ka[i] +
+    kb[j]``.  Less the least entry of its factor, every entry of a sum is a
+    digit of ``width`` bits, ``width`` the bit length of the two factors'
+    ranges added.  So ``WORD_BITS // width`` consecutive columns pack into
+    one code that is exact on int64, and the code of a sum is the sum of the
+    codes of its two rows.  Past ``WORD_BITS`` bits each column is a code of
+    its own: the caller has widened keys that wide to Python ints, so their
+    codes are Python ints too.
+    """
+    lo_a, lo_b = ka.min(), kb.min()
+    width = (int(ka.max()) - int(lo_a) + int(kb.max()) - int(lo_b)).bit_length()
+    n = ka.shape[1]
+    per = max(1, WORD_BITS // width) if width else n
+    chunks = -(-n // per)
+    place = np.array([1 << (width * k) for k in range(per - 1, -1, -1)])
+
+    def codes(rows, lo):
+        digits = rows - lo
+        if chunks * per > n:  # zero digits in front fill out the first code
+            pad = np.zeros((len(rows), chunks * per - n), dtype=digits.dtype)
+            digits = np.concatenate((pad, digits), axis=1)
+        return digits.reshape(len(rows), chunks, per) @ place
+
+    return (codes(ka, lo_a)[:, None] + codes(kb, lo_b)).reshape(-1, chunks)
 
 
 # --- the eta match ---------------------------------------------------------

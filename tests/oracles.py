@@ -19,6 +19,9 @@ generators' own values ``rep.za``, ``rep.zb`` and ``rep.h``;
 ``factors``.  Both are independent of the symbol laws in ``representation.py``,
 which the tests check against them.  ``svd_commutant_dimension`` is the
 numerical rank that ``commutant_dimension``'s exact certificate replaces.
+
+Algebra: ``scaled_by_root`` multiplies an element by a power of ``w``, and
+``puncture_element`` is the monomial of a puncture weight system.
 """
 
 import cmath
@@ -29,7 +32,7 @@ from dataclasses import replace
 import numpy as np
 
 from trackforms import NormalForm, from_triangulation, skew_normal_form, standard_triangulation
-from trackforms.algebra import BalancedAlgebra, frobenius, omega_candidate, phase_eval
+from trackforms.algebra import AlgebraElement, BalancedAlgebra, frobenius, omega_candidate, phase_eval
 from trackforms.lattice import _combine
 from trackforms.representation import (
     FROBENIUS_SAMPLES,
@@ -39,10 +42,23 @@ from trackforms.representation import (
     commutant_dimension,
     random_spec,
 )
-from trackforms.traintrack import _switch_classes, require_weight_system
+from trackforms.traintrack import _switch_classes, puncture_weight, require_weight_system
 
 # Singular values at most SV_CUTOFF * max(1, largest) count as zero.
 SV_CUTOFF = 1e-7
+
+
+# --- algebra -----------------------------------------------------------------
+
+def scaled_by_root(x, exponent: int) -> AlgebraElement:
+    """``w^exponent x``: every exponent shifted, reduced by the element constructor."""
+    return AlgebraElement(x.algebra, {w: {e + exponent: c for e, c in p.items()}
+                                      for w, p in x.terms.items()})
+
+
+def puncture_element(algebra, k: int) -> AlgebraElement:
+    """The monomial ``Z_eta`` of the k-th puncture weight system."""
+    return algebra.monomial(puncture_weight(algebra.track, k))
 
 
 # --- structure ---------------------------------------------------------------

@@ -28,8 +28,10 @@ from trackforms.algebra import (
     solve_chebyshev,
 )
 from trackforms.traintrack import IntegralityViolation, ParityViolation, switch_sums, theta
+from trackforms.triangulation import random_triangulation
 
 from conftest import random_weight
+from oracles import puncture_element, scaled_by_root
 
 
 @pytest.fixture(scope="module")
@@ -46,8 +48,8 @@ def random_element(algebra, basis, rng, n_terms=3):
     out = algebra.zero()
     for _ in range(n_terms):
         w = random_weight(algebra.track, basis, rng, span=1)
-        term = algebra.monomial(w).scaled(rng.randint(1, 3)).scaled_by_root(
-            rng.randrange(algebra.params.phase_order))
+        term = scaled_by_root(algebra.monomial(w).scaled(rng.randint(1, 3)),
+                              rng.randrange(algebra.params.phase_order))
         out = out + term
     return out
 
@@ -139,7 +141,7 @@ def test_monomial_unit_coefficient(torus_setup):
 
 def test_puncture_element_is_eta_monomial(torus_setup):
     track, algebra, basis = torus_setup
-    h1 = algebra.puncture_element(0)
+    h1 = puncture_element(algebra, 0)
     assert set(h1.terms) == {(1,) * 6}
 
 
@@ -154,8 +156,8 @@ def test_commutation_phase_exact(torus_setup):
     track, algebra, basis = torus_setup
     for a, b in itertools.product(basis, repeat=2):
         lhs = algebra.mul(algebra.monomial(a), algebra.monomial(b))
-        rhs = algebra.mul(algebra.monomial(b), algebra.monomial(a)).scaled_by_root(
-            4 * algebra.theta(a, b))
+        rhs = scaled_by_root(algebra.mul(algebra.monomial(b), algebra.monomial(a)),
+                             4 * algebra.theta(a, b))
         assert lhs == rhs
 
 
@@ -184,7 +186,7 @@ def test_power_is_scaled_monomial(torus_setup):
     w = tuple(a + b for a, b in zip(basis[0], basis[1]))
     assert algebra.power(algebra.monomial(w), N) == algebra.monomial(tuple(N * x for x in w))
     assert algebra.power(algebra.monomial(w), 0) == algebra.one()
-    h = algebra.puncture_element(0)
+    h = puncture_element(algebra, 0)
     assert algebra.power(h, N) == algebra.monomial(tuple(N for _ in range(6)))
 
 
@@ -192,7 +194,7 @@ def test_central_elements_commute(torus_setup):
     track, algebra, basis = torus_setup
     rng = random.Random(23)
     N = algebra.params.N
-    h = algebra.puncture_element(0)
+    h = puncture_element(algebra, 0)
     for _ in range(10):
         x = random_element(algebra, basis, rng)
         zn = algebra.power(algebra.monomial(basis[0]), N)
@@ -206,6 +208,19 @@ def test_commutative_at_iota(torus_setup):
     for a, b in itertools.product(basis, repeat=2):
         x, y = iota.monomial(a), iota.monomial(b)
         assert iota.mul(x, y) == iota.mul(y, x)
+
+
+def test_equality_needs_the_same_track():
+    # two tracks with as many branches: the same terms, but elements of different algebras
+    params = omega_candidates(3)[0]
+    track = from_triangulation(standard_triangulation(1, 2))
+    flipped = from_triangulation(random_triangulation(1, 2, 7, 1))
+    one, other = BalancedAlgebra(track, params).one(), BalancedAlgebra(flipped, params).one()
+    assert one.terms == other.terms
+    assert one != other
+    with pytest.raises(ValueError):
+        one + other
+    assert one == BalancedAlgebra(track, params).one()  # a second algebra on the same track
 
 
 def test_exact_matches_numeric(torus_setup):
@@ -250,7 +265,8 @@ def assert_reduced(element):
 
 
 def oracle_algebras():
-    """The (1,1), (2,2) and (0,4) algebras at N = 3, 5 and their iota parameters."""
+    """The (1,1), (2,2) and (0,4) algebras at N = 3, 5 and their iota parameters,
+    and the (2,2) algebras at N = 100001, 2**60 - 1 and 2**61 + 1."""
     for gs in [(1, 1), (2, 2), (0, 4)]:
         track = from_triangulation(standard_triangulation(*gs))
         basis = weight_lattice_basis(track)
@@ -258,6 +274,10 @@ def oracle_algebras():
             params = omega_candidates(N)[N % 4]
             for p in (params, params.iota_params()):
                 yield BalancedAlgebra(track, p), basis
+        if gs == (2, 2):  # exponents and (key, exponent) slots at large 4N, up to one past int64
+            for params in (omega_candidate(100001, 1, 7), AlgebraParams(2 ** 60 - 1, 1),
+                           AlgebraParams(2 ** 61 + 1, 1)):
+                yield BalancedAlgebra(track, params), basis
 
 
 def wide_element(algebra, basis, rng, n_terms, span, coeff_bits):
@@ -273,10 +293,12 @@ def wide_element(algebra, basis, rng, n_terms, span, coeff_bits):
     return AlgebraElement(algebra, terms)
 
 
-@pytest.mark.parametrize("span, coeff_bits", [(1, 2), (2 ** 40, 8), (2 ** 70, 80)])
+@pytest.mark.parametrize("span, coeff_bits", [(1, 2), (1, 40), (2 ** 40, 8), (2 ** 60, 8), (2 ** 70, 80)])
 def test_mul_matches_reference(span, coeff_bits):
-    # span 2**40 widens the pairing product to Python ints; 2**70 the weights themselves
-    rng = random.Random(span)
+    # coefficients of 40 bits make products past int64 on small weights; span
+    # 2**40 widens the pairing product to Python ints, 2**60 makes key sums
+    # that pass int64 by the second product, and 2**70 widens the weights themselves
+    rng = random.Random(span + coeff_bits)
     for algebra, basis in oracle_algebras():
         zero = algebra.zero()
         for _ in range(4):
@@ -284,6 +306,24 @@ def test_mul_matches_reference(span, coeff_bits):
             y = wide_element(algebra, basis, rng, rng.randint(1, 6), span, coeff_bits)
             assert assert_reduced(algebra.mul(x, y)) == reference_mul(algebra, x, y)
             assert algebra.mul(x, zero) == algebra.mul(zero, x) == zero
+        # the same element from its terms in another order, and two ways to zero
+        terms = [(w, list(p.items())) for w, p in x.terms.items()]
+        rng.shuffle(terms)
+        assert AlgebraElement(algebra, {w: dict(rng.sample(p, len(p))) for w, p in terms}) == x
+        assert x - x == x.scaled(0) == zero
+        assert x + y - x == y
+        # one-term factors hold exponents near 4N on int64 while 4N <= 2**62
+        a = AlgebraElement(algebra, {random_weight(algebra.track, basis, rng): {-1: 1}})
+        b = AlgebraElement(algebra, {random_weight(algebra.track, basis, rng): {-2: 3}})
+        assert algebra.mul(a, b) == reference_mul(algebra, a, b)
+        # the cube of a key near 2**62 passes int64
+        u = random_weight(algebra.track, basis, rng)
+        big = tuple((2 ** 62 - 1) // (max(map(abs, u)) or 1) * v for v in u)
+        z = AlgebraElement(algebra, {big: {1: 1}})
+        assert algebra.power(z, 3) == reference_mul(algebra, reference_mul(algebra, z, z), z)
+        k = -3 ** 30
+        assert x.scaled(k) == AlgebraElement(algebra, {w: {e: k * c for e, c in p}
+                                                       for w, p in terms})
         xy = algebra.mul(x, y)
         assert assert_reduced(algebra.mul(xy, x)) == reference_mul(algebra, xy, x)
 
@@ -325,19 +365,22 @@ def test_mul_cancels_one_key(torus_setup):
     assert len(product.terms) == 2
 
 
-def test_germ_pairs_wait_for_the_first_product():
-    # an algebra that never multiplies builds no array and imports no numpy
+def test_germ_pairs_wait_for_the_first_element():
+    # neither the module nor an algebra loads numpy; the first element builds
+    # the germ-pair array, and every later element and product reuses it
     code = textwrap.dedent("""
         import sys
+        import trackforms.algebra
         from trackforms import from_triangulation, standard_triangulation
         from trackforms.algebra import BalancedAlgebra, omega_candidates
         algebra = BalancedAlgebra(from_triangulation(standard_triangulation(1, 1)), omega_candidates(3)[0])
-        h = algebra.puncture_element(0) + algebra.one()
         assert "numpy" not in sys.modules and algebra._germ_pairs is None
-        algebra.mul(h, h)
+        h = algebra.monomial((1,) * 6)
         pairs = algebra._germ_pairs
-        algebra.mul(h, h)
-        assert pairs is not None and algebra._germ_pairs is pairs
+        assert pairs is not None
+        x = algebra.mul(h + algebra.one(), h)
+        assert algebra.element_from_json_dict(x.to_json_dict()) == x
+        assert algebra._germ_pairs is pairs
     """)
     src = os.path.dirname(os.path.dirname(trackforms.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -478,6 +521,8 @@ def test_element_json_reduces_coefficients(torus_setup):
     assert read((one, [[0, 1], [order, 1]])) == algebra.one().scaled(2)
     assert read((one, [[1, 1], [1 - order, -1]])) == algebra.zero()
     assert read((one, [[0, 1]]), (one, [[order, 2]])) == algebra.one().scaled(3)
+    # five coefficients of 2**61 add up past int64
+    assert read((one, [[k * order, 2 ** 61] for k in range(5)])) == algebra.one().scaled(5 * 2 ** 61)
 
 
 def test_elements_hold_no_zero_coefficient(torus_setup):
