@@ -10,10 +10,10 @@ results are identical; the certificate and theta are exact products.
 On the large path of ``lattice.certified_form`` one array goes from stage
 to stage: the switch matrix (``switch_matrix``), the kernel (theta's basis),
 theta's matrix and the normal form's ``U`` and ``V``, which the certificate
-reads.  Rows of ``U`` times the basis are one ``matmul``: ``rep``'s pair
-rows, or the kernel rows that the eta match reads at the etas' first support
-entries (``eta_consistent``).  Each stage still validates an array it is
-given (``as_array``); Python ints are made only for a public result.
+reads.  ``rep``'s pair rows, rows of ``U`` times the basis, are one
+``matmul``.  ``theta_matrix`` also pairs the basis with the etas for the eta
+match.  Each stage still validates an array it is given (``as_array``);
+Python ints are made only for a public result.
 
 The kernel and the normal form run on int64 arrays.  numpy's int64
 arithmetic wraps silently on overflow, so each routine keeps an upper bound
@@ -45,6 +45,7 @@ builds the algebra's ``germ_pair_array`` once.
 from __future__ import annotations
 
 import operator
+from itertools import chain
 
 import numpy as np
 
@@ -314,7 +315,7 @@ def certifies(u, v, m, blocks) -> bool:
 
 def germ_pair_array(germ_pairs) -> np.ndarray:
     """``TrainTrack.germ_pairs`` as the (P, 2) int64 array ``germ_images`` takes."""
-    return np.array(germ_pairs, dtype=np.int64).reshape(-1, 2)
+    return np.fromiter(chain.from_iterable(germ_pairs), np.int64, 2 * len(germ_pairs)).reshape(-1, 2)
 
 
 def germ_images(pairs: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -347,14 +348,17 @@ def doubled_pairings(a: np.ndarray, images: np.ndarray) -> np.ndarray:
     return doubled
 
 
-def theta_matrix(germ_pairs, basis):
-    """``lattice.theta_matrix`` as one exact array product ``B (T B^T) / 2``.
+def theta_matrix(germ_pairs, rows, cols=None):
+    """``lattice.theta_matrix`` as one exact array product ``R (T C^T) / 2``.
 
-    An array for an array ``basis``, lists of Python ints for lists.
+    One scatter makes the germ images of ``cols`` (``rows`` if omitted), and
+    one ``doubled_pairings`` pairs ``rows`` with them.  An array if either
+    side is one, lists of Python ints otherwise.
     """
-    b = as_array(basis)
-    theta = doubled_pairings(b, germ_images(germ_pair_array(germ_pairs), b)) // 2
-    return theta if isinstance(basis, np.ndarray) else theta.tolist()
+    a = as_array(rows)
+    b = a if cols is None else as_array(cols)
+    theta = doubled_pairings(a, germ_images(germ_pair_array(germ_pairs), b)) // 2
+    return theta if isinstance(rows, np.ndarray) or isinstance(cols, np.ndarray) else theta.tolist()
 
 
 # --- sparse sums: the products of the balanced algebra --------------------
@@ -437,15 +441,3 @@ def _sum_codes(ka, kb):
         return digits.reshape(len(rows), chunks, per) @ place
 
     return (codes(ka, lo_a)[:, None] + codes(kb, lo_b)).reshape(-1, chunks)
-
-
-# --- the eta match ---------------------------------------------------------
-
-def eta_consistent(rows: np.ndarray, lead) -> bool:
-    """Whether column ``j`` of ``rows`` equals column ``lead[j]``, or is 0 where ``lead[j] < 0``.
-
-    ``lattice._eta_match``'s test that every row is its reading times the etas.
-    """
-    lead = np.asarray(lead, dtype=np.int64)
-    on = lead >= 0
-    return bool((rows[:, on] == rows[:, lead[on]]).all()) and not rows[:, ~on].any()

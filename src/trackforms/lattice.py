@@ -15,12 +15,16 @@ zero block, and returns the certificate ``U`` with its inverse ``V``.
 :func:`certified_form` (elimination basis, theta, normal form, certificate)
 is the structure stage of both commands; on the array path the kernel,
 theta's matrix, ``U`` and ``V`` (kept on the ``NormalForm`` next to their
-tuples) and ``_combine``'s products stay arrays.  No command reduces on
-``hermite_normal_form``, which stays on lists and serves ``lattice_equal``,
-``weight_lattice_basis`` and the eta match's ``s x s`` readings.
+tuples) and ``_combine``'s products stay arrays.  :func:`theta_matrix` is
+the only place either command pairs weight systems: the form's matrix, the
+eta match and ``rep``'s decomposition all read it.  No command reduces on
+``hermite_normal_form``, which stays on lists and serves ``lattice_equal``
+and ``weight_lattice_basis``.
 
 ``verify_structure`` combines the normal form with the region census of a
-connected train track and checks the predicted block multiset:
+connected train track and checks the predicted block multiset (on a
+triangulation track, also that the puncture weights span the form's
+radical, by one pairing with the basis):
 
 * some region has an odd spike count: ``h`` blocks with d = 1,
   ``n_odd / 2 - 1`` blocks with d = 2, and ``n_even`` zero rows;
@@ -40,7 +44,7 @@ from __future__ import annotations
 import operator
 import sys
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 
 from .traintrack import (
     TrainTrack,
@@ -190,33 +194,38 @@ def weight_lattice_basis(track: TrainTrack) -> list[tuple[int, ...]]:
     return list(hermite_normal_form(integer_kernel(switch_matrix(track))))
 
 
-def theta_matrix(track: TrainTrack, basis):
-    """Antisymmetric matrix of theta over a list of weight systems: ``B T B^T / 2``.
+def theta_matrix(track: TrainTrack, rows, cols=None):
+    """The matrix ``theta(rows_i, cols_j) = R T C^T / 2``: the one pairing routine of the commands.
 
-    ``T`` is the germ-pair form ``track.germ_pairs``.  Below
-    ``INT64_MIN_ROWS`` vectors the image ``T b`` of each basis vector is
-    formed once and dotted with the support of the others, over Python ints;
-    from there on it is one exact product in ``intcore`` (float64 BLAS while
-    its bit bound is within 53), an array for an array basis.
+    ``T`` is the germ-pair form ``track.germ_pairs``.  With ``cols`` omitted
+    it is the antisymmetric matrix over ``rows``.  If either side is an array
+    or has ``INT64_MIN_ROWS`` rows or more it is one exact product in
+    ``intcore`` (float64 BLAS while its bit bound is within 53), an array if
+    either side is one.  Otherwise the image ``T c`` of each column vector is
+    formed once and dotted with the support of each row, over Python ints;
+    an antisymmetric matrix computes each unordered pair once.
     """
-    m = len(basis)
-    if _int64(m):
+    if (_is_array(rows) or _is_array(cols) or _int64(len(rows))
+            or cols is not None and _int64(len(cols))):
         from . import intcore
-        return intcore.theta_matrix(track.germ_pairs, basis)
-    if _is_array(basis):  # a short basis of a track with many switches
-        basis = basis.tolist()
-    out = [[0] * m for _ in range(m)]
-    images = [germ_image(track, basis[j]) for j in range(1, m)]
-    for i in range(m - 1):
-        support = [(k, x) for k, x in enumerate(basis[i]) if x]
+        return intcore.theta_matrix(track.germ_pairs, rows, cols)
+    square = cols is None
+    if square:  # each unordered pair once: row i reads the images of rows i + 1 onward
+        images = [None] + [germ_image(track, r) for r in rows[1:]]
+    else:
+        images = [germ_image(track, c) for c in cols]
+    out = [[0] * len(images) for _ in rows]
+    for i, r in enumerate(rows[:-1] if square else rows):
+        support = [(k, x) for k, x in enumerate(r) if x]
         row = out[i]
-        for j in range(i + 1, m):
-            image = images[j - 1]
+        for j in range(i + 1 if square else 0, len(images)):
+            image = images[j]
             doubled = 0
             for k, x in support:
                 doubled += x * image[k]
             row[j] = v = halved(doubled)
-            out[j][i] = -v
+            if square:
+                out[j][i] = -v
     return out
 
 
@@ -231,7 +240,7 @@ class NormalForm:
     ``2 * len(blocks)`` onward of ``U`` are a basis of the integer kernel.
     ``V`` is the inverse of ``U``, kept so that unimodularity is checked by
     one product.  ``arrays`` holds ``(U, V)`` as the read-only arrays the
-    int64 path computed, for the certificate and the eta match to read
+    int64 path computed, for the certificate and ``rep``'s pair rows to read
     without parsing the tuples again; it is None otherwise, and
     ``dataclasses.replace`` drops it.
     """
@@ -496,8 +505,7 @@ def verify_structure(track: TrainTrack) -> StructureReport:
 
     eta_match = None
     if isinstance(track, TriangulationTrack):
-        u = nf.U if nf.arrays is None else nf.arrays[0]
-        eta_match = _eta_match(_combine(u[nf.rank:], basis), puncture_weights(track))
+        eta_match = _etas_span_radical(track, basis, puncture_weights(track), nf.nullity)
         passed = passed and eta_match
     return StructureReport(
         case=case,
@@ -536,33 +544,25 @@ def _combine(rows, basis):
     return out
 
 
-def _eta_match(rows, etas) -> bool:
-    """Whether ``rows`` is a basis of the lattice that the ``etas`` span.
+def _etas_span_radical(track: TrainTrack, basis, etas, nullity: int) -> bool:
+    """Whether the ``etas`` are a basis of the radical ``R`` of theta on the span ``L`` of ``basis``.
 
-    The etas are 0/1 vectors with disjoint, non-empty supports, so a vector
-    ``c @ etas`` of their span is known from its *reading* ``c``: its entries
-    at the etas' first support entries.  ``rows`` is a basis exactly when
-    there are ``s = len(etas)`` of them, every row equals its reading times
-    the etas, and the ``s x s`` matrix of readings is unimodular, that is,
-    its Hermite form is ``I``.  Array rows (exact, of any dtype) are checked
-    as arrays.
+    ``L`` is the kernel of the switch matrix, the etas lie in it
+    (``puncture_weights`` checks), and the certificate gives ``R`` rank
+    ``nullity``.  0/1 etas with disjoint non-empty supports span a saturated
+    lattice ``E``.  If there are ``nullity`` of them and each pairs to zero
+    with the basis, ``E`` lies in ``R`` with the same rank, so ``R`` lies in
+    the integer vectors of ``Q E``, which are ``E``.  The etas go second in
+    ``theta_matrix``, so only their germ images are formed.
     """
-    s = len(etas)
-    if len(rows) != s or not s:
-        return len(rows) == s
-    first = [eta.index(1) for eta in etas]
-    # lead[j]: the first support entry of the eta through entry j, -1 off every support
-    lead = [-1] * len(etas[0])
-    for f, eta in zip(first, etas):
-        for j in compress(range(len(eta)), eta):
-            lead[j] = f
-    if _is_array(rows):
-        from . import intcore
-        if not intcore.eta_consistent(rows, lead):
-            return False
-        readings = rows[:, first].tolist()
-    else:
-        if any(row[j] != (row[f] if f >= 0 else 0) for row in rows for j, f in enumerate(lead)):
-            return False
-        readings = [[row[f] for f in first] for row in rows]
-    return hermite_normal_form(readings) == tuple(map(tuple, identity_matrix(s)))
+    if len(etas) != nullity:
+        return False
+    if not etas:
+        return True
+    # every non-zero entry is a 1, and no branch lies in two supports
+    supports = [list(compress(range(len(eta)), eta)) for eta in etas]
+    if (not all(supports) or any(eta.count(1) != len(sup) for eta, sup in zip(etas, supports))
+            or len(set(chain.from_iterable(supports))) != sum(map(len, supports))):
+        return False
+    pairing = theta_matrix(track, basis, etas)
+    return not (pairing.any() if _is_array(pairing) else any(map(any, pairing)))

@@ -56,10 +56,10 @@ Nothing is a matrix: ``commutant_dimension`` is the exact certificate
 Decomposition
 -------------
 ``decompose`` reads the coefficients of a weight system off the block form:
-``a_i = theta(w, beta_i) / d_i`` and ``b_i = theta(alpha_i, w) / d_i``, each
-a dot product of ``w`` with a germ image ``T beta_i`` or ``-T alpha_i``
-formed once per representation.  The puncture coefficients are the values of
-the remainder on the disjoint supports of the etas.  The scalar of
+``a_i = theta(w, beta_i) / d_i`` and ``b_i = theta(alpha_i, w) / d_i``.  The
+pairings of any number of weight systems with the columns ``betas +
+alphas`` are one ``lattice.theta_matrix``.  The puncture coefficients are
+the values of the remainder at the etas' first 1s.  The scalar of
 ``rho(Z_w^N)`` is ``central_character(w)``: the product of the
 ``zeta(gamma_u)^(m_u)`` times ``epsilon`` raised to the pairing sum
 ``sum_i d_i a_i b_i``.  When ``epsilon = +1`` (and always on basis vectors)
@@ -68,10 +68,17 @@ this is just the multiplicative extension of ``zeta``; when
 matrix-power computation confirms.
 
 ``verify`` draws ``FROBENIUS_SAMPLES`` coefficient vectors ``c``, checks that
-``decompose`` recovers them and the unit rows, and keeps each sample's
+``decompose`` recovers them, and keeps each sample's
 deviation of ``power(symbol(c), N)`` from ``central_character``;
 ``central_scalar`` is the largest over the first ``SCALAR_SAMPLES``.
-``frobenius_compat`` reads its report off that one pass.  The Frobenius image
+
+The unit rows need no decode.  A gamma's pairings with the columns are
+entries of the matrix ``validate`` checks to be the block form, so its pair
+coefficients are its unit entries.  Its eta coefficient ``k``, read at the
+first 1 ``f_k`` of ``eta_k``, is then 0 for a pair vector and ``eta_j[f_k]``
+for ``eta_j``, which ``validate`` checks to be 1 for ``j = k``, else 0.
+
+``frobenius_compat`` reads its report off ``verify``'s pass.  The Frobenius image
 of ``Z_w`` is ``Z_(N w)``, and by the power law ``symbol(N c)`` and
 ``power(symbol(c), N)`` are the same symbol ``(N a, N b, N e,
 -2 N^2 sum_i d_i a_i b_i)``.  So ``basis_character`` is ``power_scalar``,
@@ -95,7 +102,7 @@ from itertools import compress
 
 from .algebra import AlgebraParams, solve_chebyshev
 from .lattice import _combine, _is_array, certified_form, theta_matrix
-from .traintrack import TriangulationTrack, germ_image, halved, is_weight_system, puncture_weights
+from .traintrack import TriangulationTrack, is_weight_system, puncture_weights
 # Not called here, but perfbench's tracer wraps or counts them at this module.
 from .algebra import frobenius  # noqa: F401
 from .lattice import skew_normal_form, weight_lattice_basis  # noqa: F401
@@ -157,7 +164,7 @@ class RepresentationSpec:
     h: list[complex]
 
     def validate(self) -> list[list[int]]:
-        """Check the spec; return the theta matrix over ``basis.gamma_vectors``."""
+        """Check the spec, and so the unit rows' decode; return theta's matrix over the gammas."""
         m = len(self.basis.pairs)
         s = len(self.basis.etas)
         if not (len(self.zeta_alphas) == len(self.zeta_betas) == m and
@@ -177,6 +184,11 @@ class RepresentationSpec:
                 if v != expect:
                     raise RepresentationError(
                         f"basis vectors {i}, {j} pair to {v}, expected {expect}")
+        # decompose reads eta k's coefficient at its first 1, where every other eta is 0
+        for k, eta in enumerate(self.basis.etas):
+            reads = [e[eta.index(1)] for e in self.basis.etas] if 1 in eta else None
+            if reads != [int(j == k) for j in range(s)]:
+                raise RepresentationError(f"the etas at the first 1 of eta {k} are not unit row {k}")
         for k, (h_k, z) in enumerate(zip(self.h, self.zeta_etas)):
             power = _power(h_k, self.params.N)
             if not abs(power - z) <= ROOT_TOL * max(1.0, abs(z)):
@@ -243,15 +255,13 @@ class Representation:
         self.zeta_gamma = list(spec.zeta_alphas) + list(spec.zeta_betas) + list(spec.zeta_etas)
         self._zero = (0,) * m
         self.generators = [self.symbol(row) for row in _unit_rows(len(self.gamma_vectors))]
+        # theta(w, beta_i) = d_i a_i and theta(w, alpha_i) = -d_i b_i
+        pair_gammas = self.gamma_vectors[:2 * m]
+        self._columns = pair_gammas[m:] + pair_gammas[:m]
         # The etas are 0/1 with disjoint supports: each is read at its first 1,
         # where the pairs' gammas give the column subtracted from w.
-        pair_gammas = self.gamma_vectors[:2 * m]
         self._eta_columns = [(k, [g[k] for g in pair_gammas])
                              for k in (eta.index(1) for eta in spec.basis.etas)]
-        # theta(w, beta_i) = w . T beta_i / 2 and theta(alpha_i, w) = w . T(-alpha_i) / 2
-        self._pairing_images = (
-            [(germ_image(track, beta), d) for _, beta, d in spec.basis.pairs]
-            + [(germ_image(track, [-x for x in alpha]), d) for alpha, _, d in spec.basis.pairs])
 
     # -- symbols ------------------------------------------------------------
 
@@ -317,24 +327,31 @@ class Representation:
         w = tuple(weights)
         if len(w) != self.track.branch_count or not is_weight_system(self.track, w):
             raise RepresentationError("input is not a weight system of the track")
-        coeffs = self._coefficients(w)
+        [coeffs] = self._coefficients([w])
         if _combine([coeffs], self.gamma_vectors) != [w]:
             raise RepresentationError("decomposition failed to reproduce the weight system")
         return coeffs
 
-    def _coefficients(self, w) -> list[int]:
-        """The coefficients read off the block form, unchecked, for a weight system ``w``."""
-        coeffs = []
-        for image, d in self._pairing_images:  # d_i a_i, then d_i b_i
-            x = halved(sum(map(operator.mul, w, image)))
-            c, rem = divmod(x, d)
-            if rem:
-                raise RepresentationError(
-                    f"weight system leaves the lattice: pairing {x} is not a multiple of {d}")
-            coeffs.append(c)
-        coeffs += [w[k] - sum(map(operator.mul, coeffs, column))
-                   for k, column in self._eta_columns]
-        return coeffs
+    def _coefficients(self, rows) -> list[list[int]]:
+        """The coefficients of the weight systems ``rows`` read off the block form, unchecked.
+
+        One ``theta_matrix`` of the rows with the columns ``betas + alphas``
+        holds every ``d_i a_i = theta(w, beta_i)`` and ``d_i b_i = -theta(w, alpha_i)``.
+        """
+        blocks = [d for _, _, d in self.spec.basis.pairs]
+        m = len(blocks)
+        out = []
+        for w, pairings in zip(rows, theta_matrix(self.track, rows, self._columns)):
+            coeffs = []
+            for x, d in zip(pairings[:m] + [-x for x in pairings[m:]], blocks + blocks):
+                c, rem = divmod(x, d)
+                if rem:
+                    raise RepresentationError(
+                        f"weight system leaves the lattice: pairing {x} is not a multiple of {d}")
+                coeffs.append(c)
+            out.append(coeffs + [w[k] - sum(map(operator.mul, coeffs, column))
+                                 for k, column in self._eta_columns])
+        return out
 
     def operator(self, weights) -> Symbol:
         """rho(Z_w) as a symbol."""
@@ -411,8 +428,8 @@ def _random_coefficients(rep: Representation, seed: int, count: int) -> list[lis
 
 def _weight_systems(rep: Representation, rows) -> None:
     """Check that the weight system of each coefficient row decomposes back to the row."""
-    for row, w in zip(rows, _combine(rows, rep.gamma_vectors)):
-        if rep._coefficients(w) != row:
+    for row, coeffs in zip(rows, rep._coefficients(_combine(rows, rep.gamma_vectors))):
+        if coeffs != row:
             raise RepresentationError(f"decompose does not recover the coefficients {row}")
 
 
@@ -431,11 +448,10 @@ def verify(rep: Representation, tol: float = 1e-9, seed: int = 0) -> CheckReport
               for u in range(n) for v in range(u + 1, n)))
     report.deviations["power_scalar"] = _max_deviation(
         rep, ((rep.power(g, N), z) for g, z in zip(gens, rep.zeta_gamma)))
-    units = _unit_rows(n)
     samples = _random_coefficients(rep, seed, FROBENIUS_SAMPLES)
-    _weight_systems(rep, units + samples)
+    _weight_systems(rep, samples)
     report.deviations["puncture_scalar"] = _max_deviation(
-        rep, ((rep.symbol(row), h) for row, h in zip(units[2 * len(rep.d):], rep.spec.h)))
+        rep, zip(gens[2 * len(rep.d):], rep.spec.h))
     report.sample_deviations = [rep.deviation(rep.power(rep.symbol(c), N), rep._character(c))
                                 for c in samples]
     report.deviations["central_scalar"] = max(report.sample_deviations[:SCALAR_SAMPLES],

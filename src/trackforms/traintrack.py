@@ -32,7 +32,7 @@ The pairing is bilinear, so it is one sparse antisymmetric integer matrix
 is ``T``: one ``(left branch, right branch)`` entry per same-side germ pair,
 built once with the track, each adding ``+1`` at ``T[right][left]`` and
 ``-1`` at ``T[left][right]``.  ``germ_image`` forms ``T b``; the matrix of
-theta over a basis is ``lattice.theta_matrix``.
+theta between lists of weight systems is ``lattice.theta_matrix``.
 
 The track of a triangulation
 ----------------------------
@@ -319,16 +319,6 @@ class Region:
     @property
     def spikes(self) -> int:
         return sum(self.spike_after)
-
-    @property
-    def contains_puncture(self) -> bool:
-        return self.puncture is not None
-
-    def branch_multiplicities(self, branch_count: int) -> list[int]:
-        out = [0] * branch_count
-        for b, _ in self.darts:
-            out[b] += 1
-        return out
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ Structure: ``block_matrix`` and ``normal_form_json`` (the ``D`` and the
 JSON of a ``NormalForm``), ``kernel_rows`` and ``kernel_basis`` (the
 trailing rows of ``U``), ``doubled_last_row`` (a normal form that fails
 only its certificate), ``is_orientable`` and ``region_weight_system``
-(which raises ``OddSpikesError``).
+(which raises ``OddSpikesError``), ``contains_puncture`` and
+``branch_multiplicities`` of a region.  ``eta_readings_match`` is the eta
+match before it became a pairing: whether kernel rows are a basis of the
+etas' span, read at the etas' first support entries.
 
 Representations: ``loop_deviation`` walks the subgroup of roots that
 ``Representation.deviation`` reads in closed form.  ``two_pass_reports``
@@ -28,12 +31,13 @@ import cmath
 import math
 import random
 from dataclasses import replace
+from itertools import compress
 
 import numpy as np
 
 from trackforms import NormalForm, from_triangulation, skew_normal_form, standard_triangulation
 from trackforms.algebra import AlgebraElement, BalancedAlgebra, frobenius, omega_candidate, phase_eval
-from trackforms.lattice import _combine
+from trackforms.lattice import _combine, hermite_normal_form, identity_matrix
 from trackforms.representation import (
     FROBENIUS_SAMPLES,
     SCALAR_SAMPLES,
@@ -99,6 +103,46 @@ def doubled_last_row(matrix) -> NormalForm:
     """
     nf = skew_normal_form(matrix)
     return NormalForm(nf.U[:-1] + (tuple(2 * x for x in nf.U[-1]),), nf.blocks, nf.V)
+
+
+def eta_readings_match(rows, etas) -> bool:
+    """Whether ``rows`` is a basis of the lattice that the 0/1 ``etas`` span.
+
+    The etas have disjoint, non-empty supports, so a vector ``c @ etas`` of
+    their span is known from its *reading* ``c``: its entries at the etas'
+    first support entries.  ``rows`` is a basis exactly when there are
+    ``s = len(etas)`` of them, every row equals its reading times the etas,
+    and the ``s x s`` matrix of readings is unimodular, that is, its Hermite
+    form is ``I``.  Array rows are read as Python ints.
+    """
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    s = len(etas)
+    if len(rows) != s or not s:
+        return len(rows) == s
+    first = [eta.index(1) for eta in etas]
+    # lead[j]: the first support entry of the eta through entry j, -1 off every support
+    lead = [-1] * len(etas[0])
+    for f, eta in zip(first, etas):
+        for j in compress(range(len(eta)), eta):
+            lead[j] = f
+    if any(row[j] != (row[f] if f >= 0 else 0) for row in rows for j, f in enumerate(lead)):
+        return False
+    readings = [[row[f] for f in first] for row in rows]
+    return hermite_normal_form(readings) == tuple(map(tuple, identity_matrix(s)))
+
+
+def contains_puncture(region) -> bool:
+    """Whether a region of a triangulation track holds a puncture."""
+    return region.puncture is not None
+
+
+def branch_multiplicities(region, branch_count: int) -> list[int]:
+    """How often the region's boundary walk runs along each branch."""
+    out = [0] * branch_count
+    for b, _ in region.darts:
+        out[b] += 1
+    return out
 
 
 class OddSpikesError(ValueError):

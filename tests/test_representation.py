@@ -1,8 +1,10 @@
 import cmath
 import json
 import math
+import operator
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,12 +160,14 @@ def test_rep_on_a_flipped_triangulation(tmp_path, capsys):
     assert payload["pass"] is True and payload["verify"]["commutant_dim"] == 1
 
 
-@pytest.mark.parametrize("g,s", [(1, 1), (0, 4), (1, 2), (2, 1), (1, 3), (0, 6)])
+@pytest.mark.parametrize("g,s", [(1, 1), (0, 4), (1, 2), (2, 1), (1, 3), (0, 6), (4, 3)])
 def test_decompose_recovers_coefficients(g, s):
+    # (4, 3) has 2m = 24 pair columns, past INT64_MIN_ROWS: the pairings run on arrays
     rep = make_rep(g, s, 1, seed=g + s)  # decompose does not depend on N
+    n = len(rep.gamma_vectors)
     rng = random.Random(100 * g + s)
-    for _ in range(20):
-        coeffs = [rng.randint(-3, 3) for _ in rep.gamma_vectors]
+    units = [[int(u == v) for v in range(n)] for u in range(n)]
+    for coeffs in units + [[rng.randint(-3, 3) for _ in range(n)] for _ in range(20)]:
         assert rep.decompose(_combine([coeffs], rep.gamma_vectors)[0]) == coeffs
 
 
@@ -362,6 +366,18 @@ def test_symplectic_basis_refuses_an_uncertified_normal_form(monkeypatch):
     monkeypatch.setattr(lattice, "skew_normal_form", doubled_last_row)
     with pytest.raises(CertificateError, match="certificate"):
         representation.symplectic_basis(track)
+
+
+def test_build_refuses_etas_that_overlap_at_a_first_entry():
+    # eta_0 + eta_1 still pairs to zero with every gamma, but reads 1 at the
+    # first 1 of the other eta, where decompose reads that eta's coefficient
+    track = from_triangulation(standard_triangulation(1, 2))
+    spec = random_spec(track, omega_candidates(3, epsilon=1)[0], seed=16)
+    build(spec)
+    eta_0, eta_1 = spec.basis.etas
+    spec.basis = replace(spec.basis, etas=(eta_0, tuple(map(operator.add, eta_0, eta_1))))
+    with pytest.raises(RepresentationError, match="at the first 1 of eta"):
+        build(spec)
 
 
 def test_spec_validation_rejects_even_n():

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -33,7 +34,13 @@ from conftest import (
     random_weight,
     unorientable_even_track,
 )
-from oracles import OddSpikesError, is_orientable, region_weight_system
+from oracles import (
+    OddSpikesError,
+    branch_multiplicities,
+    contains_puncture,
+    is_orientable,
+    region_weight_system,
+)
 
 
 @pytest.mark.parametrize("g,s,switches,branches", [(1, 1, 3, 6), (0, 4, 6, 12)])
@@ -132,9 +139,16 @@ def test_theta_matches_succession_pairing(grid_tracks, grid_bases, gs, rnd):
 
 @pytest.mark.parametrize("g,s", GRID + [(4, 2)])
 def test_theta_matrix_matches_germ_walk(g, s):
+    # (4, 2) has 24 basis vectors, past INT64_MIN_ROWS: its matrices run on arrays
     track = from_triangulation(standard_triangulation(g, s))
     basis = weight_lattice_basis(track)
     assert theta_matrix(track, basis) == reference_theta_matrix(track, basis)
+    rng = random.Random(10 * g + s)
+    cols = [random_weight(track, basis, rng) for _ in range(3)]
+    expected = [[reference_theta_doubled(track, a, b) // 2 for b in cols] for a in basis]
+    assert theta_matrix(track, basis, cols) == expected
+    array = theta_matrix(track, np.array(basis), cols)
+    assert isinstance(array, np.ndarray) and array.tolist() == expected
 
 
 def test_theta_matches_germ_walk_on_random_tracks():
@@ -180,6 +194,9 @@ def test_odd_doubled_pairing_raises(grid_tracks):
         theta(track, e_left, e_right)
     with pytest.raises(IntegralityViolation):
         theta_matrix(track, [e_left, e_right])
+    for rows in ([e_left], np.array([e_left])):
+        with pytest.raises(IntegralityViolation):
+            theta_matrix(track, rows, [e_right])
 
 
 def test_theta_kernel_contains_punctures(grid_tracks, grid_bases):
@@ -207,7 +224,7 @@ def test_puncture_weights(grid_tracks):
         regs, _ = regions(track)
         totals = [0] * track.branch_count
         for reg in regs:
-            for b, m in enumerate(reg.branch_multiplicities(track.branch_count)):
+            for b, m in enumerate(branch_multiplicities(reg, track.branch_count)):
                 totals[b] += m
         assert totals == [2] * track.branch_count
 
@@ -271,7 +288,7 @@ def test_census_matches_surface_data(g, s, grid_tracks):
     assert topo.n_odd == 4 * g + 2 * s - 4
     # triangle regions carry 3 spikes, puncture regions none
     assert sorted(r.spikes for r in regs) == [0] * s + [3] * (4 * g + 2 * s - 4)
-    assert sorted(r.puncture for r in regs if r.contains_puncture) == list(range(s))
+    assert sorted(r.puncture for r in regs if contains_puncture(r)) == list(range(s))
 
 
 def test_circle_track_census():
@@ -394,7 +411,7 @@ def test_region_weights_recover_punctures(grid_tracks):
     for gs, track in grid_tracks.items():
         regs, _ = regions(track)
         for reg in regs:
-            if not reg.contains_puncture:
+            if not contains_puncture(reg):
                 continue
             got = region_weight_system(track, reg)
             eta = puncture_weight(track, reg.puncture)
