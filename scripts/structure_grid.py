@@ -14,14 +14,12 @@ import argparse
 import sys
 
 from trackforms import from_triangulation, standard_triangulation, verify_structure
-from trackforms.lattice import certified_form
 from trackforms.triangulation import random_triangulation
 
 
-def u_bits(track) -> int:
-    """Largest ``|U|`` bit length of the normal form on the elimination basis."""
-    _, nf = certified_form(track)
-    return max((abs(x).bit_length() for row in nf.U for x in row), default=0)
+def u_bits(report) -> int:
+    """Largest ``|U|`` bit length of the report's normal form on the elimination basis."""
+    return max((abs(x).bit_length() for row in report.normal_form.U for x in row), default=0)
 
 
 def main() -> int:
@@ -59,8 +57,9 @@ def main() -> int:
             passed, bits = 0, 0
             for seed in range(args.seeds):
                 track = from_triangulation(random_triangulation(g, s, args.flips, seed))
-                passed += verify_structure(track).passed
-                bits = max(bits, u_bits(track))
+                report = verify_structure(track)
+                passed += report.passed
+                bits = max(bits, u_bits(report))
             print(f"{f'({g},{s})':>8} {f'{passed}/{args.seeds}':>9} {bits:>12}")
             failed = failed or passed < args.seeds
     return 1 if failed else 0

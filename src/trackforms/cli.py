@@ -3,8 +3,9 @@
 Exit codes: 0 = success / all checks passed, 1 = a mathematical check failed,
 2 = invalid input or usage.  All output is JSON with sorted keys so reruns on
 identical inputs are byte-identical; a result holding a NaN or an infinity
-is not valid JSON and exits 2.  Randomized checks take an explicit
-``--seed`` (default 0) which is recorded in the output.  The tolerance on
+is not valid JSON and exits 2, and ``rep`` names the checks whose deviation
+is not finite.  Randomized checks take an explicit ``--seed`` (default 0)
+which is recorded in the output.  The tolerance on
 the ``verify``/``frobenius`` deviations of ``rep`` is 1e-9, overridable
 through the ``TRACKFORMS_TOL`` environment variable with any positive finite
 number; the spec's ``h^N = zeta(eta)`` check uses a fixed 1e-9.
@@ -153,6 +154,10 @@ def cmd_rep(args) -> int:
     rep = build(spec)  # validates the spec: RepresentationError, exit 2
     report = verify(rep, tol=tol, seed=seed)
     frob = frobenius_compat(report, tol=tol)
+    infinite = [k for r in (report, frob) for k, v in r.deviations.items() if not math.isfinite(v)]
+    if infinite:
+        raise ValueError(f"non-finite deviation in {', '.join(infinite)}: "
+                         "a scalar leaves the range of floats")
     payload = {
         "dim": rep.dim,
         "N": rep.params.N,

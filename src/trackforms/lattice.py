@@ -458,6 +458,8 @@ class StructureReport:
     rank: int
     passed: bool
     eta_kernel_match: bool | None = None
+    # the certified normal form the figures are read from; not printed or compared
+    normal_form: NormalForm | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -520,6 +522,7 @@ def verify_structure(track: TrainTrack) -> StructureReport:
         rank=nf.rank,
         passed=passed,
         eta_kernel_match=eta_match,
+        normal_form=nf,
     )
 
 

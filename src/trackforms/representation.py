@@ -67,6 +67,13 @@ this is just the multiplicative extension of ``zeta``; when
 ``epsilon = -1`` the quadratic sign is genuinely there, as a direct
 matrix-power computation confirms.
 
+``verify``'s commutation check is one integer identity.  For generators
+``u < v``, ``g_u g_v`` and ``q^theta(u,v) g_v g_u`` are the same symbol
+exactly when ``Omega(u, v) = P(a_u, b_v) - P(a_v, b_u)`` equals
+``theta(u, v)`` modulo N, with ``P(a, b) = sum_i d_i a_i b_i`` over the
+generators' own symbols.  Only the pairs where it fails, and the pairs of a
+generator whose scalar may reach ``2**SCALAR_BITS``, are evaluated in floats.
+
 ``verify`` draws ``FROBENIUS_SAMPLES`` coefficient vectors ``c``, checks that
 ``decompose`` recovers them, and keeps each sample's
 deviation of ``power(symbol(c), N)`` from ``central_character``;
@@ -101,7 +108,7 @@ from dataclasses import dataclass, field, replace
 from itertools import compress
 
 from .algebra import AlgebraParams, solve_chebyshev
-from .lattice import _combine, _is_array, certified_form, theta_matrix
+from .lattice import _combine, _int64, _is_array, certified_form, theta_matrix
 from .traintrack import TriangulationTrack, is_weight_system, puncture_weights
 # Not called here, but perfbench's tracer wraps or counts them at this module.
 from .algebra import frobenius  # noqa: F401
@@ -113,6 +120,9 @@ from .traintrack import theta  # noqa: F401
 ROOT_TOL = 1e-9
 SCALAR_SAMPLES = 5
 FROBENIUS_SAMPLES = 10
+# Two floats below 2**511 in modulus multiply without overflow, so the
+# commutation check evaluates no agreeing pair whose two scalars stay below it.
+SCALAR_BITS = 511
 
 
 class RepresentationError(ValueError):
@@ -427,25 +437,89 @@ def _random_coefficients(rep: Representation, seed: int, count: int) -> list[lis
 
 
 def _weight_systems(rep: Representation, rows) -> None:
-    """Check that the weight system of each coefficient row decomposes back to the row."""
-    for row, coeffs in zip(rows, rep._coefficients(_combine(rows, rep.gamma_vectors))):
+    """Check that the weight system of each coefficient row decomposes back to the row.
+
+    From ``INT64_MIN_ROWS`` gammas on the weight systems are one exact ``intcore.matmul``.
+    """
+    gammas = rep.gamma_vectors
+    if _int64(len(gammas)):
+        from . import intcore
+        weights = intcore.matmul(intcore.as_array(rows), intcore.as_array(gammas)).tolist()
+    else:
+        weights = _combine(rows, gammas)
+    for row, coeffs in zip(rows, rep._coefficients(weights)):
         if coeffs != row:
             raise RepresentationError(f"decompose does not recover the coefficients {row}")
 
 
-def verify(rep: Representation, tol: float = 1e-9, seed: int = 0) -> CheckReport:
-    """Commutation phases, N-th power scalars, puncture scalars, irreducibility."""
-    params, gens, pairing = rep.params, rep.generators, rep._theta
-    N, order, n = params.N, params.phase_order, len(gens)
-    report = CheckReport(dim=rep.dim)
+def _heavy_generators(rep: Representation) -> set[int]:
+    """The generators whose scalar may reach ``2**SCALAR_BITS`` in modulus.
+
+    ``log2 |z|`` lies in ``[E - 1, E + 1)`` for the ``frexp`` exponent ``E``
+    of the larger part of ``z``, so ``w``, the largest ``max(E + 1, 1 - E)``
+    over the generators' values, bounds every ``|log2 |z||``.  A generator's
+    scalar and each partial product of ``scalar`` then lie within
+    ``2**(w sum |c|)`` over its exponents ``c``.  A zero or non-finite value
+    makes ``w`` infinite.
+    """
+    def log2_bound(z):
+        _, e = math.frexp(max(abs(z.real), abs(z.imag)))
+        return max(e + 1, 1 - e) if z and cmath.isfinite(z) else math.inf
+
+    w = max(map(log2_bound, (*rep.za, *rep.zb, *rep.h)), default=0)
+    return {u for u, g in enumerate(rep.generators)
+            if w * (sum(map(abs, g.a)) + sum(map(abs, g.b)) + sum(map(abs, g.e))) > SCALAR_BITS}
+
+
+def _commutation(rep: Representation) -> float:
+    """The largest deviation of ``g_u g_v`` from ``q^theta(u,v) g_v g_u`` over the pairs ``u < v``.
+
+    The two sides have the same ``a``, ``b`` and ``e``, and phase exponents
+    that differ by ``4 (Omega(u, v) - theta(u, v))`` modulo 4N, where
+    ``Omega(u, v) = P(a_u, b_v) - P(a_v, b_u)`` and ``P(a, b) = sum_i d_i a_i b_i``
+    over the generators' own symbols and ``rep.d``.  A pair with
+    ``Omega = theta`` mod N is one symbol on both sides, whose scalar is one
+    float, so its deviation is 0.0, or an infinity if that float is not
+    finite.  Below ``2**SCALAR_BITS`` each, two generators' scalars multiply
+    within the floats, so only the pairs that differ or hold a heavy
+    generator are evaluated.  ``Omega`` is summed over the non-zero entries
+    of the symbols, and ``theta`` is read above its diagonal.
+    """
+    gens, theta, d = rep.generators, rep._theta, rep.d
+    N, order, n, m = rep.params.N, rep.params.phase_order, len(gens), len(d)
+    with_a, with_b = [[] for _ in d], [[] for _ in d]
+    for u, g in enumerate(gens):
+        for i in compress(range(m), g.a):
+            with_a[i].append((u, d[i] * g.a[i]))
+        for i in compress(range(m), g.b):
+            with_b[i].append((u, g.b[i]))
+    omega = {}  # Omega above the diagonal, wherever it has a term or theta is non-zero
+    for xs, ys in zip(with_a, with_b):
+        for u, x in xs:
+            for v, y in ys:
+                if u != v:
+                    key, term = ((u, v), x * y) if u < v else ((v, u), -x * y)
+                    omega[key] = omega.get(key, 0) + term
+    for u, row in enumerate(theta):
+        for v in compress(range(u + 1, n), row[u + 1:]):
+            omega.setdefault((u, v), 0)
+    pairs = {(u, v) for (u, v), w in omega.items() if (w - theta[u][v]) % N}
+    for u in _heavy_generators(rep):
+        pairs.update((min(u, v), max(u, v)) for v in range(n) if v != u)
 
     def commuted(u, v):  # q^theta(gamma_u, gamma_v) rho(Z_gamma_v) rho(Z_gamma_u)
         x = rep.product(gens[v], gens[u])
-        return replace(x, k=(x.k + 4 * pairing[u][v]) % order)
+        return replace(x, k=(x.k + 4 * theta[u][v]) % order)
 
-    report.deviations["commutation"] = _max_deviation(
-        rep, ((rep.product(gens[u], gens[v]), commuted(u, v))
-              for u in range(n) for v in range(u + 1, n)))
+    return _max_deviation(rep, ((rep.product(gens[u], gens[v]), commuted(u, v))
+                                for u, v in pairs))
+
+
+def verify(rep: Representation, tol: float = 1e-9, seed: int = 0) -> CheckReport:
+    """Commutation phases, N-th power scalars, puncture scalars, irreducibility."""
+    gens, N = rep.generators, rep.params.N
+    report = CheckReport(dim=rep.dim)
+    report.deviations["commutation"] = _commutation(rep)
     report.deviations["power_scalar"] = _max_deviation(
         rep, ((rep.power(g, N), z) for g, z in zip(gens, rep.zeta_gamma)))
     samples = _random_coefficients(rep, seed, FROBENIUS_SAMPLES)

@@ -10,7 +10,9 @@ match before it became a pairing: whether kernel rows are a basis of the
 etas' span, read at the etas' first support entries.
 
 Representations: ``loop_deviation`` walks the subgroup of roots that
-``Representation.deviation`` reads in closed form.  ``two_pass_reports``
+``Representation.deviation`` reads in closed form.  ``float_commutation`` is
+the commutation check that evaluates every pair of generators in floats,
+where ``verify`` reads the phases as integers.  ``two_pass_reports``
 computes the seven ``rep`` deviations as two passes that draw their own
 samples, and lifts every sample through ``frobenius``, raising unless the
 lift of ``Z_w`` is ``Z_(N w)``.  ``Monomial(perm, values)`` is the operator ``e_j -> values[j] e_perm[j]``:
@@ -207,6 +209,18 @@ def algebra_of(rep) -> BalancedAlgebra:
     return BalancedAlgebra(rep.track, rep.params)
 
 
+def float_commutation(rep) -> float:
+    """The largest deviation of ``g_u g_v`` from ``q^theta(u,v) g_v g_u``, evaluated on every pair."""
+    gens, pairing, order, n = rep.generators, rep._theta, rep.params.phase_order, len(rep.generators)
+
+    def commuted(u, v):
+        x = rep.product(gens[v], gens[u])
+        return replace(x, k=(x.k + 4 * pairing[u][v]) % order)
+
+    return max((rep.deviation(rep.product(gens[u], gens[v]), commuted(u, v))
+                for u in range(n) for v in range(u + 1, n)), default=0.0)
+
+
 def two_pass_reports(rep, tol=1e-9, seed=0) -> tuple[dict, bool, dict, bool]:
     """``verify``'s and ``frobenius_compat``'s deviations and verdicts, each pass on its own draws.
 
@@ -216,8 +230,7 @@ def two_pass_reports(rep, tol=1e-9, seed=0) -> tuple[dict, bool, dict, bool]:
     lift is exactly ``Z_(N w)``, and compares ``symbol(N c)`` with the zeta
     values, the character and ``power(symbol(c), N)``.
     """
-    N, order, n = rep.params.N, rep.params.phase_order, len(rep.generators)
-    gens, pairing = rep.generators, rep._theta
+    N, n, gens = rep.params.N, len(rep.generators), rep.generators
     units = [[int(u == v) for v in range(n)] for u in range(n)]
 
     def draw(count):
@@ -230,13 +243,8 @@ def two_pass_reports(rep, tol=1e-9, seed=0) -> tuple[dict, bool, dict, bool]:
     def worst(pairs):
         return max((rep.deviation(a, b) for a, b in pairs), default=0.0)
 
-    def commuted(u, v):
-        x = rep.product(gens[v], gens[u])
-        return replace(x, k=(x.k + 4 * pairing[u][v]) % order)
-
     checks = {
-        "commutation": worst((rep.product(gens[u], gens[v]), commuted(u, v))
-                             for u in range(n) for v in range(u + 1, n)),
+        "commutation": float_commutation(rep),
         "power_scalar": worst((rep.power(g, N), z) for g, z in zip(gens, rep.zeta_gamma)),
         "puncture_scalar": worst((rep.symbol(row), h)
                                  for row, h in zip(units[2 * len(rep.d):], rep.spec.h)),

@@ -108,6 +108,21 @@ def test_rep_rejects_inconsistent_h(tmp_path, capsys):
     assert "h[2]" in err
 
 
+def test_rep_names_the_checks_whose_deviation_is_not_finite(tmp_path, capsys):
+    # at N = 1 the scalar of X_0 Y_0 is 1e200 * 1e200, an infinity that JSON cannot hold
+    spec = {
+        "genus": 1, "punctures": 1, "N": 1,
+        "zeta": {"alphas": [[1e200, 0]], "betas": [[1e200, 0]], "etas": [[1, 0]]},
+        "h": [[1, 0]],
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "rep", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == ("error: non-finite deviation in commutation, central_scalar, random_character: "
+                   "a scalar leaves the range of floats\n")
+
+
 def test_rep_accepts_explicit_spec(tmp_path, capsys):
     spec = {
         "genus": 0, "punctures": 3, "N": 3, "omega_index": 0,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -224,6 +225,16 @@ def test_structure_grid(g, s, grid_tracks):
     assert report.computed_blocks == tuple(sorted([1] * g + [2] * (2 * g + s - 3)))
     assert report.nullity == s
     assert report.eta_kernel_match
+
+
+def test_report_keeps_its_certified_normal_form(grid_tracks):
+    track = grid_tracks[(2, 1)]
+    report = verify_structure(track)
+    _, nf = lattice.certified_form(track)
+    assert report.normal_form == nf and report.rank == nf.rank
+    # held for callers, not printed and not compared
+    assert "normal_form" not in report.to_json_dict() and "normal_form" not in repr(report)
+    assert report == dataclasses.replace(report, normal_form=None)
 
 
 def test_kernel_lattice_is_eta_lattice(grid_tracks, grid_bases):

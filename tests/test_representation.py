@@ -1,4 +1,5 @@
 import cmath
+import copy
 import json
 import math
 import operator
@@ -43,6 +44,7 @@ from oracles import (
     doubled_last_row,
     evaluate,
     factors,
+    float_commutation,
     generators,
     make_rep,
     puncture_element,
@@ -316,6 +318,13 @@ def explicit_zeta_rep():
                                     [1j, 0.6 + 0.8j], [-1, 0.8 - 0.6j], [-1j, 1], [1j, 1]))
 
 
+def overflow_zeta_rep():
+    """(1,1) at N = 1 with zeta(alpha_0) = zeta(beta_0) = 1e200: X_0 Y_0's scalar leaves the floats."""
+    track = from_triangulation(standard_triangulation(1, 1))
+    return build(RepresentationSpec(track, omega_candidate(1, 1), symplectic_basis(track),
+                                    [1e200], [1e200], [1], [1]))
+
+
 SINGLE_PASS_CASES = {
     "(1,1,1,+1)": lambda: make_rep(1, 1, 1, seed=1),
     "(1,2,3,-1)": lambda: make_rep(1, 2, 3, epsilon=-1, seed=2),
@@ -325,6 +334,7 @@ SINGLE_PASS_CASES = {
     "(1,1,100001,+1)": lambda: make_rep(1, 1, 100001, seed=6),
     "(3,2,100001,-1)": lambda: make_rep(3, 2, 100001, epsilon=-1, seed=7),
     "explicit zeta": explicit_zeta_rep,
+    "overflow zeta": overflow_zeta_rep,
     "tampered root": tampered_root,
     "tampered shift": tampered_shift,
     "tampered block": tampered_block,
@@ -346,8 +356,68 @@ def test_single_pass_matches_the_two_pass_reference(case):
         assert reference_passed and not frob.passed
     else:
         assert frob.passed is reference_passed
+    if case == "overflow zeta":
+        # 0 by construction here; the two-pass oracle compares one symbol
+        # with itself and reads its infinite scalar
+        assert report.deviations["commutation"] == reference["matrix_power_oracle"] == math.inf
+        reference["matrix_power_oracle"] = 0.0
     assert frob.deviations == reference
     assert frob.deviations["matrix_power_oracle"] == 0.0
+
+
+def tampered_copy(rep, rng):
+    """A copy of ``rep`` with one seeded change that the commutation check reads.
+
+    It changes one generator's ``a``, ``b`` or ``k``, one ``d``, one entry of
+    theta above the diagonal, or one ``za`` and one ``zb`` to 1e200 or
+    1e-200, whose products with each other or their inverses leave the floats.
+    """
+    out = copy.copy(rep)
+    out.generators, out.d, out.za, out.zb = (list(rep.generators), list(rep.d),
+                                             list(rep.za), list(rep.zb))
+    out._theta = [list(row) for row in rep._theta]
+    n, m, order = len(rep.generators), len(rep.d), rep.params.phase_order
+    kind = rng.choice(["a", "b", "k", "d", "theta", "value"])
+    u = rng.randrange(n)
+    g = out.generators[u]
+    if kind in ("a", "b"):
+        vector = list(getattr(g, kind))
+        vector[rng.randrange(m)] += rng.choice([-2, -1, 1, 2])
+        out.generators[u] = replace(g, **{kind: tuple(vector)})
+    elif kind == "k":
+        out.generators[u] = replace(g, k=(g.k + rng.randrange(1, order)) % order)
+    elif kind == "d":
+        out.d[rng.randrange(m)] = rng.choice([1, 2, 3, 4])
+    elif kind == "theta":
+        v = rng.randrange(n)
+        if u != v:
+            out._theta[min(u, v)][max(u, v)] += rng.choice([-2, -1, 1, 2])
+    else:
+        out.za[rng.randrange(m)] = out.zb[rng.randrange(m)] = rng.choice([1e200, 1e-200])
+    return out
+
+
+# At N = 1 every pair of phases agrees, so only an overflow shows.
+ALL_KINDS = {"zero", "finite", "inf"}
+
+
+@pytest.mark.parametrize("g,s,N,trials,kinds", [
+    (1, 1, 3, 60, ALL_KINDS), (1, 2, 5, 60, ALL_KINDS), (0, 5, 3, 40, ALL_KINDS),
+    (2, 1, 3, 40, ALL_KINDS), (1, 1, 1, 30, {"zero", "inf"}), (16, 4, 1, 3, {"zero", "inf"}),
+])
+def test_integer_commutation_matches_the_float_loop(g, s, N, trials, kinds):
+    rep = make_rep(g, s, N, seed=g + s + N)
+    rng = random.Random(100 * g + 10 * s + N)
+    assert verify(rep).deviations["commutation"] == float_commutation(rep) == 0.0
+    seen = set()
+    for _ in range(trials):
+        tampered = rep
+        for _ in range(rng.randint(1, 3)):
+            tampered = tampered_copy(tampered, rng)
+        value = verify(tampered).deviations["commutation"]
+        assert value == float_commutation(tampered)
+        seen.add("inf" if value == math.inf else "zero" if value == 0.0 else "finite")
+    assert seen == kinds
 
 
 def test_spec_validation_rejects_bad_h():
