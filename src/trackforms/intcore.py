@@ -3,32 +3,39 @@
 Four stages of ``lattice`` send matrices of ``lattice.INT64_MIN_ROWS`` rows
 or more here: the integer kernel (the elimination basis), theta, the skew
 normal form and its certificate.  Smaller ones stay on their Python-int
-lists, where numpy's per-call dispatch would cost more than it saves.  The kernel and the normal form take the same steps
-as their list counterparts (same pivots, quotients and swaps), so the
-results are identical; the certificate and theta are exact products.
+lists, where numpy's per-call dispatch would cost more than it saves.
+The kernel and the normal form take the same steps as their list
+counterparts (same pivots, quotients and swaps), so the results are
+identical; the certificate and theta are exact products.
 
 On the large path of ``lattice.certified_form`` one array goes from stage
 to stage: the switch matrix (``switch_matrix``), the kernel (theta's basis),
 theta's matrix and the normal form's ``U`` and ``V``, which the certificate
 reads.  ``rep``'s pair rows, rows of ``U`` times the basis, are one
 ``matmul``.  ``theta_matrix`` also pairs the basis with the etas for the eta
-match.  Each stage still validates an array it is given (``as_array``);
-Python ints are made only for a public result.
+match, whose etas come as one array too (``indicator_rows``).  Each stage
+still validates an array it is given (``as_array``); Python ints are made
+only for a public result.
 
 The kernel and the normal form run on int64 arrays.  numpy's int64
 arithmetic wraps silently on overflow, so each routine keeps an upper bound
 on the bit length of what an update can produce, and no int64 value it
-computes, intermediates included, reaches ``2**WORD_BITS``.  When a bound
-would fail, the entries are measured again; if they really are that large,
-the arrays widen to dtype ``object`` (Python ints) and the same numpy code
-carries on exactly.  A normal-form step permutes ``M``, ``U`` and ``V`` once
-(the list code's up to three swaps) and clears its pair of rows and columns
-by rank-2 products.
+computes, intermediates included, reaches ``2**WORD_BITS``: one bound for
+the kernel's whole work matrix, one each for ``M``, ``U`` and ``V`` in the
+normal form.  When a bound would fail, the live entries are measured again;
+if they really are that large, the array widens to dtype ``object``
+(Python ints) and the same numpy code carries on exactly.  The normal form
+holds ``M``, ``U`` and ``V^T`` side by side in one row array, so a step
+permutes them with one row permutation (the list code's up to three swaps)
+and clears its pair of rows and columns by three rank-2 products.
 
-Products (``matmul``) have two tiers.  While the bit bound of a product
-stays within ``FLOAT_BITS = 53`` it runs on float64 BLAS, where every
-partial sum is an integer the significand holds exactly, and comes back as
-int64; past it, it runs on Python-int ``object`` arrays.
+Products have two tiers in ``matmul`` and three in the normal form.  While
+the bit bound of a product stays within ``FLOAT_BITS = 53`` it runs on
+float64 BLAS, where every partial sum is an integer the significand holds
+exactly, and comes back as int64.  Past it ``matmul`` runs on Python-int
+``object`` arrays; the normal form's rank-2 products run on int64 up to
+``WORD_BITS``, where numpy's int64 ``@`` (a plain loop, no BLAS) is still
+exact, and on Python ints past that.
 
 The balanced algebra keeps its elements here as arrays (see ``algebra``):
 ``germ_images`` makes the germ images of the keys a read gives, and a
@@ -76,65 +83,9 @@ def as_array(rows) -> np.ndarray:
         raise ValueError(f"entries must be exact integers: {exc}") from exc
 
 
-def bit_lengths(a: np.ndarray) -> np.ndarray:
-    """Elementwise upper bounds on ``|a|.bit_length()`` for an int64 array.
-
-    The float conversion can only round up, so the frexp exponent is the bit
-    length or one more.
-    """
-    return np.frexp(np.abs(a).astype(np.float64))[1]
-
-
 def max_bits(a: np.ndarray) -> int:
-    """Bit length of the largest ``|entry|`` of an int64 or object array."""
-    return int(abs(a).max()).bit_length() if a.size else 0
-
-
-def row_bits(a: np.ndarray) -> np.ndarray:
-    """Per-row upper bounds on the bit length of the largest ``|entry|``."""
-    if a.shape[1] == 0:
-        return np.zeros(a.shape[0], dtype=np.int64)
-    return bit_lengths(np.maximum(a.max(axis=1), -a.min(axis=1))).astype(np.int64)
-
-
-class Rows:
-    """An integer matrix under row operations, on int64 while every bound allows.
-
-    ``bits[i]`` bounds the bit length of row ``i``.  ``row[t] -= q row[s]``
-    raises it to ``max(bits[t], bits(q) + bits[s]) + 1``; only when that
-    passes ``WORD_BITS`` are the rows involved measured again, and if they
-    really are that large the matrix widens to Python ints for good.
-    """
-
-    def __init__(self, a: np.ndarray):
-        self.a = a
-        self.bits = row_bits(a) if a.dtype != object else None
-
-    def swap(self, i: int, j: int) -> None:
-        if i != j:
-            self.a[[i, j]] = self.a[[j, i]]
-            if self.bits is not None:
-                self.bits[[i, j]] = self.bits[[j, i]]
-
-    def subtract(self, targets: np.ndarray, q: np.ndarray, src: int, start: int) -> None:
-        """``row[t] -= q[k] * row[src]`` for each ``t = targets[k]``.
-
-        Row ``src`` is zero before column ``start``, so only the columns from
-        ``start`` on change.
-        """
-        if self.bits is not None:
-            qb = bit_lengths(q)
-            need = np.maximum(self.bits[targets], qb + self.bits[src]) + 1
-            if need.max() > WORD_BITS:
-                self.bits[targets] = row_bits(self.a[targets])
-                self.bits[src] = row_bits(self.a[src:src + 1])[0]
-                need = np.maximum(self.bits[targets], qb + self.bits[src]) + 1
-            if need.max() > WORD_BITS:
-                self.a, self.bits = self.a.astype(object), None
-                q = q.astype(object)
-            else:
-                self.bits[targets] = need
-        self.a[targets, start:] -= q[:, None] * self.a[src, start:]
+    """Bit length of the largest ``|entry|`` of an int64 or object array (no ``abs`` copy)."""
+    return max(int(a.max()), -int(a.min())).bit_length() if a.size else 0
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -166,39 +117,49 @@ def switch_matrix(switches, branch_count: int) -> np.ndarray:
     return a
 
 
-def _pivot(work: Rows, r: int, c: int) -> bool:
-    """``lattice._pivot`` on an array: the same pivots, quotients and result.
-
-    The kernel calls it column by column, so rows ``r`` onward are already
-    zero before column ``c``.
-    """
-    while True:
-        col = work.a[r:, c]
-        live = np.flatnonzero(col)
-        if not live.size:
-            return False
-        work.swap(r, r + live[np.argmin(abs(col[live]))])
-        below = r + 1 + np.flatnonzero(work.a[r + 1:, c])
-        if not below.size:
-            return True
-        work.subtract(below, work.a[below, c] // work.a[r, c], r, c)
-        if not work.a[below, c].any():
-            return True
-
-
 def integer_kernel(matrix) -> np.ndarray:
-    """``lattice.integer_kernel`` as an array: row-reduce ``[matrix^T | I]``."""
+    """``lattice.integer_kernel`` as an array: row-reduce ``[matrix^T | I]``.
+
+    Column by column it takes ``lattice._pivot``'s steps: the same pivots,
+    quotients and swaps, so the same basis.  Rows ``r`` onward are zero
+    before column ``c``, so a reduction only changes columns ``c`` onward.
+    One bound ``bits`` covers every entry of the work matrix: a reduction
+    ``row[t] -= q row[r]`` raises it by ``max_bits(q)``, since ``1 + |q|``
+    is at most ``2**max_bits(q)``.  Only when it would pass ``WORD_BITS``
+    are the rows from ``r`` on (the rows above are final) measured again,
+    and if they really are that large the matrix widens to Python ints for
+    good.
+    """
     a = as_array(matrix)
     rows, cols = a.shape
     work = np.zeros((cols, rows + cols), dtype=a.dtype)
     work[:, :rows] = a.T
     work[:, rows:][np.diag_indices(cols)] = 1
-    work = Rows(work)
+    bits = None if work.dtype == object else max_bits(work)
     r = 0
     for c in range(rows):
-        if _pivot(work, r, c):
+        while True:
+            col = work[r:, c]
+            live = np.flatnonzero(col)
+            if not live.size:
+                break
+            i = r + live[np.argmin(abs(col[live]))]  # the first least |entry|
+            if i != r:
+                work[[r, i]] = work[[i, r]]
+            below = r + 1 + np.flatnonzero(work[r + 1:, c])
+            if below.size:
+                q = work[below, c] // work[r, c]
+                if bits is not None:
+                    qb = max_bits(q)
+                    bits = bits + qb if bits + qb <= WORD_BITS else max_bits(work[r:]) + qb
+                    if bits > WORD_BITS:
+                        work, q, bits = work.astype(object), q.astype(object), None
+                work[below, c:] -= q[:, None] * work[r, c:]
+                if work[below, c].any():
+                    continue
             r += 1
-    return work.a[r:, rows:].copy()  # not a view that keeps the whole work matrix
+            break
+    return work[r:, rows:].copy()  # not a view that keeps the whole work matrix
 
 
 # --- skew normal form ------------------------------------------------------
@@ -208,16 +169,30 @@ def skew_normal_form(matrix):
 
     ``matrix`` may be lists or an array; it is read by ``as_array`` and not
     changed.  Returns ``(U, blocks, V)`` with ``U`` and ``V`` as arrays
-    (int64, or object once they widen).  The swaps that
-    bring a step's pivot to ``(t, t+1)`` are one permutation of ``M``, ``U``
-    and ``V``.  The clearing sweep of pair ``(t, t+1)`` is one congruence by
-    ``I + Q``, where ``Q`` is zero outside columns ``t, t+1`` of rows ``t+2``
-    onward and holds the quotients of rows ``t, t+1``.  Its elementary
-    factors commute (``Q @ Q = 0``), so the rank-2 products
-    ``Q M[t:t+2]`` and ``M[:, t:t+2] Q^T`` give what the list code gets one
-    entry at a time, ``U`` takes ``Q U[t:t+2]`` and ``V`` takes ``V (I - Q)``.
-    Before each update, a bound on the bit lengths of ``M``, ``U`` and ``V``
-    is raised by what the update can add.
+    (int64, or object once they widen), views of one ``n x 3n`` row array
+    ``[M | U | V^T]``.  Every operation on ``V`` is one on the rows of
+    ``V^T``, so the swaps that bring a step's pivot to ``(t, t+1)`` are one
+    row permutation of the whole array and one column permutation of ``M``.
+    The clearing sweep of pair ``(t, t+1)`` is one congruence by ``I + Q``,
+    where ``Q`` is zero outside columns ``t, t+1`` of rows ``t+2`` onward and
+    holds the quotients of rows ``t, t+1``.  Its elementary factors commute
+    (``Q @ Q = 0``), so the rank-2 products ``Q [M | U][t:t+2]`` (the rows of
+    ``M`` and ``U`` at once), ``M[:, t:t+2] Q^T`` and ``Q^T V^T[t+2:]`` give
+    what the list code gets one entry at a time.
+
+    Before each update a bound on the bit lengths of ``M``, ``U`` and ``V``
+    is raised by what the update can add, and it bounds every partial sum of
+    the update's products too.  While it stays within ``FLOAT_BITS`` the
+    products run on float64 BLAS, past it on int64.  Only when it would pass
+    the tier it was last measured in are the rows from ``t`` on (the rows
+    above are final) measured again; past ``WORD_BITS`` the array widens to
+    Python ints for good.
+
+    Every entry of the trailing block is a multiple of ``lo``: 1 at first,
+    then the last block, since the block found no fold and congruences keep
+    the divisibility.  So an entry of magnitude ``lo`` in row ``t`` is the
+    first least entry, found without a search of the block, and a pivot
+    ``p = lo`` needs no fold check.
     """
     n = len(matrix)
     m = as_array(matrix)  # ragged rows raise ValueError here
@@ -226,32 +201,48 @@ def skew_normal_form(matrix):
     bad = np.argwhere(m != -m.T)
     if bad.size:
         raise ValueError(f"matrix is not antisymmetric at ({bad[0][0]}, {bad[0][1]})")
-    u, v = np.eye(n, dtype=m.dtype), np.eye(n, dtype=m.dtype)
-    bounds = None if m.dtype == object else (max_bits(m), 1, 1)
-    n_bits = n.bit_length()
+    a = np.zeros((n, 3 * n), dtype=m.dtype)
+    a[:, :n] = m
+    a[:, n:2 * n][np.diag_indices(n)] = a[:, 2 * n:][np.diag_indices(n)] = 1
+    m, vt = a[:, :n], a[:, 2 * n:]
+    bounds = None if a.dtype == object else (max_bits(m), 1, 1)
+    limit = FLOAT_BITS
 
     def guard(grow):
-        # grow maps the (M, U, V) bit bounds before an update to those after it
-        nonlocal m, u, v, bounds
+        # grow maps the (M, U, V) bit bounds before an update to those after
+        # it; returns the update to run, on float64, int64 or Python ints
+        nonlocal a, m, vt, bounds, limit
         if bounds is None:
-            return
+            return _exact_update
         need = grow(*bounds)
+        if max(need) > limit:
+            measured = max_bits(a[t:])  # rows above t are final
+            need = grow(measured, measured, measured)
+            limit = FLOAT_BITS if max(need) <= FLOAT_BITS else WORD_BITS
         if max(need) > WORD_BITS:
-            need = grow(max_bits(m), max_bits(u), max_bits(v))
-        if max(need) > WORD_BITS:
-            m, u, v = (x.astype(object) for x in (m, u, v))
+            a = a.astype(object)
+            m, vt = a[:, :n], a[:, 2 * n:]
             bounds = None
-        else:
-            bounds = need
+            return _exact_update
+        bounds = need
+        return _float_update if max(need) <= FLOAT_BITS else _exact_update
 
     blocks = []
+    lo = 1
     t = 0
     while t + 1 < n:
-        s = m[t:, t:]
-        live = np.flatnonzero(s)
-        if not live.size:
-            break
-        k = live[np.argmin(abs(s.ravel()[live]))]  # first minimum in row-major order
+        # the pivot is the first least |entry| of the block in row-major order
+        hit = np.flatnonzero(abs(m[t, t:]) == lo)
+        if hit.size:
+            k = hit[0]
+        else:
+            s = abs(m[t:, t:])
+            k = (s == lo).argmax()
+            if s.flat[k] != lo:
+                live = np.flatnonzero(s)
+                if not live.size:
+                    break
+                k = live[np.argmin(s.ravel()[live])]
         i, j = t + k // (n - t), t + k % (n - t)
         # The list code's swaps as one permutation: the pivot's row and column
         # move to t and t + 1, ordered so that M[t, t+1] > 0, and the rows and
@@ -259,38 +250,52 @@ def skew_normal_form(matrix):
         dst = [t, t + 1] + [x for x in (i, j) if x > t + 1]
         src = ([i, j] if m[i, j] > 0 else [j, i]) + [x for x in (t, t + 1) if x not in (i, j)]
         if dst != src:
-            m[dst] = m[src]
+            a[dst] = a[src]
             m[:, dst] = m[:, src]
-            u[dst] = u[src]
-            v[:, dst] = v[:, src]
         p = int(m[t, t + 1])
 
-        q = np.stack((m[t + 1, t + 2:] // p, -(m[t, t + 2:] // p)), axis=1)  # Q[t+2:, t:t+2]
-        if q.any():
-            qb = max_bits(q)
-            guard(lambda mb, ub, vb: (mb + 2 * qb + 4, ub + qb + 2, vb + qb + n_bits + 1))
-            if bounds is None:
-                q = q.astype(object)
-            m[t + 2:, t:] += q @ m[t:t + 2, t:]
-            m[t:, t + 2:] += m[t:, t:t + 2] @ q.T
-            u[t + 2:] += q @ u[t:t + 2]
-            v[:, t:t + 2] -= v[:, t + 2:] @ q
-        if m[t, t + 2:].any() or m[t + 1, t + 2:].any():
+        qt = (m[t:t + 2, t + 2:] // p)[::-1]  # Q[t+2:, t:t+2]^T, once its row 1 is negated
+        np.negative(qt[1], out=qt[1])
+        qb = max_bits(qt)
+        if qb:
+            q1b = int(abs(qt).sum(axis=1).max()).bit_length()  # V Q grows by a column sum of |Q|
+            update = guard(lambda mb, ub, vb: (mb + 2 * qb + 4, ub + qb + 2, vb + q1b + 1))
+            qt = qt.astype(a.dtype, copy=False)
+            update(a[t + 2:, t:2 * n], qt.T, a[t:t + 2, t:2 * n])
+            update(m[t:, t + 2:], m[t:, t:t + 2], qt)
+            update(vt[t:t + 2], -qt, vt[t + 2:])
+        if m[t:t + 2, t + 2:].any():
             continue
 
-        # every entry is a multiple of p = 1, so only larger pivots can fold
-        folds = np.flatnonzero((m[t + 2:, t + 2:] % p != 0).any(axis=1)) if p > 1 else ()
+        # every entry is a multiple of lo, so only larger pivots can fold
+        folds = np.flatnonzero((m[t + 2:, t + 2:] % p != 0).any(axis=1)) if p > lo else ()
         if len(folds):
             f = t + 2 + folds[0]
             guard(lambda mb, ub, vb: (mb + 2, ub + 1, vb + 1))
-            m[t] += m[f]
+            a[t, :2 * n] += a[f, :2 * n]
             m[:, t] += m[:, f]
-            u[t] += u[f]
-            v[:, f] -= v[:, t]
+            vt[f] -= vt[t]
             continue
         blocks.append(p)
+        lo = p
         t += 2
-    return u, tuple(blocks), v
+    return a[:, n:2 * n], tuple(blocks), vt.T
+
+
+def _float_update(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """``target += a @ b`` in place, the product on float64 BLAS.
+
+    Exact when the caller's bound on ``target``, the product, its partial
+    sums and the result is within ``FLOAT_BITS``: the int64 target is read
+    into float64 and the sum written back in buffered chunks, so the only
+    temporary is the product.
+    """
+    np.add(target, a.astype(np.float64) @ b.astype(np.float64), out=target, casting="unsafe")
+
+
+def _exact_update(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """``target += a @ b`` in place on int64 (exact within ``WORD_BITS``) or Python ints."""
+    target += a @ b
 
 
 def certifies(u, v, m, blocks) -> bool:
@@ -312,6 +317,13 @@ def certifies(u, v, m, blocks) -> bool:
 
 
 # --- the intersection form -------------------------------------------------
+
+def indicator_rows(owner, count: int) -> np.ndarray:
+    """The 0/1 int64 rows ``[owner[j] == k for j]`` for ``k < count``: the etas from their owners."""
+    rows = np.zeros((count, len(owner)), dtype=np.int64)
+    rows[owner, np.arange(len(owner))] = 1
+    return rows
+
 
 def germ_pair_array(germ_pairs) -> np.ndarray:
     """``TrainTrack.germ_pairs`` as the (P, 2) int64 array ``germ_images`` takes."""

@@ -14,8 +14,9 @@ zero block, and returns the certificate ``U`` with its inverse ``V``.
 
 :func:`certified_form` (elimination basis, theta, normal form, certificate)
 is the structure stage of both commands; on the array path the kernel,
-theta's matrix, ``U`` and ``V`` (kept on the ``NormalForm`` next to their
-tuples) and ``_combine``'s products stay arrays.  :func:`theta_matrix` is
+theta's matrix, ``U`` and ``V`` (kept on the ``NormalForm``, which makes
+its tuples only when they are read), the etas and ``_combine``'s products
+stay arrays.  :func:`theta_matrix` is
 the only place either command pairs weight systems: the form's matrix, the
 eta match and ``rep``'s decomposition all read it.  No command reduces on
 ``hermite_normal_form``, which stays on lists and serves ``lattice_equal``
@@ -51,6 +52,7 @@ from .traintrack import (
     TriangulationTrack,
     germ_image,
     halved,
+    puncture_owners,
     puncture_weights,
     regions,
     switch_matrix,
@@ -62,16 +64,22 @@ from .traintrack import puncture_weight  # noqa: F401
 # the skew normal form and its certificate.  Matrices with fewer rows stay on
 # Python-int lists, where numpy's per-call dispatch costs more than it saves;
 # from here on they run on numpy arrays (``intcore``), which give the same
-# results.  Measured crossovers on standard triangulations: the kernel at 21
-# switch rows (42 branches), the normal form at 18 to 21 rows, theta at 15
-# basis vectors.  The certificate alone crosses at 6 rows (at n = 9, lists
-# 146-153 us against arrays 68-84 us), but a cutoff of its own there would
-# load numpy on the grid cells and ribbon tracks of ``survey_small``, whose
-# forms have 6 to 9 rows, and importing numpy raises a process from 13.1 to
-# 27.0 MB RSS.  Nor can one array core serve every size: with every stage on
-# arrays a ``survey_small`` operation goes from 97-103 to 274-285 us, each
-# stage 35-65 us slower.  So the list paths stay.  ``certified_form`` hands
-# the arrays on from stage to stage, and each stage takes lists or arrays.
+# results.  Measured crossovers on standard triangulations (best of 5, lists
+# against arrays): the kernel at about 15 switch rows ((2,3): 410 against
+# 428 us; (0,8), 18 rows: 838 against 499 us), the normal form at 15 rows
+# ((2,3): 377 against 366 us; 151 against 219 us at 12 rows), theta at 15
+# basis vectors.  Before the normal form's row array and the kernel's single
+# bit bound, both crossed at 18 to 21.  The certificate alone crosses at 6
+# rows (at n = 9, lists 146-153 us against arrays 68-84 us).  But a cutoff of
+# 9 rows or fewer would load numpy on the grid cells and ribbon tracks of
+# ``survey_small``, whose forms have at most 9 rows, and importing numpy
+# raises a process from 13.1 to 27.0 MB RSS.  The cutoff stays at 20, though
+# 15 to 19 rows would now run faster on arrays; no benchmark input has a form
+# of that size to show it end to end.  Nor can one array core serve every
+# size: with every stage on arrays a ``survey_small`` operation goes from
+# 97-103 to 274-285 us, each stage 35-65 us slower.  So the list paths stay.
+# ``certified_form`` hands the arrays on from stage to stage, and each stage
+# takes lists or arrays.
 INT64_MIN_ROWS = 20
 
 
@@ -231,7 +239,6 @@ def theta_matrix(track: TrainTrack, rows, cols=None):
 
 # --- skew normal form ------------------------------------------------------
 
-@dataclass(frozen=True)
 class NormalForm:
     """Certificate ``U M U^T = D`` with ``U V = I``, so ``|det U| = 1``.
 
@@ -240,15 +247,36 @@ class NormalForm:
     ``2 * len(blocks)`` onward of ``U`` are a basis of the integer kernel.
     ``V`` is the inverse of ``U``, kept so that unimodularity is checked by
     one product.  ``arrays`` holds ``(U, V)`` as the read-only arrays the
-    int64 path computed, for the certificate and ``rep``'s pair rows to read
-    without parsing the tuples again; it is None otherwise, and
-    ``dataclasses.replace`` drops it.
+    int64 path computed (``from_arrays``), for the certificate and ``rep``'s
+    pair rows to read; it is None otherwise.  There the tuples ``U`` and
+    ``V`` are made from the arrays the first time they are read.  Two normal
+    forms are equal when their ``U``, ``blocks`` and ``V`` are.
     """
 
-    U: tuple[tuple[int, ...], ...]
-    blocks: tuple[int, ...]
-    V: tuple[tuple[int, ...], ...]
-    arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("_U", "blocks", "_V", "arrays")
+
+    def __init__(self, U, blocks, V):
+        self._U, self.blocks, self._V = U, blocks, V
+        self.arrays = None
+
+    @classmethod
+    def from_arrays(cls, u, blocks, v) -> "NormalForm":
+        u.flags.writeable = v.flags.writeable = False
+        nf = cls(None, blocks, None)
+        nf.arrays = (u, v)
+        return nf
+
+    @property
+    def U(self) -> tuple[tuple[int, ...], ...]:
+        if self._U is None:
+            self._U = tuple(map(tuple, self.arrays[0].tolist()))
+        return self._U
+
+    @property
+    def V(self) -> tuple[tuple[int, ...], ...]:
+        if self._V is None:
+            self._V = tuple(map(tuple, self.arrays[1].tolist()))
+        return self._V
 
     @property
     def rank(self) -> int:
@@ -256,7 +284,18 @@ class NormalForm:
 
     @property
     def nullity(self) -> int:
-        return len(self.U) - self.rank
+        return len(self._U if self.arrays is None else self.arrays[0]) - self.rank
+
+    def __eq__(self, other):
+        if not isinstance(other, NormalForm):
+            return NotImplemented
+        return (self.blocks, self.U, self.V) == (other.blocks, other.U, other.V)
+
+    def __hash__(self):
+        return hash((self.U, self.blocks, self.V))
+
+    def __repr__(self):
+        return f"NormalForm(U={self.U!r}, blocks={self.blocks!r}, V={self.V!r})"
 
 
 def _check_antisymmetric(m) -> list[list[int]]:
@@ -281,11 +320,7 @@ def skew_normal_form(matrix) -> NormalForm:
     """
     if _int64(len(matrix)):
         from . import intcore
-        u, blocks, v = intcore.skew_normal_form(matrix)
-        nf = NormalForm(tuple(map(tuple, u.tolist())), blocks, tuple(map(tuple, v.tolist())))
-        u.flags.writeable = v.flags.writeable = False
-        object.__setattr__(nf, "arrays", (u, v))
-        return nf
+        return NormalForm.from_arrays(*intcore.skew_normal_form(matrix))
     m = _check_antisymmetric(matrix)
     n = len(m)
     u = identity_matrix(n)
@@ -374,18 +409,19 @@ def certify_normal_form(nf: NormalForm, matrix) -> bool:
     on Python ints past them.  Entries that are not exact integers raise
     ``ValueError``.
     """
-    n = len(nf.U)
-    if not len(nf.V) == len(matrix) == n or 2 * len(nf.blocks) > n or any(
-            len(r) != n for rows in (nf.U, nf.V, matrix) for r in rows):
+    u, v = nf.arrays or (nf.U, nf.V)
+    n = len(u)
+    square = (matrix,) if nf.arrays else (u, v, matrix)  # the int64 path's arrays are square
+    if not len(v) == len(matrix) == n or 2 * len(nf.blocks) > n or any(
+            len(r) != n for rows in square for r in rows):
         return False
     if _int64(n):
         from . import intcore
-        u, v = nf.arrays or (nf.U, nf.V)
         if not intcore.certifies(u, v, matrix, nf.blocks):
             return False
     else:
         # U M U^T = (U M) U^T, and the rows of M^T and V^T are zip(*M), zip(*V)
-        u, v, m = _exact(nf.U), _exact(nf.V), _exact(matrix)
+        u, v, m = _exact(u), _exact(v), _exact(matrix)
         if not _is_blocks(_row_dots(_row_dots(u, zip(*m)), u), nf.blocks):
             return False
         if not _is_identity(_row_dots(u, zip(*v))):
@@ -507,7 +543,12 @@ def verify_structure(track: TrainTrack) -> StructureReport:
 
     eta_match = None
     if isinstance(track, TriangulationTrack):
-        eta_match = _etas_span_radical(track, basis, puncture_weights(track), nf.nullity)
+        if _is_array(basis):  # the etas as one array, straight from the branches' owners
+            from . import intcore
+            etas = intcore.indicator_rows(puncture_owners(track), track.tri.punctures)
+        else:
+            etas = puncture_weights(track)
+        eta_match = _etas_span_radical(track, basis, etas, nf.nullity)
         passed = passed and eta_match
     return StructureReport(
         case=case,
@@ -551,21 +592,27 @@ def _etas_span_radical(track: TrainTrack, basis, etas, nullity: int) -> bool:
     """Whether the ``etas`` are a basis of the radical ``R`` of theta on the span ``L`` of ``basis``.
 
     ``L`` is the kernel of the switch matrix, the etas lie in it
-    (``puncture_weights`` checks), and the certificate gives ``R`` rank
+    (``puncture_owners`` checks), and the certificate gives ``R`` rank
     ``nullity``.  0/1 etas with disjoint non-empty supports span a saturated
     lattice ``E``.  If there are ``nullity`` of them and each pairs to zero
     with the basis, ``E`` lies in ``R`` with the same rank, so ``R`` lies in
-    the integer vectors of ``Q E``, which are ``E``.  The etas go second in
-    ``theta_matrix``, so only their germ images are formed.
+    the integer vectors of ``Q E``, which are ``E``.  The etas, rows or an
+    array, go second in ``theta_matrix``, so only their germ images are
+    formed.
     """
     if len(etas) != nullity:
         return False
-    if not etas:
+    if not len(etas):
         return True
     # every non-zero entry is a 1, and no branch lies in two supports
-    supports = [list(compress(range(len(eta)), eta)) for eta in etas]
-    if (not all(supports) or any(eta.count(1) != len(sup) for eta, sup in zip(etas, supports))
-            or len(set(chain.from_iterable(supports))) != sum(map(len, supports))):
-        return False
+    if _is_array(etas):
+        if not (etas.any(axis=1).all() and ((etas == 0) | (etas == 1)).all()
+                and etas.sum(axis=0).max() <= 1):
+            return False
+    else:
+        supports = [list(compress(range(len(eta)), eta)) for eta in etas]
+        if (not all(supports) or any(eta.count(1) != len(sup) for eta, sup in zip(etas, supports))
+                or len(set(chain.from_iterable(supports))) != sum(map(len, supports))):
+            return False
     pairing = theta_matrix(track, basis, etas)
     return not (pairing.any() if _is_array(pairing) else any(map(any, pairing)))

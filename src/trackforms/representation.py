@@ -225,6 +225,16 @@ def _principal_root(z: complex, n: int) -> complex:
     return cmath.exp(cmath.log(z) / n)
 
 
+def _scaled(v: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """``n v``; a zero vector is returned as it is."""
+    return tuple(n * c for c in v) if any(v) else v
+
+
+def _differing(u, v):
+    """The indices where ``u`` and ``v`` differ."""
+    return compress(range(len(u)), map(operator.ne, u, v))
+
+
 def _power(z: complex, n: int) -> complex:
     """``z ** n``, or an infinity where the power leaves the range of floats."""
     try:
@@ -276,8 +286,8 @@ class Representation:
     # -- symbols ------------------------------------------------------------
 
     def _pairing(self, a, b) -> int:
-        """``sum_i d_i a_i b_i``, the pairing sum of the form on the pairs."""
-        return sum(map(operator.mul, self.d, map(operator.mul, a, b)))
+        """``sum_i d_i a_i b_i``, the pairing sum of the form on the pairs; 0 at once if ``a`` or ``b`` is zero."""
+        return sum(map(operator.mul, self.d, map(operator.mul, a, b))) if any(a) and any(b) else 0
 
     def symbol(self, coeffs) -> Symbol:
         """rho(Z_w) for the coefficients ``(a, b, e)`` of ``w`` over the gammas."""
@@ -292,15 +302,14 @@ class Representation:
 
     def power(self, x: Symbol, n: int) -> Symbol:
         k = n * x.k - 2 * n * (n - 1) * self._pairing(x.a, x.b)
-        return Symbol(tuple(n * c for c in x.a), tuple(n * c for c in x.b),
-                      tuple(n * c for c in x.e), k % self.params.phase_order)
+        return Symbol(_scaled(x.a, n), _scaled(x.b, n), _scaled(x.e, n), k % self.params.phase_order)
 
     def scalar(self, x: Symbol) -> complex:
         """The scalar of ``x``: omega^k times the generators' values to their exponents."""
         value = self.params.root_value(x.k)
         for values, exponents in ((self.za, x.a), (self.zb, x.b), (self.h, x.e)):
-            for z, c in compress(zip(values, exponents), exponents):
-                value *= _power(z, c)
+            for i in compress(range(len(exponents)), exponents):
+                value *= _power(values[i], exponents[i])
         return value
 
     def deviation(self, x, y) -> float:
@@ -309,9 +318,9 @@ class Representation:
         if not (cmath.isfinite(sx) and cmath.isfinite(sy)):
             return math.inf
         N = self.params.N
-        if bx != by and any((u - v) % N for u, v in zip(bx, by)):
+        if bx != by and any((bx[i] - by[i]) % N for i in _differing(bx, by)):
             return max(abs(sx), abs(sy))
-        step = N if ax == ay else math.gcd(N, *(d * (u - v) for d, u, v in zip(self.d, ax, ay)))
+        step = N if ax == ay else math.gcd(N, *[self.d[i] * (ax[i] - ay[i]) for i in _differing(ax, ay)])
         if step == N:
             return abs(sx - sy)
         # The q^t over the multiples t of step are the L-th roots of unity, and

@@ -236,7 +236,15 @@ def puncture_weight(track: TriangulationTrack, puncture: int) -> tuple[int, ...]
 
 
 def puncture_weights(track: TriangulationTrack) -> list[tuple[int, ...]]:
-    """Every ``puncture_weight``, from one walk over the corners and one switch sweep.
+    """Every ``puncture_weight``: eta_k is 1 on the branches ``puncture_owners`` gives puncture k."""
+    etas = [[0] * track.branch_count for _ in range(track.tri.punctures)]
+    for b, k in enumerate(puncture_owners(track)):
+        etas[k][b] = 1
+    return [tuple(eta) for eta in etas]
+
+
+def puncture_owners(track: TriangulationTrack) -> list[int]:
+    """The puncture each branch faces, once every puncture weight is checked to be a weight system.
 
     Each branch faces exactly one puncture, so eta_k satisfies a switch
     condition exactly when both sides hold as many darts facing puncture k:
@@ -244,13 +252,10 @@ def puncture_weights(track: TriangulationTrack) -> list[tuple[int, ...]]:
     """
     tri = track.tri
     owner = [tri.puncture_of_corner[corner] for corner in track.branch_corner]
-    etas = [[0] * track.branch_count for _ in range(tri.punctures)]
-    for b, k in enumerate(owner):
-        etas[k][b] = 1
     for s, (side_a, side_b) in enumerate(track.switches):
-        if sorted(owner[b] for b, _ in side_a) != sorted(owner[b] for b, _ in side_b):
+        if sorted([owner[b] for b, _ in side_a]) != sorted([owner[b] for b, _ in side_b]):
             raise TrackError(f"a puncture weight violates the switch condition at switch {s}")
-    return [tuple(eta) for eta in etas]
+    return owner
 
 
 # --- the intersection pairing --------------------------------------------

@@ -20,6 +20,7 @@ import pytest
 
 from trackforms import (
     from_triangulation,
+    intcore,
     lattice,
     lattice_equal,
     puncture_weights,
@@ -29,7 +30,7 @@ from trackforms import (
     verify_structure,
 )
 from trackforms.lattice import _combine, _etas_span_radical, integer_kernel
-from trackforms.traintrack import is_weight_system, switch_matrix
+from trackforms.traintrack import is_weight_system, puncture_owners, switch_matrix
 from trackforms.triangulation import random_triangulation
 
 from conftest import GRID
@@ -129,6 +130,20 @@ def test_radical_check_refuses_tampered_etas(case, cutoff, monkeypatch):
             assert _etas_span_radical(track, b, bad, nullity) is False, reason
 
 
+def test_radical_check_on_eta_arrays(case):
+    # verify_structure's array path hands the etas over as one int64 array,
+    # made from the branches' owners; it must decide as the rows do
+    track, basis, nullity, _, etas = case
+    owners = puncture_owners(track)
+    array = intcore.indicator_rows(owners, len(etas))
+    assert array.dtype == np.int64 and array.tolist() == [list(eta) for eta in etas]
+    b = np.array(basis, dtype=np.int64)
+    assert _etas_span_radical(track, b, array, nullity) is True
+    for reason, bad in tampered_etas(track, basis, etas).items():
+        bad = np.array(bad, dtype=np.int64).reshape(len(bad), track.branch_count)
+        assert _etas_span_radical(track, b, bad, nullity) is False, reason
+
+
 @PATHS
 def test_radical_check_reads_the_pairing(cutoff, monkeypatch):
     # On the once-punctured torus every non-zero 0/1 weight system passes the
@@ -191,6 +206,10 @@ def test_both_paths_give_the_same_match(g, s, cutoff, monkeypatch):
 
 
 def test_match_on_an_empty_puncture_set():
+    # the thrice-punctured sphere's etas and an empty array of them
+    track = from_triangulation(standard_triangulation(0, 3))
+    basis = np.array(integer_kernel(switch_matrix(track)), dtype=np.int64)
+    assert _etas_span_radical(track, basis, np.zeros((0, track.branch_count), dtype=np.int64), 0)
     assert eta_readings_match([], [])
     assert not eta_readings_match([(1, 0)], [])
     track = from_triangulation(standard_triangulation(1, 1))

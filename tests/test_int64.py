@@ -101,18 +101,114 @@ def test_dense_random_matrices_widen_to_python_ints(seed, monkeypatch):
     assert skew_normal_form(m) == nf
 
 
+def product_tiers(monkeypatch):
+    """Record the tier of every rank-2 update of the normal form: float, int64 or object."""
+    tiers = []
+    floats, exact = intcore._float_update, intcore._exact_update
+
+    def on_floats(target, a, b):
+        tiers.append("float")
+        floats(target, a, b)
+
+    def on_words(target, a, b):
+        tiers.append(str(target.dtype))
+        exact(target, a, b)
+
+    monkeypatch.setattr(intcore, "_float_update", on_floats)
+    monkeypatch.setattr(intcore, "_exact_update", on_words)
+    return tiers
+
+
 def test_normal_form_crosses_62_bits_mid_elimination(monkeypatch):
-    # Entries of at most 9 start on int64; U ends at 92 bits, which int64
-    # cannot hold, so the state widened to Python ints on the way.
-    m = random_skew(random.Random(0), 16)
-    assert intcore.as_array(m).dtype == "int64"
-    results = []
-    for cutoff in (INT64, LISTS):
-        monkeypatch.setattr(lattice, "INT64_MIN_ROWS", cutoff)
-        results.append(skew_normal_form(m))
-    assert results[0] == results[1]
-    assert max(abs(x).bit_length() for row in results[0].U for x in row) > 62
-    assert certify_normal_form(results[0], m)
+    # Small entries start on int64 and the updates on float64.  Past
+    # FLOAT_BITS they run on int64, back on float64 once a measurement finds
+    # the entries small, and past WORD_BITS on Python ints for good: U ends
+    # past 62 bits, which int64 cannot hold.  Every tier takes the list
+    # path's steps.
+    tiers = product_tiers(monkeypatch)
+    for seed, n, bound, runs in [(0, 16, 9, ["float", "int64", "float", "object"]),
+                                 (1, 24, 2, ["float", "int64", "float", "int64", "object"])]:
+        m = random_skew(random.Random(seed), n, bound)
+        assert intcore.as_array(m).dtype == "int64"
+        tiers.clear()
+        results = []
+        for cutoff in (INT64, LISTS):
+            monkeypatch.setattr(lattice, "INT64_MIN_ROWS", cutoff)
+            results.append(skew_normal_form(m))
+        assert [t for k, t in enumerate(tiers) if not k or tiers[k - 1] != t] == runs
+        assert results[0] == results[1]
+        assert max(abs(x).bit_length() for row in results[0].U for x in row) > 62
+        assert certify_normal_form(results[0], m)
+
+
+def test_normal_form_on_a_divisible_form(monkeypatch):
+    # Every entry a multiple of 6: no entry of magnitude 1 exists, so the first
+    # pivot comes from the search of the block; after a block of 6 the pivots
+    # of magnitude 6 need no fold check, and a larger one still gets it.
+    m = [[6 * x for x in row] for row in random_skew(random.Random(2), 24, 1)]
+    monkeypatch.setattr(lattice, "INT64_MIN_ROWS", INT64)
+    nf = skew_normal_form(m)
+    assert nf.blocks == (6,) * 11 + (289020,)
+    assert certify_normal_form(nf, m)
+    monkeypatch.setattr(lattice, "INT64_MIN_ROWS", LISTS)
+    assert skew_normal_form(m) == nf
+
+
+def kernel_measures(monkeypatch):
+    """Record the dtype and row count of every work matrix the kernel measures."""
+    measured = []
+    max_bits = intcore.max_bits
+
+    def recording(a):
+        if a.ndim == 2 and a.shape[1] > 1:
+            measured.append((str(a.dtype), a.shape[0]))
+        return max_bits(a)
+
+    monkeypatch.setattr(intcore, "max_bits", recording)
+    return measured
+
+
+def test_kernel_bound_is_measured_again_before_it_widens(monkeypatch):
+    # x_i = 2 x_(i+1): the entries double down the chain.  The single bound
+    # passes WORD_BITS long before the entries do, so the live rows are
+    # measured again, on int64, until they really need Python ints.
+    n = 71
+    matrix = [[int(j == i) - 2 * int(j == i + 1) for j in range(n)] for i in range(n - 1)]
+    measured = kernel_measures(monkeypatch)
+    kernel = intcore.integer_kernel(matrix)
+    assert kernel.dtype == object
+    assert measured[0] == ("int64", n)  # the initial bound
+    again = measured[1:]
+    assert len(again) >= 2 and all(dtype == "int64" for dtype, _ in again)
+    assert [rows for _, rows in again] == sorted((rows for _, rows in again), reverse=True)
+
+
+def test_kernel_bound_is_measured_again_and_stays_on_int64(monkeypatch):
+    track = from_triangulation(standard_triangulation(16, 4))
+    a = intcore.switch_matrix(track.switches, track.branch_count)
+    measured = kernel_measures(monkeypatch)
+    kernel = intcore.integer_kernel(a)
+    assert kernel.dtype == np.int64 and len(measured) > 1
+    monkeypatch.setattr(lattice, "INT64_MIN_ROWS", LISTS)
+    assert kernel.tolist() == integer_kernel(switch_matrix(track))
+
+
+def test_normal_form_tuples_are_made_when_read(monkeypatch):
+    track = from_triangulation(standard_triangulation(2, 3))
+    m = theta_matrix(track, weight_lattice_basis(track))
+    monkeypatch.setattr(lattice, "INT64_MIN_ROWS", INT64)
+    nf = skew_normal_form(m)
+    u, v = nf.arrays
+    assert not u.flags.writeable and not v.flags.writeable
+    assert certify_normal_form(nf, m) and nf.nullity == len(m) - nf.rank
+    assert nf._U is None and nf._V is None  # the certificate reads the arrays
+    assert nf.U == tuple(map(tuple, u.tolist())) and nf.V == tuple(map(tuple, v.tolist()))
+    assert all(type(x) is int for row in nf.U + nf.V for x in row)
+    monkeypatch.setattr(lattice, "INT64_MIN_ROWS", LISTS)
+    listed = skew_normal_form(m)
+    assert listed.arrays is None
+    assert listed == nf and hash(listed) == hash(nf) and repr(listed) == repr(nf)
+    assert NormalForm(nf.U, nf.blocks, nf.V) == nf != NormalForm(nf.U, nf.blocks + (1,), nf.V)
 
 
 def test_kernel_crosses_62_bits_mid_elimination(monkeypatch):
