@@ -6,8 +6,7 @@ the intersection form, and prints one row per cell.  With ``--flips F``,
 it also surveys ``--seeds K`` triangulations per cell, each the cell's
 standard triangulation after F random flips, and prints per cell how many
 passed and the largest ``|U|`` bit length of the normal form that
-``verify_structure`` reduces (on the elimination basis of the weight
-lattice).  Exits 1 if any cell or flipped triangulation fails.
+``verify_structure`` reduces (on the tree basis of the weight lattice).  Exits 1 if any cell or flipped triangulation fails.
 """
 
 import argparse
@@ -18,7 +17,7 @@ from trackforms.triangulation import random_triangulation
 
 
 def u_bits(report) -> int:
-    """Largest ``|U|`` bit length of the report's normal form on the elimination basis."""
+    """Largest ``|U|`` bit length of the report's normal form on the tree basis."""
     return max((abs(x).bit_length() for row in report.normal_form.U for x in row), default=0)
 
 

@@ -1,33 +1,30 @@
 """The exact integer stages on machine words: numpy arrays, never wrapping.
 
-Four stages of ``lattice`` send matrices of ``lattice.INT64_MIN_ROWS`` rows
-or more here: the integer kernel (the elimination basis), theta, the skew
-normal form and its certificate.  Smaller ones stay on their Python-int
-lists, where numpy's per-call dispatch would cost more than it saves.
-The kernel and the normal form take the same steps as their list
-counterparts (same pivots, quotients and swaps), so the results are
+Three stages of ``lattice`` send matrices of ``lattice.INT64_MIN_ROWS`` rows
+or more here: theta, the skew normal form and its certificate.  Smaller
+ones stay on their Python-int lists, where numpy's per-call dispatch would
+cost more than it saves.  The normal form takes the same steps as its list
+counterpart (same pivots, quotients and swaps), so the results are
 identical; the certificate and theta are exact products.
 
 On the large path of ``lattice.certified_form`` one array goes from stage
-to stage: the switch matrix (``switch_matrix``), the kernel (theta's basis),
-theta's matrix and the normal form's ``U`` and ``V``, which the certificate
-reads.  ``rep``'s pair rows, rows of ``U`` times the basis, are one
-``matmul``.  ``theta_matrix`` also pairs the basis with the etas for the eta
-match, whose etas come as one array too (``indicator_rows``).  Each stage
-still validates an array it is given (``as_array``); Python ints are made
-only for a public result.
+to stage: the tree basis (``as_array``), theta's matrix and the normal
+form's ``U`` and ``V``, which the certificate reads.  ``rep``'s pair rows,
+rows of ``U`` times the basis, are one ``matmul``.  ``theta_matrix`` also
+pairs the basis with the etas for the eta match, whose etas come as one
+array too (``indicator_rows``).  Each stage still validates an array it is
+given (``as_array``); Python ints are made only for a public result.
 
-The kernel and the normal form run on int64 arrays.  numpy's int64
-arithmetic wraps silently on overflow, so each routine keeps an upper bound
-on the bit length of what an update can produce, and no int64 value it
-computes, intermediates included, reaches ``2**WORD_BITS``: one bound for
-the kernel's whole work matrix, one each for ``M``, ``U`` and ``V`` in the
-normal form.  When a bound would fail, the live entries are measured again;
-if they really are that large, the array widens to dtype ``object``
-(Python ints) and the same numpy code carries on exactly.  The normal form
-holds ``M``, ``U`` and ``V^T`` side by side in one row array, so a step
-permutes them with one row permutation (the list code's up to three swaps)
-and clears its pair of rows and columns by three rank-2 products.
+The normal form runs on int64 arrays.  numpy's int64 arithmetic wraps
+silently on overflow, so it keeps upper bounds on the bit lengths of what
+an update can produce, one each for ``M``, ``U`` and ``V``, and no int64
+value it computes, intermediates included, reaches ``2**WORD_BITS``.  When
+a bound would fail, the live entries are measured again; if they really
+are that large, the array widens to dtype ``object`` (Python ints) and the
+same numpy code carries on exactly.  The normal form holds ``M``, ``U``
+and ``V^T`` side by side in one row array, so a step permutes them with
+one row permutation (the list code's up to three swaps) and clears its
+pair of rows and columns by three rank-2 products.
 
 Products have two tiers in ``matmul`` and three in the normal form.  While
 the bit bound of a product stays within ``FLOAT_BITS = 53`` it runs on
@@ -101,10 +98,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.astype(object) @ b.astype(object)
 
 
-# --- integer kernel ----------------------------------------------------------
+# --- the switch conditions ---------------------------------------------------
 
 def switch_matrix(switches, branch_count: int) -> np.ndarray:
-    """``traintrack.switch_matrix`` as an int64 array, from the darts, with no list to parse."""
+    """The switch conditions as an int64 array from the darts: +1 on side a, -1 on side b."""
     rows, cols, signs = [], [], []
     for s, (side_a, side_b) in enumerate(switches):
         for side, sign in ((side_a, 1), (side_b, -1)):
@@ -115,51 +112,6 @@ def switch_matrix(switches, branch_count: int) -> np.ndarray:
     a = np.zeros((len(switches), branch_count), dtype=np.int64)
     np.add.at(a, (rows, cols), signs)
     return a
-
-
-def integer_kernel(matrix) -> np.ndarray:
-    """``lattice.integer_kernel`` as an array: row-reduce ``[matrix^T | I]``.
-
-    Column by column it takes ``lattice._pivot``'s steps: the same pivots,
-    quotients and swaps, so the same basis.  Rows ``r`` onward are zero
-    before column ``c``, so a reduction only changes columns ``c`` onward.
-    One bound ``bits`` covers every entry of the work matrix: a reduction
-    ``row[t] -= q row[r]`` raises it by ``max_bits(q)``, since ``1 + |q|``
-    is at most ``2**max_bits(q)``.  Only when it would pass ``WORD_BITS``
-    are the rows from ``r`` on (the rows above are final) measured again,
-    and if they really are that large the matrix widens to Python ints for
-    good.
-    """
-    a = as_array(matrix)
-    rows, cols = a.shape
-    work = np.zeros((cols, rows + cols), dtype=a.dtype)
-    work[:, :rows] = a.T
-    work[:, rows:][np.diag_indices(cols)] = 1
-    bits = None if work.dtype == object else max_bits(work)
-    r = 0
-    for c in range(rows):
-        while True:
-            col = work[r:, c]
-            live = np.flatnonzero(col)
-            if not live.size:
-                break
-            i = r + live[np.argmin(abs(col[live]))]  # the first least |entry|
-            if i != r:
-                work[[r, i]] = work[[i, r]]
-            below = r + 1 + np.flatnonzero(work[r + 1:, c])
-            if below.size:
-                q = work[below, c] // work[r, c]
-                if bits is not None:
-                    qb = max_bits(q)
-                    bits = bits + qb if bits + qb <= WORD_BITS else max_bits(work[r:]) + qb
-                    if bits > WORD_BITS:
-                        work, q, bits = work.astype(object), q.astype(object), None
-                work[below, c:] -= q[:, None] * work[r, c:]
-                if work[below, c].any():
-                    continue
-            r += 1
-            break
-    return work[r:, rows:].copy()  # not a view that keeps the whole work matrix
 
 
 # --- skew normal form ------------------------------------------------------

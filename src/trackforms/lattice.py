@@ -1,26 +1,28 @@
-"""Exact integer linear algebra: Hermite forms, kernels, theta's matrix, the skew normal form.
+"""Exact integer linear algebra: Hermite forms, the weight lattice, theta's matrix, the skew normal form.
 
-Everything here is exact; nothing is ever rounded.  Four routines here
-fork at ``INT64_MIN_ROWS`` rows: the integer kernel (the elimination
-basis), theta's matrix, the skew normal form and its certificate run on
-Python-int lists below it and on the overflow-guarded int64 arrays of
-``intcore`` from there on, with the same results.  Every routine that takes
-caller matrices, lists or arrays, reads its entries with ``operator.index``
-(or checks an int64 dtype) and refuses anything else.  The central
-routine, :func:`skew_normal_form`, reduces an antisymmetric integer
-matrix ``M`` by a unimodular congruence ``U M U^T`` to a block diagonal
-matrix with 2x2 blocks ``(0 d; -d 0)``, ``d_1 | d_2 | ...``, followed by a
-zero block, and returns the certificate ``U`` with its inverse ``V``.
+Everything here is exact; nothing is ever rounded.  Three routines here
+fork at ``INT64_MIN_ROWS`` rows: theta's matrix, the skew normal form and
+its certificate run on Python-int lists below it and on the
+overflow-guarded int64 arrays of ``intcore`` from there on, with the same
+results.  The weight lattice has one basis routine for every size,
+:func:`tree_basis`, which reads it off a spanning tree of the switch graph
+with no elimination.  Every routine that takes caller matrices, lists or
+arrays, reads its entries with ``operator.index`` (or checks an int64
+dtype) and refuses anything else.  The central routine,
+:func:`skew_normal_form`, reduces an antisymmetric integer matrix ``M`` by a
+unimodular congruence ``U M U^T`` to a block diagonal matrix with 2x2
+blocks ``(0 d; -d 0)``, ``d_1 | d_2 | ...``, followed by a zero block, and
+returns the certificate ``U`` with its inverse ``V``.
 
-:func:`certified_form` (elimination basis, theta, normal form, certificate)
-is the structure stage of both commands; on the array path the kernel,
+:func:`certified_form` (tree basis, theta, normal form, certificate) is
+the structure stage of both commands; on the array path the basis,
 theta's matrix, ``U`` and ``V`` (kept on the ``NormalForm``, which makes
 its tuples only when they are read), the etas and ``_combine``'s products
-stay arrays.  :func:`theta_matrix` is
-the only place either command pairs weight systems: the form's matrix, the
-eta match and ``rep``'s decomposition all read it.  No command reduces on
-``hermite_normal_form``, which stays on lists and serves ``lattice_equal``
-and ``weight_lattice_basis``.
+stay arrays.  :func:`theta_matrix` is the only place either command pairs
+weight systems: the form's matrix, the eta match and ``rep``'s
+decomposition all read it.  No command reduces on ``hermite_normal_form``,
+which stays on lists and serves ``lattice_equal`` and
+``weight_lattice_basis``.
 
 ``verify_structure`` combines the normal form with the region census of a
 connected train track and checks the predicted block multiset (on a
@@ -55,31 +57,27 @@ from .traintrack import (
     puncture_owners,
     puncture_weights,
     regions,
-    switch_matrix,
 )
 # Not called here (the etas come at once); perfbench's tracer wraps it.
 from .traintrack import puncture_weight  # noqa: F401
 
-# Four stages fork here: the integer kernel (its elimination basis), theta,
-# the skew normal form and its certificate.  Matrices with fewer rows stay on
-# Python-int lists, where numpy's per-call dispatch costs more than it saves;
-# from here on they run on numpy arrays (``intcore``), which give the same
-# results.  Measured crossovers on standard triangulations (best of 5, lists
-# against arrays): the kernel at about 15 switch rows ((2,3): 410 against
-# 428 us; (0,8), 18 rows: 838 against 499 us), the normal form at 15 rows
-# ((2,3): 377 against 366 us; 151 against 219 us at 12 rows), theta at 15
-# basis vectors.  Before the normal form's row array and the kernel's single
-# bit bound, both crossed at 18 to 21.  The certificate alone crosses at 6
-# rows (at n = 9, lists 146-153 us against arrays 68-84 us).  But a cutoff of
-# 9 rows or fewer would load numpy on the grid cells and ribbon tracks of
-# ``survey_small``, whose forms have at most 9 rows, and importing numpy
-# raises a process from 13.1 to 27.0 MB RSS.  The cutoff stays at 20, though
-# 15 to 19 rows would now run faster on arrays; no benchmark input has a form
-# of that size to show it end to end.  Nor can one array core serve every
-# size: with every stage on arrays a ``survey_small`` operation goes from
-# 97-103 to 274-285 us, each stage 35-65 us slower.  So the list paths stay.
-# ``certified_form`` hands the arrays on from stage to stage, and each stage
-# takes lists or arrays.
+# Three stages fork here: theta, the skew normal form and its certificate.
+# Matrices with fewer rows stay on Python-int lists, where numpy's per-call
+# dispatch costs more than it saves; from here on they run on numpy arrays
+# (``intcore``), which give the same results.  Measured crossovers on
+# standard triangulations (best of 5, lists against arrays): the normal form
+# at 15 rows ((2,3): 377 against 366 us; 151 against 219 us at 12 rows),
+# theta at 15 basis vectors, and the certificate alone at 6 rows (at n = 9,
+# lists 146-153 us against arrays 68-84 us).  But a cutoff of 9 rows or fewer
+# would load numpy on the grid cells and ribbon tracks of ``survey_small``,
+# whose forms have at most 9 rows, and importing numpy raises a process from
+# 13.1 to 27.0 MB RSS.  The cutoff stays at 20, though 15 to 19 rows would
+# run faster on arrays; no benchmark input has a form of that size to show
+# it end to end.  Nor can one array core serve every size: with every stage
+# on arrays a ``survey_small`` operation goes from 97-103 to 274-285 us, each
+# stage 35-65 us slower.  So the list paths stay.  ``certified_form`` makes
+# the tree basis an array from this many switches on and hands the arrays on
+# from stage to stage, and each stage takes lists or arrays.
 INT64_MIN_ROWS = 20
 
 
@@ -173,33 +171,102 @@ def lattice_equal(a_rows, b_rows) -> bool:
     return hermite_normal_form(a_rows) == hermite_normal_form(b_rows)
 
 
-def integer_kernel(matrix) -> list[list[int]]:
-    """A basis of the integer kernel {v : matrix @ v = 0}, by unimodular elimination.
-
-    Row-reduces ``[matrix^T | I]``; the right parts of the rows whose left
-    part dies are the basis.  It spans the kernel lattice but is not
-    canonical: :func:`weight_lattice_basis` puts it into Hermite form.
-    """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    if _int64(rows):
-        from . import intcore
-        return intcore.integer_kernel(matrix).tolist()
-    matrix = _exact(matrix)
-    work = [[matrix[i][j] for i in range(rows)] + [1 if k == j else 0 for k in range(cols)]
-            for j in range(cols)]
-    r = 0
-    for c in range(rows):
-        if _pivot(work, r, c):
-            r += 1
-    return [row[rows:] for row in work[r:]]
-
-
 # --- the weight lattice and theta over it ----------------------------------
+
+def tree_basis(track: TrainTrack) -> list[list[int]]:
+    """A basis of the weight lattice read off a spanning tree of the switch graph.
+
+    The switch conditions are the incidence matrix of a signed graph: the
+    switches are its vertices, the branches its edges, and an end counts +1
+    on side a and -1 on side b (Zaslavsky, *Signed graphs*, 1982).  Each
+    connected component gets a BFS tree rooted at a centre switch, the
+    middle of a longest path that two BFS sweeps find.  A branch ``e`` off
+    the tree starts as ``e_e``, whose residual is +-1 at each end's switch;
+    each tree branch takes the coefficient that clears the residual at its
+    lower switch and passes it on to its upper one.  So ``v_e`` is 1 on
+    ``e``, at most 2 in absolute value on the tree, and leaves ``R_e`` in
+    {0, +-2} at the root.  If ``R_e = 0``, ``v_e`` is a weight system;
+    otherwise the component's first such branch ``e0`` is kept aside and
+    ``v_e - (R_e / R_e0) v_e0`` is one.  Every vector is 1 on its own
+    branch off the tree and 0 on the others but ``e0``, and the tree with
+    ``e0`` has independent columns (``e0`` closes an unbalanced cycle), so
+    a weight system less the combination that clears its entries off the
+    tree is 0: the vectors are a basis of the integer kernel.  No entry
+    passes 4 in absolute value.  The basis is not canonical:
+    :func:`weight_lattice_basis` puts it into Hermite form.
+    """
+    # ends[b]: (switch, +1 on side a or -1 on side b) of both ends of branch b
+    ends = [[(s, 1 - 2 * side) for s, side, _ in (track.dart_slot[(b, 0)], track.dart_slot[(b, 1)])]
+            for b in range(track.branch_count)]
+    adjacent = [[] for _ in range(track.switch_count)]
+    for b, ((s, _), (t, _)) in enumerate(ends):
+        if s != t:
+            adjacent[s].append((t, b))
+            adjacent[t].append((s, b))
+
+    def bfs(root):
+        # the switches of root's component in BFS order, and each one's tree branch
+        up = {root: None}
+        order = [root]
+        for s in order:
+            for t, b in adjacent[s]:
+                if t not in up:
+                    up[t] = (s, b)
+                    order.append(t)
+        return order, up
+
+    # up[s]: (parent switch, tree branch, sign at s, sign at the parent), None at a root
+    up = [None] * track.switch_count
+    component = [None] * track.switch_count
+    for start in range(track.switch_count):
+        if component[start] is not None:
+            continue
+        far, _ = bfs(start)
+        order, parent = bfs(far[-1])
+        path = [order[-1]]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]][0])
+        order, parent = bfs(path[len(path) // 2])
+        for s in order:
+            component[s] = start
+            if parent[s] is not None:
+                p, b = parent[s]
+                (x, cx), (_, cy) = ends[b]
+                up[s] = (p, b, cx, cy) if x == s else (p, b, cy, cx)
+
+    tree = {u[1] for u in up if u is not None}
+    basis = []
+    unbalanced = {}  # component -> (R_e0, the support of v_e0)
+    for e in range(track.branch_count):
+        if e in tree:
+            continue
+        v = [0] * track.branch_count
+        v[e] = 1
+        residual = 0
+        for s, r in ends[e]:
+            while up[s] is not None:
+                s, b, cs, cp = up[s]
+                v[b] -= r * cs
+                r = -r * cs * cp
+            residual += r
+        if not residual:
+            basis.append(v)
+            continue
+        c = component[ends[e][0][0]]
+        if c not in unbalanced:
+            unbalanced[c] = residual, [(i, x) for i, x in enumerate(v) if x]
+            continue
+        r0, support = unbalanced[c]
+        sign = 1 if residual == r0 else -1
+        for i, x in support:
+            v[i] -= sign * x
+        basis.append(v)
+    return basis
+
 
 def weight_lattice_basis(track: TrainTrack) -> list[tuple[int, ...]]:
     """Basis of the integer kernel of the switch conditions, canonically ordered (Hermite form)."""
-    return list(hermite_normal_form(integer_kernel(switch_matrix(track))))
+    return list(hermite_normal_form(tree_basis(track)))
 
 
 def theta_matrix(track: TrainTrack, rows, cols=None):
@@ -462,17 +529,16 @@ class CertificateError(ValueError):
 
 
 def certified_form(track: TrainTrack):
-    """The elimination basis and theta's normal form on it, certified or ``CertificateError``.
+    """The tree basis and theta's normal form on it, certified or ``CertificateError``.
 
     Every figure the commands report is an invariant of the form on the lattice,
     and the Hermite basis only made ``U`` grow on flipped triangulations.  From
     ``INT64_MIN_ROWS`` switches on, the basis and ``nf.arrays`` are arrays.
     """
+    basis = tree_basis(track)
     if _int64(track.switch_count):
         from . import intcore
-        basis = intcore.integer_kernel(intcore.switch_matrix(track.switches, track.branch_count))
-    else:
-        basis = integer_kernel(switch_matrix(track))
+        basis = intcore.as_array(basis)
     m = theta_matrix(track, basis)
     nf = skew_normal_form(m)
     if not certify_normal_form(nf, m):

@@ -3,7 +3,7 @@
 Construction
 ------------
 ``symplectic_basis`` reads the certified normal form of the intersection
-form on the elimination basis (``lattice.certified_form``) and returns basis
+form on the tree basis (``lattice.certified_form``) and returns basis
 pairs ``(alpha_i, beta_i)`` with ``theta(alpha_i, beta_i) = d_i`` in {1, 2}
 (d = 1 pairs first) plus the puncture weight systems, which span the kernel.
 Given a value of ``zeta`` on every basis vector and scalars ``h_k`` with
@@ -45,7 +45,9 @@ A symbol holds O(m) integers whatever the dimension ``N^m``:
   ``max(|s_A|, |s_B|)``.  If only ``a`` differs it is the largest
   ``|s_A - s_B q^t|`` over the ``t`` of the subgroup of Z/N generated by
   the ``d_i (a_i - a'_i)``, taken at the ``q^t`` nearest the direction of
-  ``-s_A / s_B``, which one rounding finds.
+  ``-s_A / s_B``, which one rounding finds.  ``deviation`` divides it by
+  ``max(1, |s_A|, |s_B|)``, so that a zeta far from modulus 1 is held to
+  the relative precision of its floats.
 
 A scalar is evaluated as the product of the generators' own floating-point
 values, ``omega^k`` times the ``za_i ** a_i``, ``zb_i ** b_i`` and
@@ -313,16 +315,20 @@ class Representation:
         return value
 
     def deviation(self, x, y) -> float:
-        """The exact largest entry of ``|A - B|``; a side that is a number is that times I."""
+        """The exact largest entry of ``|A - B|`` over ``max(1, |s_A|, |s_B|)``.
+
+        A side that is a number is that times I.
+        """
         (ax, bx, sx), (ay, by, sy) = self._parts(x), self._parts(y)
         if not (cmath.isfinite(sx) and cmath.isfinite(sy)):
             return math.inf
+        scale = max(1.0, math.hypot(sx.real, sx.imag), math.hypot(sy.real, sy.imag))
         N = self.params.N
         if bx != by and any((bx[i] - by[i]) % N for i in _differing(bx, by)):
-            return max(abs(sx), abs(sy))
+            return max(abs(sx), abs(sy)) / scale
         step = N if ax == ay else math.gcd(N, *[self.d[i] * (ax[i] - ay[i]) for i in _differing(ax, ay)])
         if step == N:
-            return abs(sx - sy)
+            return abs(sx - sy) / scale
         # The q^t over the multiples t of step are the L-th roots of unity, and
         # |sx - sy z| is largest at the root z nearest the direction of
         # -sx / sy.  q^t = exp(2 pi i r t / N) for the root exponent r, so the
@@ -332,7 +338,7 @@ class Representation:
         j = round(cmath.phase(-sx * sy.conjugate()) * L / (2 * math.pi))
         r_inverse = pow(self.params.root_exponent, -1, L)
         return max(abs(sx - sy * self.params.root_value(4 * step * (k * r_inverse % L)))
-                   for k in (j - 1, j, j + 1))
+                   for k in (j - 1, j, j + 1)) / scale
 
     def _parts(self, x) -> tuple[tuple[int, ...], tuple[int, ...], complex]:
         if isinstance(x, Symbol):

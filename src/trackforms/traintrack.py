@@ -51,7 +51,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .triangulation import IdealTriangulation, sigma_matrix
+from .triangulation import IdealTriangulation
 
 Dart = tuple[int, int]
 
@@ -182,19 +182,6 @@ def require_weight_system(track: TrainTrack, weights) -> tuple[int, ...]:
     return w
 
 
-def switch_matrix(track: TrainTrack) -> list[list[int]]:
-    """Integer matrix of the switch conditions (rows: switches, cols: branches)."""
-    rows = []
-    for side_a, side_b in track.switches:
-        row = [0] * track.branch_count
-        for b, _ in side_a:
-            row[b] += 1
-        for b, _ in side_b:
-            row[b] -= 1
-        rows.append(row)
-    return rows
-
-
 def switch_sums(track: TrainTrack, weights) -> tuple[int, ...]:
     """The side sum at each switch (both sides agree for a weight system)."""
     w = require_weight_system(track, weights)
@@ -283,26 +270,6 @@ def germ_image(track: TrainTrack, b) -> list[int]:
         image[right] += b[left]
         image[left] -= b[right]
     return image
-
-
-def sigma_pairing(track: TriangulationTrack, a, b) -> int:
-    """Independent computation of theta through switch sums and the succession matrix.
-
-    If ``ka, kb`` are the switch-sum vectors, the pairing equals
-    ``1/2 * sum_{u<v} (ka_u kb_v - ka_v kb_u) sigma_{uv}``; agreement with the
-    germ-pair formula is what fixes the left-to-right convention.
-    """
-    sigma = sigma_matrix(track.tri)
-    ka = switch_sums(track, a)
-    kb = switch_sums(track, b)
-    n = len(ka)
-    doubled = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            doubled += (ka[u] * kb[v] - ka[v] * kb[u]) * sigma[u][v]
-    if doubled % 2 != 0:
-        raise IntegralityViolation(f"doubled sigma pairing {doubled} is odd")
-    return doubled // 2
 
 
 # --- regions, spikes, and the topology census -----------------------------

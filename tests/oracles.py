@@ -1,13 +1,19 @@
 """Oracles: plain definitions that only the tests use.
 
-Structure: ``block_matrix`` and ``normal_form_json`` (the ``D`` and the
-JSON of a ``NormalForm``), ``kernel_rows`` and ``kernel_basis`` (the
-trailing rows of ``U``), ``doubled_last_row`` (a normal form that fails
-only its certificate), ``is_orientable`` and ``region_weight_system``
-(which raises ``OddSpikesError``), ``contains_puncture`` and
-``branch_multiplicities`` of a region.  ``eta_readings_match`` is the eta
-match before it became a pairing: whether kernel rows are a basis of the
-etas' span, read at the etas' first support entries.
+Structure: ``switch_matrix`` (the switch conditions as a matrix) and
+``integer_kernel``, the unimodular elimination of ``[A^T | I]`` that
+``lattice.tree_basis`` replaced and that the tests keep as its reference.
+``sigma_pairing`` is theta by the independent route through switch sums
+and the ``sigma`` matrix, which pins the sign convention.
+``disjoint_union`` puts tracks side by side.
+``block_matrix`` and ``normal_form_json`` (the ``D`` and the JSON of a
+``NormalForm``), ``kernel_rows`` and ``kernel_basis`` (the trailing rows
+of ``U``), ``doubled_last_row`` (a normal form that fails only its
+certificate), ``is_orientable`` and ``region_weight_system`` (which raises
+``OddSpikesError``), ``contains_puncture`` and ``branch_multiplicities`` of
+a region.  ``eta_readings_match`` is the eta match before it became a
+pairing: whether kernel rows are a basis of the etas' span, read at the
+etas' first support entries.
 
 Representations: ``loop_deviation`` walks the subgroup of roots that
 ``Representation.deviation`` reads in closed form.  ``float_commutation`` is
@@ -37,9 +43,18 @@ from itertools import compress
 
 import numpy as np
 
-from trackforms import NormalForm, from_triangulation, skew_normal_form, standard_triangulation
+from trackforms import (
+    IntegralityViolation,
+    NormalForm,
+    TrainTrack,
+    from_triangulation,
+    sigma_matrix,
+    skew_normal_form,
+    standard_triangulation,
+    switch_sums,
+)
 from trackforms.algebra import AlgebraElement, BalancedAlgebra, frobenius, omega_candidate, phase_eval
-from trackforms.lattice import _combine, hermite_normal_form, identity_matrix
+from trackforms.lattice import _combine, _exact, _pivot, hermite_normal_form, identity_matrix
 from trackforms.representation import (
     FROBENIUS_SAMPLES,
     SCALAR_SAMPLES,
@@ -68,6 +83,68 @@ def puncture_element(algebra, k: int) -> AlgebraElement:
 
 
 # --- structure ---------------------------------------------------------------
+
+def switch_matrix(track) -> list[list[int]]:
+    """Integer matrix of the switch conditions (rows: switches, cols: branches)."""
+    rows = []
+    for side_a, side_b in track.switches:
+        row = [0] * track.branch_count
+        for b, _ in side_a:
+            row[b] += 1
+        for b, _ in side_b:
+            row[b] -= 1
+        rows.append(row)
+    return rows
+
+
+def integer_kernel(matrix) -> list[list[int]]:
+    """A basis of the integer kernel {v : matrix @ v = 0}, by unimodular elimination.
+
+    Row-reduces ``[matrix^T | I]``; the right parts of the rows whose left
+    part dies are the basis.  Entries that are not exact integers raise
+    ``ValueError``.
+    """
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    matrix = _exact(matrix)
+    work = [[matrix[i][j] for i in range(rows)] + [1 if k == j else 0 for k in range(cols)]
+            for j in range(cols)]
+    r = 0
+    for c in range(rows):
+        if _pivot(work, r, c):
+            r += 1
+    return [row[rows:] for row in work[r:]]
+
+
+def sigma_pairing(track, a, b) -> int:
+    """Independent computation of theta through switch sums and the succession matrix.
+
+    If ``ka, kb`` are the switch-sum vectors, the pairing equals
+    ``1/2 * sum_{u<v} (ka_u kb_v - ka_v kb_u) sigma_{uv}``; agreement with the
+    germ-pair formula is what fixes the left-to-right convention.
+    """
+    sigma = sigma_matrix(track.tri)
+    ka = switch_sums(track, a)
+    kb = switch_sums(track, b)
+    n = len(ka)
+    doubled = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            doubled += (ka[u] * kb[v] - ka[v] * kb[u]) * sigma[u][v]
+    if doubled % 2 != 0:
+        raise IntegralityViolation(f"doubled sigma pairing {doubled} is odd")
+    return doubled // 2
+
+
+def disjoint_union(*tracks) -> TrainTrack:
+    """The tracks side by side, each one's branches numbered after the ones before."""
+    switches, offset = [], 0
+    for track in tracks:
+        switches += [([(b + offset, e) for b, e in side_a], [(b + offset, e) for b, e in side_b])
+                     for side_a, side_b in track.switches]
+        offset += track.branch_count
+    return TrainTrack(offset, switches)
+
 
 def block_matrix(nf) -> tuple[tuple[int, ...], ...]:
     """``D`` of a normal form: the ``(0 d; -d 0)`` blocks down the diagonal, then zeros."""
@@ -190,13 +267,14 @@ def loop_deviation(rep, x, y) -> float:
     (ax, bx, sx), (ay, by, sy) = rep._parts(x), rep._parts(y)
     if not (cmath.isfinite(sx) and cmath.isfinite(sy)):
         return math.inf
+    scale = max(1.0, math.hypot(sx.real, sx.imag), math.hypot(sy.real, sy.imag))
     N = rep.params.N
     if bx != by and any((u - v) % N for u, v in zip(bx, by)):
-        return max(abs(sx), abs(sy))
+        return max(abs(sx), abs(sy)) / scale
     step = N if ax == ay else math.gcd(N, *(d * (u - v) for d, u, v in zip(rep.d, ax, ay)))
     if step == N:
-        return abs(sx - sy)
-    return max(abs(sx - sy * rep.params.root_value(4 * t)) for t in range(0, N, step))
+        return abs(sx - sy) / scale
+    return max(abs(sx - sy * rep.params.root_value(4 * t)) for t in range(0, N, step)) / scale
 
 
 def make_rep(g, s, N, epsilon=1, seed=0, omega_index=0):

@@ -123,6 +123,18 @@ def test_rep_names_the_checks_whose_deviation_is_not_finite(tmp_path, capsys):
                    "a scalar leaves the range of floats\n")
 
 
+@pytest.mark.parametrize("zeta", [1e4, 1e8])
+def test_rep_passes_with_zeta_far_from_modulus_one(tmp_path, capsys, zeta):
+    # the deviations are relative to the scalars; absolute ones read 1.6e-7
+    # at 1e4 and 40.0 at 1e8 in central_scalar and random_character
+    spec = {"genus": 1, "punctures": 1, "N": 3,
+            "zeta": {"alphas": [[zeta, 0]], "betas": [[1, 0]], "etas": [[1, 0]]}, "h": [[1, 0]]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, "rep", "--input", str(path))
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
 def test_rep_accepts_explicit_spec(tmp_path, capsys):
     spec = {
         "genus": 0, "punctures": 3, "N": 3, "omega_index": 0,

@@ -1,9 +1,10 @@
-"""verify_structure on the elimination basis against the Hermite-basis route.
+"""verify_structure on the tree basis against the Hermite-basis route.
 
-``integer_kernel`` returns the rows that unimodular elimination leaves,
-``weight_lattice_basis`` their Hermite form.  Both span the weight lattice,
-and every figure of a structure report is an invariant of the form on that
-lattice, so the report must not depend on which of the two bases the form is
+``tree_basis`` reads a basis of the weight lattice off a spanning tree of
+the switch graph, ``weight_lattice_basis`` is its Hermite form, and the
+unimodular elimination of ``oracles.integer_kernel`` is the reference for
+the lattice.  Every figure of a structure report is an invariant of the form
+on that lattice, so the report must not depend on which basis the form is
 reduced on.  ``reference_report`` keeps the Hermite route as the oracle.
 """
 
@@ -15,6 +16,7 @@ import pytest
 from trackforms import (
     StructureReport,
     TrackError,
+    TrainTrack,
     from_switch_sums,
     from_triangulation,
     puncture_weight,
@@ -28,15 +30,15 @@ from trackforms import (
 from trackforms.lattice import (
     _combine,
     certify_normal_form,
-    integer_kernel,
     lattice_equal,
     predicted_blocks,
+    tree_basis,
 )
-from trackforms.traintrack import TriangulationTrack, puncture_weights, switch_matrix
+from trackforms.traintrack import TriangulationTrack, puncture_weights
 from trackforms.triangulation import random_triangulation
 
-from conftest import random_ribbon_track
-from oracles import kernel_rows
+from conftest import circle_track, random_ribbon_track, unorientable_even_track
+from oracles import disjoint_union, integer_kernel, kernel_rows, switch_matrix
 
 FANS = [(16, 4), (0, 30)]
 FLIPPED = [(16, 4, 1000), (24, 4, 3000)]
@@ -125,14 +127,42 @@ def switch_sum_lattice(track) -> list[tuple[int, ...]]:
     return [from_switch_sums(track, k) for k in sums]
 
 
+def assert_tree_basis(track):
+    """``tree_basis`` spans the elimination's lattice with as many rows, all of them weight systems."""
+    a = switch_matrix(track)
+    basis, kernel = tree_basis(track), integer_kernel(a)
+    assert len(basis) == len(kernel) and lattice_equal(basis, kernel)
+    assert all(sum(map(operator.mul, row, v)) == 0 for row in a for v in basis)
+    assert all(abs(x) <= 4 for v in basis for x in v)
+    return basis
+
+
 def test_hermite_form_of_the_elimination_basis_is_the_canonical_basis(grid_tracks, large_tracks):
     tracks = list(grid_tracks.values()) + [
         large_tracks[k] for k in ("fan(16, 4)", "fan(0, 30)", "flipped(16,4)x1000")]
     for track in tracks:
-        a = switch_matrix(track)
-        kernel = integer_kernel(a)
-        assert lattice_equal(kernel, switch_sum_lattice(track))
-        assert all(sum(map(operator.mul, row, v)) == 0 for row in a for v in kernel)
+        assert lattice_equal(assert_tree_basis(track), switch_sum_lattice(track))
+
+
+def test_tree_basis_spans_the_lattice_on_every_ribbon_track():
+    # every draw of one seed, the disconnected ones too
+    rng = random.Random(7)
+    disconnected = 0
+    for _ in range(2000):
+        track = random_ribbon_track(rng)
+        if track is not None:
+            assert_tree_basis(track)
+            disconnected += not track.is_connected()
+    assert disconnected > 100
+
+
+def test_tree_basis_spans_the_lattice_on_fixtures_and_unions(grid_tracks, large_tracks):
+    # an unbalanced component (the unorientable track) beside balanced ones
+    union = disjoint_union(circle_track(), unorientable_even_track(), grid_tracks[(1, 2)])
+    for track in (circle_track(), unorientable_even_track(), union,
+                  *grid_tracks.values(), *large_tracks.values()):
+        assert_tree_basis(track)
+    assert tree_basis(TrainTrack(0, [])) == []
 
 
 def test_report_matches_the_hermite_route_on_triangulations(grid_tracks, large_tracks):
@@ -154,11 +184,11 @@ def test_report_matches_the_hermite_route_on_ribbon_tracks():
 
 
 def test_flipped_32_4_keeps_u_small():
-    # On the Hermite basis U reaches 1131 bits here.
-    track = from_triangulation(random_triangulation(32, 4, 5000, 1))
-    assert verify_structure(track).passed
-    nf = skew_normal_form(theta_matrix(track, integer_kernel(switch_matrix(track))))
-    assert max(abs(x).bit_length() for row in nf.U for x in row) <= 8
+    # On the Hermite basis U reaches 1131 bits at seed 1.
+    for seed in range(3):
+        report = verify_structure(from_triangulation(random_triangulation(32, 4, 5000, seed)))
+        assert report.passed
+        assert max(abs(x).bit_length() for row in report.normal_form.U for x in row) <= 2, seed
 
 
 def test_puncture_weights_match_one_puncture_at_a_time(grid_tracks, large_tracks):

@@ -29,12 +29,12 @@ from trackforms import (
     theta_matrix,
     verify_structure,
 )
-from trackforms.lattice import _combine, _etas_span_radical, integer_kernel
-from trackforms.traintrack import is_weight_system, puncture_owners, switch_matrix
+from trackforms.lattice import _combine, _etas_span_radical
+from trackforms.traintrack import is_weight_system, puncture_owners
 from trackforms.triangulation import random_triangulation
 
 from conftest import GRID
-from oracles import eta_readings_match, kernel_rows
+from oracles import eta_readings_match, integer_kernel, kernel_rows, switch_matrix
 
 INPUTS = ([("grid", g, s, 0) for g, s in GRID]
           + [("fan", 16, 4, 0), ("fan", 32, 4, 0), ("fan", 0, 30, 0),

@@ -22,7 +22,7 @@ from trackforms import (
 )
 from trackforms.algebra import BalancedAlgebra, omega_candidate, ordered_product_normal_form
 from trackforms.cli import main
-from trackforms.lattice import certify_normal_form, integer_kernel
+from trackforms.lattice import certify_normal_form
 from trackforms.traintrack import require_weight_system
 
 from conftest import unorientable_even_track
@@ -64,8 +64,6 @@ def _torus_json_with(first_slot):
     pytest.param(skew_normal_form, (_skew_with(20, 0.5),), ValueError, id="skew-int64"),
     pytest.param(hermite_normal_form, ([[1.7, 2.2]],), ValueError, id="hermite-lists"),
     pytest.param(hermite_normal_form, ([[1.7, 2.2]] * 20,), ValueError, id="hermite-20-rows"),
-    pytest.param(integer_kernel, ([[1.5, 3.0]] * 2,), ValueError, id="kernel-lists"),
-    pytest.param(integer_kernel, ([[1.5, 3.0]] * 20,), ValueError, id="kernel-int64"),
     pytest.param(certify_normal_form, _certify_floats(2), ValueError, id="certify-lists"),
     pytest.param(certify_normal_form, _certify_floats(20), ValueError, id="certify-int64"),
     pytest.param(require_weight_system, (TRACK, HALVES), TrackError, id="weight-system"),

@@ -22,12 +22,10 @@ from trackforms import (
     weight_lattice_basis,
 )
 from trackforms.lattice import NormalForm, _combine, certify_normal_form
-from trackforms.lattice import hermite_normal_form, integer_kernel
-from trackforms.traintrack import switch_matrix
 from trackforms.triangulation import TriangulationError, flip, random_triangulation
 
 from conftest import GRID, random_ribbon_track
-from oracles import block_matrix
+from oracles import block_matrix, switch_matrix
 
 INT64, LISTS = 0, 10 ** 9
 
@@ -154,45 +152,6 @@ def test_normal_form_on_a_divisible_form(monkeypatch):
     assert skew_normal_form(m) == nf
 
 
-def kernel_measures(monkeypatch):
-    """Record the dtype and row count of every work matrix the kernel measures."""
-    measured = []
-    max_bits = intcore.max_bits
-
-    def recording(a):
-        if a.ndim == 2 and a.shape[1] > 1:
-            measured.append((str(a.dtype), a.shape[0]))
-        return max_bits(a)
-
-    monkeypatch.setattr(intcore, "max_bits", recording)
-    return measured
-
-
-def test_kernel_bound_is_measured_again_before_it_widens(monkeypatch):
-    # x_i = 2 x_(i+1): the entries double down the chain.  The single bound
-    # passes WORD_BITS long before the entries do, so the live rows are
-    # measured again, on int64, until they really need Python ints.
-    n = 71
-    matrix = [[int(j == i) - 2 * int(j == i + 1) for j in range(n)] for i in range(n - 1)]
-    measured = kernel_measures(monkeypatch)
-    kernel = intcore.integer_kernel(matrix)
-    assert kernel.dtype == object
-    assert measured[0] == ("int64", n)  # the initial bound
-    again = measured[1:]
-    assert len(again) >= 2 and all(dtype == "int64" for dtype, _ in again)
-    assert [rows for _, rows in again] == sorted((rows for _, rows in again), reverse=True)
-
-
-def test_kernel_bound_is_measured_again_and_stays_on_int64(monkeypatch):
-    track = from_triangulation(standard_triangulation(16, 4))
-    a = intcore.switch_matrix(track.switches, track.branch_count)
-    measured = kernel_measures(monkeypatch)
-    kernel = intcore.integer_kernel(a)
-    assert kernel.dtype == np.int64 and len(measured) > 1
-    monkeypatch.setattr(lattice, "INT64_MIN_ROWS", LISTS)
-    assert kernel.tolist() == integer_kernel(switch_matrix(track))
-
-
 def test_normal_form_tuples_are_made_when_read(monkeypatch):
     track = from_triangulation(standard_triangulation(2, 3))
     m = theta_matrix(track, weight_lattice_basis(track))
@@ -211,38 +170,9 @@ def test_normal_form_tuples_are_made_when_read(monkeypatch):
     assert NormalForm(nf.U, nf.blocks, nf.V) == nf != NormalForm(nf.U, nf.blocks + (1,), nf.V)
 
 
-def test_kernel_crosses_62_bits_mid_elimination(monkeypatch):
-    # x_i = 2 x_(i+1): the kernel is spanned by (2**70, 2**69, ..., 1).
-    n = 71
-    matrix = [[int(j == i) - 2 * int(j == i + 1) for j in range(n)] for i in range(n - 1)]
-    results = []
-    for cutoff in (INT64, LISTS):
-        monkeypatch.setattr(lattice, "INT64_MIN_ROWS", cutoff)
-        results.append((integer_kernel(matrix), hermite_normal_form(integer_kernel(matrix))))
-    assert results[0] == results[1]
-    assert results[0][1] == (tuple(2 ** (n - 1 - i) for i in range(n)),)
-
-
-def test_elimination_kernels_agree(grid_tracks, monkeypatch):
-    # the rows verify_structure reduces on, before any Hermite step
-    tracks = list(grid_tracks.values()) + [
-        from_triangulation(standard_triangulation(16, 4)),
-        from_triangulation(standard_triangulation(0, 30)),
-        from_triangulation(random_triangulation(16, 4, 1000, seed="int64/16/4")),
-    ]
-    for track in tracks:
-        a = switch_matrix(track)
-        results = []
-        for cutoff in (INT64, LISTS):
-            monkeypatch.setattr(lattice, "INT64_MIN_ROWS", cutoff)
-            results.append(integer_kernel(a))
-        assert results[0] == results[1]
-        assert all(type(x) is int for row in results[0] for x in row)
-
-
 def test_switch_array_matches_the_lists(grid_tracks):
-    # verify_structure's array path builds the switch matrix from the darts;
-    # ribbon tracks put both ends of a branch on one switch, or on one side
+    # the algebra builds the switch matrix from the darts; ribbon tracks put
+    # both ends of a branch on one switch, or on one side
     rng = random.Random(3)
     ribbons = [t for t in (random_ribbon_track(rng) for _ in range(200)) if t is not None]
     tracks = list(grid_tracks.values()) + [from_triangulation(standard_triangulation(16, 4))]
@@ -253,8 +183,8 @@ def test_switch_array_matches_the_lists(grid_tracks):
 
 
 def test_many_switches_and_a_short_basis(monkeypatch):
-    # A circle through 25 bivalent switches: the kernel runs on arrays and
-    # hands theta a one-row array, which theta reads on its list path.
+    # A circle through 25 bivalent switches: the basis is a one-row array,
+    # and theta's 1 x 1 array takes the normal form's list path.
     n = 25
     track = TrainTrack(n, [([(i, 1)], [((i + 1) % n, 0)]) for i in range(n)])
     reports = []

@@ -18,12 +18,11 @@ from trackforms.lattice import (
     _combine,
     certify_normal_form,
     hermite_normal_form,
-    integer_kernel,
     predicted_blocks,
 )
 
 from conftest import GRID, circle_track, random_ribbon_track, unorientable_even_track
-from oracles import block_matrix, kernel_basis, kernel_rows, normal_form_json
+from oracles import block_matrix, integer_kernel, kernel_basis, kernel_rows, normal_form_json
 
 
 # --- reference oracles: plain definitions the certificate no longer uses ----

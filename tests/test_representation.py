@@ -304,6 +304,20 @@ def test_tampered_representation_fails():
     assert not frobenius_compat(report, tol=1e-9).passed
 
 
+def test_tampered_root_fails_at_a_large_modulus():
+    # deviations are relative to the scalars, and still catch a wrong root
+    # when zeta(alpha_0) is 1e8 (an absolute deviation read 40.0 untampered)
+    track = from_triangulation(standard_triangulation(1, 1))
+    rep = build(RepresentationSpec(track, omega_candidate(3), symplectic_basis(track),
+                                   [1e8], [1], [1], [1]))
+    assert verify(rep).passed
+    rep.za[0] *= cmath.exp(1e-6j)
+    report = verify(rep, tol=1e-9)
+    assert not report.passed
+    assert report.deviations["power_scalar"] > 1e-9
+    assert not frobenius_compat(report, tol=1e-9).passed
+
+
 def test_tampered_permutation_fails():
     for rep in (tampered_shift(), tampered_block()):
         report = verify(rep, tol=1e-9)

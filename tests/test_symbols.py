@@ -24,10 +24,13 @@ def random_symbol(rep, rng, span=4):
     return Symbol(draw(m), draw(m), draw(s), rng.randrange(rep.params.phase_order))
 
 
+def relative(x, y) -> float:
+    """|A - B| of two monomials over ``max(1, the larger scalar)``, as ``rep.deviation`` reads it."""
+    return x.deviation(y) / max(1.0, float(np.abs(x.values).max()), float(np.abs(y.values).max()))
+
+
 def close(x, y, tol=1e-11):
-    """|A - B| of two monomials, relative to the larger scalar."""
-    scale = max(1.0, float(np.abs(x.values).max()), float(np.abs(y.values).max()))
-    return x.deviation(y) <= tol * scale
+    return relative(x, y) <= tol
 
 
 # (g, s, N) with dimension N^(3g+s-3) at most 3^7; N = 9 makes proper
@@ -71,14 +74,15 @@ def test_symbol_deviation_matches_monomials_on_every_branch(g, s, N):
         mx = symbol_monomial(rep, x, gens)
         for y in same + a_apart + b_apart:
             my = symbol_monomial(rep, y, gens)
-            assert abs(rep.deviation(x, y) - mx.deviation(my)) < 1e-12
+            assert abs(rep.deviation(x, y) - relative(mx, my)) < 1e-12
         # a number is that multiple of the identity
         for c in (0.5, rep.scalar(x)):
-            expected = mx.deviation(Monomial.scalar(rep.dim, c))
+            expected = relative(mx, Monomial.scalar(rep.dim, c))
             assert abs(rep.deviation(x, c) - expected) < 1e-12
             assert abs(rep.deviation(c, x) - expected) < 1e-12
         assert rep.deviation(x, x) == 0.0
-        assert rep.deviation(x, b_apart[0]) == max(abs(rep.scalar(x)), abs(rep.scalar(b_apart[0])))
+        apart = max(abs(rep.scalar(x)), abs(rep.scalar(b_apart[0])))
+        assert rep.deviation(x, b_apart[0]) == apart / max(1.0, apart)
 
 
 @pytest.mark.parametrize("N", [3, 9, 15, 21])

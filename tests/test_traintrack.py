@@ -23,7 +23,6 @@ from trackforms import (
 from trackforms.traintrack import (
     _switch_classes,
     is_weight_system,
-    sigma_pairing,
     theta_doubled,
 )
 
@@ -38,8 +37,10 @@ from oracles import (
     OddSpikesError,
     branch_multiplicities,
     contains_puncture,
+    disjoint_union,
     is_orientable,
     region_weight_system,
+    sigma_pairing,
 )
 
 
@@ -356,15 +357,6 @@ def reference_is_orientable(track):
                     elif polarity[there] != want:
                         return False
     return True
-
-
-def disjoint_union(*tracks):
-    switches, offset = [], 0
-    for track in tracks:
-        switches += [([(b + offset, e) for b, e in side_a], [(b + offset, e) for b, e in side_b])
-                     for side_a, side_b in track.switches]
-        offset += track.branch_count
-    return TrainTrack(offset, switches)
 
 
 def assert_census_classes_match(track):

@@ -5,8 +5,16 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from trackforms import IdealTriangulation, TriangulationError, sigma_matrix, standard_triangulation, validate
-from trackforms.triangulation import diagnose, succession_counts
+from trackforms import (
+    IdealTriangulation,
+    TriangulationError,
+    from_triangulation,
+    sigma_matrix,
+    standard_triangulation,
+    validate,
+    verify_structure,
+)
+from trackforms.triangulation import diagnose, flip, random_triangulation, succession_counts
 
 from conftest import GRID
 
@@ -162,3 +170,68 @@ def test_large_signature_smoke():
             continue
         tri = standard_triangulation(g, s)
         assert (tri.genus, tri.punctures) == (g, s)
+
+
+# --- the flip graph ------------------------------------------------------------
+# Flips connect all ideal triangulations of a surface (Hatcher 1991), so what
+# the structure theorem reads off a triangulation must not move under a flip.
+
+def flip_cases():
+    """(triangulation, edge) for every flippable edge of the grid cells and of a flipped copy of each."""
+    for g, s in GRID:
+        for tri in (standard_triangulation(g, s), random_triangulation(g, s, 7, f"flip-graph/{g}/{s}")):
+            for e, ((t1, _), (t2, _)) in enumerate(tri.edges):
+                if t1 != t2:
+                    yield tri, e
+
+
+def has_self_folded_triangle(tri) -> bool:
+    return any(t1 == t2 for (t1, _), (t2, _) in tri.edges)
+
+
+def edge_after_flip(tri, edge, flipped):
+    """The edge of ``flipped = flip(tri, edge)`` that each edge of ``tri`` becomes.
+
+    The flip keeps every side slot outside its two triangles.  Of the
+    quadrilateral a0 -> d -> a1 -> c they form, the outer side c -> a0 moves
+    to slot (t1, 0), a0 -> d to (t1, 1), d -> a1 to (t2, 0), a1 -> c to
+    (t2, 1), and the edge itself becomes the new diagonal at (t1, 2).
+    """
+    (t1, k1), (t2, k2) = tri.edges[edge]
+    moved = {(t1, (k1 + 2) % 3): (t1, 0), (t2, (k2 + 1) % 3): (t1, 1),
+             (t2, (k2 + 2) % 3): (t2, 0), (t1, (k1 + 1) % 3): (t2, 1), (t1, k1): (t1, 2)}
+    return [flipped.edge_of[moved.get(slot, slot)] for slot, _ in tri.edges]
+
+
+def mutation(b, k):
+    """The matrix mutation mu_k of a skew-symmetric integer matrix (Fomin-Zelevinsky)."""
+    n = len(b)
+    return [[-b[i][j] if k in (i, j)
+             else b[i][j] + (abs(b[i][k]) * b[k][j] + b[i][k] * abs(b[k][j])) // 2
+             for j in range(n)] for i in range(n)]
+
+
+def test_structure_report_is_invariant_under_flips():
+    reports = {}  # keyed by the triangulation object, which it keeps alive
+    for tri, e in flip_cases():
+        if tri not in reports:
+            reports[tri] = verify_structure(from_triangulation(tri))
+        report = verify_structure(from_triangulation(flip(tri, e)))
+        assert report == reports[tri] and report.eta_kernel_match, (tri, e)
+
+
+def test_sigma_mutates_under_flips():
+    # Fomin-Shapiro-Thurston 2008: away from self-folded triangles, the
+    # signed adjacency matrix of the flipped triangulation is mu_e of the old one
+    checked = 0
+    for tri, e in flip_cases():
+        flipped = flip(tri, e)
+        if has_self_folded_triangle(tri) or has_self_folded_triangle(flipped):
+            continue
+        image = edge_after_flip(tri, e, flipped)
+        assert sorted(image) == list(range(tri.edge_count))
+        sigma = sigma_matrix(flipped)
+        expected = mutation(sigma_matrix(tri), e)
+        assert [[sigma[i][j] for j in image] for i in image] == expected, (tri, e)
+        checked += 1
+    assert checked >= 20
