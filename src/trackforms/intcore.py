@@ -1,19 +1,20 @@
 """The exact integer stages on machine words: numpy arrays, never wrapping.
 
-Three stages of ``lattice`` send matrices of ``lattice.INT64_MIN_ROWS`` rows
-or more here: theta, the skew normal form and its certificate.  Smaller
-ones stay on their Python-int lists, where numpy's per-call dispatch would
-cost more than it saves.  The normal form takes the same steps as its list
-counterpart (same pivots, quotients and swaps), so the results are
-identical; the certificate and theta are exact products.
+Four routines of ``lattice`` send matrices of ``lattice.INT64_MIN_ROWS``
+rows or more here, and ``lattice`` alone decides which: theta, the skew
+normal form, its certificate and ``_combine``'s integer combinations.
+Smaller ones stay on their Python-int lists, where numpy's per-call
+dispatch would cost more than it saves.  The normal form takes the same
+steps as its list counterpart (same pivots, quotients and swaps), so the
+results are identical; the others are exact products.
 
 On the large path of ``lattice.certified_form`` one array goes from stage
 to stage: the tree basis (``as_array``), theta's matrix and the normal
-form's ``U`` and ``V``, which the certificate reads.  ``rep``'s pair rows,
-rows of ``U`` times the basis, are one ``matmul``.  ``theta_matrix`` also
-pairs the basis with the etas for the eta match, whose etas come as one
-array too (``indicator_rows``).  Each stage still validates an array it is
-given (``as_array``); Python ints are made only for a public result.
+form's ``U`` and ``V``, which the certificate reads.  ``theta_matrix`` also
+pairs the basis with the etas, rows of Python ints, for the eta match, and
+``rep``'s pair rows and sample weight systems are one ``matmul`` each.
+Each stage still validates an array it is given (``as_array``); Python
+ints are made only for a public result.
 
 The normal form runs on int64 arrays.  numpy's int64 arithmetic wraps
 silently on overflow, so it keeps upper bounds on the bit lengths of what
@@ -269,13 +270,6 @@ def certifies(u, v, m, blocks) -> bool:
 
 
 # --- the intersection form -------------------------------------------------
-
-def indicator_rows(owner, count: int) -> np.ndarray:
-    """The 0/1 int64 rows ``[owner[j] == k for j]`` for ``k < count``: the etas from their owners."""
-    rows = np.zeros((count, len(owner)), dtype=np.int64)
-    rows[owner, np.arange(len(owner))] = 1
-    return rows
-
 
 def germ_pair_array(germ_pairs) -> np.ndarray:
     """``TrainTrack.germ_pairs`` as the (P, 2) int64 array ``germ_images`` takes."""

@@ -1,28 +1,30 @@
 """Exact integer linear algebra: Hermite forms, the weight lattice, theta's matrix, the skew normal form.
 
-Everything here is exact; nothing is ever rounded.  Three routines here
-fork at ``INT64_MIN_ROWS`` rows: theta's matrix, the skew normal form and
-its certificate run on Python-int lists below it and on the
-overflow-guarded int64 arrays of ``intcore`` from there on, with the same
-results.  The weight lattice has one basis routine for every size,
-:func:`tree_basis`, which reads it off a spanning tree of the switch graph
-with no elimination.  Every routine that takes caller matrices, lists or
-arrays, reads its entries with ``operator.index`` (or checks an int64
-dtype) and refuses anything else.  The central routine,
-:func:`skew_normal_form`, reduces an antisymmetric integer matrix ``M`` by a
-unimodular congruence ``U M U^T`` to a block diagonal matrix with 2x2
-blocks ``(0 d; -d 0)``, ``d_1 | d_2 | ...``, followed by a zero block, and
-returns the certificate ``U`` with its inverse ``V``.
+Everything here is exact; nothing is ever rounded.  Whether a routine
+runs on Python-int lists or on the overflow-guarded int64 arrays of
+``intcore`` is decided here alone, by one rule: arrays from
+``INT64_MIN_ROWS`` rows on, or when an argument already is one, with the
+same results either way.  Theta's matrix, the skew normal form, its
+certificate and the integer combinations ``_combine`` follow it, and
+``_combine`` hands its callers tuples of Python ints on both paths.  The
+weight lattice has one basis routine for every size, :func:`tree_basis`,
+which reads it off the track's spanning forest of the switch graph with no
+elimination.  Every routine that takes caller matrices, lists or arrays,
+reads its entries with ``operator.index`` (or checks an int64 dtype) and
+refuses anything else.  The central routine, :func:`skew_normal_form`,
+reduces an antisymmetric integer matrix ``M`` by a unimodular congruence
+``U M U^T`` to a block diagonal matrix with 2x2 blocks ``(0 d; -d 0)``,
+``d_1 | d_2 | ...``, followed by a zero block, and returns the certificate
+``U`` with its inverse ``V``.
 
 :func:`certified_form` (tree basis, theta, normal form, certificate) is
 the structure stage of both commands; on the array path the basis,
 theta's matrix, ``U`` and ``V`` (kept on the ``NormalForm``, which makes
-its tuples only when they are read), the etas and ``_combine``'s products
-stay arrays.  :func:`theta_matrix` is the only place either command pairs
-weight systems: the form's matrix, the eta match and ``rep``'s
-decomposition all read it.  No command reduces on ``hermite_normal_form``,
-which stays on lists and serves ``lattice_equal`` and
-``weight_lattice_basis``.
+its tuples only when they are read) stay arrays.  :func:`theta_matrix` is
+the only place either command pairs weight systems: the form's matrix, the
+eta match and ``rep``'s decomposition all read it.  No command reduces on
+``hermite_normal_form``, which stays on lists and serves ``lattice_equal``
+and ``weight_lattice_basis``.
 
 ``verify_structure`` combines the normal form with the region census of a
 connected train track and checks the predicted block multiset (on a
@@ -54,14 +56,13 @@ from .traintrack import (
     TriangulationTrack,
     germ_image,
     halved,
-    puncture_owners,
     puncture_weights,
     regions,
 )
 # Not called here (the etas come at once); perfbench's tracer wraps it.
 from .traintrack import puncture_weight  # noqa: F401
 
-# Three stages fork here: theta, the skew normal form and its certificate.
+# Theta, the skew normal form, its certificate and ``_combine`` fork here.
 # Matrices with fewer rows stay on Python-int lists, where numpy's per-call
 # dispatch costs more than it saves; from here on they run on numpy arrays
 # (``intcore``), which give the same results.  Measured crossovers on
@@ -77,7 +78,7 @@ from .traintrack import puncture_weight  # noqa: F401
 # on arrays a ``survey_small`` operation goes from 97-103 to 274-285 us, each
 # stage 35-65 us slower.  So the list paths stay.  ``certified_form`` makes
 # the tree basis an array from this many switches on and hands the arrays on
-# from stage to stage, and each stage takes lists or arrays.
+# from stage to stage; the etas stay lists.
 INT64_MIN_ROWS = 20
 
 
@@ -174,66 +175,25 @@ def lattice_equal(a_rows, b_rows) -> bool:
 # --- the weight lattice and theta over it ----------------------------------
 
 def tree_basis(track: TrainTrack) -> list[list[int]]:
-    """A basis of the weight lattice read off a spanning tree of the switch graph.
+    """A basis of the weight lattice read off the spanning forest of the signed switch graph.
 
-    The switch conditions are the incidence matrix of a signed graph: the
-    switches are its vertices, the branches its edges, and an end counts +1
-    on side a and -1 on side b (Zaslavsky, *Signed graphs*, 1982).  Each
-    connected component gets a BFS tree rooted at a centre switch, the
-    middle of a longest path that two BFS sweeps find.  A branch ``e`` off
-    the tree starts as ``e_e``, whose residual is +-1 at each end's switch;
-    each tree branch takes the coefficient that clears the residual at its
-    lower switch and passes it on to its upper one.  So ``v_e`` is 1 on
-    ``e``, at most 2 in absolute value on the tree, and leaves ``R_e`` in
-    {0, +-2} at the root.  If ``R_e = 0``, ``v_e`` is a weight system;
-    otherwise the component's first such branch ``e0`` is kept aside and
-    ``v_e - (R_e / R_e0) v_e0`` is one.  Every vector is 1 on its own
-    branch off the tree and 0 on the others but ``e0``, and the tree with
-    ``e0`` has independent columns (``e0`` closes an unbalanced cycle), so
-    a weight system less the combination that clears its entries off the
-    tree is 0: the vectors are a basis of the integer kernel.  No entry
-    passes 4 in absolute value.  The basis is not canonical:
-    :func:`weight_lattice_basis` puts it into Hermite form.
+    The switch conditions are the incidence matrix of the graph that
+    ``track.forest`` spans (``traintrack.SwitchForest``).  A branch ``e``
+    off the forest starts as ``e_e``, whose residual is +-1 at each end's
+    switch; each tree branch takes the coefficient that clears the residual
+    at its lower switch and passes it on to its upper one.  So ``v_e`` is 1
+    on ``e``, at most 2 in absolute value on the tree, and leaves ``R_e`` in
+    {0, +-2} at the root, 0 exactly when ``e`` is balanced.  If ``R_e = 0``,
+    ``v_e`` is a weight system; otherwise the component's first such branch
+    ``e0`` is kept aside and ``v_e - (R_e / R_e0) v_e0`` is one.  Every
+    vector is 1 on its own branch off the tree and 0 on the others but
+    ``e0``, and the tree with ``e0`` has independent columns (``e0`` closes
+    an unbalanced cycle), so a weight system less the combination that
+    clears its entries off the tree is 0: the vectors are a basis of the
+    integer kernel.  No entry passes 4 in absolute value.  The basis is not
+    canonical: :func:`weight_lattice_basis` puts it into Hermite form.
     """
-    # ends[b]: (switch, +1 on side a or -1 on side b) of both ends of branch b
-    ends = [[(s, 1 - 2 * side) for s, side, _ in (track.dart_slot[(b, 0)], track.dart_slot[(b, 1)])]
-            for b in range(track.branch_count)]
-    adjacent = [[] for _ in range(track.switch_count)]
-    for b, ((s, _), (t, _)) in enumerate(ends):
-        if s != t:
-            adjacent[s].append((t, b))
-            adjacent[t].append((s, b))
-
-    def bfs(root):
-        # the switches of root's component in BFS order, and each one's tree branch
-        up = {root: None}
-        order = [root]
-        for s in order:
-            for t, b in adjacent[s]:
-                if t not in up:
-                    up[t] = (s, b)
-                    order.append(t)
-        return order, up
-
-    # up[s]: (parent switch, tree branch, sign at s, sign at the parent), None at a root
-    up = [None] * track.switch_count
-    component = [None] * track.switch_count
-    for start in range(track.switch_count):
-        if component[start] is not None:
-            continue
-        far, _ = bfs(start)
-        order, parent = bfs(far[-1])
-        path = [order[-1]]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]][0])
-        order, parent = bfs(path[len(path) // 2])
-        for s in order:
-            component[s] = start
-            if parent[s] is not None:
-                p, b = parent[s]
-                (x, cx), (_, cy) = ends[b]
-                up[s] = (p, b, cx, cy) if x == s else (p, b, cy, cx)
-
+    ends, component, up = track.forest.ends, track.forest.component, track.forest.up
     tree = {u[1] for u in up if u is not None}
     basis = []
     unbalanced = {}  # component -> (R_e0, the support of v_e0)
@@ -314,10 +274,10 @@ class NormalForm:
     ``2 * len(blocks)`` onward of ``U`` are a basis of the integer kernel.
     ``V`` is the inverse of ``U``, kept so that unimodularity is checked by
     one product.  ``arrays`` holds ``(U, V)`` as the read-only arrays the
-    int64 path computed (``from_arrays``), for the certificate and ``rep``'s
-    pair rows to read; it is None otherwise.  There the tuples ``U`` and
-    ``V`` are made from the arrays the first time they are read.  Two normal
-    forms are equal when their ``U``, ``blocks`` and ``V`` are.
+    int64 path computed (``from_arrays``), for the certificate to read; it
+    is None otherwise.  There the tuples ``U`` and ``V`` are made from the
+    arrays the first time they are read.  Two normal forms are equal when
+    their ``U``, ``blocks`` and ``V`` are.
     """
 
     __slots__ = ("_U", "blocks", "_V", "arrays")
@@ -609,12 +569,7 @@ def verify_structure(track: TrainTrack) -> StructureReport:
 
     eta_match = None
     if isinstance(track, TriangulationTrack):
-        if _is_array(basis):  # the etas as one array, straight from the branches' owners
-            from . import intcore
-            etas = intcore.indicator_rows(puncture_owners(track), track.tri.punctures)
-        else:
-            etas = puncture_weights(track)
-        eta_match = _etas_span_radical(track, basis, etas, nf.nullity)
+        eta_match = _etas_span_radical(track, basis, puncture_weights(track), nf.nullity)
         passed = passed and eta_match
     return StructureReport(
         case=case,
@@ -633,16 +588,19 @@ def verify_structure(track: TrainTrack) -> StructureReport:
     )
 
 
-def _combine(rows, basis):
-    """The combinations ``rows @ basis``: one vector per row of coefficients.
+def _combine(rows, basis) -> list[tuple[int, ...]]:
+    """The combinations ``rows @ basis`` as tuples of Python ints: one vector per row of coefficients.
 
-    If either side is an array this is one exact ``intcore.matmul``, and the
-    result an array.  On lists each row adds up its basis vectors with
-    non-zero coefficients, which skips the zeros of the sparse rows of ``U``.
+    If either side is an array or ``basis`` has ``INT64_MIN_ROWS`` rows or
+    more (``theta_matrix``'s rule) this is one exact ``intcore.matmul``.  On
+    lists each row adds up its basis vectors with non-zero coefficients,
+    which skips the zeros of the sparse rows of ``U``.
     """
-    if _is_array(rows) or _is_array(basis):
+    if not len(rows):
+        return []
+    if _is_array(rows) or _is_array(basis) or _int64(len(basis)):
         from . import intcore
-        return intcore.matmul(intcore.as_array(rows), intcore.as_array(basis))
+        return list(map(tuple, intcore.matmul(intcore.as_array(rows), intcore.as_array(basis)).tolist()))
     out = []
     for row in rows:
         vector = [0] * len(basis[0])
@@ -662,8 +620,8 @@ def _etas_span_radical(track: TrainTrack, basis, etas, nullity: int) -> bool:
     ``nullity``.  0/1 etas with disjoint non-empty supports span a saturated
     lattice ``E``.  If there are ``nullity`` of them and each pairs to zero
     with the basis, ``E`` lies in ``R`` with the same rank, so ``R`` lies in
-    the integer vectors of ``Q E``, which are ``E``.  The etas, rows or an
-    array, go second in ``theta_matrix``, so only their germ images are
+    the integer vectors of ``Q E``, which are ``E``.  The etas, a list of
+    tuples, go second in ``theta_matrix``, so only their germ images are
     formed.
     """
     if len(etas) != nullity:
@@ -671,14 +629,9 @@ def _etas_span_radical(track: TrainTrack, basis, etas, nullity: int) -> bool:
     if not len(etas):
         return True
     # every non-zero entry is a 1, and no branch lies in two supports
-    if _is_array(etas):
-        if not (etas.any(axis=1).all() and ((etas == 0) | (etas == 1)).all()
-                and etas.sum(axis=0).max() <= 1):
-            return False
-    else:
-        supports = [list(compress(range(len(eta)), eta)) for eta in etas]
-        if (not all(supports) or any(eta.count(1) != len(sup) for eta, sup in zip(etas, supports))
-                or len(set(chain.from_iterable(supports))) != sum(map(len, supports))):
-            return False
+    supports = [list(compress(range(len(eta)), eta)) for eta in etas]
+    if (not all(supports) or any(eta.count(1) != len(sup) for eta, sup in zip(etas, supports))
+            or len(set(chain.from_iterable(supports))) != sum(map(len, supports))):
+        return False
     pairing = theta_matrix(track, basis, etas)
     return not (pairing.any() if _is_array(pairing) else any(map(any, pairing)))

@@ -6,6 +6,7 @@ Construction
 form on the tree basis (``lattice.certified_form``) and returns basis
 pairs ``(alpha_i, beta_i)`` with ``theta(alpha_i, beta_i) = d_i`` in {1, 2}
 (d = 1 pairs first) plus the puncture weight systems, which span the kernel.
+The pairs and ``verify``'s sample weight systems are ``lattice._combine``'s.
 Given a value of ``zeta`` on every basis vector and scalars ``h_k`` with
 ``h_k^N = zeta(eta_k)``, the representation is a tensor product of
 N-dimensional factors, one per pair,
@@ -110,7 +111,7 @@ from dataclasses import dataclass, field, replace
 from itertools import compress
 
 from .algebra import AlgebraParams, solve_chebyshev
-from .lattice import _combine, _int64, _is_array, certified_form, theta_matrix
+from .lattice import _combine, certified_form, theta_matrix
 from .traintrack import TriangulationTrack, is_weight_system, puncture_weights
 # Not called here, but perfbench's tracer wraps or counts them at this module.
 from .algebra import frobenius  # noqa: F401
@@ -154,10 +155,7 @@ def symplectic_basis(track: TriangulationTrack) -> SymplecticBasis:
     if list(nf.blocks) != expected:
         raise RepresentationError(f"unexpected block pattern {nf.blocks} for (g, s) = ({g}, {s})")
 
-    u = nf.U if nf.arrays is None else nf.arrays[0]
-    vectors = _combine(u[:nf.rank], basis)
-    if _is_array(vectors):
-        vectors = list(map(tuple, vectors.tolist()))
+    vectors = _combine(nf.U[:nf.rank], basis)
     pairs = list(zip(vectors[0::2], vectors[1::2], nf.blocks))
     etas = tuple(puncture_weights(track))
     return SymplecticBasis(tuple(pairs), etas)
@@ -452,17 +450,8 @@ def _random_coefficients(rep: Representation, seed: int, count: int) -> list[lis
 
 
 def _weight_systems(rep: Representation, rows) -> None:
-    """Check that the weight system of each coefficient row decomposes back to the row.
-
-    From ``INT64_MIN_ROWS`` gammas on the weight systems are one exact ``intcore.matmul``.
-    """
-    gammas = rep.gamma_vectors
-    if _int64(len(gammas)):
-        from . import intcore
-        weights = intcore.matmul(intcore.as_array(rows), intcore.as_array(gammas)).tolist()
-    else:
-        weights = _combine(rows, gammas)
-    for row, coeffs in zip(rows, rep._coefficients(weights)):
+    """Check that the weight system of each coefficient row decomposes back to the row."""
+    for row, coeffs in zip(rows, rep._coefficients(_combine(rows, rep.gamma_vectors))):
         if coeffs != row:
             raise RepresentationError(f"decompose does not recover the coefficients {row}")
 

@@ -32,7 +32,9 @@ The pairing is bilinear, so it is one sparse antisymmetric integer matrix
 is ``T``: one ``(left branch, right branch)`` entry per same-side germ pair,
 built once with the track, each adding ``+1`` at ``T[right][left]`` and
 ``-1`` at ``T[left][right]``.  ``germ_image`` forms ``T b``; the matrix of
-theta between lists of weight systems is ``lattice.theta_matrix``.
+theta between lists of weight systems is ``lattice.theta_matrix``.  The
+track's ``forest`` (``SwitchForest``), also built once, spans the signed
+switch graph for ``is_connected``, the census and ``lattice.tree_basis``.
 
 The track of a triangulation
 ----------------------------
@@ -104,13 +106,14 @@ class TrainTrack:
         if len(self.dart_slot) != 2 * n:  # every dart in it is known
             first = next((b, e) for b in range(n) for e in (0, 1) if (b, e) not in self.dart_slot)
             raise TrackError(f"{2 * n - len(self.dart_slot)} unattached branch ends, the first {first}")
+        self.forest = SwitchForest(self)
 
     @property
     def switch_count(self) -> int:
         return len(self.switches)
 
     def is_connected(self) -> bool:
-        return _switch_classes(self)[0]
+        return len(self.forest.roots) == 1
 
     def __repr__(self) -> str:
         return f"TrainTrack(branches={self.branch_count}, switches={self.switch_count})"
@@ -132,6 +135,74 @@ class TrainTrack:
         except (KeyError, TypeError) as exc:
             raise TrackError(f"malformed train-track JSON: {exc}") from exc
         return cls(branches, switches)
+
+
+class SwitchForest:
+    """The spanning forest of a track's signed switch graph, built once with the track.
+
+    The switches are the vertices and the branches the edges, an end signed
+    +1 on side a and -1 on side b: the switch conditions are the graph's
+    incidence matrix (Zaslavsky, *Signed graphs*, 1982).  ``ends[b]`` holds
+    ``(switch, sign)`` of both ends of branch ``b``.  Each component has a
+    BFS tree rooted at a centre switch (the middle of a longest path that
+    two BFS sweeps find), one of ``roots``, which ``component[s]`` indexes;
+    ``up[s]`` is ``(parent, tree branch, sign at s, sign at the parent)``,
+    None at a root.  The polarity ``p_s = +-1`` is +1 at a root, and a tree
+    branch with signs ``c_s``, ``c_t`` sets ``c_s p_s + c_t p_t = 0``.  A
+    branch is balanced when its ends satisfy that relation (a loop branch
+    exactly when its ends lie on opposite sides); ``orientable`` says every
+    branch is.  With ``p = (-1)^parity`` it is the rule ``parity(s) +
+    parity(t) = 1 + side_s + side_t`` of a consistent branch orientation.
+    """
+
+    __slots__ = ("ends", "roots", "component", "up", "polarity", "orientable")
+
+    def __init__(self, track: TrainTrack):
+        n = track.switch_count
+        ends = []
+        adjacent = [[] for _ in range(n)]
+        for b in range(track.branch_count):
+            (s, x, _), (t, y, _) = track.dart_slot[(b, 0)], track.dart_slot[(b, 1)]
+            ends.append(((s, 1 - 2 * x), (t, 1 - 2 * y)))
+            if s != t:
+                adjacent[s].append((t, b))
+                adjacent[t].append((s, b))
+
+        def bfs(root):
+            # the switches of root's component in BFS order, and each one's tree branch
+            parent = {root: None}
+            order = [root]
+            for s in order:
+                for t, b in adjacent[s]:
+                    if t not in parent:
+                        parent[t] = (s, b)
+                        order.append(t)
+            return order, parent
+
+        roots = []
+        up = [None] * n
+        component = [None] * n
+        polarity = [1] * n
+        for start in range(n):
+            if component[start] is not None:
+                continue
+            far, _ = bfs(start)
+            order, parent = bfs(far[-1])
+            path = [order[-1]]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]][0])
+            order, parent = bfs(path[len(path) // 2])
+            for s in order:  # a parent comes before its children
+                component[s] = len(roots)
+                if parent[s] is not None:
+                    p, b = parent[s]
+                    (x, cx), (_, cy) = ends[b]
+                    up[s] = (p, b, cx, cy) if x == s else (p, b, cy, cx)
+                    polarity[s] = -cx * cy * polarity[p]
+            roots.append(order[0])
+        self.ends, self.roots, self.component = tuple(ends), tuple(roots), tuple(component)
+        self.up, self.polarity = tuple(up), tuple(polarity)
+        self.orientable = all(cs * polarity[s] + ct * polarity[t] == 0 for (s, cs), (t, ct) in ends)
 
 
 class TriangulationTrack(TrainTrack):
@@ -326,10 +397,10 @@ def regions(track: TrainTrack) -> tuple[list[Region], TopologyReport]:
     """Boundary-walk the thickened neighborhood: regions, spikes, genus, orientability.
 
     Rejects disconnected tracks.  The genus comes from
-    ``chi(U) = switches - branches`` and ``chi = 2 - 2h - region_count``.
+    ``chi(U) = switches - branches`` and ``chi = 2 - 2h - region_count``;
+    orientability is the balance of the track's ``forest``.
     """
-    connected, orientable = _switch_classes(track)
-    if not connected:
+    if not track.is_connected():
         raise TrackError("train track is not connected")
     next_ccw, same_side = _ccw_cycles(track)
 
@@ -364,7 +435,7 @@ def regions(track: TrainTrack) -> tuple[list[Region], TopologyReport]:
         genus=genus2 // 2,
         n_even=sum(1 for r in regs if r.spikes % 2 == 0),
         n_odd=sum(1 for r in regs if r.spikes % 2 == 1),
-        orientable=orientable,
+        orientable=track.forest.orientable,
     )
     return regs, report
 
@@ -377,39 +448,3 @@ def _attach_puncture(track: TriangulationTrack, region: Region) -> Region:
     if len(punctures) != 1:
         raise AssertionError(f"puncture region touches corners of {punctures}")
     return Region(region.darts, region.spike_after, punctures.pop())
-
-
-def _switch_classes(track: TrainTrack) -> tuple[bool, bool]:
-    """(connected, orientable) from one parity union-find over the branches.
-
-    Orientability is a parity 2-coloring of switch polarities: a branch with
-    ends on sides (x, y) of switches (s1, s2) forces p(s1) + p(s2) = 1 + x + y
-    over GF(2), with side_a = 0 and side_b = 1.  Each switch stores its
-    polarity relative to its parent; union by size keeps the trees shallow.
-    """
-    parent = list(range(track.switch_count))
-    parity = [0] * track.switch_count
-    size = [1] * track.switch_count
-
-    def find(s):
-        p = 0
-        while parent[s] != s:
-            p ^= parity[s]
-            s = parent[s]
-        return s, p
-
-    classes, orientable = track.switch_count, True
-    for b in range(track.branch_count):
-        s1, x, _ = track.dart_slot[(b, 0)]
-        s2, y, _ = track.dart_slot[(b, 1)]
-        (r1, p1), (r2, p2) = find(s1), find(s2)
-        need = 1 ^ x ^ y
-        if r1 == r2:
-            orientable = orientable and p1 ^ p2 == need
-            continue
-        if size[r1] < size[r2]:
-            r1, r2 = r2, r1
-        parent[r2], parity[r2] = r1, p1 ^ p2 ^ need
-        size[r1] += size[r2]
-        classes -= 1
-    return classes == 1, orientable

@@ -9,9 +9,10 @@ and the ``sigma`` matrix, which pins the sign convention.
 ``block_matrix`` and ``normal_form_json`` (the ``D`` and the JSON of a
 ``NormalForm``), ``kernel_rows`` and ``kernel_basis`` (the trailing rows
 of ``U``), ``doubled_last_row`` (a normal form that fails only its
-certificate), ``is_orientable`` and ``region_weight_system`` (which raises
-``OddSpikesError``), ``contains_puncture`` and ``branch_multiplicities`` of
-a region.  ``eta_readings_match`` is the eta match before it became a
+certificate), ``is_orientable`` (a BFS 2-colouring of switch polarities,
+the reference for ``TrainTrack.forest``) and ``region_weight_system``
+(which raises ``OddSpikesError``), ``contains_puncture`` and
+``branch_multiplicities`` of a region.  ``eta_readings_match`` is the eta match before it became a
 pairing: whether kernel rows are a basis of the etas' span, read at the
 etas' first support entries.
 
@@ -63,7 +64,7 @@ from trackforms.representation import (
     commutant_dimension,
     random_spec,
 )
-from trackforms.traintrack import _switch_classes, puncture_weight, require_weight_system
+from trackforms.traintrack import puncture_weight, require_weight_system
 
 # Singular values at most SV_CUTOFF * max(1, largest) count as zero.
 SV_CUTOFF = 1e-7
@@ -229,8 +230,36 @@ class OddSpikesError(ValueError):
 
 
 def is_orientable(track) -> bool:
-    """Whether the branches admit orientations that cross every switch consistently."""
-    return _switch_classes(track)[1]
+    """Whether the branches admit orientations that cross every switch consistently.
+
+    A BFS 2-colouring of switch polarities that rescans every branch per
+    switch: a branch with ends on sides (x, y) of switches (s1, s2) forces
+    p(s1) + p(s2) = 1 + x + y over GF(2), with side_a = 0 and side_b = 1.
+    """
+    polarity = {}
+    for root in range(track.switch_count):
+        if root in polarity:
+            continue
+        polarity[root] = 0
+        stack = [root]
+        while stack:
+            s = stack.pop()
+            for b in range(track.branch_count):
+                s1, side1, _ = track.dart_slot[(b, 0)]
+                s2, side2, _ = track.dart_slot[(b, 1)]
+                if s not in (s1, s2):
+                    continue
+                need = 1 ^ side1 ^ side2
+                for here, there in ((s1, s2), (s2, s1)):
+                    if here != s:
+                        continue
+                    want = polarity[s] ^ need
+                    if there not in polarity:
+                        polarity[there] = want
+                        stack.append(there)
+                    elif polarity[there] != want:
+                        return False
+    return True
 
 
 def region_weight_system(track, region) -> tuple[int, ...]:

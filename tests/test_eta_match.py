@@ -20,7 +20,6 @@ import pytest
 
 from trackforms import (
     from_triangulation,
-    intcore,
     lattice,
     lattice_equal,
     puncture_weights,
@@ -30,7 +29,7 @@ from trackforms import (
     verify_structure,
 )
 from trackforms.lattice import _combine, _etas_span_radical
-from trackforms.traintrack import is_weight_system, puncture_owners
+from trackforms.traintrack import is_weight_system
 from trackforms.triangulation import random_triangulation
 
 from conftest import GRID
@@ -131,16 +130,12 @@ def test_radical_check_refuses_tampered_etas(case, cutoff, monkeypatch):
 
 
 def test_radical_check_on_eta_arrays(case):
-    # verify_structure's array path hands the etas over as one int64 array,
-    # made from the branches' owners; it must decide as the rows do
+    # verify_structure's array path pairs an int64 basis with the etas as
+    # lists of Python ints; it must decide as the lists do
     track, basis, nullity, _, etas = case
-    owners = puncture_owners(track)
-    array = intcore.indicator_rows(owners, len(etas))
-    assert array.dtype == np.int64 and array.tolist() == [list(eta) for eta in etas]
     b = np.array(basis, dtype=np.int64)
-    assert _etas_span_radical(track, b, array, nullity) is True
+    assert _etas_span_radical(track, b, etas, nullity) is True
     for reason, bad in tampered_etas(track, basis, etas).items():
-        bad = np.array(bad, dtype=np.int64).reshape(len(bad), track.branch_count)
         assert _etas_span_radical(track, b, bad, nullity) is False, reason
 
 

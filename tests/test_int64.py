@@ -293,14 +293,23 @@ def reference_combine(coeffs, basis):
 
 
 @pytest.mark.parametrize("bits", [3, 40, 70])
-def test_combine_agrees_with_reference(bits):
-    # products of 40-bit entries pass 64 bits, and 70-bit entries do alone
+def test_combine_agrees_with_reference(bits, monkeypatch):
+    # products of 40-bit entries pass 64 bits, and 70-bit entries do alone;
+    # both paths, and an array basis, give tuples of Python ints
     rng = random.Random(bits)
     for size in (1, 5, 25):
         basis = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(7)] for _ in range(size)]
         rows = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(size)] for _ in range(3)]
-        assert _combine(rows, basis) == [reference_combine(row, basis) for row in rows]
-    assert _combine([], basis) == []
+        expected = [reference_combine(row, basis) for row in rows]
+        for cutoff in (INT64, LISTS):
+            monkeypatch.setattr(lattice, "INT64_MIN_ROWS", cutoff)
+            for b in (basis, intcore.as_array(basis)):
+                got = _combine(rows, b)
+                assert got == expected
+                assert all(type(v) is tuple and all(type(x) is int for x in v) for v in got)
+        for cutoff in (INT64, size):  # the basis past and at the cutoff
+            monkeypatch.setattr(lattice, "INT64_MIN_ROWS", cutoff)
+            assert _combine([], basis) == []
 
 
 # --- flips ------------------------------------------------------------------

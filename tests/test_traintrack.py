@@ -20,8 +20,8 @@ from trackforms import (
     theta_matrix,
     weight_lattice_basis,
 )
+from trackforms.lattice import tree_basis
 from trackforms.traintrack import (
-    _switch_classes,
     is_weight_system,
     theta_doubled,
 )
@@ -310,7 +310,7 @@ def test_unorientable_fixture_census():
     assert [r.spikes for r in regs] == [2]
 
 
-# --- the parity union-find against the two separate walks ------------------
+# --- the switch forest against the two separate walks ----------------------
 
 def reference_is_connected(track):
     """Slow oracle: plain union-find over switches, then count the classes."""
@@ -331,38 +331,9 @@ def reference_is_connected(track):
     return len({find(s) for s in range(track.switch_count)}) == 1
 
 
-def reference_is_orientable(track):
-    """Slow oracle: BFS 2-coloring of switch polarities, rescanning every branch per switch."""
-    polarity = {}
-    for root in range(track.switch_count):
-        if root in polarity:
-            continue
-        polarity[root] = 0
-        stack = [root]
-        while stack:
-            s = stack.pop()
-            for b in range(track.branch_count):
-                s1, side1, _ = track.dart_slot[(b, 0)]
-                s2, side2, _ = track.dart_slot[(b, 1)]
-                if s not in (s1, s2):
-                    continue
-                need = 1 ^ side1 ^ side2
-                for here, there in ((s1, s2), (s2, s1)):
-                    if here != s:
-                        continue
-                    want = polarity[s] ^ need
-                    if there not in polarity:
-                        polarity[there] = want
-                        stack.append(there)
-                    elif polarity[there] != want:
-                        return False
-    return True
-
-
 def assert_census_classes_match(track):
-    expected = (reference_is_connected(track), reference_is_orientable(track))
-    assert _switch_classes(track) == expected
-    assert (track.is_connected(), is_orientable(track)) == expected
+    expected = (reference_is_connected(track), is_orientable(track))
+    assert (track.is_connected(), track.forest.orientable) == expected
     if expected[0]:
         assert regions(track)[1].orientable == expected[1]
 
@@ -373,9 +344,10 @@ def test_switch_classes_match_walks_on_fixtures_and_grid(grid_tracks):
     for track in (circle_track(), unorientable_even_track(), two_circles, mixed,
                   *grid_tracks.values(), from_triangulation(standard_triangulation(16, 4))):
         assert_census_classes_match(track)
-    assert _switch_classes(two_circles) == (False, True)
-    assert _switch_classes(mixed) == (False, False)
-    assert _switch_classes(TrainTrack(0, [])) == (False, True)
+    assert (two_circles.is_connected(), two_circles.forest.orientable) == (False, True)
+    assert (mixed.is_connected(), mixed.forest.orientable) == (False, False)
+    empty = TrainTrack(0, [])
+    assert (empty.is_connected(), empty.forest.orientable) == (False, True)
 
 
 def test_switch_classes_match_walks_on_random_tracks():
@@ -388,9 +360,59 @@ def test_switch_classes_match_walks_on_random_tracks():
             continue
         checked += 1
         assert_census_classes_match(track)
-        seen[_switch_classes(track)] += 1
+        seen[track.is_connected(), track.forest.orientable] += 1
     # every combination of connected and orientable actually occurred
     assert all(seen.values()), seen
+
+
+def assert_forest_polarities(track):
+    forest = track.forest
+    ends, up, p = forest.ends, forest.up, forest.polarity
+    tree = set()
+    for s in range(track.switch_count):
+        if up[s] is None:
+            assert forest.roots[forest.component[s]] == s and p[s] == 1
+            continue
+        parent, b, cs, cp = up[s]
+        tree.add(b)
+        assert sorted(ends[b]) == sorted([(s, cs), (parent, cp)])
+        assert cs * p[s] + cp * p[parent] == 0  # the polarity relation on every tree branch
+        root = s
+        while up[root] is not None:
+            root = up[root][0]
+        assert root == forest.roots[forest.component[s]]
+    assert len(tree) == track.switch_count - len(forest.roots)
+    assert all(forest.component[s] == forest.component[t] for (s, _), (t, _) in ends)
+    # tree_basis keeps v_e alone, 1 on e and 0 on every other branch off the
+    # tree, exactly when its walk leaves R_e = 0: then e is balanced
+    off_tree = [e for e in range(track.branch_count) if e not in tree]
+    alone = {next(e for e in off_tree if v[e]) for v in tree_basis(track)
+             if sum(1 for e in off_tree if v[e]) == 1}
+    balanced = set()
+    for e in off_tree:
+        (s, cs), (t, ct) = ends[e]
+        if cs * p[s] + ct * p[t] == 0:
+            balanced.add(e)
+    assert alone == balanced
+    assert forest.orientable == (len(balanced) == len(off_tree))
+
+
+def test_forest_polarities_on_every_ribbon_track():
+    rng = random.Random(7)
+    unbalanced = 0
+    for _ in range(2000):
+        track = random_ribbon_track(rng)
+        if track is not None:
+            assert_forest_polarities(track)
+            unbalanced += not track.forest.orientable
+    assert unbalanced > 100
+
+
+def test_forest_polarities_on_unions_and_grid(grid_tracks):
+    for track in (disjoint_union(circle_track(), unorientable_even_track(), grid_tracks[(1, 2)]),
+                  disjoint_union(circle_track(), circle_track()), TrainTrack(0, []),
+                  *grid_tracks.values()):
+        assert_forest_polarities(track)
 
 
 def test_disconnected_rejected():
