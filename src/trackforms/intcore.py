@@ -9,31 +9,34 @@ steps as its list counterpart (same pivots, quotients and swaps), so the
 results are identical; the others are exact products.
 
 On the large path of ``lattice.certified_form`` one array goes from stage
-to stage: the tree basis (``as_array``), theta's matrix and the normal
-form's ``U`` and ``V``, which the certificate reads.  ``theta_matrix`` also
-pairs the basis with the etas, rows of Python ints, for the eta match, and
-``rep``'s pair rows and sample weight systems are one ``matmul`` each.
-Each stage still validates an array it is given (``as_array``); Python
-ints are made only for a public result.
-
-The normal form runs on int64 arrays.  numpy's int64 arithmetic wraps
-silently on overflow, so it keeps upper bounds on the bit lengths of what
-an update can produce, one each for ``M``, ``U`` and ``V``, and no int64
-value it computes, intermediates included, reaches ``2**WORD_BITS``.  When
-a bound would fail, the live entries are measured again; if they really
-are that large, the array widens to dtype ``object`` (Python ints) and the
-same numpy code carries on exactly.  The normal form holds ``M``, ``U``
-and ``V^T`` side by side in one row array, so a step permutes them with
-one row permutation (the list code's up to three swaps) and clears its
-pair of rows and columns by three rank-2 products.
+to stage: the tree basis (``word_rows``, one pass over its small entries),
+theta's matrix and the normal form's ``U`` and ``V``, which the
+certificate reads.  ``theta_matrix`` also pairs the basis with the etas,
+rows of Python ints, for the eta match, and ``rep``'s pair rows and sample
+weight systems are one ``matmul`` each.  Each stage still validates an
+array it is given (``as_array``); Python ints are made only for a public
+result.
 
 Products have two tiers in ``matmul`` and three in the normal form.  While
 the bit bound of a product stays within ``FLOAT_BITS = 53`` it runs on
 float64 BLAS, where every partial sum is an integer the significand holds
-exactly, and comes back as int64.  Past it ``matmul`` runs on Python-int
-``object`` arrays; the normal form's rank-2 products run on int64 up to
-``WORD_BITS``, where numpy's int64 ``@`` (a plain loop, no BLAS) is still
-exact, and on Python ints past that.
+exactly.  Past it ``matmul`` runs on Python-int ``object`` arrays; the
+normal form runs on int64 up to ``WORD_BITS``, where numpy's int64 ``@``
+(a plain loop, no BLAS) is still exact, and on Python ints past that.
+numpy's int64 arithmetic wraps silently on overflow, so no int64 value
+computed here, intermediates included, reaches ``2**WORD_BITS``.
+
+The normal form reduces ``M`` alone and keeps, beside it, the multipliers
+``N`` of each pair and the cumulative row permutation ``P``, as LAPACK's
+``getrf`` keeps ``L`` beside ``U``.  While every pair clears in one sweep
+with no fold, ``V = P^T (I - N)`` needs no arithmetic and ``U = (I - N)^-1
+P`` is one backward sweep over the column pairs (``_unwind``); from the
+first pair that folds or sweeps twice, ``U`` and ``V^T`` are assembled and
+the loop's recorded steps are replayed on them (``_replay``).  Each of its
+arrays takes the tier of an upper bound on its bit lengths (``_Tiers``):
+the bound is raised by what an update can add, the live entries are
+measured again only when it would pass the tier, and the array moves to
+the tier they need, so the same numpy code carries on exactly.
 
 The balanced algebra keeps its elements here as arrays (see ``algebra``):
 ``germ_images`` makes the germ images of the keys a read gives, and a
@@ -81,6 +84,16 @@ def as_array(rows) -> np.ndarray:
         raise ValueError(f"entries must be exact integers: {exc}") from exc
 
 
+def word_rows(rows, width: int) -> np.ndarray:
+    """Rows of ``width`` Python ints that fit int64, as one int64 array read in a single pass.
+
+    For rows the package builds itself, such as ``lattice.tree_basis``'s and
+    the germ pairs, whose entries are known to fit: numpy reads the chained
+    entries straight into int64.  ``as_array`` validates caller rows instead.
+    """
+    return np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * width).reshape(len(rows), width)
+
+
 def max_bits(a: np.ndarray) -> int:
     """Bit length of the largest ``|entry|`` of an int64 or object array (no ``abs`` copy)."""
     return max(int(a.max()), -int(a.min())).bit_length() if a.size else 0
@@ -122,24 +135,33 @@ def skew_normal_form(matrix):
 
     ``matrix`` may be lists or an array; it is read by ``as_array`` and not
     changed.  Returns ``(U, blocks, V)`` with ``U`` and ``V`` as arrays
-    (int64, or object once they widen), views of one ``n x 3n`` row array
-    ``[M | U | V^T]``.  Every operation on ``V`` is one on the rows of
-    ``V^T``, so the swaps that bring a step's pivot to ``(t, t+1)`` are one
-    row permutation of the whole array and one column permutation of ``M``.
-    The clearing sweep of pair ``(t, t+1)`` is one congruence by ``I + Q``,
-    where ``Q`` is zero outside columns ``t, t+1`` of rows ``t+2`` onward and
-    holds the quotients of rows ``t, t+1``.  Its elementary factors commute
-    (``Q @ Q = 0``), so the rank-2 products ``Q [M | U][t:t+2]`` (the rows of
-    ``M`` and ``U`` at once), ``M[:, t:t+2] Q^T`` and ``Q^T V^T[t+2:]`` give
-    what the list code gets one entry at a time.
+    (int64, or object once they widen), views of one ``n x 2n`` row array
+    ``[U | V^T]``.
 
-    Before each update a bound on the bit lengths of ``M``, ``U`` and ``V``
-    is raised by what the update can add, and it bounds every partial sum of
-    the update's products too.  While it stays within ``FLOAT_BITS`` the
-    products run on float64 BLAS, past it on int64.  Only when it would pass
-    the tier it was last measured in are the rows from ``t`` on (the rows
-    above are final) measured again; past ``WORD_BITS`` the array widens to
-    Python ints for good.
+    The loop reduces ``M`` alone.  A step's swaps, which bring its pivot to
+    ``(t, t+1)``, are one row permutation of the row array ``[M | N | perm]``
+    and one column permutation of ``M``.  Its clearing sweep is one
+    congruence by ``I + Q``, where ``Q`` is zero outside columns ``t, t+1``
+    of rows ``t+2`` onward and holds the quotients of rows ``t, t+1``; its
+    elementary factors commute (``Q @ Q = 0``), so two rank-2 products,
+    ``Q M[t:t+2]`` and ``M[:, t:t+2] Q^T``, give what the list code gets one
+    entry at a time.  As LAPACK's ``getrf`` keeps ``L`` beside ``U``, the
+    multipliers ``N`` keep each pair's ``Q`` in its columns ``t, t+1``, and
+    later swaps permute their rows with ``M``'s; ``perm`` is the cumulative
+    row permutation ``P``.
+
+    A pair that clears in one sweep with no fold leaves rows ``t, t+1`` to
+    later swaps untouched, so each ``Q`` commutes past the later
+    permutations, and ``(I - Q_i)(I - Q_j) = I - Q_i - Q_j`` for ``i < j``.
+    Hence ``U = (I - N)^-1 P`` and ``V = P^T (I - N)``: ``V`` costs no
+    arithmetic, and ``_unwind`` builds ``U`` by one backward sweep over the
+    column pairs.  From the first pair that folds or needs a second sweep
+    on, ``U`` and ``V^T`` are assembled from the pairs before it, and the
+    loop records its steps instead, for ``_replay`` to apply to them.
+
+    ``M``'s row array is float64, int64 or object, as a bound on the bit
+    length of ``M`` allows (``_Tiers``); it is raised by what each update
+    can add, and it bounds every partial sum of the update's products too.
 
     Every entry of the trailing block is a multiple of ``lo``: 1 at first,
     then the last block, since the block found no fold and congruences keep
@@ -154,41 +176,23 @@ def skew_normal_form(matrix):
     bad = np.argwhere(m != -m.T)
     if bad.size:
         raise ValueError(f"matrix is not antisymmetric at ({bad[0][0]}, {bad[0][1]})")
-    a = np.zeros((n, 3 * n), dtype=m.dtype)
+    bits = max_bits(m)
+    a = np.zeros((n, 2 * n + 1), dtype=_tier(bits))
     a[:, :n] = m
-    a[:, n:2 * n][np.diag_indices(n)] = a[:, 2 * n:][np.diag_indices(n)] = 1
-    m, vt = a[:, :n], a[:, 2 * n:]
-    bounds = None if a.dtype == object else (max_bits(m), 1, 1)
-    limit = FLOAT_BITS
-
-    def guard(grow):
-        # grow maps the (M, U, V) bit bounds before an update to those after
-        # it; returns the update to run, on float64, int64 or Python ints
-        nonlocal a, m, vt, bounds, limit
-        if bounds is None:
-            return _exact_update
-        need = grow(*bounds)
-        if max(need) > limit:
-            measured = max_bits(a[t:])  # rows above t are final
-            need = grow(measured, measured, measured)
-            limit = FLOAT_BITS if max(need) <= FLOAT_BITS else WORD_BITS
-        if max(need) > WORD_BITS:
-            a = a.astype(object)
-            m, vt = a[:, :n], a[:, 2 * n:]
-            bounds = None
-            return _exact_update
-        bounds = need
-        return _float_update if max(need) <= FLOAT_BITS else _exact_update
+    a[:, 2 * n] = np.arange(n)
+    tiers = _Tiers(a, bits)
+    m, nq = a[:, :n], a[:, n:2 * n]
+    qbits = []  # the quotient bits of each pair kept in N
+    record = uvt = None  # the steps from the first pair that folds or sweeps twice on
 
     blocks = []
     lo = 1
     t = 0
     while t + 1 < n:
         # the pivot is the first least |entry| of the block in row-major order
-        hit = np.flatnonzero(abs(m[t, t:]) == lo)
-        if hit.size:
-            k = hit[0]
-        else:
+        row = abs(m[t, t:])
+        k = (row == lo).argmax()
+        if row[k] != lo:
             s = abs(m[t:, t:])
             k = (s == lo).argmax()
             if s.flat[k] != lo:
@@ -202,53 +206,179 @@ def skew_normal_form(matrix):
         # columns they displace move to where the pivot's were.
         dst = [t, t + 1] + [x for x in (i, j) if x > t + 1]
         src = ([i, j] if m[i, j] > 0 else [j, i]) + [x for x in (t, t + 1) if x not in (i, j)]
+        swap = None
         if dst != src:
+            swap = dst, src
             a[dst] = a[src]
             m[:, dst] = m[:, src]
         p = int(m[t, t + 1])
 
         qt = (m[t:t + 2, t + 2:] // p)[::-1]  # Q[t+2:, t:t+2]^T, once its row 1 is negated
         np.negative(qt[1], out=qt[1])
-        qb = max_bits(qt)
+        qb = int(np.maximum.reduce(abs(qt), axis=None, initial=0)).bit_length()
         if qb:
-            q1b = int(abs(qt).sum(axis=1).max()).bit_length()  # V Q grows by a column sum of |Q|
-            update = guard(lambda mb, ub, vb: (mb + 2 * qb + 4, ub + qb + 2, vb + q1b + 1))
-            qt = qt.astype(a.dtype, copy=False)
-            update(a[t + 2:, t:2 * n], qt.T, a[t:t + 2, t:2 * n])
-            update(m[t:, t + 2:], m[t:, t:t + 2], qt)
-            update(vt[t:t + 2], -qt, vt[t + 2:])
-        if m[t:t + 2, t + 2:].any():
+            if tiers.grow(lambda mb: (mb + 2 * qb + 4,), m[t:, t:]):
+                a = tiers.a
+                m, nq = a[:, :n], a[:, n:2 * n]
+                qt = _cast(qt, a.dtype)
+            m[t + 2:, t:] += qt.T @ m[t:t + 2, t:]
+            m[t:, t + 2:] += m[t:, t:t + 2] @ qt
+        dirty = np.count_nonzero(m[t:t + 2, t + 2:])
+        fold = None
+        if not dirty and p > lo:  # every entry is a multiple of lo, so only larger pivots can fold
+            folds = np.flatnonzero((m[t + 2:, t + 2:] % p != 0).any(axis=1))
+            if folds.size:
+                fold = t + 2 + int(folds[0])
+        if record is None and (dirty or fold is not None):
+            uvt = _unwind(nq, a[:, 2 * n], qbits)  # already holds this step's swap
+            record, swap = [], None
+        if record is not None:
+            record.append((t, swap, qt if qb else None, fold))
+        elif qb:
+            nq[t + 2:, t:t + 2] = qt.T
+        if fold is not None:
+            if tiers.grow(lambda mb: (mb + 2,), m[t:, t:]):
+                a = tiers.a
+                m, nq = a[:, :n], a[:, n:2 * n]
+            m[t] += m[fold]
+            m[:, t] += m[:, fold]
             continue
-
-        # every entry is a multiple of lo, so only larger pivots can fold
-        folds = np.flatnonzero((m[t + 2:, t + 2:] % p != 0).any(axis=1)) if p > lo else ()
-        if len(folds):
-            f = t + 2 + folds[0]
-            guard(lambda mb, ub, vb: (mb + 2, ub + 1, vb + 1))
-            a[t, :2 * n] += a[f, :2 * n]
-            m[:, t] += m[:, f]
-            vt[f] -= vt[t]
+        if dirty:
             continue
+        if record is None:
+            qbits.append(qb)
         blocks.append(p)
         lo = p
         t += 2
-    return a[:, n:2 * n], tuple(blocks), vt.T
+    uvt = _unwind(nq, a[:, 2 * n], qbits) if record is None else _replay(uvt, record)
+    return uvt[:, :n], tuple(blocks), uvt[:, n:].T
 
 
-def _float_update(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """``target += a @ b`` in place, the product on float64 BLAS.
+def _tier(bits: int):
+    """The dtype whose products are exact when every partial sum is below ``2**bits``."""
+    return np.float64 if bits <= FLOAT_BITS else np.int64 if bits <= WORD_BITS else object
 
-    Exact when the caller's bound on ``target``, the product, its partial
-    sums and the result is within ``FLOAT_BITS``: the int64 target is read
-    into float64 and the sum written back in buffered chunks, so the only
-    temporary is the product.
+
+def _cast(a: np.ndarray, dtype) -> np.ndarray:
+    """``a`` on ``dtype``, its integer values unchanged (float64 reaches Python ints through int64)."""
+    if dtype == object:
+        a = _exact(a)
+    return a.astype(dtype, copy=False)
+
+
+def _exact(a: np.ndarray) -> np.ndarray:
+    """``a`` on int64 if it is float64, else ``a`` itself."""
+    return a.astype(np.int64) if a.dtype == np.float64 else a
+
+
+class _Tiers:
+    """Upper bounds on the bit lengths of the parts of a row array ``a``, and its tier.
+
+    ``a``'s dtype is the tier every update of it runs on: float64 BLAS
+    within ``FLOAT_BITS`` (every partial sum is an integer the significand
+    holds exactly), int64 within ``WORD_BITS`` (numpy's int64 ``@`` is a
+    plain exact loop) and Python ints past that, for good.  ``grow(raise_,
+    live)`` raises the bounds by ``raise_``, which maps the bounds before an
+    update to those after it.  Only when they would pass the tier's limit is
+    ``live``, the part of ``a`` that updates still read, measured again, and
+    ``a`` moves to the tier the result needs: up, or back down to float64
+    if all of ``a`` fits it, final rows outside ``live`` included.  Returns
+    whether ``a`` is a new array, whose views the caller takes again.
     """
-    np.add(target, a.astype(np.float64) @ b.astype(np.float64), out=target, casting="unsafe")
+
+    __slots__ = ("a", "bounds")
+
+    def __init__(self, a, *bounds):
+        self.a, self.bounds = a, bounds
+
+    def grow(self, raise_, live) -> bool:
+        if self.a.dtype == object:
+            return False
+        need = raise_(*self.bounds)
+        if max(need) <= (FLOAT_BITS if self.a.dtype == np.float64 else WORD_BITS):
+            self.bounds = need
+            return False
+        self.bounds = need = raise_(*[max_bits(live)] * len(need))
+        tier = _tier(max(need))
+        if tier == self.a.dtype or tier == np.float64 and max_bits(self.a) > FLOAT_BITS:
+            return False
+        self.a = _cast(self.a, tier)
+        return True
 
 
-def _exact_update(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """``target += a @ b`` in place on int64 (exact within ``WORD_BITS``) or Python ints."""
-    target += a @ b
+def _unwind(nq, perm, qbits):
+    """The row array ``[U | V^T]`` of the first ``len(qbits)`` pairs, from ``N`` and ``P``.
+
+    ``U = X P`` with ``X = (I - N)^-1``, and ``V^T = (I - N)^T P``.  ``X``
+    is unit lower triangular by column pairs, so it is the identity right
+    multiplied by each pair's ``I + Q`` from the last pair back:
+    ``X[s+2:, s:s+2] = X[s+2:, s+2:] N[s+2:, s:s+2]``, where columns ``s, s+1``
+    below the diagonal block were zero.  The columns it reads are final
+    columns of ``U``, so the product is bounded by their bits, the pair's
+    quotient bits ``qbits`` and the bits of its length, as in ``matmul``.
+    ``X`` is float64 while that bound is within ``FLOAT_BITS``, int64
+    within ``WORD_BITS`` and Python ints past that.  The bound is raised
+    pair by pair, and only when it would pass the tier are the columns
+    written since the last measurement measured.
+    """
+    n = len(nq)
+    perm = perm.astype(np.intp)
+    x = np.eye(n)
+    bound = measured = 1  # bits of X[s+2:, s+2:], and of its columns from `fresh` on
+    fresh = 2 * len(qbits)
+    for s in range(fresh - 2, -1, -2):
+        qb = qbits[s // 2]
+        if not qb:
+            continue
+        grow = qb + (n - s - 2).bit_length()
+        if x.dtype != object and bound + grow > (FLOAT_BITS if x.dtype == np.float64 else WORD_BITS):
+            measured = bound = max(measured, max_bits(x[s + 2:, s + 2:fresh]))
+            fresh = s + 2
+            x = _cast(x, _tier(bound + grow))
+        x[s + 2:, s:s + 2] = x[s + 2:, s + 2:] @ _cast(nq[s + 2:, s:s + 2], x.dtype)
+        bound += grow
+    x, nq = _exact(x), _exact(nq)
+    uvt = np.empty((n, 2 * n), dtype=object if object in (x.dtype, nq.dtype) else np.int64)
+    uvt[:, perm] = x
+    uvt[:, n + perm] = -nq.T
+    uvt[np.arange(n), n + perm] = 1
+    return uvt
+
+
+def _replay(uvt, record):
+    """Apply the loop's recorded steps to the row array ``[U | V^T]``; return it on int64 or object.
+
+    Each step is ``(t, swap, qt, fold)``: the swap's row permutation, the
+    sweep ``U[t+2:] += Q U[t:t+2]``, ``V^T[t:t+2] -= Q^T V^T[t+2:]`` (``qt``
+    is ``Q[t+2:, t:t+2]^T``), and the fold ``U[t] += U[fold]``,
+    ``V^T[fold] -= V^T[t]``, as the loop applied them to ``M``.  ``_Tiers``
+    keeps one bound for ``U`` and one for ``V``; rows above ``t`` are final.
+    """
+    n = len(uvt)
+    bounds = max_bits(uvt[:, :n]), max_bits(uvt[:, n:])
+    tiers = _Tiers(_cast(uvt, _tier(max(bounds))), *bounds)
+    uvt = tiers.a
+    u, vt = uvt[:, :n], uvt[:, n:]
+    for t, swap, qt, fold in record:
+        if swap:
+            dst, src = swap
+            uvt[dst] = uvt[src]
+        if qt is not None:
+            qb = max_bits(qt)
+            q1b = int(abs(qt).sum(axis=1).max()).bit_length()  # V Q grows by a column sum of |Q|
+            if tiers.grow(lambda ub, vb: (ub + qb + 2, vb + q1b + 1), uvt[t:]):
+                uvt = tiers.a
+                u, vt = uvt[:, :n], uvt[:, n:]
+            qt = _cast(qt, uvt.dtype)
+            u[t + 2:] += qt.T @ u[t:t + 2]
+            vt[t:t + 2] -= qt @ vt[t + 2:]
+        if fold is not None:
+            if tiers.grow(lambda ub, vb: (ub + 1, vb + 1), uvt[t:]):
+                uvt = tiers.a
+                u, vt = uvt[:, :n], uvt[:, n:]
+            u[t] += u[fold]
+            vt[fold] -= vt[t]
+    return _exact(uvt)
 
 
 def certifies(u, v, m, blocks) -> bool:
@@ -272,8 +402,8 @@ def certifies(u, v, m, blocks) -> bool:
 # --- the intersection form -------------------------------------------------
 
 def germ_pair_array(germ_pairs) -> np.ndarray:
-    """``TrainTrack.germ_pairs`` as the (P, 2) int64 array ``germ_images`` takes."""
-    return np.fromiter(chain.from_iterable(germ_pairs), np.int64, 2 * len(germ_pairs)).reshape(-1, 2)
+    """``TrainTrack.germ_pairs`` as the (P, 2) int64 array ``germ_images`` and ``theta_matrix`` read."""
+    return word_rows(germ_pairs, 2)
 
 
 def germ_images(pairs: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -299,23 +429,38 @@ def doubled_pairings(a: np.ndarray, images: np.ndarray) -> np.ndarray:
     pairings are one guarded product.  Raises ``IntegralityViolation`` if
     one is odd.
     """
-    doubled = matmul(a, images.T)
-    odd = doubled % 2
+    return _even(matmul(a, images.T))
+
+
+def _even(doubled: np.ndarray) -> np.ndarray:
+    """``doubled``, a matrix of doubled pairings; ``IntegralityViolation`` if one is odd."""
+    odd = doubled & 1
     if odd.any():
         raise IntegralityViolation(f"doubled pairing {doubled[tuple(np.argwhere(odd)[0])]} is odd")
     return doubled
 
 
 def theta_matrix(germ_pairs, rows, cols=None):
-    """``lattice.theta_matrix`` as one exact array product ``R (T C^T) / 2``.
+    """``lattice.theta_matrix`` as exact array products.
 
-    One scatter makes the germ images of ``cols`` (``rows`` if omitted), and
-    one ``doubled_pairings`` pairs ``rows`` with them.  An array if either
-    side is one, lists of Python ints otherwise.
+    A germ pair ``(l, r)`` adds ``x_r y_l - x_l y_r`` to the doubled pairing
+    of ``x`` and ``y``.  With ``cols`` omitted that makes the square matrix
+    ``X - X^T`` for the one product ``X = R[:, r] R[:, l]^T`` over the pairs'
+    branch columns ``l`` and ``r``, with no germ images; ``X`` is a
+    ``matmul`` (float64 BLAS within its bound), and the difference needs one
+    bit more, which int64 holds.  Given ``cols``, typically a few rows such
+    as the etas, one scatter makes their germ images and one
+    ``doubled_pairings`` pairs ``rows`` with them.  An array if either side
+    is one, lists of Python ints otherwise.
     """
+    pairs = germ_pair_array(germ_pairs)
     a = as_array(rows)
-    b = a if cols is None else as_array(cols)
-    theta = doubled_pairings(a, germ_images(germ_pair_array(germ_pairs), b)) // 2
+    if cols is None:
+        x = matmul(a[:, pairs[:, 1]], a[:, pairs[:, 0]].T)
+        doubled = _even(x - x.T)
+    else:
+        doubled = doubled_pairings(a, germ_images(pairs, as_array(cols)))
+    theta = doubled >> 1
     return theta if isinstance(rows, np.ndarray) or isinstance(cols, np.ndarray) else theta.tolist()
 
 

@@ -234,11 +234,12 @@ def theta_matrix(track: TrainTrack, rows, cols=None):
 
     ``T`` is the germ-pair form ``track.germ_pairs``.  With ``cols`` omitted
     it is the antisymmetric matrix over ``rows``.  If either side is an array
-    or has ``INT64_MIN_ROWS`` rows or more it is one exact product in
-    ``intcore`` (float64 BLAS while its bit bound is within 53), an array if
-    either side is one.  Otherwise the image ``T c`` of each column vector is
-    formed once and dotted with the support of each row, over Python ints;
-    an antisymmetric matrix computes each unordered pair once.
+    or has ``INT64_MIN_ROWS`` rows or more it is exact array products in
+    ``intcore`` over the germ pairs' branch columns (float64 BLAS while
+    their bit bound is within 53), an array if either side is one.
+    Otherwise the image ``T c`` of each column vector is formed once and
+    dotted with the support of each row, over Python ints; an antisymmetric
+    matrix computes each unordered pair once.
     """
     if (_is_array(rows) or _is_array(cols) or _int64(len(rows))
             or cols is not None and _int64(len(cols))):
@@ -498,7 +499,7 @@ def certified_form(track: TrainTrack):
     basis = tree_basis(track)
     if _int64(track.switch_count):
         from . import intcore
-        basis = intcore.as_array(basis)
+        basis = intcore.word_rows(basis, track.branch_count)
     m = theta_matrix(track, basis)
     nf = skew_normal_form(m)
     if not certify_normal_form(nf, m):

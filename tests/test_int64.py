@@ -24,7 +24,7 @@ from trackforms import (
 from trackforms.lattice import NormalForm, _combine, certify_normal_form
 from trackforms.triangulation import TriangulationError, flip, random_triangulation
 
-from conftest import GRID, random_ribbon_track
+from conftest import GRID, normal_form_events, random_ribbon_track
 from oracles import block_matrix, switch_matrix
 
 INT64, LISTS = 0, 10 ** 9
@@ -70,9 +70,13 @@ def test_grid_cells(g, s, grid_tracks, monkeypatch):
 def test_large_triangulations(g, s, flips, certify_lists, monkeypatch):
     # The Python-int certificate of the two largest costs seconds; their
     # int64 certificate is checked, and the Python one on the other three.
+    # On the Hermite basis the flipped forms fold, so U and V are replayed
+    # from the fold on; the fans' pairs all clear in one sweep.
+    events = normal_form_events(monkeypatch)
     tri = random_triangulation(g, s, flips, seed=f"int64/{g}/{s}") if flips else \
         standard_triangulation(g, s)
     nf = assert_paths_agree(from_triangulation(tri), monkeypatch, certify_lists)
+    assert [e[2] for e in events if e[0] == "replay"] == (["fold"] if flips else [])
     if flips == 3000:  # coefficient growth that the fans hide
         assert max(abs(x).bit_length() for row in nf.U for x in row) > 30
 
@@ -91,7 +95,9 @@ def test_dense_random_matrices_widen_to_python_ints(seed, monkeypatch):
     m = random_skew(random.Random(seed), 60)
     assert intcore.as_array(m).dtype == "int64"  # the elimination starts on int64
     monkeypatch.setattr(lattice, "INT64_MIN_ROWS", INT64)
+    events = normal_form_events(monkeypatch)
     nf = skew_normal_form(m)
+    assert events[1][::2] == ("replay", "sweep")
     assert max(abs(x).bit_length() for row in nf.U for x in row) > 1000
     if seed == 0:  # a second certificate of thousands of bits adds a second, not coverage
         assert certify_normal_form(nf, m)
@@ -100,35 +106,41 @@ def test_dense_random_matrices_widen_to_python_ints(seed, monkeypatch):
 
 
 def product_tiers(monkeypatch):
-    """Record the tier of every rank-2 update of the normal form: float, int64 or object."""
-    tiers = []
-    floats, exact = intcore._float_update, intcore._exact_update
+    """Record the tier of every update of the normal form's row arrays, after its bound is raised.
 
-    def on_floats(target, a, b):
-        tiers.append("float")
-        floats(target, a, b)
+    Each entry is ``(part, tier)``: part 0 is the loop's ``M`` and part 1
+    the replayed ``[U | V^T]``, and the tier is the array's dtype: float64,
+    int64 or object.
+    """
+    tiers, parts = [], {}
+    grow = intcore._Tiers.grow
 
-    def on_words(target, a, b):
-        tiers.append(str(target.dtype))
-        exact(target, a, b)
+    def recorded(self, raise_, live):
+        moved = grow(self, raise_, live)
+        tiers.append((parts.setdefault(id(self), len(parts)), str(self.a.dtype)))
+        return moved
 
-    monkeypatch.setattr(intcore, "_float_update", on_floats)
-    monkeypatch.setattr(intcore, "_exact_update", on_words)
-    return tiers
+    monkeypatch.setattr(intcore._Tiers, "grow", recorded)
+    return tiers, parts
 
 
 def test_normal_form_crosses_62_bits_mid_elimination(monkeypatch):
-    # Small entries start on int64 and the updates on float64.  Past
-    # FLOAT_BITS they run on int64, back on float64 once a measurement finds
-    # the entries small, and past WORD_BITS on Python ints for good: U ends
-    # past 62 bits, which int64 cannot hold.  Every tier takes the list
-    # path's steps.
-    tiers = product_tiers(monkeypatch)
-    for seed, n, bound, runs in [(0, 16, 9, ["float", "int64", "float", "object"]),
-                                 (1, 24, 2, ["float", "int64", "float", "int64", "object"])]:
+    # Small entries start on float64.  Past FLOAT_BITS the updates run on
+    # int64, back on float64 once a measurement finds the entries small, and
+    # past WORD_BITS on Python ints for good.  The loop reduces M through
+    # these tiers; the forms need second sweeps, so U and V^T are replayed
+    # through them too, and U ends past 62 bits, which int64 cannot hold.
+    # Every tier takes the list path's steps.
+    tiers, parts = product_tiers(monkeypatch)
+    floats, words, objects = "float64", "int64", "object"
+    for seed, n, bound, runs in [
+            (0, 16, 9, [(0, floats), (0, words), (0, objects), (1, floats), (1, words), (1, objects)]),
+            (1, 24, 2, [(0, floats), (0, words), (0, floats), (0, objects),
+                        (1, floats), (1, words), (1, objects)])]:
         m = random_skew(random.Random(seed), n, bound)
         assert intcore.as_array(m).dtype == "int64"
         tiers.clear()
+        parts.clear()
         results = []
         for cutoff in (INT64, LISTS):
             monkeypatch.setattr(lattice, "INT64_MIN_ROWS", cutoff)
@@ -145,7 +157,9 @@ def test_normal_form_on_a_divisible_form(monkeypatch):
     # of magnitude 6 need no fold check, and a larger one still gets it.
     m = [[6 * x for x in row] for row in random_skew(random.Random(2), 24, 1)]
     monkeypatch.setattr(lattice, "INT64_MIN_ROWS", INT64)
+    events = normal_form_events(monkeypatch)
     nf = skew_normal_form(m)
+    assert events[1][::2] == ("replay", "sweep")
     assert nf.blocks == (6,) * 11 + (289020,)
     assert certify_normal_form(nf, m)
     monkeypatch.setattr(lattice, "INT64_MIN_ROWS", LISTS)
