@@ -8,7 +8,7 @@ basis into an array.  ``cli`` is ``python -m trackforms verify-structure`` in
 a fresh process, start-up included.
 
 Every stage gets one warm-up call, which also sets how many calls make one
-sample (enough for ``--sample`` seconds).  Then ``--rounds`` rounds each
+sample (enough for ``SAMPLE_S`` seconds).  Then ``ROUNDS`` rounds each
 take one sample of every stage of every rung, so the samples of a stage are
 spread over the whole run, and a slow spell of a shared host lands on a few
 samples of every stage rather than on all samples of one.  Each stage
@@ -49,6 +49,8 @@ from trackforms.triangulation import random_triangulation  # noqa: E402
 FANS = [(8, 4), (16, 4), (32, 4), (64, 4), (128, 4), (256, 4)]
 FLIPPED = [(24, 4, 3000), (32, 4, 5000)]
 FLIP_SEED = 1
+ROUNDS = 7
+SAMPLE_S = 0.05
 
 
 def ladder():
@@ -125,11 +127,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     parser.add_argument("--out-dir", type=Path, default=ROOT)
-    parser.add_argument("--rounds", type=int, default=7, help="samples per stage")
-    parser.add_argument("--sample", type=float, default=0.05, help="least seconds of calls per sample")
     args = parser.parse_args()
-    if args.rounds < 2:
-        parser.error("--rounds must be at least 2")
     status = git("status", "--porcelain", "--untracked-files=no")
     report = {
         "label": args.label,
@@ -140,8 +138,8 @@ def main() -> int:
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         "method": (f"in-process stage calls (cli: a fresh process each); one warm-up call per stage, "
-                   f"then {args.rounds} rounds of one sample of every stage, a sample being the mean "
-                   f"of enough calls for {args.sample} s; seconds per call"),
+                   f"then {ROUNDS} rounds of one sample of every stage, a sample being the mean "
+                   f"of enough calls for {SAMPLE_S} s; seconds per call"),
         "rungs": [],
     }
     with tempfile.TemporaryDirectory() as tmp:
@@ -149,14 +147,14 @@ def main() -> int:
         for name, tri in ladder():
             record, stages = rung(name, tri, Path(tmp))
             # the warm-up call sets the calls per sample
-            numbers = {stage: max(1, math.ceil(args.sample / sample(fn, 1))) for stage, fn in stages.items()}
+            numbers = {stage: max(1, math.ceil(SAMPLE_S / sample(fn, 1))) for stage, fn in stages.items()}
             rungs.append((record, stages, numbers, {stage: [] for stage in stages}))
             print(f"set up {name}", flush=True)
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             for record, stages, numbers, samples in rungs:
                 for stage, fn in stages.items():
                     samples[stage].append(sample(fn, numbers[stage]))
-            print(f"round {r + 1} of {args.rounds}", flush=True)
+            print(f"round {r + 1} of {ROUNDS}", flush=True)
     for record, stages, numbers, samples in rungs:
         for stage in stages:
             record["stages"][stage] = summary(samples[stage], numbers[stage])

@@ -51,7 +51,7 @@ Products
 --------
 ``theta(a, b) = a^T T b / 2`` for the track's germ-pair form ``T``.  An
 algebra turns the track's germ pairs into an array once, at its first
-element (``intcore.germ_pair_array``), and a read scatters the germ images
+element (``intcore.word_rows``), and a read scatters the germ images
 of its keys over it (``intcore.germ_images``).  ``T`` is linear, so a
 product never scatters: the image of ``a_i + b_j`` is ``images_a[i] +
 images_b[j]``.  The product of a p-term by a q-term element is a short
@@ -346,7 +346,7 @@ class BalancedAlgebra:
             raise TypeError("BalancedAlgebra needs the track of a triangulation")
         self.track = track
         self.params = params
-        self._germ_pairs = None  # intcore.germ_pair_array of the track
+        self._germ_pairs = None  # the track's germ pairs as a (P, 2) int64 array
         self._switches = None  # the transposed switch matrix of the track
 
     # -- plumbing ---------------------------------------------------------
@@ -387,7 +387,7 @@ class BalancedAlgebra:
         used, term, exponent, coeff = intcore.merge_slots(key, exponent, coeff, len(distinct), order)
         keys = intcore.as_array(distinct)[used]
         if self._germ_pairs is None:
-            self._germ_pairs = intcore.germ_pair_array(self.track.germ_pairs)
+            self._germ_pairs = intcore.word_rows(self.track.germ_pairs, 2)
         return keys, intcore.germ_images(self._germ_pairs, keys), term, exponent, coeff
 
     def _zero_arrays(self) -> tuple:

@@ -47,7 +47,7 @@ to Python ints by the same bit bounds.
 
 This module imports numpy, so ``lattice`` imports it only when a matrix is
 large enough to need it, and ``algebra`` at its first element, which also
-builds the algebra's ``germ_pair_array`` once.
+reads the track's germ pairs into an array once.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def word_rows(rows, width: int) -> np.ndarray:
 
 
 def max_bits(a: np.ndarray) -> int:
-    """Bit length of the largest ``|entry|`` of an int64 or object array (no ``abs`` copy)."""
+    """Bit length of the largest ``|entry|`` of a float64, int64 or object array (no ``abs`` copy)."""
     return max(int(a.max()), -int(a.min())).bit_length() if a.size else 0
 
 
@@ -215,7 +215,7 @@ def skew_normal_form(matrix):
 
         qt = (m[t:t + 2, t + 2:] // p)[::-1]  # Q[t+2:, t:t+2]^T, once its row 1 is negated
         np.negative(qt[1], out=qt[1])
-        qb = int(np.maximum.reduce(abs(qt), axis=None, initial=0)).bit_length()
+        qb = max_bits(qt)
         if qb:
             if tiers.grow(lambda mb: (mb + 2 * qb + 4,), m[t:, t:]):
                 a = tiers.a
@@ -401,15 +401,10 @@ def certifies(u, v, m, blocks) -> bool:
 
 # --- the intersection form -------------------------------------------------
 
-def germ_pair_array(germ_pairs) -> np.ndarray:
-    """``TrainTrack.germ_pairs`` as the (P, 2) int64 array ``germ_images`` and ``theta_matrix`` read."""
-    return word_rows(germ_pairs, 2)
-
-
 def germ_images(pairs: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The germ images ``T b_j`` of the rows of ``b``, as one ``np.add.at`` scatter.
 
-    ``pairs`` is ``germ_pair_array`` of the track.  A row of images is a sum
+    ``pairs`` is the track's germ pairs as a (P, 2) int64 array.  A row of images is a sum
     of at most ``2 len(pairs)`` entries of ``b``, so past that bound the
     images are made on Python ints.
     """
@@ -453,7 +448,7 @@ def theta_matrix(germ_pairs, rows, cols=None):
     ``doubled_pairings`` pairs ``rows`` with them.  An array if either side
     is one, lists of Python ints otherwise.
     """
-    pairs = germ_pair_array(germ_pairs)
+    pairs = word_rows(germ_pairs, 2)
     a = as_array(rows)
     if cols is None:
         x = matmul(a[:, pairs[:, 1]], a[:, pairs[:, 0]].T)
