@@ -17,9 +17,10 @@ records the median and quartiles of its samples, in seconds per call.
 The ladder: the standard (fan) triangulations (8,4) through (256,4), the
 flipped (24,4)x3000 and (32,4)x5000 of seed 1, and (0,60).  The file also
 records the git revision of the checkout (null outside a git repository),
-the Python and numpy versions, the CPU count and a digest of the package
-source.  It times the ``src/`` beside this script, so a copy of the script
-in another checkout times that checkout.
+the Python and numpy versions, the BLAS library numpy loaded and its thread
+count (``perfbench/worker.py``'s ``blas_info`` probe), the CPU count and a
+digest of the package source.  It times the ``src/`` beside this script,
+so a copy of the script in another checkout times that checkout.
 
     python scripts/bench.py --label 02-normal-form-record
 """
@@ -39,12 +40,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
-
-import numpy as np  # noqa: E402
+sys.path.append(str(ROOT / "perfbench"))  # for worker.blas_info
 
 from trackforms import from_triangulation, intcore, lattice, standard_triangulation  # noqa: E402
 from trackforms.traintrack import puncture_weights, regions  # noqa: E402
 from trackforms.triangulation import random_triangulation  # noqa: E402
+from worker import blas_info  # noqa: E402
 
 FANS = [(8, 4), (16, 4), (32, 4), (64, 4), (128, 4), (256, 4)]
 FLIPPED = [(24, 4, 3000), (32, 4, 5000)]
@@ -135,7 +136,7 @@ def main() -> int:
         "git_tracked_changes": None if status is None else bool(status),
         "src_sha256": src_sha256(),
         "python": platform.python_version(),
-        "numpy": np.__version__,
+        **blas_info(),
         "cpu_count": os.cpu_count(),
         "method": (f"in-process stage calls (cli: a fresh process each); one warm-up call per stage, "
                    f"then {ROUNDS} rounds of one sample of every stage, a sample being the mean "

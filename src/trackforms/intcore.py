@@ -26,17 +26,25 @@ normal form runs on int64 up to ``WORD_BITS``, where numpy's int64 ``@``
 numpy's int64 arithmetic wraps silently on overflow, so no int64 value
 computed here, intermediates included, reaches ``2**WORD_BITS``.
 
-The normal form reduces ``M`` alone and keeps, beside it, the multipliers
-``N`` of each pair and the cumulative row permutation ``P``, as LAPACK's
-``getrf`` keeps ``L`` beside ``U``.  While every pair clears in one sweep
-with no fold, ``V = P^T (I - N)`` needs no arithmetic and ``U = (I - N)^-1
-P`` is one backward sweep over the column pairs (``_unwind``); from the
-first pair that folds or sweeps twice, ``U`` and ``V^T`` are assembled and
-the loop's recorded steps are replayed on them (``_replay``).  Each of its
-arrays takes the tier of an upper bound on its bit lengths (``_Tiers``):
-the bound is raised by what an update can add, the live entries are
-measured again only when it would pass the tier, and the array moves to
-the tier they need, so the same numpy code carries on exactly.
+The normal form reduces ``M`` alone, and holds only its trailing block:
+a contiguous ``k x k`` array in one of two flat buffers, ``k`` shrinking by
+2 with each pair.  A pair whose pivot ``p`` divides its two rows (the
+common case: always when ``p`` equals the last block) clears in one sweep,
+and the block it leaves is ``M + a b^T - b a^T``, ``a`` the pair's second
+row and ``b`` its first over ``p``: one product of inner size 2, written
+into the other buffer.  Beside the block it keeps the multipliers ``N`` of
+each pair and the cumulative row permutation ``P`` in one row array ``[N |
+perm]``, as LAPACK's ``getrf`` keeps ``L`` beside ``U``.  While every pair
+clears in one sweep with no fold, ``V = P^T (I - N)`` needs no arithmetic
+and ``U = (I - N)^-1 P`` is one backward sweep over the column pairs
+(``_unwind``); from the first pair that folds or sweeps twice, ``U`` and
+``V^T`` are assembled and the loop's recorded steps are replayed on them
+(``_replay``).  The block and the replayed ``[U | V^T]`` each take the tier
+of an upper bound on their largest ``|entry|`` (``_Tiers``): the bound is
+raised by what an update can add (on the block, ``2 max|a| max|b|`` for a
+clean pair), the live entries are measured again only when it would pass
+the tier, and the array moves to the tier they need, so the same numpy code
+carries on exactly.
 
 The balanced algebra keeps its elements here as arrays (see ``algebra``):
 ``germ_images`` makes the germ images of the keys a read gives, and a
@@ -94,9 +102,14 @@ def word_rows(rows, width: int) -> np.ndarray:
     return np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * width).reshape(len(rows), width)
 
 
+def max_abs(a: np.ndarray) -> int:
+    """The largest ``|entry|`` of a float64, int64 or object array, as a Python int (no ``abs`` copy)."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
 def max_bits(a: np.ndarray) -> int:
-    """Bit length of the largest ``|entry|`` of a float64, int64 or object array (no ``abs`` copy)."""
-    return max(int(a.max()), -int(a.min())).bit_length() if a.size else 0
+    """Bit length of the largest ``|entry|`` of a float64, int64 or object array."""
+    return max_abs(a).bit_length()
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -130,6 +143,11 @@ def switch_matrix(switches, branch_count: int) -> np.ndarray:
 
 # --- skew normal form ------------------------------------------------------
 
+# Row 0 of a pair's quotients ``qt`` is row t+1 of the block over p, row 1 is
+# minus row t over p: with p = 1 they are the rows themselves.
+_SIGNS = np.array([[1], [-1]])
+
+
 def skew_normal_form(matrix):
     """``lattice.skew_normal_form`` on arrays: the same pivots, ``U``, ``V`` and blocks.
 
@@ -138,36 +156,57 @@ def skew_normal_form(matrix):
     (int64, or object once they widen), views of one ``n x 2n`` row array
     ``[U | V^T]``.
 
-    The loop reduces ``M`` alone.  A step's swaps, which bring its pivot to
-    ``(t, t+1)``, are one row permutation of the row array ``[M | N | perm]``
-    and one column permutation of ``M``.  Its clearing sweep is one
-    congruence by ``I + Q``, where ``Q`` is zero outside columns ``t, t+1``
-    of rows ``t+2`` onward and holds the quotients of rows ``t, t+1``; its
-    elementary factors commute (``Q @ Q = 0``), so two rank-2 products,
-    ``Q M[t:t+2]`` and ``M[:, t:t+2] Q^T``, give what the list code gets one
-    entry at a time.  As LAPACK's ``getrf`` keeps ``L`` beside ``U``, the
-    multipliers ``N`` keep each pair's ``Q`` in its columns ``t, t+1``, and
-    later swaps permute their rows with ``M``'s; ``perm`` is the cumulative
-    row permutation ``P``.
+    The loop reduces ``M`` alone, and holds only its trailing block, the
+    rows and columns ``t`` onward that pairs still change: a contiguous
+    ``k x k`` array, the reshape of one of two flat buffers.  A step's swaps,
+    which bring its pivot to ``(t, t+1)``, are the list code's
+    transpositions, each a copy of two rows and two columns of the block,
+    and of two rows of the row array ``[N | perm]`` beside it.  Its
+    clearing sweep is one congruence by
+    ``I + Q``, where ``Q`` is zero outside columns ``t, t+1`` of rows
+    ``t+2`` onward and holds the quotients of rows ``t, t+1`` by the pivot
+    ``p`` (``qt`` is ``Q[t+2:, t:t+2]^T``).
 
-    A pair that clears in one sweep with no fold leaves rows ``t, t+1`` to
-    later swaps untouched, so each ``Q`` commutes past the later
-    permutations, and ``(I - Q_i)(I - Q_j) = I - Q_i - Q_j`` for ``i < j``.
-    Hence ``U = (I - N)^-1 P`` and ``V = P^T (I - N)``: ``V`` costs no
-    arithmetic, and ``_unwind`` builds ``U`` by one backward sweep over the
-    column pairs.  From the first pair that folds or needs a second sweep
-    on, ``U`` and ``V^T`` are assembled from the pairs before it, and the
-    loop records its steps instead, for ``_replay`` to apply to them.
+    A pair is clean when ``p`` divides rows ``t, t+1``, so that the sweep
+    clears them.  Then ``(I + Q) M (I + Q)^T`` leaves the block
+    ``M' = M[t+2:, t+2:] + Q M[t:t+2, t+2:]`` (the terms of ``M Q^T`` and
+    ``Q M Q^T`` cancel), which is ``M[t+2:, t+2:] + a b^T - b a^T`` with
+    ``a`` row ``t+1`` and ``b`` row ``t`` over ``p``, both from column
+    ``t+2`` on.  ``_next_block`` writes it into the
+    other buffer as one product of inner size 2 and one sum, and it becomes
+    the block.  With ``p = lo`` (below) every pair is clean and cannot fold,
+    and ``p = 1`` needs no division: ``qt`` is rows ``t+1, t`` signed.  A
+    pair that is not clean takes the general sweep, two rank-2 updates of
+    the block, which keeps rows ``t, t+1``, and is reduced again; a clean
+    pair that folds puts those two rows back as the sweep left them (the
+    pivot block, zeros beside it) before the fold.
 
-    ``M``'s row array is float64, int64 or object, as a bound on the bit
-    length of ``M`` allows (``_Tiers``); it is raised by what each update
-    can add, and it bounds every partial sum of the update's products too.
+    As LAPACK's ``getrf`` keeps ``L`` beside ``U``, the multipliers ``N``
+    keep each clean pair's ``Q`` in its columns ``t, t+1``, and later swaps
+    permute their rows; ``perm`` is the cumulative row permutation ``P``.
+    Such a pair leaves rows ``t, t+1`` to later swaps untouched, so each
+    ``Q`` commutes past the later permutations, and ``(I - Q_i)(I - Q_j) =
+    I - Q_i - Q_j`` for ``i < j``.  Hence ``U = (I - N)^-1 P`` and ``V = P^T
+    (I - N)``: ``V`` costs no arithmetic, and ``_unwind`` builds ``U`` by
+    one backward sweep over the column pairs.  From the first pair that
+    folds or needs a second sweep on, ``U`` and ``V^T`` are assembled from
+    the pairs before it, and the loop records its steps instead, for
+    ``_replay`` to apply to them.
 
-    Every entry of the trailing block is a multiple of ``lo``: 1 at first,
-    then the last block, since the block found no fold and congruences keep
-    the divisibility.  So an entry of magnitude ``lo`` in row ``t`` is the
-    first least entry, found without a search of the block, and a pivot
-    ``p = lo`` needs no fold check.
+    The block is float64, int64 or object, as a bound on its largest
+    ``|entry|`` allows (``_Tiers``).  A clean pair raises the bound by ``2
+    max|a| max|b|``, read off the quotient rows (``max|a| = p qa``, ``max|b|
+    = qb``), since ``|M'| <= |M| + 2 max|a| max|b|``; the general sweep
+    multiplies it by ``(2q + 1)^2``, ``q`` the largest ``|quotient|``, and a
+    fold by 4.  Each bounds every partial sum of its update's products too.
+    On the clean path the bound grows by sums, not by factors, so the block
+    is seldom measured again.
+
+    Every entry of the block is a multiple of ``lo``: 1 at first, then the
+    last pivot, since its pair found no fold and congruences keep the
+    divisibility.  So an entry of magnitude ``lo`` in row ``t`` is the first
+    least entry, found without a search of the block, and a pivot ``p = lo``
+    divides rows ``t, t+1``.
     """
     n = len(matrix)
     m = as_array(matrix)  # ragged rows raise ValueError here
@@ -176,12 +215,10 @@ def skew_normal_form(matrix):
     bad = np.argwhere(m != -m.T)
     if bad.size:
         raise ValueError(f"matrix is not antisymmetric at ({bad[0][0]}, {bad[0][1]})")
-    bits = max_bits(m)
-    a = np.zeros((n, 2 * n + 1), dtype=_tier(bits))
-    a[:, :n] = m
-    a[:, 2 * n] = np.arange(n)
-    tiers = _Tiers(a, bits)
-    m, nq = a[:, :n], a[:, n:2 * n]
+    tiers = _Tiers(max_abs(m))
+    blk, spare = _buffers(m, tiers.dtype)
+    nqp = np.zeros((n, n + 1), dtype=np.int64)  # [N | perm]
+    nqp[:, n] = np.arange(n)
     qbits = []  # the quotient bits of each pair kept in N
     record = uvt = None  # the steps from the first pair that folds or sweeps twice on
 
@@ -189,69 +226,118 @@ def skew_normal_form(matrix):
     lo = 1
     t = 0
     while t + 1 < n:
+        k = n - t
         # the pivot is the first least |entry| of the block in row-major order
-        row = abs(m[t, t:])
-        k = (row == lo).argmax()
-        if row[k] != lo:
-            s = abs(m[t:, t:])
-            k = (s == lo).argmax()
-            if s.flat[k] != lo:
+        row = abs(blk[0])
+        c = (row == lo).argmax()
+        if row[c] != lo:
+            s = abs(blk)
+            c = (s == lo).argmax()
+            if s.flat[c] != lo:
                 live = np.flatnonzero(s)
                 if not live.size:
                     break
-                k = live[np.argmin(s.ravel()[live])]
-        i, j = t + k // (n - t), t + k % (n - t)
-        # The list code's swaps as one permutation: the pivot's row and column
-        # move to t and t + 1, ordered so that M[t, t+1] > 0, and the rows and
-        # columns they displace move to where the pivot's were.
-        dst = [t, t + 1] + [x for x in (i, j) if x > t + 1]
-        src = ([i, j] if m[i, j] > 0 else [j, i]) + [x for x in (t, t + 1) if x not in (i, j)]
-        swap = None
-        if dst != src:
-            swap = dst, src
-            a[dst] = a[src]
-            m[:, dst] = m[:, src]
-        p = int(m[t, t + 1])
-
-        qt = (m[t:t + 2, t + 2:] // p)[::-1]  # Q[t+2:, t:t+2]^T, once its row 1 is negated
-        np.negative(qt[1], out=qt[1])
-        qb = max_bits(qt)
-        if qb:
-            if tiers.grow(lambda mb: (mb + 2 * qb + 4,), m[t:, t:]):
-                a = tiers.a
-                m, nq = a[:, :n], a[:, n:2 * n]
-                qt = _cast(qt, a.dtype)
-            m[t + 2:, t:] += qt.T @ m[t:t + 2, t:]
-            m[t:, t + 2:] += m[t:, t:t + 2] @ qt
-        dirty = np.count_nonzero(m[t:t + 2, t + 2:])
+                c = live[np.argmin(s.ravel()[live])]
+        i, j = divmod(int(c), k)
+        # The list code's swaps, each a transposition of two rows and columns
+        # of the block (and of two rows of [N | perm] while it is kept): the
+        # pivot moves to (0, 1) of the block, with a positive entry there.
+        negative = blk[i, j] < 0
+        swaps = []
+        if i:
+            swaps.append((0, i))
+            j = j or i
+        if j != 1:
+            swaps.append((1, j))
+        if negative:
+            swaps.append((0, 1))
+        for x, y in swaps:
+            _transpose(blk, x, y)
+            _transpose(blk.T, x, y)
+            if record is None:
+                _transpose(nqp, t + x, t + y)
+        swap = [(t + x, t + y) for x, y in swaps] if record is not None and swaps else None
+        p = int(blk[0, 1])
+        r = blk[:2, 2:]
+        if p == 1:
+            qt = r[::-1] * _SIGNS
+        else:
+            qt = (r // p)[::-1]
+            np.negative(qt[1], out=qt[1])
+        qa, qb = map(int, abs(qt).max(axis=1, initial=0))  # max|a| / p and max|b| if clean
+        q = max(qa, qb)
+        dirty = p > lo and bool((r % p).any())  # a remainder: the pair is reduced again
         fold = None
-        if not dirty and p > lo:  # every entry is a multiple of lo, so only larger pivots can fold
-            folds = np.flatnonzero((m[t + 2:, t + 2:] % p != 0).any(axis=1))
-            if folds.size:
-                fold = t + 2 + int(folds[0])
+        if not dirty:
+            if q and (tier := tiers.grow(lambda b: (b + 2 * p * qa * qb,), blk)) is not None:
+                blk, spare = _buffers(blk, tier)
+                qt = _cast(qt, tier)
+            nxt = _next_block(blk, qt if q else None, spare[:(k - 2) ** 2].reshape(k - 2, k - 2))
+            if p > lo:  # every entry is a multiple of lo, so only larger pivots can fold
+                folds = np.flatnonzero((nxt % p != 0).any(axis=1))
+                if folds.size:
+                    fold = 2 + int(folds[0])
         if record is None and (dirty or fold is not None):
-            uvt = _unwind(nq, a[:, 2 * n], qbits)  # already holds this step's swap
-            record, swap = [], None
+            uvt, record = _unwind(nqp[:, :n], nqp[:, n], qbits), []
         if record is not None:
-            record.append((t, swap, qt if qb else None, fold))
-        elif qb:
-            nq[t + 2:, t:t + 2] = qt.T
-        if fold is not None:
-            if tiers.grow(lambda mb: (mb + 2,), m[t:, t:]):
-                a = tiers.a
-                m, nq = a[:, :n], a[:, n:2 * n]
-            m[t] += m[fold]
-            m[:, t] += m[:, fold]
+            record.append((t, swap, qt if q else None, None if fold is None else t + fold))
+        if fold is not None:  # rows t, t+1 back as the sweep left them, then the fold
+            blk[2:, 2:] = nxt
+            blk[:2, 2:] = 0
+            blk[2:, :2] = 0
+            if (tier := tiers.grow(lambda b: (4 * b,), blk)) is not None:
+                blk, spare = _buffers(blk, tier)
+            blk[0] += blk[fold]
+            blk[:, 0] += blk[:, fold]
             continue
-        if dirty:
+        if dirty:  # the general sweep, which keeps rows t, t+1
+            if q:
+                if (tier := tiers.grow(lambda b: (b * (2 * q + 1) ** 2,), blk)) is not None:
+                    blk, spare = _buffers(blk, tier)
+                    qt = _cast(qt, tier)
+                blk[2:] += qt.T @ blk[:2]
+                blk[:, 2:] += blk[:, :2] @ qt
             continue
         if record is None:
-            qbits.append(qb)
+            if q:
+                if qt.dtype == object and nqp.dtype != object:
+                    nqp = nqp.astype(object)
+                nqp[t + 2:, t:t + 2] = qt.T
+            qbits.append(q.bit_length())
         blocks.append(p)
         lo = p
         t += 2
-    uvt = _unwind(nq, a[:, 2 * n], qbits) if record is None else _replay(uvt, record)
+        blk, spare = nxt, blk.reshape(-1)
+    uvt = _unwind(nqp[:, :n], nqp[:, n], qbits) if record is None else _replay(uvt, record)
     return uvt[:, :n], tuple(blocks), uvt[:, n:].T
+
+
+def _next_block(blk, qt, out):
+    """``out = blk[2:, 2:] + qt^T blk[:2, 2:]``, the block a clean pair leaves (``qt`` None: no quotients).
+
+    ``out`` is a contiguous array of ``blk``'s dtype, outside ``blk``: one
+    product of inner size 2 (float64 BLAS on the float tier) writes it, and
+    one sum adds the old trailing block.
+    """
+    if qt is None:
+        out[...] = blk[2:, 2:]
+    else:
+        np.matmul(qt.T, blk[:2, 2:], out=out)
+        out += blk[2:, 2:]
+    return out
+
+
+def _transpose(a, x, y):
+    """Swap rows ``x`` and ``y`` of ``a`` in place, by copies of the two rows."""
+    row = a[x].copy()
+    a[x] = a[y]
+    a[y] = row
+
+
+def _buffers(blk, dtype):
+    """``blk`` as a contiguous array on ``dtype``, and a flat spare buffer of its size."""
+    blk = _cast(blk, dtype)
+    return blk, np.empty(blk.size, dtype=dtype)
 
 
 def _tier(bits: int):
@@ -272,38 +358,40 @@ def _exact(a: np.ndarray) -> np.ndarray:
 
 
 class _Tiers:
-    """Upper bounds on the bit lengths of the parts of a row array ``a``, and its tier.
+    """Upper bounds on the largest ``|entry|`` of the parts of an array, and the tier they allow.
 
-    ``a``'s dtype is the tier every update of it runs on: float64 BLAS
+    ``dtype`` is the tier every update of the array runs on: float64 BLAS
     within ``FLOAT_BITS`` (every partial sum is an integer the significand
     holds exactly), int64 within ``WORD_BITS`` (numpy's int64 ``@`` is a
     plain exact loop) and Python ints past that, for good.  ``grow(raise_,
-    live)`` raises the bounds by ``raise_``, which maps the bounds before an
-    update to those after it.  Only when they would pass the tier's limit is
-    ``live``, the part of ``a`` that updates still read, measured again, and
-    ``a`` moves to the tier the result needs: up, or back down to float64
-    if all of ``a`` fits it, final rows outside ``live`` included.  Returns
-    whether ``a`` is a new array, whose views the caller takes again.
+    live, whole)`` raises the bounds by ``raise_``, which maps the bounds
+    before an update to those after it.  Only when they would pass the
+    tier's limit is ``live``, the part of the array that updates still read,
+    measured again, and the array moves to the tier the result needs: up,
+    or back down to float64 if all of ``whole`` (``live`` if omitted) fits
+    it, final rows outside ``live`` included.  Returns that new dtype, to
+    which the caller casts the array, or None if the array stays.
     """
 
-    __slots__ = ("a", "bounds")
+    __slots__ = ("dtype", "bounds")
 
-    def __init__(self, a, *bounds):
-        self.a, self.bounds = a, bounds
+    def __init__(self, *bounds):
+        self.bounds = bounds
+        self.dtype = np.dtype(_tier(max(bounds).bit_length()))
 
-    def grow(self, raise_, live) -> bool:
-        if self.a.dtype == object:
-            return False
+    def grow(self, raise_, live, whole=None):
+        if self.dtype == object:
+            return None
         need = raise_(*self.bounds)
-        if max(need) <= (FLOAT_BITS if self.a.dtype == np.float64 else WORD_BITS):
+        if max(need).bit_length() <= (FLOAT_BITS if self.dtype == np.float64 else WORD_BITS):
             self.bounds = need
-            return False
-        self.bounds = need = raise_(*[max_bits(live)] * len(need))
-        tier = _tier(max(need))
-        if tier == self.a.dtype or tier == np.float64 and max_bits(self.a) > FLOAT_BITS:
-            return False
-        self.a = _cast(self.a, tier)
-        return True
+            return None
+        self.bounds = need = raise_(*[max_abs(live)] * len(need))
+        tier = np.dtype(_tier(max(need).bit_length()))
+        if tier == self.dtype or tier == np.float64 and whole is not None and max_bits(whole) > FLOAT_BITS:
+            return None
+        self.dtype = tier
+        return tier
 
 
 def _unwind(nq, perm, qbits):
@@ -348,33 +436,31 @@ def _unwind(nq, perm, qbits):
 def _replay(uvt, record):
     """Apply the loop's recorded steps to the row array ``[U | V^T]``; return it on int64 or object.
 
-    Each step is ``(t, swap, qt, fold)``: the swap's row permutation, the
+    Each step is ``(t, swap, qt, fold)``: the swap's row transpositions, the
     sweep ``U[t+2:] += Q U[t:t+2]``, ``V^T[t:t+2] -= Q^T V^T[t+2:]`` (``qt``
     is ``Q[t+2:, t:t+2]^T``), and the fold ``U[t] += U[fold]``,
     ``V^T[fold] -= V^T[t]``, as the loop applied them to ``M``.  ``_Tiers``
     keeps one bound for ``U`` and one for ``V``; rows above ``t`` are final.
     """
     n = len(uvt)
-    bounds = max_bits(uvt[:, :n]), max_bits(uvt[:, n:])
-    tiers = _Tiers(_cast(uvt, _tier(max(bounds))), *bounds)
-    uvt = tiers.a
+    tiers = _Tiers(max_abs(uvt[:, :n]), max_abs(uvt[:, n:]))
+    uvt = _cast(uvt, tiers.dtype)
     u, vt = uvt[:, :n], uvt[:, n:]
     for t, swap, qt, fold in record:
-        if swap:
-            dst, src = swap
-            uvt[dst] = uvt[src]
+        for x, y in swap or ():
+            _transpose(uvt, x, y)
         if qt is not None:
-            qb = max_bits(qt)
-            q1b = int(abs(qt).sum(axis=1).max()).bit_length()  # V Q grows by a column sum of |Q|
-            if tiers.grow(lambda ub, vb: (ub + qb + 2, vb + q1b + 1), uvt[t:]):
-                uvt = tiers.a
+            q = max_abs(qt)
+            q1 = int(abs(qt).sum(axis=1).max())  # V Q grows by a column sum of |Q|
+            if (tier := tiers.grow(lambda ub, vb: (ub * (2 * q + 1), vb * (q1 + 1)), uvt[t:], uvt)) is not None:
+                uvt = _cast(uvt, tier)
                 u, vt = uvt[:, :n], uvt[:, n:]
             qt = _cast(qt, uvt.dtype)
             u[t + 2:] += qt.T @ u[t:t + 2]
             vt[t:t + 2] -= qt @ vt[t + 2:]
         if fold is not None:
-            if tiers.grow(lambda ub, vb: (ub + 1, vb + 1), uvt[t:]):
-                uvt = tiers.a
+            if (tier := tiers.grow(lambda ub, vb: (2 * ub, 2 * vb), uvt[t:], uvt)) is not None:
+                uvt = _cast(uvt, tier)
                 u, vt = uvt[:, :n], uvt[:, n:]
             u[t] += u[fold]
             vt[fold] -= vt[t]

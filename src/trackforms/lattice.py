@@ -589,6 +589,15 @@ def verify_structure(track: TrainTrack) -> StructureReport:
     )
 
 
+def pair_vectors(nf: NormalForm, basis) -> list[tuple[int, ...]]:
+    """The weight systems ``U[:rank] @ basis`` of the normal form's pair rows, as tuples of Python ints.
+
+    On the array path ``U``'s rows are read from ``nf.arrays`` as an array,
+    so the tuples ``nf.U`` are not made only to be read back into one.
+    """
+    return _combine((nf.arrays[0] if nf.arrays else nf.U)[:nf.rank], basis)
+
+
 def _combine(rows, basis) -> list[tuple[int, ...]]:
     """The combinations ``rows @ basis`` as tuples of Python ints: one vector per row of coefficients.
 

@@ -6,7 +6,8 @@ Construction
 form on the tree basis (``lattice.certified_form``) and returns basis
 pairs ``(alpha_i, beta_i)`` with ``theta(alpha_i, beta_i) = d_i`` in {1, 2}
 (d = 1 pairs first) plus the puncture weight systems, which span the kernel.
-The pairs and ``verify``'s sample weight systems are ``lattice._combine``'s.
+The pairs are ``lattice.pair_vectors``'s, and ``verify``'s sample weight
+systems ``lattice._combine``'s.
 Given a value of ``zeta`` on every basis vector and scalars ``h_k`` with
 ``h_k^N = zeta(eta_k)``, the representation is a tensor product of
 N-dimensional factors, one per pair,
@@ -111,7 +112,7 @@ from dataclasses import dataclass, field, replace
 from itertools import compress
 
 from .algebra import AlgebraParams, solve_chebyshev
-from .lattice import _combine, certified_form, theta_matrix
+from .lattice import _combine, certified_form, pair_vectors, theta_matrix
 from .traintrack import TriangulationTrack, is_weight_system, puncture_weights
 # Not called here, but perfbench's tracer wraps or counts them at this module.
 from .algebra import frobenius  # noqa: F401
@@ -155,7 +156,7 @@ def symplectic_basis(track: TriangulationTrack) -> SymplecticBasis:
     if list(nf.blocks) != expected:
         raise RepresentationError(f"unexpected block pattern {nf.blocks} for (g, s) = ({g}, {s})")
 
-    vectors = _combine(nf.U[:nf.rank], basis)
+    vectors = pair_vectors(nf, basis)
     pairs = list(zip(vectors[0::2], vectors[1::2], nf.blocks))
     etas = tuple(puncture_weights(track))
     return SymplecticBasis(tuple(pairs), etas)

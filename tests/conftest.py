@@ -7,7 +7,7 @@ from trackforms import from_triangulation, standard_triangulation, weight_lattic
 from trackforms.fixtures import circle_track, random_ribbon_track, unorientable_even_track
 from trackforms.lattice import _combine
 
-__all__ = ["GRID", "circle_track", "normal_form_events", "random_ribbon_track",
+__all__ = ["GRID", "circle_track", "normal_form_events", "product_tiers", "random_ribbon_track",
            "random_weight", "unorientable_even_track"]
 
 settings.register_profile(
@@ -59,3 +59,24 @@ def normal_form_events(monkeypatch):
     monkeypatch.setattr(intcore, "_unwind", unwound)
     monkeypatch.setattr(intcore, "_replay", replayed)
     return events
+
+
+def product_tiers(monkeypatch):
+    """Record the tier of every update of the normal form's row arrays, after its bound is raised.
+
+    Each entry is ``(part, tier)``: part 0 is the loop's ``M`` and part 1
+    the replayed ``[U | V^T]``, and the tier is the array's dtype: float64,
+    int64 or object.
+    """
+    from trackforms import intcore
+
+    tiers, parts = [], {}
+    grow = intcore._Tiers.grow
+
+    def recorded(self, raise_, live, whole=None):
+        moved = grow(self, raise_, live, whole)
+        tiers.append((parts.setdefault(id(self), len(parts)), str(self.dtype)))
+        return moved
+
+    monkeypatch.setattr(intcore._Tiers, "grow", recorded)
+    return tiers, parts

@@ -24,7 +24,7 @@ from trackforms import (
 from trackforms.lattice import NormalForm, _combine, certify_normal_form
 from trackforms.triangulation import TriangulationError, flip, random_triangulation
 
-from conftest import GRID, normal_form_events, random_ribbon_track
+from conftest import GRID, normal_form_events, product_tiers, random_ribbon_track
 from oracles import block_matrix, switch_matrix
 
 INT64, LISTS = 0, 10 ** 9
@@ -105,38 +105,20 @@ def test_dense_random_matrices_widen_to_python_ints(seed, monkeypatch):
     assert skew_normal_form(m) == nf
 
 
-def product_tiers(monkeypatch):
-    """Record the tier of every update of the normal form's row arrays, after its bound is raised.
-
-    Each entry is ``(part, tier)``: part 0 is the loop's ``M`` and part 1
-    the replayed ``[U | V^T]``, and the tier is the array's dtype: float64,
-    int64 or object.
-    """
-    tiers, parts = [], {}
-    grow = intcore._Tiers.grow
-
-    def recorded(self, raise_, live):
-        moved = grow(self, raise_, live)
-        tiers.append((parts.setdefault(id(self), len(parts)), str(self.a.dtype)))
-        return moved
-
-    monkeypatch.setattr(intcore._Tiers, "grow", recorded)
-    return tiers, parts
-
-
 def test_normal_form_crosses_62_bits_mid_elimination(monkeypatch):
     # Small entries start on float64.  Past FLOAT_BITS the updates run on
     # int64, back on float64 once a measurement finds the entries small, and
     # past WORD_BITS on Python ints for good.  The loop reduces M through
-    # these tiers; the forms need second sweeps, so U and V^T are replayed
-    # through them too, and U ends past 62 bits, which int64 cannot hold.
-    # Every tier takes the list path's steps.
+    # these tiers on seed 0 (seed 1's M stays within FLOAT_BITS); the forms
+    # need second sweeps, so U and V^T are replayed through them too, and U
+    # ends past 62 bits, which int64 cannot hold.  Every tier takes the list
+    # path's steps.
     tiers, parts = product_tiers(monkeypatch)
     floats, words, objects = "float64", "int64", "object"
     for seed, n, bound, runs in [
-            (0, 16, 9, [(0, floats), (0, words), (0, objects), (1, floats), (1, words), (1, objects)]),
-            (1, 24, 2, [(0, floats), (0, words), (0, floats), (0, objects),
-                        (1, floats), (1, words), (1, objects)])]:
+            (0, 16, 9, [(0, floats), (0, words), (0, floats), (0, words), (0, objects),
+                        (1, floats), (1, words), (1, objects)]),
+            (1, 24, 2, [(0, floats), (1, floats), (1, words), (1, floats), (1, objects)])]:
         m = random_skew(random.Random(seed), n, bound)
         assert intcore.as_array(m).dtype == "int64"
         tiers.clear()

@@ -1,6 +1,8 @@
-"""The array normal form's record of multipliers, and its replay, against the list path.
+"""The array normal form's block updates, its record of multipliers and its replay, against the list path.
 
-``intcore.skew_normal_form`` reduces ``M`` alone.  While every pair clears
+``intcore.skew_normal_form`` reduces ``M`` alone, on a shrinking trailing
+block; a pair that clears in one sweep writes the next block as one rank-2
+update (``_next_block``).  While every pair clears
 in one sweep with no fold, ``U`` and ``V`` come from the multipliers ``N``
 and the row permutation ``P`` (``_unwind``); from the first pair that folds
 or sweeps twice they are assembled and the loop's recorded steps replayed
@@ -24,7 +26,7 @@ from trackforms import (
 from trackforms.lattice import certify_normal_form, tree_basis
 from trackforms.triangulation import random_triangulation
 
-from conftest import normal_form_events
+from conftest import normal_form_events, product_tiers
 
 INT64, LISTS = 0, 10 ** 9
 
@@ -82,6 +84,9 @@ def dense_tail(r):
 
 
 FOLD_TAIL = [[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 3], [0, 0, -3, 0]]
+# Pivot 2 divides rows 0 and 1, so the pair clears in one sweep, with quotients;
+# the block it leaves is (0 -7; 7 0), and 7 makes it fold.
+QUOTIENT_FOLD_TAIL = [[0, 2, 4, 2], [-2, 0, 2, 6], [-4, -2, 0, 3], [-2, -6, -3, 0]]
 
 
 @pytest.mark.parametrize("n,clean,tail,kind", [
@@ -89,7 +94,8 @@ FOLD_TAIL = [[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 3], [0, 0, -3, 0]]
     (24, 5, dense_tail(14), "sweep"),
     (23, 10, dense_tail(3), "sweep"),
     (24, 5, FOLD_TAIL + [[0] * 4] * 10, "fold"),
-], ids=["first-pair", "middle-pair", "last-pair", "fold-at-a-middle-pair"])
+    (24, 5, QUOTIENT_FOLD_TAIL + [[0] * 4] * 10, "fold"),
+], ids=["first-pair", "middle-pair", "last-pair", "fold-at-a-middle-pair", "fold-after-quotients"])
 def test_replay_from_the_first_pair_that_is_not_clean(n, clean, tail, kind, monkeypatch):
     tail = [row + [0] * (n - 2 * clean - len(row)) for row in tail]
     m = layered_form(n + clean, n, clean, tail, 2)
@@ -133,3 +139,87 @@ def test_replay_keeps_final_rows_exact_when_its_live_rows_shrink():
         u[t + 2:] += qt.T.astype(object) @ u[t:t + 2]
         vt[t:t + 2] -= qt.astype(object) @ vt[t + 2:]
     assert (intcore._replay(uvt, record) == exact).all()
+
+
+def dense_congruence(m, q):
+    """``(I + Q) M (I + Q)^T`` on Python ints, with ``q`` the lists ``Q[2:, 0]`` and ``Q[2:, 1]``."""
+    n = len(m)
+    x = [[int(i == j) for j in range(n)] for i in range(n)]
+    for c in range(2, n):
+        x[c][0], x[c][1] = q[0][c - 2], q[1][c - 2]
+    xm = [[sum(x[i][k] * m[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [[sum(xm[i][k] * x[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def pair_quotients(m, p):
+    """The list code's quotients of rows 0 and 1 by the pivot ``p``: ``Q[2:, 0]`` and ``Q[2:, 1]``."""
+    return [[m[1][c] // p for c in range(2, len(m))], [-(m[0][c] // p) for c in range(2, len(m))]]
+
+
+@pytest.mark.parametrize("dtype,bits", [("float64", 20), ("int64", 28), ("object", 80)])
+@pytest.mark.parametrize("p", [1, 3])
+def test_next_block_is_the_congruence_of_a_clean_pair(dtype, bits, p):
+    # A random antisymmetric block whose pivot p at (0, 1) divides rows 0 and
+    # 1: the quotients clear both rows, and the block the congruence leaves
+    # is the old trailing block plus one rank-2 product.
+    rng = random.Random(f"{dtype}/{p}")
+    k = 12
+    m = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            x = rng.randint(-2 ** bits, 2 ** bits)
+            m[i][j] = p * x if i < 2 else x
+            m[j][i] = -m[i][j]
+    m[0][1], m[1][0] = p, -p
+    q = pair_quotients(m, p)
+    dense = dense_congruence(m, q)
+    assert not any(dense[0][2:]) and not any(dense[1][2:])
+    out = np.empty((k - 2, k - 2), dtype=dtype)
+    assert intcore._next_block(np.array(m, dtype=dtype), np.array(q, dtype=dtype), out) is out
+    assert out.tolist() == [row[2:] for row in dense[2:]]
+
+
+def grown_form(seed, n, cbits, dbits):
+    """A form that fits float64 whose first pair, clean, leaves a block of larger entries.
+
+    ``C = L J L^T`` is a layered form of ``n - 2`` rows: ``J`` holds blocks
+    ``(0 1; -1 0)`` and ``L`` multipliers of at most ``cbits`` bits, as in
+    ``layered_form``.  With ``c`` the first column of ``L`` and ``d`` a
+    random vector of ``dbits`` bits, zero on the first pair, the form is
+    ``((J, R), (-R^T, C))`` with ``R`` the rows ``d, c``.  Pivot 1 clears
+    ``R`` and leaves ``C + c d^T - d c^T``: ``L J L^T`` with ``d`` added to
+    the second column of ``L``, a layered form again, whose pairs clear in
+    one sweep each and whose entries reach about ``cbits + dbits`` bits.
+    """
+    rng = random.Random(seed)
+    k = n - 2
+    low = np.eye(k, dtype=np.int64).astype(object)
+    for col in range(k):
+        for r in range(col - col % 2 + 2, k):
+            low[r, col] = rng.randint(-2 ** cbits + 1, 2 ** cbits - 1)
+    j = np.zeros((k, k), dtype=np.int64).astype(object)
+    j[range(0, k, 2), range(1, k, 2)], j[range(1, k, 2), range(0, k, 2)] = 1, -1
+    d = np.array([0, 0] + [rng.randint(-2 ** dbits + 1, 2 ** dbits - 1) for _ in range(k - 2)], dtype=object)
+    m = np.zeros((n, n), dtype=np.int64).astype(object)
+    m[0, 1], m[1, 0] = 1, -1
+    m[0, 2:], m[1, 2:], m[2:, 0], m[2:, 1] = d, low[:, 0], -d, -low[:, 0]
+    m[2:, 2:] = low @ j @ low.T
+    return m.tolist()
+
+
+@pytest.mark.parametrize("cbits,dbits,dtype", [(8, 48, "int64"), (14, 50, "object")],
+                         ids=["past-FLOAT_BITS", "past-WORD_BITS"])
+def test_clean_pairs_cross_tiers(cbits, dbits, dtype, monkeypatch):
+    # The form fits float64, but the block its first pair leaves does not: the
+    # bound 2 max|a| max|b| that pair adds passes the tier, the block is
+    # measured, and it moves to the tier its entries need before the update.
+    n = 24
+    m = grown_form(cbits + dbits, n, cbits, dbits)
+    assert intcore.max_bits(intcore.as_array(m)) <= intcore.FLOAT_BITS
+    block = dense_congruence(m, pair_quotients(m, 1))
+    assert intcore.max_bits(intcore.as_array(block)) > (intcore.FLOAT_BITS if dtype == "int64" else intcore.WORD_BITS)
+    tiers, _ = product_tiers(monkeypatch)
+    nf, events = both_paths(m, monkeypatch)
+    assert events == [("unwind", n // 2)]
+    assert tiers[0] == (0, dtype)
+    assert certify_normal_form(nf, m)
