@@ -143,11 +143,6 @@ def switch_matrix(switches, branch_count: int) -> np.ndarray:
 
 # --- skew normal form ------------------------------------------------------
 
-# Row 0 of a pair's quotients ``qt`` is row t+1 of the block over p, row 1 is
-# minus row t over p: with p = 1 they are the rows themselves.
-_SIGNS = np.array([[1], [-1]])
-
-
 def skew_normal_form(matrix):
     """``lattice.skew_normal_form`` on arrays: the same pivots, ``U``, ``V`` and blocks.
 
@@ -172,14 +167,13 @@ def skew_normal_form(matrix):
     ``M' = M[t+2:, t+2:] + Q M[t:t+2, t+2:]`` (the terms of ``M Q^T`` and
     ``Q M Q^T`` cancel), which is ``M[t+2:, t+2:] + a b^T - b a^T`` with
     ``a`` row ``t+1`` and ``b`` row ``t`` over ``p``, both from column
-    ``t+2`` on.  ``_next_block`` writes it into the
-    other buffer as one product of inner size 2 and one sum, and it becomes
-    the block.  With ``p = lo`` (below) every pair is clean and cannot fold,
-    and ``p = 1`` needs no division: ``qt`` is rows ``t+1, t`` signed.  A
-    pair that is not clean takes the general sweep, two rank-2 updates of
-    the block, which keeps rows ``t, t+1``, and is reduced again; a clean
-    pair that folds puts those two rows back as the sweep left them (the
-    pivot block, zeros beside it) before the fold.
+    ``t+2`` on.  ``_next_block`` writes it into the other buffer as one
+    product of inner size 2 and one sum, and it becomes the block.  With
+    ``p = lo`` (below) every pair is clean and cannot fold.  A pair that is
+    not clean takes the general sweep, two rank-2 updates of the block,
+    which keeps rows ``t, t+1``, and is reduced again; a clean pair that
+    folds puts those two rows back as the sweep left them (the pivot block,
+    zeros beside it) before the fold.
 
     As LAPACK's ``getrf`` keeps ``L`` beside ``U``, the multipliers ``N``
     keep each clean pair's ``Q`` in its columns ``t, t+1``, and later swaps
@@ -259,11 +253,8 @@ def skew_normal_form(matrix):
         swap = [(t + x, t + y) for x, y in swaps] if record is not None and swaps else None
         p = int(blk[0, 1])
         r = blk[:2, 2:]
-        if p == 1:
-            qt = r[::-1] * _SIGNS
-        else:
-            qt = (r // p)[::-1]
-            np.negative(qt[1], out=qt[1])
+        qt = (r // p)[::-1]  # row t+1 over p, and minus row t over p
+        np.negative(qt[1], out=qt[1])
         qa, qb = map(int, abs(qt).max(axis=1, initial=0))  # max|a| / p and max|b| if clean
         q = max(qa, qb)
         dirty = p > lo and bool((r % p).any())  # a remainder: the pair is reduced again

@@ -121,24 +121,27 @@ def test_backward_sweep_crosses_tiers(n, bits, seed, dtype, low, high, monkeypat
     assert certify_normal_form(nf, m)
 
 
-def test_replay_keeps_final_rows_exact_when_its_live_rows_shrink():
+def test_replay_keeps_final_rows_exact_when_its_live_rows_shrink(monkeypatch):
     # A huge quotient at pair 0 puts 2**55 + 1 into U's row 2 and V^T's rows
-    # 0 and 1, which are final from pair 4 on.  At pair 4 the bound passes
-    # WORD_BITS and the rows still live measure small; the array must stay on
-    # int64, since float64 would round the final rows.
+    # 0 and 1, which are final from pair 4 on.  U's bound is 2**56 + 3 after
+    # pair 0 and 3 * 2**56 + 9 after pair 2, so pair 4's quotient 2**6 takes
+    # it past WORD_BITS, and the rows still live measure small; the array
+    # must stay on int64, since float64 would round the final rows.
     n = 8
     uvt = np.hstack([np.eye(n, dtype=np.int64)] * 2)
     quotients = [np.zeros((2, n - t - 2), dtype=np.int64) for t in (0, 2, 4)]
     quotients[0][0, 0] = 2 ** 55 + 1
     quotients[1][1, 0] = 1  # adds U's small row 3, not the huge row 2
-    quotients[2][0, 0] = 3
+    quotients[2][0, 0] = 2 ** 6
     record = [(t, None, qt, None) for t, qt in zip((0, 2, 4), quotients)]
     exact = uvt.astype(object)
     u, vt = exact[:, :n], exact[:, n:]
     for t, _, qt, _ in record:
         u[t + 2:] += qt.T.astype(object) @ u[t:t + 2]
         vt[t:t + 2] -= qt.astype(object) @ vt[t + 2:]
+    tiers, _ = product_tiers(monkeypatch)
     assert (intcore._replay(uvt, record) == exact).all()
+    assert tiers == [(0, "int64")] * 3
 
 
 def dense_congruence(m, q):
