@@ -37,10 +37,12 @@ each pair and the cumulative row permutation ``P`` in one row array ``[N |
 perm]``, as LAPACK's ``getrf`` keeps ``L`` beside ``U``.  While every pair
 clears in one sweep with no fold, ``V = P^T (I - N)`` needs no arithmetic
 and ``U = (I - N)^-1 P`` is one backward sweep over the column pairs
-(``_unwind``); from the first pair that folds or sweeps twice, ``U`` and
-``V^T`` are assembled and the loop's recorded steps are replayed on them
-(``_replay``).  The block and the replayed ``[U | V^T]`` each take the tier
-of an upper bound on their largest ``|entry|`` (``_Tiers``): the bound is
+(``_unwind``).  At the first pair that folds or sweeps twice, ``_unwind``
+assembles ``[U | V^T]`` from the pairs before it, and that array takes the
+place of ``[N | perm]``: the swaps permute its rows, and ``_step`` applies
+each later sweep and fold to it as the loop applies them to ``M``.  The
+block and ``[U | V^T]`` each take the tier of an upper bound on their
+largest ``|entry|`` (``_Tiers``): the bound is
 raised by what an update can add (on the block, ``2 max|a| max|b|`` for a
 clean pair), the live entries are measured again only when it would pass
 the tier, and the array moves to the tier they need, so the same numpy code
@@ -156,7 +158,7 @@ def skew_normal_form(matrix):
     ``k x k`` array, the reshape of one of two flat buffers.  A step's swaps,
     which bring its pivot to ``(t, t+1)``, are the list code's
     transpositions, each a copy of two rows and two columns of the block,
-    and of two rows of the row array ``[N | perm]`` beside it.  Its
+    and of two rows of the row array beside it.  Its
     clearing sweep is one congruence by
     ``I + Q``, where ``Q`` is zero outside columns ``t, t+1`` of rows
     ``t+2`` onward and holds the quotients of rows ``t, t+1`` by the pivot
@@ -169,11 +171,11 @@ def skew_normal_form(matrix):
     ``a`` row ``t+1`` and ``b`` row ``t`` over ``p``, both from column
     ``t+2`` on.  ``_next_block`` writes it into the other buffer as one
     product of inner size 2 and one sum, and it becomes the block.  With
-    ``p = lo`` (below) every pair is clean and cannot fold.  A pair that is
-    not clean takes the general sweep, two rank-2 updates of the block,
-    which keeps rows ``t, t+1``, and is reduced again; a clean pair that
-    folds puts those two rows back as the sweep left them (the pivot block,
-    zeros beside it) before the fold.
+    ``p = lo`` (below) every pair is clean and cannot fold.  Any other pair
+    takes the general sweep, two rank-2 updates of the block, which keeps
+    rows ``t, t+1``, and is reduced again.  On a clean pair that sweep
+    leaves those rows as the pivot block with zeros beside it and the rest
+    as ``M'``, so a pair whose ``M'`` folds takes it too, then the fold.
 
     As LAPACK's ``getrf`` keeps ``L`` beside ``U``, the multipliers ``N``
     keep each clean pair's ``Q`` in its columns ``t, t+1``, and later swaps
@@ -182,17 +184,18 @@ def skew_normal_form(matrix):
     ``Q`` commutes past the later permutations, and ``(I - Q_i)(I - Q_j) =
     I - Q_i - Q_j`` for ``i < j``.  Hence ``U = (I - N)^-1 P`` and ``V = P^T
     (I - N)``: ``V`` costs no arithmetic, and ``_unwind`` builds ``U`` by
-    one backward sweep over the column pairs.  From the first pair that
-    folds or needs a second sweep on, ``U`` and ``V^T`` are assembled from
-    the pairs before it, and the loop records its steps instead, for
-    ``_replay`` to apply to them.
+    one backward sweep over the column pairs.  At the first pair that folds
+    or needs a second sweep, ``_unwind`` assembles ``[U | V^T]`` from the
+    pairs before it, and that array replaces ``[N | perm]`` beside the
+    block: the swaps permute its rows, and ``_step`` applies each step's
+    sweep and fold to it at once, this pair's included.
 
     The block is float64, int64 or object, as a bound on its largest
     ``|entry|`` allows (``_Tiers``).  A clean pair raises the bound by ``2
     max|a| max|b|``, read off the quotient rows (``max|a| = p qa``, ``max|b|
     = qb``), since ``|M'| <= |M| + 2 max|a| max|b|``; the general sweep
     multiplies it by ``(2q + 1)^2``, ``q`` the largest ``|quotient|``, and a
-    fold by 4.  Each bounds every partial sum of its update's products too.
+    fold by 4 more.  Each bounds every partial sum of its update's products too.
     On the clean path the bound grows by sums, not by factors, so the block
     is seldom measured again.
 
@@ -211,10 +214,10 @@ def skew_normal_form(matrix):
         raise ValueError(f"matrix is not antisymmetric at ({bad[0][0]}, {bad[0][1]})")
     tiers = _Tiers(max_abs(m))
     blk, spare = _buffers(m, tiers.dtype)
-    nqp = np.zeros((n, n + 1), dtype=np.int64)  # [N | perm]
-    nqp[:, n] = np.arange(n)
+    rows = np.zeros((n, n + 1), dtype=np.int64)  # [N | perm], then [U | V^T]
+    rows[:, n] = np.arange(n)
     qbits = []  # the quotient bits of each pair kept in N
-    record = uvt = None  # the steps from the first pair that folds or sweeps twice on
+    uv = None  # the bounds of [U | V^T] once it replaces [N | perm]
 
     blocks = []
     lo = 1
@@ -234,23 +237,15 @@ def skew_normal_form(matrix):
                 c = live[np.argmin(s.ravel()[live])]
         i, j = divmod(int(c), k)
         # The list code's swaps, each a transposition of two rows and columns
-        # of the block (and of two rows of [N | perm] while it is kept): the
-        # pivot moves to (0, 1) of the block, with a positive entry there.
-        negative = blk[i, j] < 0
-        swaps = []
+        # of the block and of two rows of the row array: the pivot moves to
+        # (0, 1) of the block, with a positive entry there.  Below row 0 the
+        # pivot is never in column 0, since its mirror in row 0 comes first.
         if i:
-            swaps.append((0, i))
-            j = j or i
+            _swap(blk, rows, t, 0, i)
         if j != 1:
-            swaps.append((1, j))
-        if negative:
-            swaps.append((0, 1))
-        for x, y in swaps:
-            _transpose(blk, x, y)
-            _transpose(blk.T, x, y)
-            if record is None:
-                _transpose(nqp, t + x, t + y)
-        swap = [(t + x, t + y) for x, y in swaps] if record is not None and swaps else None
+            _swap(blk, rows, t, 1, j)
+        if blk[0, 1] < 0:
+            _swap(blk, rows, t, 0, 1)
         p = int(blk[0, 1])
         r = blk[:2, 2:]
         qt = (r // p)[::-1]  # row t+1 over p, and minus row t over p
@@ -260,62 +255,62 @@ def skew_normal_form(matrix):
         dirty = p > lo and bool((r % p).any())  # a remainder: the pair is reduced again
         fold = None
         if not dirty:
-            if q and (tier := tiers.grow(lambda b: (b + 2 * p * qa * qb,), blk)) is not None:
+            if (tier := tiers.grow(lambda b: (b + 2 * p * qa * qb,), blk)) is not None:
                 blk, spare = _buffers(blk, tier)
                 qt = _cast(qt, tier)
-            nxt = _next_block(blk, qt if q else None, spare[:(k - 2) ** 2].reshape(k - 2, k - 2))
+            nxt = _next_block(blk, qt, spare[:(k - 2) ** 2].reshape(k - 2, k - 2))
             if p > lo:  # every entry is a multiple of lo, so only larger pivots can fold
                 folds = np.flatnonzero((nxt % p != 0).any(axis=1))
                 if folds.size:
                     fold = 2 + int(folds[0])
-        if record is None and (dirty or fold is not None):
-            uvt, record = _unwind(nqp[:, :n], nqp[:, n], qbits), []
-        if record is not None:
-            record.append((t, swap, qt if q else None, None if fold is None else t + fold))
-        if fold is not None:  # rows t, t+1 back as the sweep left them, then the fold
-            blk[2:, 2:] = nxt
-            blk[:2, 2:] = 0
-            blk[2:, :2] = 0
-            if (tier := tiers.grow(lambda b: (4 * b,), blk)) is not None:
+        if dirty or fold is not None:
+            # the general sweep, which keeps rows t, t+1, then any fold
+            if (tier := tiers.grow(lambda b: (b * (2 * q + 1) ** 2 * (1 if fold is None else 4),), blk)) is not None:
                 blk, spare = _buffers(blk, tier)
-            blk[0] += blk[fold]
-            blk[:, 0] += blk[:, fold]
+                qt = _cast(qt, tier)
+            if uv is None:
+                rows = _unwind(rows[:, :n], rows[:, n], qbits)
+                uv = _Tiers(max_abs(rows[:, :n]), max_abs(rows[:, n:]))
+                rows = _cast(rows, uv.dtype)
+            rows = _step(rows, uv, t, qt, fold)
+            blk[2:] += qt.T @ blk[:2]
+            blk[:, 2:] += blk[:, :2] @ qt
+            if fold is not None:
+                blk[0] += blk[fold]
+                blk[:, 0] += blk[:, fold]
             continue
-        if dirty:  # the general sweep, which keeps rows t, t+1
-            if q:
-                if (tier := tiers.grow(lambda b: (b * (2 * q + 1) ** 2,), blk)) is not None:
-                    blk, spare = _buffers(blk, tier)
-                    qt = _cast(qt, tier)
-                blk[2:] += qt.T @ blk[:2]
-                blk[:, 2:] += blk[:, :2] @ qt
-            continue
-        if record is None:
-            if q:
-                if qt.dtype == object and nqp.dtype != object:
-                    nqp = nqp.astype(object)
-                nqp[t + 2:, t:t + 2] = qt.T
+        if uv is None:
+            if qt.dtype == object and rows.dtype != object:
+                rows = rows.astype(object)
+            rows[t + 2:, t:t + 2] = qt.T
             qbits.append(q.bit_length())
+        else:
+            rows = _step(rows, uv, t, qt, None)
         blocks.append(p)
         lo = p
         t += 2
         blk, spare = nxt, blk.reshape(-1)
-    uvt = _unwind(nqp[:, :n], nqp[:, n], qbits) if record is None else _replay(uvt, record)
+    uvt = _unwind(rows[:, :n], rows[:, n], qbits) if uv is None else _exact(rows)
     return uvt[:, :n], tuple(blocks), uvt[:, n:].T
 
 
 def _next_block(blk, qt, out):
-    """``out = blk[2:, 2:] + qt^T blk[:2, 2:]``, the block a clean pair leaves (``qt`` None: no quotients).
+    """``out = blk[2:, 2:] + qt^T blk[:2, 2:]``, the block a clean pair leaves.
 
     ``out`` is a contiguous array of ``blk``'s dtype, outside ``blk``: one
     product of inner size 2 (float64 BLAS on the float tier) writes it, and
     one sum adds the old trailing block.
     """
-    if qt is None:
-        out[...] = blk[2:, 2:]
-    else:
-        np.matmul(qt.T, blk[:2, 2:], out=out)
-        out += blk[2:, 2:]
+    np.matmul(qt.T, blk[:2, 2:], out=out)
+    out += blk[2:, 2:]
     return out
+
+
+def _swap(blk, rows, t, x, y):
+    """Transpose rows and columns ``x`` and ``y`` of the block, and rows ``t + x`` and ``t + y`` beside it."""
+    _transpose(blk, x, y)
+    _transpose(blk.T, x, y)
+    _transpose(rows, t + x, t + y)
 
 
 def _transpose(a, x, y):
@@ -406,10 +401,7 @@ def _unwind(nq, perm, qbits):
     bound = measured = 1  # bits of X[s+2:, s+2:], and of its columns from `fresh` on
     fresh = 2 * len(qbits)
     for s in range(fresh - 2, -1, -2):
-        qb = qbits[s // 2]
-        if not qb:
-            continue
-        grow = qb + (n - s - 2).bit_length()
+        grow = qbits[s // 2] + (n - s - 2).bit_length()
         if x.dtype != object and bound + grow > (FLOAT_BITS if x.dtype == np.float64 else WORD_BITS):
             measured = bound = max(measured, max_bits(x[s + 2:, s + 2:fresh]))
             fresh = s + 2
@@ -424,38 +416,29 @@ def _unwind(nq, perm, qbits):
     return uvt
 
 
-def _replay(uvt, record):
-    """Apply the loop's recorded steps to the row array ``[U | V^T]``; return it on int64 or object.
+def _step(uvt, tiers, t, qt, fold):
+    """Apply one step of the loop to the row array ``[U | V^T]``; return it, on a new tier if it moved.
 
-    Each step is ``(t, swap, qt, fold)``: the swap's row transpositions, the
-    sweep ``U[t+2:] += Q U[t:t+2]``, ``V^T[t:t+2] -= Q^T V^T[t+2:]`` (``qt``
-    is ``Q[t+2:, t:t+2]^T``), and the fold ``U[t] += U[fold]``,
-    ``V^T[fold] -= V^T[t]``, as the loop applied them to ``M``.  ``_Tiers``
-    keeps one bound for ``U`` and one for ``V``; rows above ``t`` are final.
+    The step is the sweep ``U[t+2:] += Q U[t:t+2]``, ``V^T[t:t+2] -= Q^T
+    V^T[t+2:]`` (``qt`` is ``Q[t+2:, t:t+2]^T``), then, unless ``fold`` is
+    None, the fold ``U[t] += U[t+fold]``, ``V^T[t+fold] -= V^T[t]``, as the
+    loop applies them to ``M``.  ``tiers`` keeps one bound for ``U`` and
+    one for ``V``; rows above ``t`` are final.
     """
     n = len(uvt)
-    tiers = _Tiers(max_abs(uvt[:, :n]), max_abs(uvt[:, n:]))
-    uvt = _cast(uvt, tiers.dtype)
-    u, vt = uvt[:, :n], uvt[:, n:]
-    for t, swap, qt, fold in record:
-        for x, y in swap or ():
-            _transpose(uvt, x, y)
-        if qt is not None:
-            q = max_abs(qt)
-            q1 = int(abs(qt).sum(axis=1).max())  # V Q grows by a column sum of |Q|
-            if (tier := tiers.grow(lambda ub, vb: (ub * (2 * q + 1), vb * (q1 + 1)), uvt[t:], uvt)) is not None:
-                uvt = _cast(uvt, tier)
-                u, vt = uvt[:, :n], uvt[:, n:]
-            qt = _cast(qt, uvt.dtype)
-            u[t + 2:] += qt.T @ u[t:t + 2]
-            vt[t:t + 2] -= qt @ vt[t + 2:]
-        if fold is not None:
-            if (tier := tiers.grow(lambda ub, vb: (2 * ub, 2 * vb), uvt[t:], uvt)) is not None:
-                uvt = _cast(uvt, tier)
-                u, vt = uvt[:, :n], uvt[:, n:]
-            u[t] += u[fold]
-            vt[fold] -= vt[t]
-    return _exact(uvt)
+    q = max_abs(qt)
+    q1 = int(abs(qt).sum(axis=1).max())  # V Q grows by a column sum of |Q|
+    if (tier := tiers.grow(lambda ub, vb: (ub * (2 * q + 1), vb * (q1 + 1)), uvt[t:], uvt)) is not None:
+        uvt = _cast(uvt, tier)
+    qt = _cast(qt, uvt.dtype)
+    uvt[t + 2:, :n] += qt.T @ uvt[t:t + 2, :n]
+    uvt[t:t + 2, n:] -= qt @ uvt[t + 2:, n:]
+    if fold is not None:
+        if (tier := tiers.grow(lambda ub, vb: (2 * ub, 2 * vb), uvt[t:], uvt)) is not None:
+            uvt = _cast(uvt, tier)
+        uvt[t, :n] += uvt[t + fold, :n]
+        uvt[t + fold, n:] -= uvt[t, n:]
+    return uvt
 
 
 def certifies(u, v, m, blocks) -> bool:

@@ -355,8 +355,6 @@ def skew_normal_form(matrix) -> NormalForm:
     vt = identity_matrix(n)  # V^T: a row operation on U is a column operation on V
 
     def swap(i, j):
-        if i == j:
-            return
         m[i], m[j] = m[j], m[i]
         u[i], u[j] = u[j], u[i]
         vt[i], vt[j] = vt[j], vt[i]
@@ -365,8 +363,6 @@ def skew_normal_form(matrix) -> NormalForm:
 
     def add_row(i, j, q):
         # row_i += q row_j, col_i += q col_j: congruence by I + q E_ij
-        if q == 0:
-            return
         m[i] = [x + q * y for x, y in zip(m[i], m[j])]
         u[i] = [x + q * y for x, y in zip(u[i], u[j])]
         vt[j] = [x - q * y for x, y in zip(vt[j], vt[i])]
@@ -384,11 +380,9 @@ def skew_normal_form(matrix) -> NormalForm:
                     pivot = (i, j)
         if pivot is None:
             break
-        i, j = pivot
+        i, j = pivot  # below row t never in column t: its mirror in row t comes first
         if i != t:
             swap(t, i)
-            if j == t:
-                j = i
         if j != t + 1:
             swap(t + 1, j)
         if m[t][t + 1] < 0:

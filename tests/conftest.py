@@ -38,35 +38,37 @@ def normal_form_events(monkeypatch):
     """A list that records how ``intcore.skew_normal_form`` makes ``U`` and ``V``.
 
     It gets ``("unwind", pairs)`` when ``U`` and ``V^T`` are assembled from
-    the multipliers of the first ``pairs`` pairs, and ``("replay", t, kind)``
-    when recorded steps are replayed on them: ``t`` is the pair of the first
-    step, and ``kind`` is ``"fold"`` or ``"sweep"`` (a second sweep).
+    the multipliers of the first ``pairs`` pairs, and ``("step", t, kind)``
+    at the first step that ``_step`` then applies to them, the pair that
+    folds or needs a second sweep: ``t`` is its pair, and ``kind`` is
+    ``"fold"`` or ``"sweep"`` (a second sweep).
     """
     from trackforms import intcore
 
     events = []
-    unwind, replay = intcore._unwind, intcore._replay
+    unwind, step = intcore._unwind, intcore._step
 
     def unwound(nq, perm, qbits):
         events.append(("unwind", len(qbits)))
         return unwind(nq, perm, qbits)
 
-    def replayed(uvt, record):
-        t, _, _, fold = record[0]
-        events.append(("replay", t, "sweep" if fold is None else "fold"))
-        return replay(uvt, record)
+    def stepped(uvt, tiers, t, qt, fold):
+        if events[-1][0] == "unwind":
+            events.append(("step", t, "sweep" if fold is None else "fold"))
+        return step(uvt, tiers, t, qt, fold)
 
     monkeypatch.setattr(intcore, "_unwind", unwound)
-    monkeypatch.setattr(intcore, "_replay", replayed)
+    monkeypatch.setattr(intcore, "_step", stepped)
     return events
 
 
 def product_tiers(monkeypatch):
     """Record the tier of every update of the normal form's row arrays, after its bound is raised.
 
-    Each entry is ``(part, tier)``: part 0 is the loop's ``M`` and part 1
-    the replayed ``[U | V^T]``, and the tier is the array's dtype: float64,
-    int64 or object.
+    Each entry is ``(part, tier)``: part 0 is the loop's block of ``M``,
+    whose bound the loop raises before its first step on ``[U | V^T]``, and
+    part 1 is ``[U | V^T]``; the tier is the array's dtype: float64, int64
+    or object.
     """
     from trackforms import intcore
 

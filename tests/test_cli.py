@@ -250,6 +250,15 @@ def test_tolerance_is_read_only_by_rep(capsys, monkeypatch, argv):
     (None, ["rep"], {"genus": 1, "punctures": 1, "N": 3, "epsilon": -1.0}),
     # the prime 2**61 - 1, too large to factor for an omega candidate
     (None, ["rep", "-g", "1", "-s", "1", "--N", "2305843009213693951"], None),
+    # a triangle count that is not positive, and a slot out of range
+    (None, ["verify-structure"], {"triangles": 0, "gluings": []}),
+    (None, ["verify-structure"], {"triangles": 2, "gluings": [[[0, 3], [1, 1]], [[0, 1], [1, 2]],
+                                                              [[0, 2], [1, 0]]]}),
+    # zeta and h lists whose lengths do not match the basis
+    (None, ["rep"], {"genus": 1, "punctures": 1, "N": 3, "h": [[1, 0]],
+                     "zeta": {"alphas": [[1, 0], [1, 0]], "betas": [[1, 0]], "etas": [[1, 0]]}}),
+    (None, ["rep"], {"genus": 1, "punctures": 1, "N": 3, "h": [[1, 0], [1, 0]],
+                     "zeta": {"alphas": [[1, 0]], "betas": [[1, 0]], "etas": [[1, 0]]}}),
 ])
 def test_bad_input_exits_two_without_traceback(tmp_path, capsys, monkeypatch, tol, argv, data):
     # fd 0 holds a valid triangulation, so that input which is wrongly read

@@ -46,10 +46,10 @@ def _certify_floats(n):
     return skew_normal_form(_skew_with(n, 1)), _skew_with(n, 1.0)
 
 
-def _element(coeff):
+def _element(coeff, weights=(0,) * TRACK.branch_count, n=None):
     p = ALGEBRA.params
-    return {"N": p.N, "root_exponent": p.root_exponent,
-            "terms": [{"weights": [0] * TRACK.branch_count, "coeff": coeff}]}
+    return {"N": p.N if n is None else n, "root_exponent": p.root_exponent,
+            "terms": [{"weights": list(weights), "coeff": coeff}]}
 
 
 def _torus_json_with(first_slot):
@@ -62,6 +62,9 @@ def _torus_json_with(first_slot):
 @pytest.mark.parametrize("call,args,error", [
     pytest.param(skew_normal_form, (_skew_with(2, 0.5),), ValueError, id="skew-lists"),
     pytest.param(skew_normal_form, (_skew_with(20, 0.5),), ValueError, id="skew-int64"),
+    pytest.param(skew_normal_form, ([[0] * 21] * 20,), ValueError, id="skew-int64-not-square"),
+    pytest.param(skew_normal_form, ([[int((i, j) == (0, 1)) for j in range(20)] for i in range(20)],),
+                 ValueError, id="skew-int64-not-antisymmetric"),
     pytest.param(hermite_normal_form, ([[1.7, 2.2]],), ValueError, id="hermite-lists"),
     pytest.param(hermite_normal_form, ([[1.7, 2.2]] * 20,), ValueError, id="hermite-20-rows"),
     pytest.param(certify_normal_form, _certify_floats(2), ValueError, id="certify-lists"),
@@ -72,6 +75,12 @@ def _torus_json_with(first_slot):
                  id="element-exponent"),
     pytest.param(ALGEBRA.element_from_json_dict, (_element([[0, 1, 7]]),), ValueError,
                  id="element-triple"),
+    pytest.param(ALGEBRA.element_from_json_dict, (_element([[0, 1]], n=5),), ValueError,
+                 id="element-parameters"),
+    pytest.param(ALGEBRA.element_from_json_dict, (_element([[0, 1]], (0,) * (TRACK.branch_count + 1)),),
+                 TrackError, id="element-weight-length"),
+    pytest.param(ALGEBRA.element_from_json_dict, (_element([[0, 1]], (1,) + (0,) * (TRACK.branch_count - 1)),),
+                 TrackError, id="element-switch-conditions"),
     pytest.param(ordered_product_normal_form, (sigma_matrix(TORUS), [(0, 1.5)], 12), ValueError,
                  id="ordered-product"),
     pytest.param(TrainTrack, (1, [([(0, 0.9)], [(0.2, 1)])]), TrackError, id="track-floats"),

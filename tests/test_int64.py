@@ -70,13 +70,13 @@ def test_grid_cells(g, s, grid_tracks, monkeypatch):
 def test_large_triangulations(g, s, flips, certify_lists, monkeypatch):
     # The Python-int certificate of the two largest costs seconds; their
     # int64 certificate is checked, and the Python one on the other three.
-    # On the Hermite basis the flipped forms fold, so U and V are replayed
-    # from the fold on; the fans' pairs all clear in one sweep.
+    # On the Hermite basis the flipped forms fold, so U and V are updated
+    # step by step from the fold on; the fans' pairs all clear in one sweep.
     events = normal_form_events(monkeypatch)
     tri = random_triangulation(g, s, flips, seed=f"int64/{g}/{s}") if flips else \
         standard_triangulation(g, s)
     nf = assert_paths_agree(from_triangulation(tri), monkeypatch, certify_lists)
-    assert [e[2] for e in events if e[0] == "replay"] == (["fold"] if flips else [])
+    assert [e[2] for e in events if e[0] == "step"] == (["fold"] if flips else [])
     if flips == 3000:  # coefficient growth that the fans hide
         assert max(abs(x).bit_length() for row in nf.U for x in row) > 30
 
@@ -97,7 +97,7 @@ def test_dense_random_matrices_widen_to_python_ints(seed, monkeypatch):
     monkeypatch.setattr(lattice, "INT64_MIN_ROWS", INT64)
     events = normal_form_events(monkeypatch)
     nf = skew_normal_form(m)
-    assert events[1][::2] == ("replay", "sweep")
+    assert events[1][::2] == ("step", "sweep")
     assert max(abs(x).bit_length() for row in nf.U for x in row) > 1000
     if seed == 0:  # a second certificate of thousands of bits adds a second, not coverage
         assert certify_normal_form(nf, m)
@@ -110,9 +110,10 @@ def test_normal_form_crosses_62_bits_mid_elimination(monkeypatch):
     # int64, back on float64 once a measurement finds the entries small, and
     # past WORD_BITS on Python ints for good.  The loop reduces M through
     # these tiers on seed 0 (seed 1's M stays within FLOAT_BITS); the forms
-    # need second sweeps, so U and V^T are replayed through them too, and U
+    # need second sweeps, so U and V^T are updated through them too, and U
     # ends past 62 bits, which int64 cannot hold.  Every tier takes the list
-    # path's steps.
+    # path's steps.  The updates of the two parts interleave, so each part's
+    # runs of tiers are compared, in order.
     tiers, parts = product_tiers(monkeypatch)
     floats, words, objects = "float64", "int64", "object"
     for seed, n, bound, runs in [
@@ -127,7 +128,8 @@ def test_normal_form_crosses_62_bits_mid_elimination(monkeypatch):
         for cutoff in (INT64, LISTS):
             monkeypatch.setattr(lattice, "INT64_MIN_ROWS", cutoff)
             results.append(skew_normal_form(m))
-        assert [t for k, t in enumerate(tiers) if not k or tiers[k - 1] != t] == runs
+        by_part = sorted(tiers, key=lambda e: e[0])  # stable: each part's updates in order
+        assert [t for k, t in enumerate(by_part) if not k or by_part[k - 1] != t] == runs
         assert results[0] == results[1]
         assert max(abs(x).bit_length() for row in results[0].U for x in row) > 62
         assert certify_normal_form(results[0], m)
@@ -141,7 +143,7 @@ def test_normal_form_on_a_divisible_form(monkeypatch):
     monkeypatch.setattr(lattice, "INT64_MIN_ROWS", INT64)
     events = normal_form_events(monkeypatch)
     nf = skew_normal_form(m)
-    assert events[1][::2] == ("replay", "sweep")
+    assert events[1][::2] == ("step", "sweep")
     assert nf.blocks == (6,) * 11 + (289020,)
     assert certify_normal_form(nf, m)
     monkeypatch.setattr(lattice, "INT64_MIN_ROWS", LISTS)

@@ -1,14 +1,13 @@
-"""The array normal form's block updates, its record of multipliers and its replay, against the list path.
+"""The array normal form's block updates, its multipliers and its rare steps, against the list path.
 
 ``intcore.skew_normal_form`` reduces ``M`` alone, on a shrinking trailing
 block; a pair that clears in one sweep writes the next block as one rank-2
 update (``_next_block``).  While every pair clears
 in one sweep with no fold, ``U`` and ``V`` come from the multipliers ``N``
 and the row permutation ``P`` (``_unwind``); from the first pair that folds
-or sweeps twice they are assembled and the loop's recorded steps replayed
-on them (``_replay``).  Either way they must equal the list path's, which
-takes the same steps one entry at a time.
-"""
+or sweeps twice they are assembled, and each step from it on is applied to
+them at once (``_step``).  Either way they must equal the list path's, which
+takes the same steps one entry at a time."""
 
 import random
 
@@ -74,6 +73,12 @@ def layered_form(seed, n, clean, tail, bits):
         d[2 * k][2 * k + 1], d[2 * k + 1][2 * k] = 1, -1
     for i, row in enumerate(tail):
         d[2 * clean + i][2 * clean:] = row
+    return congruence(low, d)
+
+
+def congruence(low, d):
+    """``L D L^T`` on Python ints."""
+    n = len(low)
     ld = [[sum(low[i][k] * d[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     return [[sum(ld[i][k] * low[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
 
@@ -100,8 +105,82 @@ def test_replay_from_the_first_pair_that_is_not_clean(n, clean, tail, kind, monk
     tail = [row + [0] * (n - 2 * clean - len(row)) for row in tail]
     m = layered_form(n + clean, n, clean, tail, 2)
     nf, events = both_paths(m, monkeypatch)
-    assert events == [("unwind", clean), ("replay", 2 * clean, kind)]
+    assert events == [("unwind", clean), ("step", 2 * clean, kind)]
     assert nf.blocks[:clean] == (1,) * clean
+    assert certify_normal_form(nf, m)
+
+
+def fold_tail(bits, qbits, n):
+    """A tail of ``n`` rows whose first pair folds, with large entries.
+
+    Pivot 2 at (0, 1) divides rows 0 and 1, whose quotients have at most
+    ``qbits`` bits, so the pair clears in one sweep; every entry below them
+    is odd, of at most ``bits`` bits, and so is every entry of the block the
+    pair leaves, which makes it fold.
+    """
+    rng = random.Random(f"{bits}/{qbits}")
+    tail = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = 2 * rng.randint(-2 ** qbits, 2 ** qbits) if i < 2 else rng.randint(-2 ** bits, 2 ** bits) | 1
+            tail[i][j], tail[j][i] = x, -x
+    tail[0][1], tail[1][0] = 2, -2
+    return tail
+
+
+@pytest.mark.parametrize("bits,qbits,before,after", [
+    (40, 6, "float64", "int64"),
+    (55, 4, "int64", "object"),
+], ids=["past-FLOAT_BITS", "past-WORD_BITS"])
+def test_fold_moves_the_block_across_a_tier(bits, qbits, before, after, monkeypatch):
+    # The clean pairs keep the block's bound within its tier.  The fold
+    # pair's general sweep and fold raise it by (2q + 1)**2 * 4, past the
+    # tier; measured, the block needs the next one.  That update is the
+    # block's last before the first update of [U | V^T].
+    n, clean = 24, 5
+    tail = [row + [0] * (n - 2 * clean - 4) for row in fold_tail(bits, qbits, 4)]
+    m = layered_form(bits, n, clean, tail + [[0] * (n - 2 * clean)] * (n - 2 * clean - 4), 2)
+    tiers, _ = product_tiers(monkeypatch)
+    nf, events = both_paths(m, monkeypatch)
+    assert events == [("unwind", clean), ("step", 2 * clean, "fold")]
+    first = next(k for k, (part, _) in enumerate(tiers) if part == 1)
+    assert tiers[first - 2:first] == [(0, before), (0, after)]
+    assert certify_normal_form(nf, m)
+
+
+def aligned_fold_form(e):
+    """A pair of pivot 1, then a pair whose sweep leaves ``[U | V^T]`` near its bound and whose fold passes it.
+
+    ``L`` has ``-e``, ``-e`` and ``1 - e`` at (2, 0), (3, 0) and (4, 0), so
+    column 0 of ``U = L^-1`` holds ``e``, ``e`` and ``e - 1`` there, and
+    ``[U | V^T]`` starts with bounds of ``e``.  In the tail, pivot 2 has
+    quotients 1 and 1 in column 4 alone, so the sweep adds rows 2 and 3 of
+    ``U`` to row 4, which then holds ``3 e - 1`` against a bound of ``3 e``.
+    The 3 at (4, 5) is odd, so the pair folds row 4 into row 2, which then
+    holds ``4 e - 1``.
+    """
+    low = [[int(i == j) for j in range(6)] for i in range(6)]
+    low[2][0], low[3][0], low[4][0] = -e, -e, 1 - e
+    d = [[0, 1, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0], [0, 0, 0, 2, -2, 0],
+         [0, 0, -2, 0, 2, 0], [0, 0, 2, -2, 0, 3], [0, 0, 0, 0, -3, 0]]
+    return congruence(low, d)
+
+
+@pytest.mark.parametrize("e,before,after,u_dtype", [
+    (2 ** 51 + 1, "float64", "int64", "int64"),
+    (2 ** 60 + 1, "int64", "object", "object"),
+], ids=["past-FLOAT_BITS", "past-WORD_BITS"])
+def test_fold_moves_u_and_v_across_a_tier(e, before, after, u_dtype, monkeypatch):
+    # The sweep's bound 3e is within the tier, the fold's 6e is not; row 4
+    # of U, measured, holds 3e - 1, and the fold can double it, which needs
+    # the next tier.  The fold makes 4e - 1, odd and past the tier: float64
+    # cannot hold it, and no int64 value may reach 2**62.
+    m = aligned_fold_form(e)
+    tiers, _ = product_tiers(monkeypatch)
+    nf, events = both_paths(m, monkeypatch)
+    assert events == [("unwind", 1), ("step", 2, "fold")]
+    assert [t for part, t in tiers if part == 1][:2] == [before, after]
+    assert nf.U[2][0] == 4 * e - 1 and nf.arrays[0].dtype == u_dtype
     assert certify_normal_form(nf, m)
 
 
@@ -133,14 +212,17 @@ def test_replay_keeps_final_rows_exact_when_its_live_rows_shrink(monkeypatch):
     quotients[0][0, 0] = 2 ** 55 + 1
     quotients[1][1, 0] = 1  # adds U's small row 3, not the huge row 2
     quotients[2][0, 0] = 2 ** 6
-    record = [(t, None, qt, None) for t, qt in zip((0, 2, 4), quotients)]
     exact = uvt.astype(object)
     u, vt = exact[:, :n], exact[:, n:]
-    for t, _, qt, _ in record:
+    for t, qt in zip((0, 2, 4), quotients):
         u[t + 2:] += qt.T.astype(object) @ u[t:t + 2]
         vt[t:t + 2] -= qt.astype(object) @ vt[t + 2:]
     tiers, _ = product_tiers(monkeypatch)
-    assert (intcore._replay(uvt, record) == exact).all()
+    bounds = intcore._Tiers(1, 1)  # as the loop starts them on U = V^T = I, on float64
+    uvt = uvt.astype(bounds.dtype)
+    for t, qt in zip((0, 2, 4), quotients):
+        uvt = intcore._step(uvt, bounds, t, qt, None)
+    assert (uvt == exact).all()
     assert tiers == [(0, "int64")] * 3
 
 
