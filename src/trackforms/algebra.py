@@ -23,7 +23,6 @@ An element is a finite sum of terms ``c w^e Z_k``: an integer coefficient
 ``k``.  :class:`AlgebraElement` holds it in one canonical array form:
 
 - ``keys``: its weight systems, unique rows in lexicographic order;
-- ``images``: their germ images ``T k`` (see Products), row for row;
 - the entries ``term``, ``exponent``, ``coeff``: three vectors, ``term``
   indexing ``keys``, sorted by term and then exponent, every exponent in
   ``[0, 4N)``, no coefficient 0 and no key without an entry.
@@ -36,9 +35,9 @@ exponents and coefficients of any size stay exact.  The constructor reads
 the map ``{weights: {exponent: coeff}}`` and reduces it, ``terms`` gives
 that map back, and ``phase_eval`` sends one of its phase polynomials to a
 complex number for a concrete ``w``.  Only a read from a map or from JSON
-sorts weight tuples and scatters germ images; products and ``frobenius``
-work on the arrays.  Importing this module or making an algebra loads no
-numpy; the first element does.
+sorts weight tuples; products and ``frobenius`` work on the arrays.
+Importing this module or making an algebra loads no numpy; the first
+element does.
 
 Monomials correspond to symmetrized ordered products of the edge generators:
 ``weyl_exponent`` computes the symmetrizing phase ``-sum_{u<v} k_u k_v
@@ -51,16 +50,14 @@ Products
 --------
 ``theta(a, b) = a^T T b / 2`` for the track's germ-pair form ``T``.  An
 algebra turns the track's germ pairs into an array once, at its first
-element (``intcore.word_rows``), and a read scatters the germ images
-of its keys over it (``intcore.germ_images``).  ``T`` is linear, so a
-product never scatters: the image of ``a_i + b_j`` is ``images_a[i] +
-images_b[j]``.  The product of a p-term by a q-term element is a short
-sequence of array steps:
+product (``intcore.word_rows``).  The product of a p-term by a q-term
+element is a short sequence of array steps:
 
-1. all p*q doubled phases ``a_i . T b_j`` are one exact product of the left
-   keys with the right images (``intcore.doubled_pairings``, on float64
-   BLAS while a bit bound keeps it exact and on Python ints past it), which
-   raises if one is odd;
+1. all p*q doubled phases ``a_i^T T b_j`` are ``intcore.doubled_pairings``
+   of the two factors' keys, the routine behind ``lattice.theta_matrix`` on
+   arrays: one exact product over the germ pairs' branch columns (float64
+   BLAS while a bit bound keeps it exact and Python ints past it), which
+   raises if a pairing is odd;
 2. every pair of entries gets its term pair, its exponent ``e1 + e2 + 2
    theta`` mod 4N and its coefficient ``c1 c2`` by broadcasting;
 3. the p*q keys ``a_i + b_j`` are numbered in lexicographic order by one
@@ -69,11 +66,11 @@ sequence of array steps:
    ``np.add.reduceat`` adds them, and zeros, then keys left empty, are
    dropped (``intcore.merge_slots``).
 
-Before each step whose int64 values could pass ``2**62`` (a key or image
-sum, a coefficient product and its sums, a phase sum or slot at large 4N)
-a bit bound is checked, and past it the arrays widen to Python ints.
-``frobenius`` scales keys and images by N and exponents by N^2 mod 4N and
-sorts the entries of each term again; the keys keep their order.
+Before each step whose int64 values could pass ``2**62`` (a key sum, a
+coefficient product and its sums, a phase sum or slot at large 4N) a bit
+bound is checked, and past it the arrays widen to Python ints.
+``frobenius`` scales keys by N and exponents by N^2 mod 4N and sorts the
+entries of each term again; the keys keep their order.
 
 On the (2,2) ``algebra_laws`` benchmark this took the median ``ops_per_s``
 from 584 to 1035 and the median operation from 1.65 to 0.93 ms (ten
@@ -239,14 +236,14 @@ def phase_eval(p: dict, params: AlgebraParams) -> complex:
 class AlgebraElement:
     """Finite phase-weighted sum of basis monomials Z_w, w a weight system.
 
-    Held in the canonical array form of the module docstring: ``keys`` and
-    their germ ``images``, and the entries ``term``, ``exponent`` and
-    ``coeff``.  ``AlgebraElement(algebra, terms)`` reads and reduces a map
-    ``{weights: {exponent: coeff}}``; ``terms`` gives the map back.  The
-    arrays are shared between elements and never changed in place.
+    Held in the canonical array form of the module docstring: ``keys``, and
+    the entries ``term``, ``exponent`` and ``coeff``.
+    ``AlgebraElement(algebra, terms)`` reads and reduces a map ``{weights:
+    {exponent: coeff}}``; ``terms`` gives the map back.  The arrays are
+    shared between elements and never changed in place.
     """
 
-    __slots__ = ("algebra", "keys", "images", "term", "exponent", "coeff")
+    __slots__ = ("algebra", "keys", "term", "exponent", "coeff")
 
     def __init__(self, algebra: "BalancedAlgebra", terms: dict):
         weights, entries = [], []
@@ -254,14 +251,14 @@ class AlgebraElement:
             entries += [(len(weights), e, c) for e, c in p.items()]
             weights.append(w)
         self.algebra = algebra
-        self.keys, self.images, self.term, self.exponent, self.coeff = algebra._read(weights, entries)
+        self.keys, self.term, self.exponent, self.coeff = algebra._read(weights, entries)
 
     @classmethod
-    def _wrap(cls, algebra, keys, images, term, exponent, coeff) -> "AlgebraElement":
+    def _wrap(cls, algebra, keys, term, exponent, coeff) -> "AlgebraElement":
         """Wrap arrays that are already in canonical form, without checking them."""
         out = cls.__new__(cls)
         out.algebra = algebra
-        out.keys, out.images, out.term, out.exponent, out.coeff = keys, images, term, exponent, coeff
+        out.keys, out.term, out.exponent, out.coeff = keys, term, exponent, coeff
         return out
 
     def _entries(self) -> list:
@@ -314,8 +311,7 @@ class AlgebraElement:
         coeff = self.coeff
         if coeff.dtype != object and intcore.max_bits(coeff) + factor.bit_length() > intcore.WORD_BITS:
             coeff = coeff.astype(object)
-        return AlgebraElement._wrap(self.algebra, self.keys, self.images, self.term,
-                                    self.exponent, coeff * factor)
+        return AlgebraElement._wrap(self.algebra, self.keys, self.term, self.exponent, coeff * factor)
 
     def __repr__(self) -> str:
         return f"AlgebraElement({len(self.keys)} terms, N={self.algebra.params.N})"
@@ -334,11 +330,11 @@ class AlgebraElement:
 class BalancedAlgebra:
     """The algebra attached to a triangulation track at fixed root parameters.
 
-    ``mul`` pairs every term of the left factor with the germ images of the
-    right factor's keys in one exact product (see the module docstring).
-    Past its germ-pair array, built the first time it reads an element, and
-    its switch matrix, built the first time it reads JSON, an algebra keeps
-    no cache, so its memory does not grow with the products it has computed.
+    ``mul`` pairs the keys of the two factors with ``intcore.doubled_pairings``
+    (see the module docstring).  Past its germ-pair array, built at its first
+    product, and its switch matrix, built the first time it reads JSON, an
+    algebra keeps no cache, so its memory does not grow with the products it
+    has computed.
     """
 
     def __init__(self, track: TriangulationTrack, params: AlgebraParams):
@@ -363,9 +359,8 @@ class BalancedAlgebra:
         """The canonical arrays of the ``(index into weights, exponent, coeff)`` entries.
 
         Weights may repeat, and all values must be exact integers.  Python's
-        sort of the weight tuples numbers the distinct keys,
-        ``intcore.merge_slots`` reduces the entries, and the germ images of
-        the keys left are one scatter.
+        sort of the weight tuples numbers the distinct keys, and
+        ``intcore.merge_slots`` reduces the entries.
         """
         import numpy as np
         from . import intcore
@@ -385,17 +380,13 @@ class BalancedAlgebra:
             coeff = coeff.astype(object)
         key = np.array([number[rows[t]] for t in term], dtype=np.intp)
         used, term, exponent, coeff = intcore.merge_slots(key, exponent, coeff, len(distinct), order)
-        keys = intcore.as_array(distinct)[used]
-        if self._germ_pairs is None:
-            self._germ_pairs = intcore.word_rows(self.track.germ_pairs, 2)
-        return keys, intcore.germ_images(self._germ_pairs, keys), term, exponent, coeff
+        return intcore.as_array(distinct)[used], term, exponent, coeff
 
     def _zero_arrays(self) -> tuple:
         """The arrays of the zero element: no key and no entry."""
         import numpy as np
-        rows = np.zeros((0, self.track.branch_count), dtype=np.int64)
         entries = np.zeros(0, dtype=np.int64)
-        return rows, rows, entries, entries, entries
+        return np.zeros((0, self.track.branch_count), dtype=np.int64), entries, entries, entries
 
     # -- constructors -------------------------------------------------------
 
@@ -415,8 +406,8 @@ class BalancedAlgebra:
         """The product ``x y`` as array steps on the canonical forms (module docstring).
 
         Each step that could pass int64 first checks a bit bound and, past
-        it, runs on Python ints: the key and image sums, the coefficient
-        products with their sums, and the phase sums when 4N is that large.
+        it, runs on Python ints: the key sums, the coefficient products with
+        their sums, and the phase sums when 4N is that large.
         """
         self.require_same(x)
         self.require_same(y)
@@ -424,13 +415,12 @@ class BalancedAlgebra:
             return self.zero()
         from . import intcore
         order = self.params.phase_order
-        ka, kb, ia, ib = x.keys, y.keys, x.images, y.images
-        # A germ image sums at most 2P entries of its key (P germ pairs); a
-        # sum of two keys, or of two images, must stay below 2**WORD_BITS.
-        image_bits = len(self.track.germ_pairs).bit_length() + 1
-        if max(intcore.max_bits(ka), intcore.max_bits(kb)) + image_bits + 1 > intcore.WORD_BITS:
-            ka, kb, ia, ib = (v.astype(object) for v in (ka, kb, ia, ib))
-        doubled = intcore.doubled_pairings(ka, ib)
+        ka, kb = x.keys, y.keys
+        if max(intcore.max_bits(ka), intcore.max_bits(kb)) + 1 > intcore.WORD_BITS:  # a key sum
+            ka, kb = ka.astype(object), kb.astype(object)
+        if self._germ_pairs is None:
+            self._germ_pairs = intcore.word_rows(self.track.germ_pairs, 2)
+        doubled = intcore.doubled_pairings(self._germ_pairs, ka, kb)
         q = len(kb)
         pair = (x.term[:, None] * q + y.term).ravel()  # the term pair of each entry pair
         ea, eb = x.exponent, y.exponent
@@ -444,7 +434,7 @@ class BalancedAlgebra:
         used, term, exponent, coeff = intcore.merge_slots(
             rank[pair], exponent, (ca[:, None] * cb).ravel(), len(rep), order)
         i, j = divmod(rep[used], q)
-        return AlgebraElement._wrap(self, ka[i] + kb[j], ia[i] + ib[j], term, exponent, coeff)
+        return AlgebraElement._wrap(self, ka[i] + kb[j], term, exponent, coeff)
 
     def power(self, x: AlgebraElement, m: int) -> AlgebraElement:
         if m < 0:
@@ -544,12 +534,12 @@ def frobenius(x: AlgebraElement, target: BalancedAlgebra) -> AlgebraElement:
 
     The lift of a canonical form is canonical once its entries are sorted
     again.  ``w -> N w`` is injective and keeps the lexicographic order of
-    the keys, and ``T`` is linear, so keys and images scale by N.  The
-    source exponents lie in ``Z/4``, and ``e -> e N^2 mod 4N`` is injective
-    there: N is odd, so ``e N^2 = N (e N mod 4) (mod 4N)`` and
-    ``e -> e N mod 4`` permutes ``Z/4``.  So no two entries meet, and the
-    coefficients stay the source's, none of them 0; only the order of the
-    exponents within a term can change (for ``N = 3 mod 4``).
+    the keys, so the keys scale by N.  The source exponents lie in ``Z/4``,
+    and ``e -> e N^2 mod 4N`` is injective there: N is odd, so ``e N^2 = N
+    (e N mod 4) (mod 4N)`` and ``e -> e N mod 4`` permutes ``Z/4``.  So no
+    two entries meet, and the coefficients stay the source's, none of them
+    0; only the order of the exponents within a term can change (for ``N =
+    3 mod 4``).
     """
     src = x.algebra
     if src.track is not target.track:
@@ -560,14 +550,14 @@ def frobenius(x: AlgebraElement, target: BalancedAlgebra) -> AlgebraElement:
     from . import intcore
     N = target.params.N
     order = target.params.phase_order
-    keys, images, exponent = x.keys, x.images, x.exponent
-    if max(intcore.max_bits(keys), intcore.max_bits(images)) + N.bit_length() > intcore.WORD_BITS:
-        keys, images = keys.astype(object), images.astype(object)
+    keys, exponent = x.keys, x.exponent
+    if intcore.max_bits(keys) + N.bit_length() > intcore.WORD_BITS:
+        keys = keys.astype(object)
     if 4 * order > 1 << intcore.WORD_BITS:
         exponent = exponent.astype(object)
     exponent = exponent * (N * N % order) % order
     perm = np.lexsort((exponent, x.term))
-    return AlgebraElement._wrap(target, keys * N, images * N, x.term[perm], exponent[perm], x.coeff[perm])
+    return AlgebraElement._wrap(target, keys * N, x.term[perm], exponent[perm], x.coeff[perm])
 
 
 # --- Chebyshev utilities ----------------------------------------------------

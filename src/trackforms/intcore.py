@@ -48,16 +48,17 @@ clean pair), the live entries are measured again only when it would pass
 the tier, and the array moves to the tier they need, so the same numpy code
 carries on exactly.
 
-The balanced algebra keeps its elements here as arrays (see ``algebra``):
-``germ_images`` makes the germ images of the keys a read gives, and a
-product is ``doubled_pairings`` of the left keys with the right images,
-``sum_ranks`` to number the key sums, whose packed codes stay exact on
-int64, and ``merge_slots`` to add equal (key, exponent) slots.  They widen
-to Python ints by the same bit bounds.
+``doubled_pairings`` is the one array pairing: both shapes of
+``theta_matrix`` and the balanced algebra's products call it, and it is one
+guarded product over the germ pairs' branch columns.  The algebra keeps its
+elements as arrays (see ``algebra``), and a product is ``doubled_pairings``
+of the two factors' keys, ``sum_ranks`` to number the key sums, whose
+packed codes stay exact on int64, and ``merge_slots`` to add equal (key,
+exponent) slots.  They widen to Python ints by the same bit bounds.
 
 This module imports numpy, so ``lattice`` imports it only when a matrix is
-large enough to need it, and ``algebra`` at its first element, which also
-reads the track's germ pairs into an array once.
+large enough to need it, and ``algebra`` at its first element.  An algebra
+reads the track's germ pairs into an array once, at its first product.
 """
 
 from __future__ import annotations
@@ -461,30 +462,25 @@ def certifies(u, v, m, blocks) -> bool:
 
 # --- the intersection form -------------------------------------------------
 
-def germ_images(pairs: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The germ images ``T b_j`` of the rows of ``b``, as one ``np.add.at`` scatter.
+def doubled_pairings(pairs: np.ndarray, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """The exact matrix of doubled pairings ``2 theta(a_i, b_j)``; ``b`` omitted means ``a``.
 
-    ``pairs`` is the track's germ pairs as a (P, 2) int64 array.  A row of images is a sum
-    of at most ``2 len(pairs)`` entries of ``b``, so past that bound the
-    images are made on Python ints.
+    ``pairs`` is the track's germ pairs as a (P, 2) int64 array.  A pair
+    ``(l, r)`` adds ``x_r y_l - x_l y_r`` to the doubled pairing of ``x``
+    and ``y``, so over the pairs' branch columns the matrix is ``A[:, r]
+    B[:, l]^T - A[:, l] B[:, r]^T``: one product ``[A_r | A_l] [B_l |
+    -B_r]^T`` of inner size 2P, or ``X - X^T`` for ``X = A[:, r] A[:, l]^T``
+    when ``b`` is omitted, half the work.  The product is a ``matmul``
+    (float64 BLAS within its bound, Python ints past it), and ``X - X^T``
+    needs one bit more, which int64 holds.  Raises ``IntegralityViolation``
+    if a pairing is odd.
     """
-    if max_bits(b) + len(pairs).bit_length() + 1 > WORD_BITS:
-        b = b.astype(object)
-    left, right = pairs[:, 0], pairs[:, 1]
-    images = np.zeros_like(b)  # row j is T b_j
-    np.add.at(images, (slice(None), right), b[:, left])
-    np.subtract.at(images, (slice(None), left), b[:, right])
-    return images
-
-
-def doubled_pairings(a: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """The exact matrix of doubled pairings ``a_i^T T b_j = 2 theta(a_i, b_j)``.
-
-    ``images`` holds the germ images ``T b_j`` (``germ_images``).  All the
-    pairings are one guarded product.  Raises ``IntegralityViolation`` if
-    one is odd.
-    """
-    return _even(matmul(a, images.T))
+    if b is None:
+        x = matmul(a[:, pairs[:, 1]], a[:, pairs[:, 0]].T)
+        return _even(x - x.T)
+    signed = b[:, pairs.T.ravel()]  # [B_l | B_r], a copy, and then [B_l | -B_r]
+    np.negative(signed[:, len(pairs):], out=signed[:, len(pairs):])
+    return _even(matmul(a[:, pairs[:, ::-1].T.ravel()], signed.T))
 
 
 def _even(doubled: np.ndarray) -> np.ndarray:
@@ -496,26 +492,14 @@ def _even(doubled: np.ndarray) -> np.ndarray:
 
 
 def theta_matrix(germ_pairs, rows, cols=None):
-    """``lattice.theta_matrix`` as exact array products.
+    """``lattice.theta_matrix`` as ``doubled_pairings`` halved.
 
-    A germ pair ``(l, r)`` adds ``x_r y_l - x_l y_r`` to the doubled pairing
-    of ``x`` and ``y``.  With ``cols`` omitted that makes the square matrix
-    ``X - X^T`` for the one product ``X = R[:, r] R[:, l]^T`` over the pairs'
-    branch columns ``l`` and ``r``, with no germ images; ``X`` is a
-    ``matmul`` (float64 BLAS within its bound), and the difference needs one
-    bit more, which int64 holds.  Given ``cols``, typically a few rows such
-    as the etas, one scatter makes their germ images and one
-    ``doubled_pairings`` pairs ``rows`` with them.  An array if either side
-    is one, lists of Python ints otherwise.
+    ``rows`` and ``cols`` may be lists or arrays, read by ``as_array``; with
+    ``cols`` omitted the matrix is the antisymmetric one over ``rows``.  An
+    array if either side is one, lists of Python ints otherwise.
     """
-    pairs = word_rows(germ_pairs, 2)
-    a = as_array(rows)
-    if cols is None:
-        x = matmul(a[:, pairs[:, 1]], a[:, pairs[:, 0]].T)
-        doubled = _even(x - x.T)
-    else:
-        doubled = doubled_pairings(a, germ_images(pairs, as_array(cols)))
-    theta = doubled >> 1
+    b = None if cols is None else as_array(cols)
+    theta = doubled_pairings(word_rows(germ_pairs, 2), as_array(rows), b) >> 1
     return theta if isinstance(rows, np.ndarray) or isinstance(cols, np.ndarray) else theta.tolist()
 
 

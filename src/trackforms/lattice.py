@@ -625,8 +625,8 @@ def _etas_span_radical(track: TrainTrack, basis, etas, nullity: int) -> bool:
     lattice ``E``.  If there are ``nullity`` of them and each pairs to zero
     with the basis, ``E`` lies in ``R`` with the same rank, so ``R`` lies in
     the integer vectors of ``Q E``, which are ``E``.  The etas, a list of
-    tuples, go second in ``theta_matrix``, so only their germ images are
-    formed.
+    tuples, go second in ``theta_matrix``, so on lists only their germ
+    images are formed; on arrays ``intcore.doubled_pairings`` forms none.
     """
     if len(etas) != nullity:
         return False

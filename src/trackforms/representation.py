@@ -185,16 +185,15 @@ class RepresentationSpec:
             if value == 0:
                 raise RepresentationError("zeta and h values must be non-zero")
         pairing = theta_matrix(self.track, self.basis.gamma_vectors)
-        for i, (_, _, d) in enumerate(self.basis.pairs):
-            if pairing[i][i + m] != d or d not in (1, 2):
-                raise RepresentationError(f"pair {i} does not pair to its block value")
         for i, row in enumerate(pairing):
+            d = self.basis.pairs[i][2] if i < m else 0  # what vector i pairs to with i + m
+            if i < m and d not in (1, 2):
+                raise RepresentationError(f"pair {i} has block value {d}, not 1 or 2")
             for j in range(i + 1, len(row)):
-                v = row[j]
-                expect = self.basis.pairs[i][2] if (j == i + m and i < m) else 0
-                if v != expect:
+                expect = d if j == i + m else 0
+                if row[j] != expect:
                     raise RepresentationError(
-                        f"basis vectors {i}, {j} pair to {v}, expected {expect}")
+                        f"basis vectors {i}, {j} pair to {row[j]}, expected {expect}")
         # decompose reads eta k's coefficient at its first 1, where every other eta is 0
         for k, eta in enumerate(self.basis.etas):
             reads = [e[eta.index(1)] for e in self.basis.etas] if 1 in eta else None

@@ -88,6 +88,26 @@ def diagnose(triangle_count: int, gluings) -> Diagnostics:
         diag.errors.append(f"{3 * triangle_count - len(pairing)} slots unglued, the first {first}")
     if diag.errors:
         return diag
+
+    # One surface: the triangles form one orbit under the gluing.
+    reached = [False] * triangle_count
+    components = 0
+    for start in range(triangle_count):
+        if reached[start]:
+            continue
+        components += 1
+        reached[start] = True
+        stack = [start]
+        while stack:
+            t = stack.pop()
+            for k in range(3):
+                u = pairing[(t, k)][0]
+                if not reached[u]:
+                    reached[u] = True
+                    stack.append(u)
+    if components > 1:
+        diag.errors.append(f"gluing is not connected: its triangles form {components} components")
+        return diag
     slots = [(t, k) for t in range(triangle_count) for k in range(3)]
 
     # Edge orbits, indexed by first appearance.

@@ -365,9 +365,10 @@ def test_mul_cancels_one_key(torus_setup):
     assert len(product.terms) == 2
 
 
-def test_germ_pairs_wait_for_the_first_element():
-    # neither the module nor an algebra loads numpy; the first element builds
-    # the germ-pair array, and every later element and product reuses it
+def test_germ_pairs_wait_for_the_first_product():
+    # neither the module nor an algebra loads numpy, and elements and sums do
+    # not build the germ-pair array; the first product does, and every later
+    # element and product reuses it
     code = textwrap.dedent("""
         import sys
         import trackforms.algebra
@@ -376,10 +377,13 @@ def test_germ_pairs_wait_for_the_first_element():
         algebra = BalancedAlgebra(from_triangulation(standard_triangulation(1, 1)), omega_candidates(3)[0])
         assert "numpy" not in sys.modules and algebra._germ_pairs is None
         h = algebra.monomial((1,) * 6)
+        y = h + algebra.one()
+        assert algebra._germ_pairs is None
+        x = algebra.mul(y, h)
         pairs = algebra._germ_pairs
         assert pairs is not None
-        x = algebra.mul(h + algebra.one(), h)
         assert algebra.element_from_json_dict(x.to_json_dict()) == x
+        algebra.mul(x, y)
         assert algebra._germ_pairs is pairs
     """)
     src = os.path.dirname(os.path.dirname(trackforms.__file__))

@@ -79,6 +79,18 @@ def test_verify_structure_rejects_malformed(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["verify-structure", "rep"])
+def test_disconnected_triangulation_exits_two(tmp_path, capsys, command):
+    # the (0,3) pillow beside the (1,1) torus: two components, not a (0,4) surface
+    tri = {"triangles": 4, "gluings": [[[0, 0], [1, 2]], [[0, 1], [1, 1]], [[0, 2], [1, 0]],
+                                       [[2, 0], [3, 1]], [[2, 1], [3, 2]], [[2, 2], [3, 0]]]}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(tri if command == "verify-structure" else {"triangulation": tri, "N": 1}))
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: gluing is not connected: its triangles form 2 components\n"
+
+
 def test_rep_smoke(capsys):
     code, out, _ = run(capsys, "rep", "-g", "1", "-s", "1", "--N", "3", "--seed", "42")
     assert code == 0

@@ -442,6 +442,29 @@ def test_spec_validation_rejects_bad_h():
         spec.validate()
 
 
+@pytest.mark.parametrize("pair", [0, 1])
+def test_spec_validation_rejects_a_pair_with_alpha_and_beta_swapped(pair):
+    # the swapped pair pairs to -d, so the pass over theta's matrix stops there
+    track = from_triangulation(standard_triangulation(1, 2))
+    spec = random_spec(track, omega_candidates(3, epsilon=1)[0], seed=17)
+    pairs = list(spec.basis.pairs)
+    alpha, beta, d = pairs[pair]
+    pairs[pair] = (beta, alpha, d)
+    spec.basis = replace(spec.basis, pairs=tuple(pairs))
+    m = len(pairs)
+    with pytest.raises(RepresentationError, match=f"basis vectors {pair}, {pair + m} pair to {-d}, expected {d}"):
+        spec.validate()
+
+
+def test_spec_validation_rejects_a_block_value_of_three():
+    track = from_triangulation(standard_triangulation(1, 2))
+    spec = random_spec(track, omega_candidates(3, epsilon=1)[0], seed=18)
+    alpha, beta, _ = spec.basis.pairs[0]
+    spec.basis = replace(spec.basis, pairs=((alpha, beta, 3),) + spec.basis.pairs[1:])
+    with pytest.raises(RepresentationError, match="pair 0 has block value 3, not 1 or 2"):
+        spec.validate()
+
+
 def test_symplectic_basis_refuses_an_uncertified_normal_form(monkeypatch):
     # With a doubled kernel row the gammas would span a sublattice, which no
     # later check would notice.

@@ -12,6 +12,7 @@ from trackforms import (
     TrainTrack,
     from_switch_sums,
     from_triangulation,
+    intcore,
     puncture_weight,
     regions,
     standard_triangulation,
@@ -25,6 +26,7 @@ from trackforms.traintrack import (
     is_weight_system,
     theta_doubled,
 )
+from trackforms.triangulation import random_triangulation
 
 from conftest import (
     GRID,
@@ -198,6 +200,57 @@ def test_odd_doubled_pairing_raises(grid_tracks):
     for rows in ([e_left], np.array([e_left])):
         with pytest.raises(IntegralityViolation):
             theta_matrix(track, rows, [e_right])
+
+
+# --- the one array pairing against the list form ---------------------------
+
+def assert_doubled_pairings(track, rows, cols):
+    """``intcore.doubled_pairings``, square and rectangular, equals ``theta_doubled`` entry by entry."""
+    pairs = intcore.word_rows(track.germ_pairs, 2)
+    a, b = intcore.as_array(rows), intcore.as_array(cols)
+    square = intcore.doubled_pairings(pairs, a)
+    assert square.tolist() == [[theta_doubled(track, x, y) for y in rows] for x in rows]
+    rect = intcore.doubled_pairings(pairs, a, b)
+    assert rect.shape == (len(rows), len(cols))
+    assert rect.tolist() == [[theta_doubled(track, x, y) for y in cols] for x in rows]
+    return square, rect
+
+
+def test_doubled_pairings_on_ribbon_tracks():
+    rng = random.Random(31)
+    checked = 0
+    while checked < 300:
+        track = random_ribbon_track(rng)
+        if track is None:
+            continue
+        checked += 1
+        basis = weight_lattice_basis(track)
+        if basis:
+            cols = [random_weight(track, basis, rng) for _ in range(rng.randint(1, 3))]
+            assert_doubled_pairings(track, basis, cols)
+
+
+@pytest.mark.parametrize("scale", [1, 2 ** 54 + 1, 2 ** 70 + 1], ids=["int64", "past-53-bits", "past-62-bits"])
+def test_doubled_pairings_on_a_flipped_triangulation(scale):
+    # scaled rows put every product past the float64 bound (and past int64 at
+    # 2**70), so the pairings run on Python ints and must still be exact
+    track = from_triangulation(random_triangulation(2, 2, 300, 7))
+    basis = [tuple(scale * x for x in vec) for vec in tree_basis(track)]
+    rng = random.Random(scale)
+    cols = [tuple(scale * x for x in random_weight(track, basis, rng)) for _ in range(4)]
+    square, rect = assert_doubled_pairings(track, basis, cols)
+    assert (square == -square.T).all() and square.any() and rect.any()
+    if scale > 1:
+        assert square.dtype == rect.dtype == object
+
+
+def test_odd_rectangular_doubled_pairing_raises(grid_tracks):
+    track = grid_tracks[(1, 1)]
+    pairs = intcore.word_rows(track.germ_pairs, 2)
+    left, right = track.germ_pairs[0]
+    e_left, e_right = np.eye(track.branch_count, dtype=np.int64)[[left, right]]
+    with pytest.raises(IntegralityViolation):
+        intcore.doubled_pairings(pairs, e_left[None], e_right[None])
 
 
 def test_theta_kernel_contains_punctures(grid_tracks, grid_bases):

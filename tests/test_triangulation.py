@@ -65,6 +65,26 @@ def test_self_glued_slot_reported():
     assert any("itself" in e for e in diag.errors)
 
 
+def disjoint_gluing(*tris):
+    """``(triangle count, gluings)`` of the disjoint union of ``tris``, triangles numbered in turn."""
+    count, gluings = 0, []
+    for tri in tris:
+        gluings += [((a + count, i), (b + count, j)) for (a, i), (b, j) in tri.to_json_dict()["gluings"]]
+        count += tri.triangle_count
+    return count, gluings
+
+
+@pytest.mark.parametrize("parts", [[(0, 3), (1, 1)], [(0, 3), (0, 3)]], ids=["pillow-torus", "two-pillows"])
+def test_disconnected_gluing_is_refused(parts):
+    # the pillow and the torus once passed as (0, 4); two pillows read genus -1
+    count, gluings = disjoint_gluing(*(standard_triangulation(*gs) for gs in parts))
+    diag = diagnose(count, gluings)
+    assert diag.errors == ["gluing is not connected: its triangles form 2 components"]
+    assert diag.genus is None and diag.punctures is None
+    with pytest.raises(TriangulationError, match="form 2 components"):
+        IdealTriangulation(count, gluings)
+
+
 @pytest.mark.parametrize("g,s", GRID)
 def test_euler_characteristic_recovery(g, s):
     tri = standard_triangulation(g, s)
