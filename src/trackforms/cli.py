@@ -1,11 +1,12 @@
 """Command-line driver: fixtures, structure verification, representations, Chebyshev.
 
 Exit codes: 0 = success / all checks passed, 1 = a mathematical check failed,
-2 = invalid input or usage.  All output is JSON with sorted keys so reruns on
-identical inputs are byte-identical; a result holding a NaN or an infinity
-is not valid JSON and exits 2, and ``rep`` names the checks whose deviation
-is not finite.  Randomized checks take an explicit ``--seed`` (default 0)
-which is recorded in the output.  The tolerance on
+2 = invalid input or usage, or input too large for the machine's memory
+(refused up front where it can be foreseen).  All output is JSON with sorted
+keys so reruns on identical inputs are byte-identical; a result holding a
+NaN or an infinity is not valid JSON and exits 2, and ``rep`` names the
+checks whose deviation is not finite.  Randomized checks take an explicit
+``--seed`` (default 0) which is recorded in the output.  The tolerance on
 the ``verify``/``frobenius`` deviations of ``rep`` is 1e-9, overridable
 through the ``TRACKFORMS_TOL`` environment variable with any positive finite
 number; the spec's ``h^N = zeta(eta)`` check uses a fixed 1e-9.
@@ -237,6 +238,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:  # every module's error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # past the up-front estimate, as under an address-space limit
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

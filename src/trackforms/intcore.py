@@ -17,14 +17,14 @@ weight systems are one ``matmul`` each.  Each stage still validates an
 array it is given (``as_array``); Python ints are made only for a public
 result.
 
-Products have two tiers in ``matmul`` and three in the normal form.  While
-the bit bound of a product stays within ``FLOAT_BITS = 53`` it runs on
-float64 BLAS, where every partial sum is an integer the significand holds
-exactly.  Past it ``matmul`` runs on Python-int ``object`` arrays; the
-normal form runs on int64 up to ``WORD_BITS``, where numpy's int64 ``@``
-(a plain loop, no BLAS) is still exact, and on Python ints past that.
-numpy's int64 arithmetic wraps silently on overflow, so no int64 value
-computed here, intermediates included, reaches ``2**WORD_BITS``.
+Every matrix product here, in ``matmul`` and in the normal form, has the
+same two tiers.  While the bit bound of a product stays within
+``FLOAT_BITS = 53`` it runs on float64 BLAS, where every partial sum is an
+integer the significand holds exactly; past it, on Python-int ``object``
+arrays.  int64 is a storage type: arrays hand on their values as int64
+when they fit, and the algebra's sums and codes stay on it.  numpy's int64
+arithmetic wraps silently on overflow, so no int64 value computed here,
+intermediates included, reaches ``2**WORD_BITS``.
 
 The normal form reduces ``M`` alone, and holds only its trailing block:
 a contiguous ``k x k`` array in one of two flat buffers, ``k`` shrinking by
@@ -45,8 +45,8 @@ block and ``[U | V^T]`` each take the tier of an upper bound on their
 largest ``|entry|`` (``_Tiers``): the bound is
 raised by what an update can add (on the block, ``2 max|a| max|b|`` for a
 clean pair), the live entries are measured again only when it would pass
-the tier, and the array moves to the tier they need, so the same numpy code
-carries on exactly.
+``FLOAT_BITS``, and if they need more the array moves to Python ints for
+good, so the same numpy code carries on exactly.
 
 ``doubled_pairings`` is the one array pairing: both shapes of
 ``theta_matrix`` and the balanced algebra's products call it, and it is one
@@ -79,13 +79,15 @@ FLOAT_BITS = 53
 # --- arrays and bit bounds -------------------------------------------------
 
 def as_array(rows) -> np.ndarray:
-    """A new 2-D int64 array of the rectangular ``rows``; object if an entry needs 62 bits.
+    """A 2-D int64 array of the rectangular ``rows``; object if an entry needs 62 bits.
 
-    ``rows`` may be lists or an array.  Entries must pass ``operator.index``
-    (else ``ValueError``).  They are read one by one only when numpy infers no
-    integer dtype, as for a float, a huge entry or an ``object`` array.
+    ``rows`` may be lists or an array.  An int64 array whose entries fit is
+    returned itself, not copied, so callers only read it.  Entries must pass
+    ``operator.index`` (else ``ValueError``).  They are read one by one only
+    when numpy infers no integer dtype, as for a float, a huge entry or an
+    ``object`` array.
     """
-    a = np.array(rows)
+    a = np.asarray(rows)
     if a.ndim == 2 and a.dtype.kind in "biu":
         if not a.size or -(1 << WORD_BITS) < a.min() and a.max() < 1 << WORD_BITS:
             return a.astype(np.int64, copy=False)
@@ -150,9 +152,9 @@ def skew_normal_form(matrix):
     """``lattice.skew_normal_form`` on arrays: the same pivots, ``U``, ``V`` and blocks.
 
     ``matrix`` may be lists or an array; it is read by ``as_array`` and not
-    changed.  Returns ``(U, blocks, V)`` with ``U`` and ``V`` as arrays
-    (int64, or object once they widen), views of one ``n x 2n`` row array
-    ``[U | V^T]``.
+    changed, since the block is always a cast copy of it.  Returns ``(U,
+    blocks, V)`` with ``U`` and ``V`` as arrays (int64, or object once they
+    widen), views of one ``n x 2n`` row array ``[U | V^T]``.
 
     The loop reduces ``M`` alone, and holds only its trailing block, the
     rows and columns ``t`` onward that pairs still change: a contiguous
@@ -191,14 +193,15 @@ def skew_normal_form(matrix):
     block: the swaps permute its rows, and ``_step`` applies each step's
     sweep and fold to it at once, this pair's included.
 
-    The block is float64, int64 or object, as a bound on its largest
-    ``|entry|`` allows (``_Tiers``).  A clean pair raises the bound by ``2
-    max|a| max|b|``, read off the quotient rows (``max|a| = p qa``, ``max|b|
-    = qb``), since ``|M'| <= |M| + 2 max|a| max|b|``; the general sweep
-    multiplies it by ``(2q + 1)^2``, ``q`` the largest ``|quotient|``, and a
-    fold by 4 more.  Each bounds every partial sum of its update's products too.
-    On the clean path the bound grows by sums, not by factors, so the block
-    is seldom measured again.
+    The block is float64 while a bound on its largest ``|entry|`` is within
+    ``FLOAT_BITS``, and Python ints past it, for good (``_Tiers``), as in
+    ``matmul``.  A clean pair raises the bound by ``2 max|a| max|b|``, read
+    off the quotient rows (``max|a| = p qa``, ``max|b| = qb``), since ``|M'|
+    <= |M| + 2 max|a| max|b|``; the general sweep multiplies it by ``(2q +
+    1)^2``, ``q`` the largest ``|quotient|``, and a fold by 4 more.  Each
+    bounds every partial sum of its update's products too.  On the clean
+    path the bound grows by sums, not by factors, so the block is seldom
+    measured again.
 
     Every entry of the block is a multiple of ``lo``: 1 at first, then the
     last pivot, since its pair found no fold and congruences keep the
@@ -218,7 +221,7 @@ def skew_normal_form(matrix):
     rows = np.zeros((n, n + 1), dtype=np.int64)  # [N | perm], then [U | V^T]
     rows[:, n] = np.arange(n)
     qbits = []  # the quotient bits of each pair kept in N
-    uv = None  # the bounds of [U | V^T] once it replaces [N | perm]
+    uv = None  # the bound of [U | V^T] once it replaces [N | perm]
 
     blocks = []
     lo = 1
@@ -256,9 +259,9 @@ def skew_normal_form(matrix):
         dirty = p > lo and bool((r % p).any())  # a remainder: the pair is reduced again
         fold = None
         if not dirty:
-            if (tier := tiers.grow(lambda b: (b + 2 * p * qa * qb,), blk)) is not None:
-                blk, spare = _buffers(blk, tier)
-                qt = _cast(qt, tier)
+            if tiers.grow(lambda b: b + 2 * p * qa * qb, blk):
+                blk, spare = _buffers(blk, object)
+                qt = _cast(qt, object)
             nxt = _next_block(blk, qt, spare[:(k - 2) ** 2].reshape(k - 2, k - 2))
             if p > lo:  # every entry is a multiple of lo, so only larger pivots can fold
                 folds = np.flatnonzero((nxt % p != 0).any(axis=1))
@@ -266,12 +269,12 @@ def skew_normal_form(matrix):
                     fold = 2 + int(folds[0])
         if dirty or fold is not None:
             # the general sweep, which keeps rows t, t+1, then any fold
-            if (tier := tiers.grow(lambda b: (b * (2 * q + 1) ** 2 * (1 if fold is None else 4),), blk)) is not None:
-                blk, spare = _buffers(blk, tier)
-                qt = _cast(qt, tier)
+            if tiers.grow(lambda b: b * (2 * q + 1) ** 2 * (1 if fold is None else 4), blk):
+                blk, spare = _buffers(blk, object)
+                qt = _cast(qt, object)
             if uv is None:
                 rows = _unwind(rows[:, :n], rows[:, n], qbits)
-                uv = _Tiers(max_abs(rows[:, :n]), max_abs(rows[:, n:]))
+                uv = _Tiers(max_abs(rows))
                 rows = _cast(rows, uv.dtype)
             rows = _step(rows, uv, t, qt, fold)
             blk[2:] += qt.T @ blk[:2]
@@ -329,7 +332,7 @@ def _buffers(blk, dtype):
 
 def _tier(bits: int):
     """The dtype whose products are exact when every partial sum is below ``2**bits``."""
-    return np.float64 if bits <= FLOAT_BITS else np.int64 if bits <= WORD_BITS else object
+    return np.float64 if bits <= FLOAT_BITS else object
 
 
 def _cast(a: np.ndarray, dtype) -> np.ndarray:
@@ -345,40 +348,33 @@ def _exact(a: np.ndarray) -> np.ndarray:
 
 
 class _Tiers:
-    """Upper bounds on the largest ``|entry|`` of the parts of an array, and the tier they allow.
+    """An upper bound on the largest ``|entry|`` of an array, and the tier it allows.
 
-    ``dtype`` is the tier every update of the array runs on: float64 BLAS
-    within ``FLOAT_BITS`` (every partial sum is an integer the significand
-    holds exactly), int64 within ``WORD_BITS`` (numpy's int64 ``@`` is a
-    plain exact loop) and Python ints past that, for good.  ``grow(raise_,
-    live, whole)`` raises the bounds by ``raise_``, which maps the bounds
-    before an update to those after it.  Only when they would pass the
-    tier's limit is ``live``, the part of the array that updates still read,
-    measured again, and the array moves to the tier the result needs: up,
-    or back down to float64 if all of ``whole`` (``live`` if omitted) fits
-    it, final rows outside ``live`` included.  Returns that new dtype, to
-    which the caller casts the array, or None if the array stays.
+    ``dtype`` is the tier every update of the array runs on: float64 while
+    the bound is within ``FLOAT_BITS``, Python ints past it, for good.
+    ``grow(raise_, live)`` maps the bound before an update to the one after
+    it by ``raise_``; only if that passes ``FLOAT_BITS`` is ``live``, the
+    part of the array that updates still read, measured and raised instead
+    (other rows are final).  Returns whether that passes too: then the
+    array moves to Python ints, and the caller casts it to ``object``.
     """
 
-    __slots__ = ("dtype", "bounds")
+    __slots__ = ("dtype", "bound")
 
-    def __init__(self, *bounds):
-        self.bounds = bounds
-        self.dtype = np.dtype(_tier(max(bounds).bit_length()))
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.dtype = np.dtype(_tier(bound.bit_length()))
 
-    def grow(self, raise_, live, whole=None):
+    def grow(self, raise_, live) -> bool:
         if self.dtype == object:
-            return None
-        need = raise_(*self.bounds)
-        if max(need).bit_length() <= (FLOAT_BITS if self.dtype == np.float64 else WORD_BITS):
-            self.bounds = need
-            return None
-        self.bounds = need = raise_(*[max_abs(live)] * len(need))
-        tier = np.dtype(_tier(max(need).bit_length()))
-        if tier == self.dtype or tier == np.float64 and whole is not None and max_bits(whole) > FLOAT_BITS:
-            return None
-        self.dtype = tier
-        return tier
+            return False
+        self.bound = raise_(self.bound)
+        if self.bound.bit_length() > FLOAT_BITS:
+            self.bound = raise_(max_abs(live))
+            if self.bound.bit_length() > FLOAT_BITS:
+                self.dtype = np.dtype(object)
+                return True
+        return False
 
 
 def _unwind(nq, perm, qbits):
@@ -391,10 +387,10 @@ def _unwind(nq, perm, qbits):
     below the diagonal block were zero.  The columns it reads are final
     columns of ``U``, so the product is bounded by their bits, the pair's
     quotient bits ``qbits`` and the bits of its length, as in ``matmul``.
-    ``X`` is float64 while that bound is within ``FLOAT_BITS``, int64
-    within ``WORD_BITS`` and Python ints past that.  The bound is raised
-    pair by pair, and only when it would pass the tier are the columns
-    written since the last measurement measured.
+    ``X`` is float64 while that bound is within ``FLOAT_BITS`` and Python
+    ints past it.  The bound is raised pair by pair, and only when it would
+    pass ``FLOAT_BITS`` are the columns written since the last measurement
+    measured.
     """
     n = len(nq)
     perm = perm.astype(np.intp)
@@ -403,7 +399,7 @@ def _unwind(nq, perm, qbits):
     fresh = 2 * len(qbits)
     for s in range(fresh - 2, -1, -2):
         grow = qbits[s // 2] + (n - s - 2).bit_length()
-        if x.dtype != object and bound + grow > (FLOAT_BITS if x.dtype == np.float64 else WORD_BITS):
+        if x.dtype != object and bound + grow > FLOAT_BITS:
             measured = bound = max(measured, max_bits(x[s + 2:, s + 2:fresh]))
             fresh = s + 2
             x = _cast(x, _tier(bound + grow))
@@ -423,20 +419,22 @@ def _step(uvt, tiers, t, qt, fold):
     The step is the sweep ``U[t+2:] += Q U[t:t+2]``, ``V^T[t:t+2] -= Q^T
     V^T[t+2:]`` (``qt`` is ``Q[t+2:, t:t+2]^T``), then, unless ``fold`` is
     None, the fold ``U[t] += U[t+fold]``, ``V^T[t+fold] -= V^T[t]``, as the
-    loop applies them to ``M``.  ``tiers`` keeps one bound for ``U`` and
-    one for ``V``; rows above ``t`` are final.
+    loop applies them to ``M``.  ``tiers`` keeps one bound for the whole
+    array: the sweep multiplies it by ``2q + 1`` on ``U`` and by one plus
+    the largest column sum ``q1`` of ``|Q|`` on ``V``, so by the larger of
+    the two, and the fold by 2.  Rows above ``t`` are final.
     """
     n = len(uvt)
     q = max_abs(qt)
     q1 = int(abs(qt).sum(axis=1).max())  # V Q grows by a column sum of |Q|
-    if (tier := tiers.grow(lambda ub, vb: (ub * (2 * q + 1), vb * (q1 + 1)), uvt[t:], uvt)) is not None:
-        uvt = _cast(uvt, tier)
+    if tiers.grow(lambda b: b * max(2 * q + 1, q1 + 1), uvt[t:]):
+        uvt = _cast(uvt, object)
     qt = _cast(qt, uvt.dtype)
     uvt[t + 2:, :n] += qt.T @ uvt[t:t + 2, :n]
     uvt[t:t + 2, n:] -= qt @ uvt[t + 2:, n:]
     if fold is not None:
-        if (tier := tiers.grow(lambda ub, vb: (2 * ub, 2 * vb), uvt[t:], uvt)) is not None:
-            uvt = _cast(uvt, tier)
+        if tiers.grow(lambda b: 2 * b, uvt[t:]):
+            uvt = _cast(uvt, object)
         uvt[t, :n] += uvt[t + fold, :n]
         uvt[t + fold, n:] -= uvt[t, n:]
     return uvt

@@ -47,6 +47,7 @@ blocks next to the ``n_even`` zero rows.
 from __future__ import annotations
 
 import operator
+import os
 import sys
 from dataclasses import dataclass, field
 from itertools import chain, compress
@@ -80,6 +81,18 @@ from .traintrack import puncture_weight  # noqa: F401
 # the tree basis an array from this many switches on and hands the arrays on
 # from stage to stage; the etas stay lists.
 INT64_MIN_ROWS = 20
+
+
+# The structure stage's peak memory, tree basis to certificate, is about this
+# many bytes per entry of its ``n x (n + branches)`` dense matrices, ``n`` the
+# basis rows: the peak RSS over ``certified_form`` in a fresh process read
+# 32.3 bytes at fan (128,4) and 33.0 at (256,4) (``getrusage``, numpy loaded).
+DENSE_BYTES_PER_ENTRY = 33
+# The machine's physical memory; input that would need more is refused.
+try:
+    PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+except (AttributeError, ValueError, OSError):  # no such figure here: refuse nothing
+    PHYSICAL_MEMORY = None
 
 
 def _int64(rows: int) -> bool:
@@ -489,7 +502,16 @@ def certified_form(track: TrainTrack):
     Every figure the commands report is an invariant of the form on the lattice,
     and the Hermite basis only made ``U`` grow on flipped triangulations.  From
     ``INT64_MIN_ROWS`` switches on, the basis and ``nf.arrays`` are arrays.
+    A track whose dense matrices would need more than the machine's physical
+    memory is refused up front (``ValueError``): the basis has at most
+    ``branches - switches + components`` rows, since each component's switch
+    conditions have rank at least its switches less one.
     """
+    rows = track.branch_count - track.switch_count + len(track.forest.roots)
+    need = DENSE_BYTES_PER_ENTRY * rows * (rows + track.branch_count)
+    if PHYSICAL_MEMORY is not None and need > PHYSICAL_MEMORY:
+        raise ValueError(f"input refused: the structure stage on up to {rows} lattice rows needs about "
+                         f"{need >> 20} MB, more than the {PHYSICAL_MEMORY >> 20} MB of physical memory")
     basis = tree_basis(track)
     if _int64(track.switch_count):
         from . import intcore

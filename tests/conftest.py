@@ -67,16 +67,16 @@ def product_tiers(monkeypatch):
 
     Each entry is ``(part, tier)``: part 0 is the loop's block of ``M``,
     whose bound the loop raises before its first step on ``[U | V^T]``, and
-    part 1 is ``[U | V^T]``; the tier is the array's dtype: float64, int64
-    or object.
+    part 1 is ``[U | V^T]``; the tier is the array's dtype: float64 or
+    object.
     """
     from trackforms import intcore
 
     tiers, parts = [], {}
     grow = intcore._Tiers.grow
 
-    def recorded(self, raise_, live, whole=None):
-        moved = grow(self, raise_, live, whole)
+    def recorded(self, raise_, live):
+        moved = grow(self, raise_, live)
         tiers.append((parts.setdefault(id(self), len(parts)), str(self.dtype)))
         return moved
 

@@ -340,6 +340,38 @@ def test_failed_certificate_exits_two_without_traceback(capsys, monkeypatch, arg
     assert err.startswith("error: ") and "certificate" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-structure", "-g", "24", "-s", "4"],
+    ["rep", "-g", "24", "-s", "4", "--N", "1"],
+])
+def test_input_past_physical_memory_is_refused_up_front(capsys, monkeypatch, argv):
+    # fan (24,4) has 300 branches and at most 151 basis rows, so its dense
+    # matrices need about 2 MB: more than a machine of 1 MB, and no basis is built
+    def no_basis(track):
+        raise AssertionError("the basis is built")
+
+    monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", 1 << 20)
+    monkeypatch.setattr(lattice, "tree_basis", no_basis)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == ("error: input refused: the structure stage on up to 151 lattice rows needs about 2 MB, "
+                   "more than the 1 MB of physical memory\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-structure", "-g", "8", "-s", "4"],
+    ["rep", "-g", "8", "-s", "4", "--N", "1"],
+])
+def test_memory_error_exits_two_without_traceback(capsys, monkeypatch, argv):
+    def no_memory(m):
+        raise MemoryError("Unable to allocate 549. MiB")
+
+    monkeypatch.setattr(lattice, "skew_normal_form", no_memory)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: out of memory: Unable to allocate 549. MiB\n"
+
+
 # ``rep --seed 4`` payloads before symbols replaced the length-d monomial
 # operators: everything but the max_deviation floats.
 OMEGA_5 = [0.9510565162951535, 0.3090169943749474]

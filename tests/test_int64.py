@@ -72,11 +72,14 @@ def test_large_triangulations(g, s, flips, certify_lists, monkeypatch):
     # int64 certificate is checked, and the Python one on the other three.
     # On the Hermite basis the flipped forms fold, so U and V are updated
     # step by step from the fold on; the fans' pairs all clear in one sweep.
+    # Every update runs on float64 or, past FLOAT_BITS, on Python ints.
     events = normal_form_events(monkeypatch)
+    tiers, _ = product_tiers(monkeypatch)
     tri = random_triangulation(g, s, flips, seed=f"int64/{g}/{s}") if flips else \
         standard_triangulation(g, s)
     nf = assert_paths_agree(from_triangulation(tri), monkeypatch, certify_lists)
     assert [e[2] for e in events if e[0] == "step"] == (["fold"] if flips else [])
+    assert tiers and {t for _, t in tiers} <= {"float64", "object"}
     if flips == 3000:  # coefficient growth that the fans hide
         assert max(abs(x).bit_length() for row in nf.U for x in row) > 30
 
@@ -93,7 +96,7 @@ def random_skew(rng, n, bound=9):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_dense_random_matrices_widen_to_python_ints(seed, monkeypatch):
     m = random_skew(random.Random(seed), 60)
-    assert intcore.as_array(m).dtype == "int64"  # the elimination starts on int64
+    assert intcore.as_array(m).dtype == "int64"  # the elimination starts on float64
     monkeypatch.setattr(lattice, "INT64_MIN_ROWS", INT64)
     events = normal_form_events(monkeypatch)
     nf = skew_normal_form(m)
@@ -105,21 +108,19 @@ def test_dense_random_matrices_widen_to_python_ints(seed, monkeypatch):
     assert skew_normal_form(m) == nf
 
 
-def test_normal_form_crosses_62_bits_mid_elimination(monkeypatch):
-    # Small entries start on float64.  Past FLOAT_BITS the updates run on
-    # int64, back on float64 once a measurement finds the entries small, and
-    # past WORD_BITS on Python ints for good.  The loop reduces M through
-    # these tiers on seed 0 (seed 1's M stays within FLOAT_BITS); the forms
-    # need second sweeps, so U and V^T are updated through them too, and U
-    # ends past 62 bits, which int64 cannot hold.  Every tier takes the list
-    # path's steps.  The updates of the two parts interleave, so each part's
-    # runs of tiers are compared, in order.
+def test_normal_form_crosses_53_bits_mid_elimination(monkeypatch):
+    # Small entries start on float64, and past FLOAT_BITS the updates run on
+    # Python ints for good.  The loop reduces M across that line on seed 0
+    # (seed 1's M stays within FLOAT_BITS); the forms need second sweeps, so
+    # U and V^T are updated across it too, and U ends past 53 bits, which
+    # float64 cannot hold.  Both tiers take the list path's steps.  The
+    # updates of the two parts interleave, so each part's runs of tiers are
+    # compared, in order.
     tiers, parts = product_tiers(monkeypatch)
-    floats, words, objects = "float64", "int64", "object"
+    floats, objects = "float64", "object"
     for seed, n, bound, runs in [
-            (0, 16, 9, [(0, floats), (0, words), (0, floats), (0, words), (0, objects),
-                        (1, floats), (1, words), (1, objects)]),
-            (1, 24, 2, [(0, floats), (1, floats), (1, words), (1, floats), (1, objects)])]:
+            (0, 16, 9, [(0, floats), (0, objects), (1, floats), (1, objects)]),
+            (1, 24, 2, [(0, floats), (1, floats), (1, objects)])]:
         m = random_skew(random.Random(seed), n, bound)
         assert intcore.as_array(m).dtype == "int64"
         tiers.clear()
@@ -131,7 +132,7 @@ def test_normal_form_crosses_62_bits_mid_elimination(monkeypatch):
         by_part = sorted(tiers, key=lambda e: e[0])  # stable: each part's updates in order
         assert [t for k, t in enumerate(by_part) if not k or by_part[k - 1] != t] == runs
         assert results[0] == results[1]
-        assert max(abs(x).bit_length() for row in results[0].U for x in row) > 62
+        assert max(abs(x).bit_length() for row in results[0].U for x in row) > intcore.FLOAT_BITS
         assert certify_normal_form(results[0], m)
 
 
@@ -166,6 +167,26 @@ def test_normal_form_tuples_are_made_when_read(monkeypatch):
     assert listed.arrays is None
     assert listed == nf and hash(listed) == hash(nf) and repr(listed) == repr(nf)
     assert NormalForm(nf.U, nf.blocks, nf.V) == nf != NormalForm(nf.U, nf.blocks + (1,), nf.V)
+
+
+@pytest.mark.parametrize("flips", [0, 1000], ids=["fan(16,4)", "flipped(16,4)x1000"])
+def test_array_stages_leave_caller_arrays_unchanged(flips, monkeypatch):
+    # as_array hands a caller's int64 array on uncopied, so the stages must
+    # only read it: every input here is read-only, and a write would raise.
+    # On the Hermite basis the flipped form folds, so the general sweep runs.
+    tri = random_triangulation(16, 4, flips, seed="int64/16/4") if flips else standard_triangulation(16, 4)
+    track = from_triangulation(tri)
+    basis = np.array(weight_lattice_basis(track), dtype=np.int64)
+    basis.flags.writeable = False
+    m = theta_matrix(track, basis)
+    assert intcore.as_array(m) is m
+    m.flags.writeable = False
+    events = normal_form_events(monkeypatch)
+    nf = skew_normal_form(m)
+    assert [e[2] for e in events if e[0] == "step"] == (["fold"] if flips else [])
+    assert intcore.certifies(*nf.arrays, m, nf.blocks)  # nf.arrays are read-only too
+    assert theta_matrix(track, basis).tolist() == m.tolist()
+    assert skew_normal_form(m) == nf
 
 
 def test_switch_array_matches_the_lists(grid_tracks):

@@ -128,15 +128,12 @@ def fold_tail(bits, qbits, n):
     return tail
 
 
-@pytest.mark.parametrize("bits,qbits,before,after", [
-    (40, 6, "float64", "int64"),
-    (55, 4, "int64", "object"),
-], ids=["past-FLOAT_BITS", "past-WORD_BITS"])
-def test_fold_moves_the_block_across_a_tier(bits, qbits, before, after, monkeypatch):
-    # The clean pairs keep the block's bound within its tier.  The fold
-    # pair's general sweep and fold raise it by (2q + 1)**2 * 4, past the
-    # tier; measured, the block needs the next one.  That update is the
-    # block's last before the first update of [U | V^T].
+@pytest.mark.parametrize("bits,qbits", [(40, 6)], ids=["past-FLOAT_BITS"])
+def test_fold_moves_the_block_across_a_tier(bits, qbits, monkeypatch):
+    # The clean pairs keep the block's bound within FLOAT_BITS.  The fold
+    # pair's general sweep and fold raise it by (2q + 1)**2 * 4, past it;
+    # measured, the block needs Python ints.  That update is the block's
+    # last before the first update of [U | V^T].
     n, clean = 24, 5
     tail = [row + [0] * (n - 2 * clean - 4) for row in fold_tail(bits, qbits, 4)]
     m = layered_form(bits, n, clean, tail + [[0] * (n - 2 * clean)] * (n - 2 * clean - 4), 2)
@@ -144,7 +141,7 @@ def test_fold_moves_the_block_across_a_tier(bits, qbits, before, after, monkeypa
     nf, events = both_paths(m, monkeypatch)
     assert events == [("unwind", clean), ("step", 2 * clean, "fold")]
     first = next(k for k, (part, _) in enumerate(tiers) if part == 1)
-    assert tiers[first - 2:first] == [(0, before), (0, after)]
+    assert tiers[first - 2:first] == [(0, "float64"), (0, "object")]
     assert certify_normal_form(nf, m)
 
 
@@ -166,29 +163,23 @@ def aligned_fold_form(e):
     return congruence(low, d)
 
 
-@pytest.mark.parametrize("e,before,after,u_dtype", [
-    (2 ** 51 + 1, "float64", "int64", "int64"),
-    (2 ** 60 + 1, "int64", "object", "object"),
-], ids=["past-FLOAT_BITS", "past-WORD_BITS"])
-def test_fold_moves_u_and_v_across_a_tier(e, before, after, u_dtype, monkeypatch):
-    # The sweep's bound 3e is within the tier, the fold's 6e is not; row 4
+@pytest.mark.parametrize("e", [2 ** 51 + 1], ids=["past-FLOAT_BITS"])
+def test_fold_moves_u_and_v_across_a_tier(e, monkeypatch):
+    # The sweep's bound 3e is within FLOAT_BITS, the fold's 6e is not; row 4
     # of U, measured, holds 3e - 1, and the fold can double it, which needs
-    # the next tier.  The fold makes 4e - 1, odd and past the tier: float64
-    # cannot hold it, and no int64 value may reach 2**62.
+    # Python ints.  The fold makes 4e - 1, odd and past FLOAT_BITS: float64
+    # cannot hold it.
     m = aligned_fold_form(e)
     tiers, _ = product_tiers(monkeypatch)
     nf, events = both_paths(m, monkeypatch)
     assert events == [("unwind", 1), ("step", 2, "fold")]
-    assert [t for part, t in tiers if part == 1][:2] == [before, after]
-    assert nf.U[2][0] == 4 * e - 1 and nf.arrays[0].dtype == u_dtype
+    assert [t for part, t in tiers if part == 1][:2] == ["float64", "object"]
+    assert nf.U[2][0] == 4 * e - 1 and nf.arrays[0].dtype == object
     assert certify_normal_form(nf, m)
 
 
-@pytest.mark.parametrize("n,bits,seed,dtype,low,high", [
-    (26, 5, 2, "int64", intcore.FLOAT_BITS, intcore.WORD_BITS),
-    (32, 5, 0, "object", intcore.WORD_BITS, 1000),
-], ids=["past-FLOAT_BITS", "past-WORD_BITS"])
-def test_backward_sweep_crosses_tiers(n, bits, seed, dtype, low, high, monkeypatch):
+@pytest.mark.parametrize("n,bits,seed", [(26, 5, 2)], ids=["past-FLOAT_BITS"])
+def test_backward_sweep_crosses_tiers(n, bits, seed, monkeypatch):
     # M stays within FLOAT_BITS and every pair clears in one sweep, so only
     # the backward sweep of _unwind sees U grow past the float64 tier.
     m = layered_form(seed, n, n // 2, [], bits)
@@ -196,34 +187,8 @@ def test_backward_sweep_crosses_tiers(n, bits, seed, dtype, low, high, monkeypat
     nf, events = both_paths(m, monkeypatch)
     assert events == [("unwind", n // 2)]
     u, v = nf.arrays
-    assert u.dtype == dtype and low < intcore.max_bits(u) <= high
+    assert u.dtype == object and intcore.max_bits(u) > intcore.FLOAT_BITS
     assert certify_normal_form(nf, m)
-
-
-def test_replay_keeps_final_rows_exact_when_its_live_rows_shrink(monkeypatch):
-    # A huge quotient at pair 0 puts 2**55 + 1 into U's row 2 and V^T's rows
-    # 0 and 1, which are final from pair 4 on.  U's bound is 2**56 + 3 after
-    # pair 0 and 3 * 2**56 + 9 after pair 2, so pair 4's quotient 2**6 takes
-    # it past WORD_BITS, and the rows still live measure small; the array
-    # must stay on int64, since float64 would round the final rows.
-    n = 8
-    uvt = np.hstack([np.eye(n, dtype=np.int64)] * 2)
-    quotients = [np.zeros((2, n - t - 2), dtype=np.int64) for t in (0, 2, 4)]
-    quotients[0][0, 0] = 2 ** 55 + 1
-    quotients[1][1, 0] = 1  # adds U's small row 3, not the huge row 2
-    quotients[2][0, 0] = 2 ** 6
-    exact = uvt.astype(object)
-    u, vt = exact[:, :n], exact[:, n:]
-    for t, qt in zip((0, 2, 4), quotients):
-        u[t + 2:] += qt.T.astype(object) @ u[t:t + 2]
-        vt[t:t + 2] -= qt.astype(object) @ vt[t + 2:]
-    tiers, _ = product_tiers(monkeypatch)
-    bounds = intcore._Tiers(1, 1)  # as the loop starts them on U = V^T = I, on float64
-    uvt = uvt.astype(bounds.dtype)
-    for t, qt in zip((0, 2, 4), quotients):
-        uvt = intcore._step(uvt, bounds, t, qt, None)
-    assert (uvt == exact).all()
-    assert tiers == [(0, "int64")] * 3
 
 
 def dense_congruence(m, q):
@@ -292,19 +257,18 @@ def grown_form(seed, n, cbits, dbits):
     return m.tolist()
 
 
-@pytest.mark.parametrize("cbits,dbits,dtype", [(8, 48, "int64"), (14, 50, "object")],
-                         ids=["past-FLOAT_BITS", "past-WORD_BITS"])
-def test_clean_pairs_cross_tiers(cbits, dbits, dtype, monkeypatch):
+@pytest.mark.parametrize("cbits,dbits", [(8, 48)], ids=["past-FLOAT_BITS"])
+def test_clean_pairs_cross_tiers(cbits, dbits, monkeypatch):
     # The form fits float64, but the block its first pair leaves does not: the
-    # bound 2 max|a| max|b| that pair adds passes the tier, the block is
-    # measured, and it moves to the tier its entries need before the update.
+    # bound 2 max|a| max|b| that pair adds passes FLOAT_BITS, the block is
+    # measured, and it moves to Python ints before the update.
     n = 24
     m = grown_form(cbits + dbits, n, cbits, dbits)
     assert intcore.max_bits(intcore.as_array(m)) <= intcore.FLOAT_BITS
     block = dense_congruence(m, pair_quotients(m, 1))
-    assert intcore.max_bits(intcore.as_array(block)) > (intcore.FLOAT_BITS if dtype == "int64" else intcore.WORD_BITS)
+    assert intcore.max_bits(intcore.as_array(block)) > intcore.FLOAT_BITS
     tiers, _ = product_tiers(monkeypatch)
     nf, events = both_paths(m, monkeypatch)
     assert events == [("unwind", n // 2)]
-    assert tiers[0] == (0, dtype)
+    assert tiers[0] == (0, "object")
     assert certify_normal_form(nf, m)
