@@ -24,7 +24,7 @@ import os
 import sys
 
 from .algebra import chebyshev_value, omega_candidate, params_from_omega, solve_chebyshev
-from .lattice import verify_structure
+from .lattice import refuse_past_memory, verify_structure
 from .representation import (
     RepresentationSpec,
     build,
@@ -34,7 +34,7 @@ from .representation import (
     verify,
 )
 from .traintrack import TrainTrack, from_triangulation
-from .triangulation import IdealTriangulation, TriangulationError, standard_triangulation
+from .triangulation import IdealTriangulation, TriangulationError, standard_triangulation, triangle_count
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -92,6 +92,17 @@ def _complexes(values, what: str) -> list[complex]:
     return [_complex(v, f"{what}[{i}]") for i, v in enumerate(values)]
 
 
+def _standard_track(g: int, s: int):
+    """The track of ``standard_triangulation(g, s)``, refused before it is built when too large.
+
+    A triangulation of F triangles gives a connected track of 3F branches
+    and 3F/2 switches, one per edge.
+    """
+    f = triangle_count(g, s)
+    refuse_past_memory(3 * f, 3 * f // 2, 1)
+    return from_triangulation(standard_triangulation(g, s))
+
+
 def cmd_triangulate(args) -> int:
     tri = standard_triangulation(args.genus, args.punctures)
     payload = tri.to_json_dict()
@@ -110,7 +121,7 @@ def cmd_verify_structure(args) -> int:
         else:
             raise TriangulationError("input JSON is neither a triangulation nor a train track")
     else:
-        track = from_triangulation(standard_triangulation(args.genus, args.punctures))
+        track = _standard_track(args.genus, args.punctures)
     report = verify_structure(track)
     _emit(report.to_json_dict(), args.out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -120,10 +131,9 @@ def _rep_spec_from_json(data: dict, seed: int):
     if "triangulation" in data:
         raw = data["triangulation"]
         raw = _load_json(raw) if isinstance(raw, str) else _object(raw, "triangulation")
-        tri = IdealTriangulation.from_json_dict(raw)
+        track = from_triangulation(IdealTriangulation.from_json_dict(raw))
     else:
-        tri = standard_triangulation(_int(data, "genus"), _int(data, "punctures"))
-    track = from_triangulation(tri)
+        track = _standard_track(_int(data, "genus"), _int(data, "punctures"))
     N = _int(data, "N")
     if "omega" in data:
         params = params_from_omega(N, _complex(data["omega"], "omega"))

@@ -496,22 +496,31 @@ class CertificateError(ValueError):
     """A normal form that fails its certificate (``certify_normal_form``)."""
 
 
+def refuse_past_memory(branches: int, switches: int, components: int) -> None:
+    """Refuse (``ValueError``) a track whose structure stage needs more than the physical memory.
+
+    The counts are the track's, so a caller can refuse before it builds the
+    track.  The basis has at most ``branches - switches + components`` rows,
+    since each component's switch conditions have rank at least its switches
+    less one, and the dense matrices hold ``rows * (rows + branches)`` entries.
+    """
+    rows = branches - switches + components
+    need = DENSE_BYTES_PER_ENTRY * rows * (rows + branches)
+    if PHYSICAL_MEMORY is not None and need > PHYSICAL_MEMORY:
+        raise ValueError(f"input refused: the structure stage on up to {rows} lattice rows needs about "
+                         f"{need >> 20} MB, more than the {PHYSICAL_MEMORY >> 20} MB of physical memory")
+
+
 def certified_form(track: TrainTrack):
     """The tree basis and theta's normal form on it, certified or ``CertificateError``.
 
     Every figure the commands report is an invariant of the form on the lattice,
     and the Hermite basis only made ``U`` grow on flipped triangulations.  From
     ``INT64_MIN_ROWS`` switches on, the basis and ``nf.arrays`` are arrays.
-    A track whose dense matrices would need more than the machine's physical
-    memory is refused up front (``ValueError``): the basis has at most
-    ``branches - switches + components`` rows, since each component's switch
-    conditions have rank at least its switches less one.
+    A track too large for the machine is refused up front
+    (:func:`refuse_past_memory`).
     """
-    rows = track.branch_count - track.switch_count + len(track.forest.roots)
-    need = DENSE_BYTES_PER_ENTRY * rows * (rows + track.branch_count)
-    if PHYSICAL_MEMORY is not None and need > PHYSICAL_MEMORY:
-        raise ValueError(f"input refused: the structure stage on up to {rows} lattice rows needs about "
-                         f"{need >> 20} MB, more than the {PHYSICAL_MEMORY >> 20} MB of physical memory")
+    refuse_past_memory(track.branch_count, track.switch_count, len(track.forest.roots))
     basis = tree_basis(track)
     if _int64(track.switch_count):
         from . import intcore

@@ -15,7 +15,11 @@ orientation) therefore visits ``reversed(side_a)`` followed by
 two sides point along opposite tangent directions.  Corners between
 cyclically consecutive germs on the *same* side are spikes (cusps of the
 complementary regions), while the two corners joining the ends of the two
-sides are smooth.
+sides are smooth.  ``TrainTrack.dart_slot`` holds each dart's slot
+``(switch, side, pos)``, ``pos`` counted from the left, so the spike is the
+corner after a germ with ``pos > 0``: the next germ counterclockwise is at
+``pos - 1`` on the same side.  After the germ at ``pos == 0`` comes the last
+germ of the other side, across a smooth corner.
 
 Weight systems are integer tuples indexed by branch, satisfying at every
 switch ``sum(side_a weights) == sum(side_b weights)``.  The intersection
@@ -372,45 +376,24 @@ class TopologyReport:
     orientable: bool
 
 
-def _ccw_cycles(track: TrainTrack):
-    """Per-switch counterclockwise germ order and same-side corner flags.
-
-    Returns (next_ccw, same_side_corner) where ``same_side_corner[d]`` tells
-    whether the corner between ``d`` and ``next_ccw[d]`` is a spike.
-    """
-    next_ccw: dict[Dart, Dart] = {}
-    same_side: dict[Dart, bool] = {}
-    for side_a, side_b in track.switches:
-        # Germs leave side_a along one tangent direction and side_b along the
-        # opposite one; sweeping counterclockwise crosses each side's germs
-        # right to left, so both lists reverse.
-        cycle = list(reversed(side_a)) + list(reversed(side_b))
-        sides = [0] * len(side_a) + [1] * len(side_b)
-        for i, dart in enumerate(cycle):
-            j = (i + 1) % len(cycle)
-            next_ccw[dart] = cycle[j]
-            same_side[dart] = sides[i] == sides[j]
-    return next_ccw, same_side
-
-
 def regions(track: TrainTrack) -> tuple[list[Region], TopologyReport]:
     """Boundary-walk the thickened neighborhood: regions, spikes, genus, orientability.
 
-    Rejects disconnected tracks.  The genus comes from
-    ``chi(U) = switches - branches`` and ``chi = 2 - 2h - region_count``;
-    orientability is the balance of the track's ``forest``.
+    A step runs along a dart's branch to its other end, at ``(s, side, pos)``
+    in ``track.dart_slot``, and turns to the next germ counterclockwise:
+    ``switches[s][side][pos - 1]`` across a spike when ``pos > 0``, and the
+    last germ of the other side across a smooth corner when ``pos == 0``.
+    Walks start from the darts in ``(branch, end)`` order.  Rejects
+    disconnected tracks.  The genus comes from ``chi(U) = switches -
+    branches`` and ``chi = 2 - 2h - region_count``; orientability is the
+    balance of the track's ``forest``.
     """
     if not track.is_connected():
         raise TrackError("train track is not connected")
-    next_ccw, same_side = _ccw_cycles(track)
-
-    def phi(d: Dart) -> Dart:
-        other = (d[0], 1 - d[1])
-        return next_ccw[other]
-
+    switches, dart_slot = track.switches, track.dart_slot
     seen: set[Dart] = set()
     regs: list[Region] = []
-    for start in sorted(track.dart_slot):
+    for start in ((b, e) for b in range(track.branch_count) for e in (0, 1)):
         if start in seen:
             continue
         walk = []
@@ -419,8 +402,10 @@ def regions(track: TrainTrack) -> tuple[list[Region], TopologyReport]:
         while d not in seen:
             seen.add(d)
             walk.append(d)
-            flags.append(same_side[(d[0], 1 - d[1])])
-            d = phi(d)
+            s, side, pos = dart_slot[(d[0], 1 - d[1])]
+            flags.append(pos > 0)
+            # at pos == 0, pos - 1 == -1 reads the other side's last germ
+            d = switches[s][side if pos else 1 - side][pos - 1]
         regs.append(Region(tuple(walk), tuple(flags)))
 
     if isinstance(track, TriangulationTrack):

@@ -256,6 +256,16 @@ def _fan_word_polygon(g: int, s: int) -> IdealTriangulation:
     return IdealTriangulation(P - 2, gluings)
 
 
+def triangle_count(g: int, s: int) -> int:
+    """The ``-2 chi = 4g + 2s - 4`` triangles of every ideal triangulation of (g, s).
+
+    ``TriangulationError`` when (g, s) admits none.
+    """
+    if g < 0 or s < 1 or 2 - 2 * g - s >= 0:
+        raise TriangulationError(f"(g, s) = ({g}, {s}) admits no ideal triangulation")
+    return 4 * g + 2 * s - 4
+
+
 def standard_triangulation(g: int, s: int) -> IdealTriangulation:
     """Deterministic ideal triangulation of the genus-g surface with s punctures.
 
@@ -264,8 +274,7 @@ def standard_triangulation(g: int, s: int) -> IdealTriangulation:
     fan-triangulated polygon with the standard commutator word followed by
     folded puncture pairs.  Rejects (g, s) that admit no ideal triangulation.
     """
-    if g < 0 or s < 1 or 2 - 2 * g - s >= 0:
-        raise TriangulationError(f"(g, s) = ({g}, {s}) admits no ideal triangulation")
+    triangle_count(g, s)
     tri = _doubled_polygon(s) if g == 0 else _fan_word_polygon(g, s)
     if (tri.genus, tri.punctures) != (g, s):
         raise AssertionError(f"construction bug: requested ({g}, {s}), built "

@@ -12,7 +12,9 @@ of ``U``), ``doubled_last_row`` (a normal form that fails only its
 certificate), ``is_orientable`` (a BFS 2-colouring of switch polarities,
 the reference for ``TrainTrack.forest``) and ``region_weight_system``
 (which raises ``OddSpikesError``), ``contains_puncture`` and
-``branch_multiplicities`` of a region.  ``eta_readings_match`` is the eta match before it became a
+``branch_multiplicities`` of a region.  ``ccw_regions`` is the census walk
+that ``traintrack.regions`` replaced, over dicts of each switch's
+counterclockwise germ cycle.  ``eta_readings_match`` is the eta match before it became a
 pairing: whether kernel rows are a basis of the etas' span, read at the
 etas' first support entries.
 
@@ -64,7 +66,15 @@ from trackforms.representation import (
     commutant_dimension,
     random_spec,
 )
-from trackforms.traintrack import puncture_weight, require_weight_system
+from trackforms.traintrack import (
+    Region,
+    TopologyReport,
+    TrackError,
+    TriangulationTrack,
+    _attach_puncture,
+    puncture_weight,
+    require_weight_system,
+)
 
 # Singular values at most SV_CUTOFF * max(1, largest) count as zero.
 SV_CUTOFF = 1e-7
@@ -287,6 +297,47 @@ def region_weight_system(track, region) -> tuple[int, ...]:
         if region.spike_after[i]:
             sign = -sign
     return require_weight_system(track, weights)
+
+
+def ccw_regions(track):
+    """``traintrack.regions`` by dicts of each switch's counterclockwise germ cycle.
+
+    The cycle at a switch is ``reversed(side_a) + reversed(side_b)``;
+    ``next_ccw[d]`` is the germ after ``d`` on it, and ``same_side[d]`` says
+    whether the corner between them is a spike.  Walks start from the darts
+    in sorted order.
+    """
+    if not track.is_connected():
+        raise TrackError("train track is not connected")
+    next_ccw, same_side = {}, {}
+    for side_a, side_b in track.switches:
+        cycle = list(reversed(side_a)) + list(reversed(side_b))
+        sides = [0] * len(side_a) + [1] * len(side_b)
+        for i, dart in enumerate(cycle):
+            j = (i + 1) % len(cycle)
+            next_ccw[dart] = cycle[j]
+            same_side[dart] = sides[i] == sides[j]
+    seen = set()
+    regs = []
+    for start in sorted(track.dart_slot):
+        walk, flags = [], []
+        d = start
+        while d not in seen:
+            seen.add(d)
+            walk.append(d)
+            other = (d[0], 1 - d[1])
+            flags.append(same_side[other])
+            d = next_ccw[other]
+        if walk:
+            regs.append(Region(tuple(walk), tuple(flags)))
+    if isinstance(track, TriangulationTrack):
+        regs = [_attach_puncture(track, r) for r in regs]
+    genus2 = 2 - len(regs) - (track.switch_count - track.branch_count)
+    if genus2 < 0 or genus2 % 2 != 0:
+        raise TrackError(f"inconsistent census: chi={track.switch_count - track.branch_count}, "
+                         f"regions={len(regs)}")
+    spikes = [r.spikes % 2 for r in regs]
+    return regs, TopologyReport(genus2 // 2, spikes.count(0), spikes.count(1), is_orientable(track))
 
 
 # --- representations ---------------------------------------------------------

@@ -7,7 +7,7 @@ import textwrap
 import pytest
 
 import trackforms
-from trackforms import lattice
+from trackforms import cli, lattice
 from trackforms.cli import main
 
 from conftest import unorientable_even_track
@@ -356,6 +356,38 @@ def test_input_past_physical_memory_is_refused_up_front(capsys, monkeypatch, arg
     assert code == 2 and out == ""
     assert err == ("error: input refused: the structure stage on up to 151 lattice rows needs about 2 MB, "
                    "more than the 1 MB of physical memory\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-structure", "-g", "1000000", "-s", "1"],
+    ["rep", "-g", "1000000", "-s", "1", "--N", "1"],
+])
+def test_large_standard_input_is_refused_before_it_is_built(capsys, monkeypatch, argv):
+    # (1000000, 1) has 3999998 triangles: 11999994 branches, 5999997
+    # switches and one component, counted without building the triangulation
+    def no_triangulation(g, s):
+        raise AssertionError("the triangulation is built")
+
+    monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", 1 << 40)
+    monkeypatch.setattr(cli, "standard_triangulation", no_triangulation)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == ("error: input refused: the structure stage on up to 5999998 lattice rows needs about "
+                   "3398892620 MB, more than the 1048576 MB of physical memory\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-structure", "-g", "-5", "-s", "1000000"],
+    ["rep", "-g", "-5", "-s", "1000000", "--N", "1"],
+    ["verify-structure", "-g", "0", "-s", "2"],
+    ["rep", "-g", "1", "-s", "0", "--N", "1"],
+])
+def test_surface_without_a_triangulation_is_named_before_any_refusal(capsys, monkeypatch, argv):
+    monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", 1)
+    code, out, err = run(capsys, *argv)
+    g, s = argv[2], argv[4]
+    assert code == 2 and out == ""
+    assert err == f"error: (g, s) = ({g}, {s}) admits no ideal triangulation\n"
 
 
 @pytest.mark.parametrize("argv", [

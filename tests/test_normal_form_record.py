@@ -206,7 +206,7 @@ def pair_quotients(m, p):
     return [[m[1][c] // p for c in range(2, len(m))], [-(m[0][c] // p) for c in range(2, len(m))]]
 
 
-@pytest.mark.parametrize("dtype,bits", [("float64", 20), ("int64", 28), ("object", 80)])
+@pytest.mark.parametrize("dtype,bits", [("float64", 20), ("object", 80)])
 @pytest.mark.parametrize("p", [1, 3])
 def test_next_block_is_the_congruence_of_a_clean_pair(dtype, bits, p):
     # A random antisymmetric block whose pivot p at (0, 1) divides rows 0 and

@@ -38,6 +38,7 @@ from conftest import (
 from oracles import (
     OddSpikesError,
     branch_multiplicities,
+    ccw_regions,
     contains_puncture,
     disjoint_union,
     is_orientable,
@@ -466,6 +467,33 @@ def test_forest_polarities_on_unions_and_grid(grid_tracks):
                   disjoint_union(circle_track(), circle_track()), TrainTrack(0, []),
                   *grid_tracks.values()):
         assert_forest_polarities(track)
+
+
+def census_cases(case, grid_tracks):
+    if case == "ribbon":
+        rng = random.Random(11)
+        draws = (random_ribbon_track(rng) for _ in itertools.count())
+        return list(itertools.islice(filter(None, draws), 1000))
+    if case == "fixtures":
+        return [circle_track(), unorientable_even_track()]
+    if case == "grid":
+        return list(grid_tracks.values())
+    return [from_triangulation(random_triangulation(16, 4, 1000, seed)) for seed in range(3)]
+
+
+@pytest.mark.parametrize("case", ["ribbon", "fixtures", "grid", "flipped"])
+def test_census_walk_matches_its_oracle(case, grid_tracks):
+    tracks = census_cases(case, grid_tracks)
+    connected = 0
+    for track in tracks:
+        if not track.is_connected():
+            for census in (regions, ccw_regions):
+                with pytest.raises(TrackError, match="not connected"):
+                    census(track)
+            continue
+        connected += 1
+        assert regions(track) == ccw_regions(track)
+    assert connected > len(tracks) // 3
 
 
 def test_disconnected_rejected():
